@@ -11,8 +11,8 @@ from .dynamics import (CentroidForceTable, IntegratorConfig, build_centroid_forc
                        ring_hamiltonian, rpmd_step, rpmd_trajectory)
 from .estimators import (CENTROID_DELTA, POSITION_DELTA, FilterSpec, block_error,
                          cmd_kubo_correlator, filtered_density_estimate,
-                         kubo_momentum_correlator_via_derivative, rpmd_kubo_correlator,
-                         spectrum)
+                         kubo_momentum_correlator_via_derivative, rpmd_initial_conditions,
+                         rpmd_kubo_correlator, spectrum)
 from .model import (PotentialModel, ThermoParams, delta_v, harmonic, mildly_anharmonic,
                     potential_eval, potential_grad, quartic)
 from .oracle import (EigenSystem, GridSpec, centroid_density_reference, diagonalize,

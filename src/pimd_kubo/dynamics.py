@@ -60,38 +60,54 @@ def _propagate_batch(x, p, model, thermo, dt, n_steps, record):
     """Evolve (n_traj, N) arrays, recording centroid observables every step.
 
     record is a list of Observable; returns (recorded (n_obs, n_steps+1,
-    n_traj), final positions, final momenta).
+    n_traj), final positions, final momenta).  x and p are left untouched.
+    Each step works in preallocated buffers: the rotation runs in place, in
+    the operation order of a*cos + b*sin/(m w) and b*cos - a*m w sin, and
+    the transforms write into their outputs.
     """
     grad = _grad_fn(model)
     cosw, sin_over, msin = _rotation_factors(thermo, model, dt)
     sqrt_n = math.sqrt(thermo.n_beads)
+    half = 0.5 * dt
 
-    a = normal_mode_transform(x, "forward")
-    b = normal_mode_transform(p, "forward")
-    x_cur = x.copy()
-    f_nm = normal_mode_transform(-grad(x_cur), "forward")
+    x_cur = np.array(x, dtype=float)
+    work = np.empty(x_cur.shape[:-1] + (x_cur.shape[-1] // 2 + 1,), dtype=complex)
+    a = normal_mode_transform(x_cur, "forward", work=work)
+    b = normal_mode_transform(p, "forward", work=work)
+    f_nm = np.empty_like(a)
+    a_msin = np.empty_like(a)
+    scratch = np.empty_like(a)
 
-    out = np.empty((len(record), n_steps + 1, x.shape[0]))
+    def force():
+        g = grad(x_cur)
+        np.negative(g, out=g)
+        normal_mode_transform(g, "forward", f_nm, work)
+
+    out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
 
     def snapshot(step):
         for i, obs in enumerate(record):
             if obs.kind == POSITION:
-                out[i, step] = obs.f(x_cur).mean(axis=1)
+                np.mean(obs.f(x_cur), axis=1, out=out[i, step])
             elif obs.kind == MOMENTUM:
-                out[i, step] = b[:, 0] / sqrt_n
+                np.divide(b[:, 0], sqrt_n, out=out[i, step])
             else:
                 raise ValueError(f"unknown observable kind {obs.kind!r}")
 
+    force()
     snapshot(0)
-    half = 0.5 * dt
     for step in range(1, n_steps + 1):
-        b += half * f_nm
-        a, b = a * cosw + b * sin_over, b * cosw - a * msin
-        x_cur = normal_mode_transform(a, "inverse")
-        f_nm = normal_mode_transform(-grad(x_cur), "forward")
-        b += half * f_nm
+        b += np.multiply(f_nm, half, out=scratch)
+        np.multiply(a, msin, out=a_msin)
+        a *= cosw
+        a += np.multiply(b, sin_over, out=scratch)
+        b *= cosw
+        b -= a_msin
+        normal_mode_transform(a, "inverse", x_cur, work)
+        force()
+        b += np.multiply(f_nm, half, out=scratch)
         snapshot(step)
-    return out, x_cur, normal_mode_transform(b, "inverse")
+    return out, x_cur, normal_mode_transform(b, "inverse", work=work)
 
 
 def rpmd_step(state, model, thermo, dt):

@@ -29,6 +29,10 @@ class BoundaryLeak(ValueError):
     """A retained eigenstate has non-negligible amplitude at the grid edge."""
 
 
+class NonFiniteResult(ValueError):
+    """A correlation series holds a NaN or infinite value or standard error."""
+
+
 class UnsupportedObservable(TypeError):
     """Observable kind not admissible for the requested operation."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _streams
 from ._stats import block_standard_error
-from .dynamics import _cmd_propagate, _propagate_batch
+from .dynamics import _check_accuracy, _cmd_propagate, _propagate_batch
 from .errors import GridTooCoarse, InsufficientSamples, UnsupportedObservable
 from .ringpoly import MOMENTUM, POSITION
 from .sampler import draw_momenta, resolve_workers, sample_ring_positions
@@ -86,25 +86,46 @@ def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs
     else:
         with ThreadPoolExecutor(max_workers=nw) as pool:
             list(pool.map(job, spans))
-    prod = a0[:, None] * b_t
-    return prod.mean(axis=0), block_error(prod), prod
+    b_t *= a0[:, None]  # A0(0) * B0(t), formed in place
+    return b_t.mean(axis=0), block_error(b_t), b_t
+
+
+def _check_rpmd_request(sampler_cfg, integrator_cfg, model):
+    if sampler_cfg.n_samples < 32:
+        raise InsufficientSamples("need at least 32 trajectories")
+    _check_accuracy(integrator_cfg, model)
+
+
+def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
+                            momentum_convention="bead", workers=None):
+    """Initial (positions, momenta) of the RPMD correlator, each (n_samples, N).
+
+    Positions are sampled from the ring density, momenta from the Maxwell
+    distribution (bead or bond-midpoint convention).  The trajectory count
+    and the time step are checked first, so a bad request fails before the
+    sampler runs.
+    """
+    _check_rpmd_request(sampler_cfg, integrator_cfg, model)
+    x0 = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
+    p0 = draw_momenta(thermo, model, sampler_cfg, momentum_convention)
+    return x0, p0
 
 
 def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_obs,
-                         momentum_convention="bead", workers=None):
+                         momentum_convention="bead", workers=None, initial=None):
     """Kubo-transformed correlator from RPMD trajectories.
 
-    Initial positions are sampled from the ring density, initial momenta
-    from the Maxwell distribution (bead or bond-midpoint convention); the
-    estimator is the ensemble mean of A0(0) * B0(t) with blocked errors.
+    The estimator is the ensemble mean of A0(0) * B0(t) with blocked errors,
+    over trajectories started from rpmd_initial_conditions.  A caller that
+    also needs the initial conditions passes them as initial=(x0, p0); they
+    are not modified.
     """
-    if sampler_cfg.n_samples < 32:
-        raise InsufficientSamples("need at least 32 trajectories")
-    from .dynamics import _check_accuracy
-
-    _check_accuracy(integrator_cfg, model)
-    x0 = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
-    p0 = draw_momenta(thermo, model, sampler_cfg, momentum_convention)
+    if initial is None:
+        initial = rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
+                                          momentum_convention, workers)
+    else:
+        _check_rpmd_request(sampler_cfg, integrator_cfg, model)
+    x0, p0 = initial
     values, errors, _ = _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg,
                                                  a_obs, b_obs, workers)
     meta = _model_meta(model, thermo)

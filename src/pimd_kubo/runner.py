@@ -19,12 +19,13 @@ import numpy as np
 from . import __version__, io
 from .dynamics import IntegratorConfig, build_centroid_force_table, rpmd_trajectory
 from .errors import ConfigError
-from .estimators import (cmd_kubo_correlator, rpmd_kubo_correlator, spectrum)
+from .estimators import (cmd_kubo_correlator, rpmd_initial_conditions, rpmd_kubo_correlator,
+                         spectrum)
 from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
 from .ringpoly import OBS_P, OBS_Q, RingPolymerState, observable_from_label
-from .sampler import (SamplerConfig, draw_momenta, estimate_static_average,
-                      mean_square_position, sample_ring_positions)
+from .sampler import (SamplerConfig, estimate_static_average, mean_square_position,
+                      sample_ring_positions)
 from .series import CorrelationSeries
 
 _COMMANDS = ("static", "rpmd", "cmd", "oracle", "compare", "spectrum", "convergence")
@@ -302,11 +303,17 @@ def _run_command(config, workers, stats):
             artifacts.append(("force_table.csv", lambda p: io.write_table_csv(
                 p, ["q_c", "force", "std_error"], [table.grid, table.force, table.std_errors])))
         else:
-            series = rpmd_kubo_correlator(config.model(), config.thermo(), config.sampler(),
-                                          config.integrator(), *config.observables(),
-                                          run["momentum_convention"], workers=workers)
+            model, thermo = config.model(), config.thermo()
+            scfg, icfg = config.sampler(), config.integrator()
+            a_obs, b_obs = config.observables()
+            x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg,
+                                             run["momentum_convention"], workers)
+            series = rpmd_kubo_correlator(model, thermo, scfg, icfg, a_obs, b_obs,
+                                          run["momentum_convention"], workers=workers,
+                                          initial=(x0, p0))
             if run["dump_trajectory"]:
-                artifacts.append(("trajectory.csv", _trajectory_writer(config)))
+                artifacts.append(("trajectory.csv", _trajectory_writer(
+                    model, thermo, icfg, b_obs, RingPolymerState(x0[0], p0[0]))))
         artifacts.append(("results.csv", lambda p: io.write_series_csv(p, series)))
 
     elif command == "oracle":
@@ -364,20 +371,13 @@ def _run_command(config, workers, stats):
     return artifacts
 
 
-def _trajectory_writer(config):
-    def write(path):
-        model, thermo = config.model(), config.thermo()
-        scfg = config.sampler()
-        x0 = sample_ring_positions(model, thermo, scfg)[0]
-        p0 = draw_momenta(thermo, model, scfg,
-                          config.sections["run"]["momentum_convention"])[0]
-        _, b_obs = config.observables()
-        record = [OBS_Q, OBS_P] + ([b_obs] if b_obs.label not in ("q", "p") else [])
-        times, rec = rpmd_trajectory(RingPolymerState(x0, p0), model, thermo,
-                                     config.integrator(), record)
-        io.write_table_csv(path, ["t", "x0", "p0"] + [o.label for o in record[2:]],
-                           [times] + [rec[o.label] for o in record])
-    return write
+def _trajectory_writer(model, thermo, integrator_cfg, b_obs, initial):
+    """Propagate the first correlator trajectory now; the writer only writes."""
+    record = [OBS_Q, OBS_P] + ([b_obs] if b_obs.label not in ("q", "p") else [])
+    times, rec = rpmd_trajectory(initial, model, thermo, integrator_cfg, record)
+    return lambda path: io.write_table_csv(
+        path, ["t", "x0", "p0"] + [o.label for o in record[2:]],
+        [times] + [rec[o.label] for o in record])
 
 
 def run(config, workers=None):

@@ -77,6 +77,9 @@ def _grad_fn(model):
     v2, v3, v4 = model.poly_coefficients()
     if v3 == 0.0 and v4 == 0.0:
         return lambda q: 2.0 * v2 * q
+    if v2 == 0.0 and v3 == 0.0:
+        # pure quartic: the dropped terms only add +0.0 to 4 v4 q^2 >= 0
+        return lambda q: 4.0 * v4 * q * q * q
     return lambda q: (4.0 * v4 * q * q + 3.0 * v3 * q + 2.0 * v2) * q
 
 

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteResult
+
 
 @dataclass
 class CorrelationSeries:
@@ -24,6 +26,10 @@ class CorrelationSeries:
             raise ValueError("time grid must start at 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("time grid must be strictly ascending")
+        bad = ~(np.isfinite(self.values) & np.isfinite(self.std_errors))
+        if bad.any():
+            raise NonFiniteResult(f"{int(bad.sum())} of {bad.size} points are not finite, "
+                                  f"the first at t = {self.times[bad.argmax()]:g}")
         if np.any(self.std_errors < 0):
             raise ValueError("standard errors must be >= 0")
 

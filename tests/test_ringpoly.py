@@ -132,7 +132,7 @@ def test_normal_mode_constant_path():
 
 def test_normal_mode_matrix_vs_fft():
     rng = np.random.default_rng(2)
-    for n in (2, 4, 6, 16, 32, 64, 96, 128):
+    for n in (1, 2, 3, 4, 5, 6, 9, 16, 32, 33, 64, 65, 96, 127, 128):
         x = rng.normal(size=(3, n))
         c = normal_mode_matrix(n)
         assert np.abs(x @ c - _forward_fft(x)).max() <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 
 from pimd_kubo.errors import ConfigError
 from pimd_kubo.runner import main, parse_config, run
+from pimd_kubo.sampler import sample_ring_positions
 
 MINIMAL_STATIC = """\
 [model]
@@ -235,3 +236,58 @@ def test_trajectory_dump(tmp_path):
     assert run(cfg) == 0
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header.startswith("t,x0,p0")
+
+
+def test_trajectory_dump_samples_once(tmp_path, monkeypatch):
+    # the dumped trajectory is the correlator's first one: one sampler call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_ring_positions(*args, **kwargs)
+
+    for module in ("pimd_kubo.estimators", "pimd_kubo.runner"):
+        monkeypatch.setattr(f"{module}.sample_ring_positions", counted)
+    out = tmp_path / "traj1"
+    text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = rpmd")
+    text += "dump_trajectory = true\n"
+    cfg = parse_config(text)
+    assert run(cfg) == 0
+    assert len(calls) == 1
+    traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    x0 = sample_ring_positions(cfg.model(), cfg.thermo(), cfg.sampler())[0]
+    assert traj[0, 1] == x0.mean()
+
+
+NONFINITE_RPMD = """\
+[model]
+kind = quartic
+a4 = 1.0
+
+[thermo]
+beta = 1.0
+n_beads = 8
+
+[sampler]
+n_samples = 256
+burn_in = 64
+decorrelation_stride = 2
+
+[integrator]
+dt = 2.0
+n_steps = 50
+
+[run]
+command = rpmd
+seed = 3
+output_dir = {out}
+"""
+
+
+def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
+    # dt = 2 blows the quartic trajectories up; the run must not exit 0
+    out = tmp_path / "nan"
+    cfg = parse_config(NONFINITE_RPMD.format(out=out))
+    assert run(cfg) == 3
+    assert "NonFiniteResult" in capsys.readouterr().err
+    assert not out.exists()
