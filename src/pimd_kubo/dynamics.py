@@ -16,10 +16,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import GridEscape
-from .model import potential_eval
-from .ringpoly import (MOMENTUM, POSITION, RingPolymerState, free_rp_frequencies,
-                       normal_mode_transform)
-from .sampler import _grad_fn, sample_ring_positions_constrained
+from .model import OMEGA_KINDS, ThermoParams, grad_fn, potential_eval
+from .ringpoly import (MOMENTUM, OBS_P, OBS_Q, POSITION, RingPolymerState, free_rp_frequencies,
+                       normal_mode_transform, spring_energy)
+from .sampler import sample_ring_positions_constrained
 from ._stats import block_standard_error
 
 
@@ -38,8 +38,9 @@ class IntegratorConfig:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-def _check_accuracy(cfg, model):
-    if model.kind in ("harmonic", "mildly_anharmonic") and cfg.dt * model.omega >= 0.5:
+def check_accuracy(cfg, model):
+    """Reject a time step too coarse for the well's harmonic frequency."""
+    if model.kind in OMEGA_KINDS and cfg.dt * model.omega >= 0.5:
         raise ValueError("dt * omega must stay below 0.5 for the split-operator scheme")
 
 
@@ -56,7 +57,7 @@ def _rotation_factors(thermo, model, dt):
     return cosw, sin_over, msin
 
 
-def _propagate_batch(x, p, model, thermo, dt, n_steps, record):
+def propagate_batch(x, p, model, thermo, dt, n_steps, record):
     """Evolve (n_traj, N) arrays, recording centroid observables every step.
 
     record is a list of Observable; returns (recorded (n_obs, n_steps+1,
@@ -65,7 +66,7 @@ def _propagate_batch(x, p, model, thermo, dt, n_steps, record):
     the operation order of a*cos + b*sin/(m w) and b*cos - a*m w sin, and
     the transforms write into their outputs.
     """
-    grad = _grad_fn(model)
+    grad = grad_fn(model)
     cosw, sin_over, msin = _rotation_factors(thermo, model, dt)
     sqrt_n = math.sqrt(thermo.n_beads)
     half = 0.5 * dt
@@ -112,8 +113,8 @@ def _propagate_batch(x, p, model, thermo, dt, n_steps, record):
 
 def rpmd_step(state, model, thermo, dt):
     """One split-operator step: half kick, exact free-ring rotation, half kick."""
-    _, x1, p1 = _propagate_batch(state.positions[None, :], state.momenta[None, :],
-                                 model, thermo, dt, 1, [])
+    _, x1, p1 = propagate_batch(state.positions[None, :], state.momenta[None, :],
+                                model, thermo, dt, 1, [])
     return RingPolymerState(x1[0], p1[0])
 
 
@@ -132,16 +133,14 @@ def rpmd_trajectory(initial, model, thermo, cfg, record):
 
     Returns (times, {label: series}) with series of length n_steps + 1.
     """
-    _check_accuracy(cfg, model)
-    out, _, _ = _propagate_batch(initial.positions[None, :], initial.momenta[None, :],
-                                 model, thermo, cfg.dt, cfg.n_steps, record)
+    check_accuracy(cfg, model)
+    out, _, _ = propagate_batch(initial.positions[None, :], initial.momenta[None, :],
+                                model, thermo, cfg.dt, cfg.n_steps, record)
     return cfg.times(), {obs.label: out[i, :, 0] for i, obs in enumerate(record)}
 
 
 def ring_hamiltonian(state, model, thermo):
     """Conserved quantity of the RPMD flow: kinetic + spring + potential."""
-    from .ringpoly import spring_energy
-
     kin = float(np.sum(state.momenta**2)) / (2.0 * model.mass)
     pot = float(np.sum(potential_eval(model, state.positions)))
     return kin + spring_energy(state, thermo, model) + pot
@@ -149,10 +148,7 @@ def ring_hamiltonian(state, model, thermo):
 
 def classical_trajectory(q0, p0, model, cfg):
     """Velocity Verlet on V; shares the RPMD code path at N = 1 bit for bit."""
-    from .model import ThermoParams
-    from .ringpoly import OBS_P, OBS_Q
-
-    _check_accuracy(cfg, model)
+    check_accuracy(cfg, model)
     thermo = ThermoParams(beta=1.0, n_beads=1)  # beta is inert for a single bead
     state = RingPolymerState(np.array([float(q0)]), np.array([float(p0)]))
     times, rec = rpmd_trajectory(state, model, thermo, cfg, [OBS_Q, OBS_P])
@@ -202,7 +198,7 @@ def _node_seed(seed, index):
 def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
     """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node."""
     grid = np.asarray(grid, dtype=float)
-    grad = _grad_fn(model)
+    grad = grad_fn(model)
     force = np.empty_like(grid)
     errs = np.empty_like(grid)
     for i, q_c in enumerate(grid):
@@ -214,7 +210,7 @@ def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
     return CentroidForceTable(grid, force, errs)
 
 
-def _cmd_propagate(q, p, table, mass, dt, n_steps):
+def cmd_propagate(q, p, table, mass, dt, n_steps):
     """Velocity Verlet for centroid phase-space points (vectorized)."""
     q = np.array(q, dtype=float, copy=True)
     p = np.array(p, dtype=float, copy=True)
@@ -234,5 +230,5 @@ def _cmd_propagate(q, p, table, mass, dt, n_steps):
 
 def cmd_trajectory(q_c0, p_c0, table, mass, cfg):
     """Centroid trajectory under the interpolated mean force."""
-    qs, ps = _cmd_propagate(float(q_c0), float(p_c0), table, mass, cfg.dt, cfg.n_steps)
+    qs, ps = cmd_propagate(float(q_c0), float(p_c0), table, mass, cfg.dt, cfg.n_steps)
     return cfg.times(), qs, ps

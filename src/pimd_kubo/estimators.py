@@ -8,23 +8,26 @@ ordered arrays, so results are identical for any work partitioning.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _streams
-from ._stats import block_standard_error
-from .dynamics import _check_accuracy, _cmd_propagate, _propagate_batch
+from ._stats import block_standard_error as block_error
+from .dynamics import check_accuracy, cmd_propagate, propagate_batch
 from .errors import GridTooCoarse, InsufficientSamples, UnsupportedObservable
-from .ringpoly import MOMENTUM, POSITION
-from .sampler import draw_momenta, resolve_workers, sample_ring_positions
+from .model import OMEGA_KINDS
+from .ringpoly import MOMENTUM, OBS_P, OBS_Q, POSITION
+from .sampler import draw_momenta, map_groups, sample_ring_positions
 from .series import CorrelationSeries
 
 CENTROID_DELTA = "centroid_delta"
 POSITION_DELTA = "position_delta"
 
 _TRAJ_CHUNK = 1024  # trajectories per propagation chunk (fixed; not tied to threads)
+
+CMD_OBSERVABLES = (OBS_Q, OBS_P)  # the linear A that centroid dynamics admits
+WINDOWS = ("none", "hann")  # spectrum tapers
 
 
 @dataclass(frozen=True)
@@ -38,18 +41,10 @@ class FilterSpec:
             raise ValueError(f"unknown filter kind {self.kind!r}")
 
 
-def block_error(samples, n_blocks=16):
-    """Blocked standard error of the mean, per time point for 2D input."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] < 2 * n_blocks:
-        raise InsufficientSamples(f"need at least {2 * n_blocks} samples")
-    return block_standard_error(samples, n_blocks)
-
-
 def _model_meta(model, thermo):
     meta = {"model": model.kind, "mass": model.mass, "beta": thermo.beta,
             "n_beads": thermo.n_beads, "hbar": thermo.hbar}
-    if model.kind in ("harmonic", "mildly_anharmonic"):
+    if model.kind in OMEGA_KINDS:
         meta["omega"] = model.omega
     return meta
 
@@ -74,18 +69,11 @@ def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs
 
     def job(span):
         lo, hi = span
-        rec, _, _ = _propagate_batch(x0[lo:hi], p0[lo:hi], model, thermo,
-                                     integrator_cfg.dt, integrator_cfg.n_steps, [b_obs])
+        rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], model, thermo,
+                                    integrator_cfg.dt, integrator_cfg.n_steps, [b_obs])
         b_t[lo:hi] = rec[0].T
 
-    spans = _chunks(n)
-    nw = resolve_workers(workers)
-    if nw <= 1 or len(spans) <= 1:
-        for s in spans:
-            job(s)
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            list(pool.map(job, spans))
+    map_groups(job, _chunks(n), workers)
     b_t *= a0[:, None]  # A0(0) * B0(t), formed in place
     return b_t.mean(axis=0), block_error(b_t), b_t
 
@@ -93,7 +81,7 @@ def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs
 def _check_rpmd_request(sampler_cfg, integrator_cfg, model):
     if sampler_cfg.n_samples < 32:
         raise InsufficientSamples("need at least 32 trajectories")
-    _check_accuracy(integrator_cfg, model)
+    check_accuracy(integrator_cfg, model)
 
 
 def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
@@ -143,7 +131,7 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     positions are the centroids of an unconstrained ring ensemble, centroid
     momenta are exact Gaussians of variance m/beta.
     """
-    if not (a_obs.kind == MOMENTUM or (a_obs.kind == POSITION and a_obs.label == "q")):
+    if a_obs not in CMD_OBSERVABLES:
         raise UnsupportedObservable("centroid dynamics is defined for linear A only (q or p)")
     if sampler_cfg.n_samples < 32:
         raise InsufficientSamples("need at least 32 trajectories")
@@ -152,8 +140,8 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     gen = _streams.stream(sampler_cfg.seed, _streams.CMD_MOMENTA, 0)
     pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
 
-    qs, ps = _cmd_propagate(qc0, pc0, table, model.mass, integrator_cfg.dt,
-                            integrator_cfg.n_steps)
+    qs, ps = cmd_propagate(qc0, pc0, table, model.mass, integrator_cfg.dt,
+                           integrator_cfg.n_steps)
     a0 = qc0 if a_obs.kind == POSITION else pc0
     if b_obs.kind == POSITION:
         b_t = b_obs.f(qs).T
@@ -262,7 +250,7 @@ def spectrum(series, window="none"):
     window="hann" tapers the series to zero at the last time before the even
     extension; intensities are reported as magnitudes, so they are >= 0.
     """
-    if window not in ("none", "hann"):
+    if window not in WINDOWS:
         raise ValueError("window must be 'none' or 'hann'")
     v = series.values.copy()
     n = v.size

@@ -16,6 +16,7 @@ MILDLY_ANHARMONIC = "mildly_anharmonic"
 QUARTIC = "quartic"
 
 _KINDS = (HARMONIC, MILDLY_ANHARMONIC, QUARTIC)
+OMEGA_KINDS = (HARMONIC, MILDLY_ANHARMONIC)  # kinds with a harmonic frequency omega
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class PotentialModel:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise ValueError("mass must be finite and > 0")
-        if self.kind in (HARMONIC, MILDLY_ANHARMONIC):
+        if self.kind in OMEGA_KINDS:
             if not (np.isfinite(self.omega) and self.omega > 0):
                 raise ValueError("omega must be finite and > 0")
         if self.kind == MILDLY_ANHARMONIC:
@@ -103,27 +104,40 @@ def _check_finite(q):
     return q
 
 
+def potential_fn(model):
+    """V as an unchecked closure over arrays, in Horner form.
+
+    The evaluator of the sampler and propagation loops: it does not check
+    its input, so a non-finite q gives a non-finite V.
+    """
+    v2, v3, v4 = model.poly_coefficients()
+    if v3 == 0.0 and v4 == 0.0:
+        return lambda q: v2 * q * q
+    if v3 == 0.0:
+        return lambda q: (v2 + v4 * q * q) * q * q
+    return lambda q: ((v4 * q + v3) * q + v2) * q * q
+
+
+def grad_fn(model):
+    """dV/dq as an unchecked closure over arrays, in Horner form."""
+    v2, v3, v4 = model.poly_coefficients()
+    if v3 == 0.0 and v4 == 0.0:
+        return lambda q: 2.0 * v2 * q
+    if v2 == 0.0 and v3 == 0.0:
+        # pure quartic: the dropped terms only add +0.0 to 4 v4 q^2 >= 0
+        return lambda q: 4.0 * v4 * q * q * q
+    return lambda q: (4.0 * v4 * q * q + 3.0 * v3 * q + 2.0 * v2) * q
+
+
 def potential_eval(model, q):
     """V(q).  Accepts scalars or arrays; rejects non-finite input."""
-    q = _check_finite(q)
-    v2, v3, v4 = model.poly_coefficients()
-    v = v2 * q * q
-    if v3 != 0.0:
-        v = v + v3 * q**3
-    if v4 != 0.0:
-        v = v + v4 * q**4
+    v = potential_fn(model)(_check_finite(q))
     return v if v.ndim else float(v)
 
 
 def potential_grad(model, q):
     """dV/dq, analytic."""
-    q = _check_finite(q)
-    v2, v3, v4 = model.poly_coefficients()
-    g = 2.0 * v2 * q
-    if v3 != 0.0:
-        g = g + 3.0 * v3 * q * q
-    if v4 != 0.0:
-        g = g + 4.0 * v4 * q**3
+    g = grad_fn(model)(_check_finite(q))
     return g if g.ndim else float(g)
 
 

@@ -148,6 +148,26 @@ def kubo_weights(energies, beta):
     return w
 
 
+def _spectral_sum(eig, beta, times, pair_weights):
+    """sum_nm G_nm exp(i (Em - En) t / hbar) at each time, complex.
+
+    G = pair_weights(boltz) is built after the thermal weights
+    boltz = exp(-beta (E - E0)) pass the completeness check; element (n, m)
+    pairs with <m|B(t)|n> = B_mn e^{i(Em - En)t/hbar}.
+    """
+    es = eig.energies - eig.energies[0]
+    boltz = np.exp(-beta * es)
+    _check_complete(boltz)
+    g = pair_weights(boltz).ravel()
+    de = (es[None, :] - es[:, None]).ravel() / eig.hbar
+    vals = np.empty(times.size, dtype=complex)
+    chunk = 512
+    for lo in range(0, times.size, chunk):
+        hi = min(lo + chunk, times.size)
+        vals[lo:hi] = np.exp(1j * np.outer(times[lo:hi], de)) @ g
+    return vals
+
+
 def exact_kubo_correlator(eig, a_obs, b_obs, beta, times):
     """Spectral evaluation of the Kubo-transformed correlator C_AB(t).
 
@@ -155,22 +175,13 @@ def exact_kubo_correlator(eig, a_obs, b_obs, beta, times):
     of a Hermitian pair is real and the imaginary residue is checked.
     """
     times = np.asarray(times, dtype=float)
-    es = eig.energies - eig.energies[0]
-    boltz = np.exp(-beta * es)
-    _check_complete(boltz)
-    z = boltz.sum()
-    a_mat = observable_matrix(eig, a_obs)
-    b_mat = observable_matrix(eig, b_obs)
-    g = kubo_weights(eig.energies, beta) * a_mat * b_mat.T / z
-    # element (n, m) pairs A_nm B_mn with <m|B(t)|n> = B_mn e^{i(Em - En)t/hbar}
-    de = (es[None, :] - es[:, None]).ravel() / eig.hbar
-    g = g.ravel()
 
-    vals = np.empty(times.size, dtype=complex)
-    chunk = 512
-    for lo in range(0, times.size, chunk):
-        hi = min(lo + chunk, times.size)
-        vals[lo:hi] = np.exp(1j * np.outer(times[lo:hi], de)) @ g
+    def pair_weights(boltz):
+        a_mat = observable_matrix(eig, a_obs)
+        b_mat = observable_matrix(eig, b_obs)
+        return kubo_weights(eig.energies, beta) * a_mat * b_mat.T / boltz.sum()
+
+    vals = _spectral_sum(eig, beta, times, pair_weights)
     residue = np.abs(vals.imag).max() if vals.size else 0.0
     if residue >= 1e-10 * max(1.0, np.abs(vals.real).max()):
         raise RuntimeError(f"imaginary residue {residue:.2e} of the spectral sum")
@@ -205,19 +216,13 @@ def discrete_kubo_transform(eig, a_obs, beta, n_slices):
 def discrete_kubo_correlator(eig, a_obs, b_obs, beta, n_slices, times):
     """Pair the discretized transform with exact real-time evolution of B."""
     times = np.asarray(times, dtype=float)
-    es = eig.energies - eig.energies[0]
-    boltz = np.exp(-beta * es)
-    _check_complete(boltz)
-    z = np.exp(-beta * eig.energies).sum()
-    k_mat = discrete_kubo_transform(eig, a_obs, beta, n_slices)
-    b_mat = observable_matrix(eig, b_obs)
-    g = (k_mat * b_mat.T / z).ravel()
-    de = (es[None, :] - es[:, None]).ravel() / eig.hbar
-    vals = np.empty(times.size, dtype=complex)
-    chunk = 512
-    for lo in range(0, times.size, chunk):
-        hi = min(lo + chunk, times.size)
-        vals[lo:hi] = np.exp(1j * np.outer(times[lo:hi], de)) @ g
+
+    def pair_weights(_):
+        z = np.exp(-beta * eig.energies).sum()
+        k_mat = discrete_kubo_transform(eig, a_obs, beta, n_slices)
+        return k_mat * observable_matrix(eig, b_obs).T / z
+
+    vals = _spectral_sum(eig, beta, times, pair_weights)
     meta = {"method": "discrete_kubo", "A": a_obs.label, "B": b_obs.label,
             "beta": beta, "n_slices": n_slices}
     return CorrelationSeries(times, vals.real, np.zeros_like(times), meta)

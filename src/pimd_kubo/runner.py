@@ -1,15 +1,37 @@
 """Batch front-end: run configurations in, CSV/JSON artifacts out.
 
-Runs are described by a flat key-value file with sections (grammar in the
-README); flags are reserved for paths and verbosity.  Every artifact is a
-pure function of (config, seed): rerunning the config echoed in meta.json
-reproduces results.csv byte for byte at any worker count.
+Runs are described by a flat key-value file with sections; flags are
+reserved for paths and verbosity.  Every artifact is a pure function of
+(config, seed): rerunning the config echoed in meta.json reproduces
+results.csv byte for byte at any worker count.
+
+Config grammar.  A ``[name]`` line opens one of the sections model, thermo,
+sampler, integrator, oracle or run; each following ``key = value`` line sets
+one key of that section (names and keys are case-insensitive, values are
+stripped).  Blank lines and lines starting with ``#`` or ``;`` are ignored.
+A section or key may appear once.  The keys, their types and defaults are
+_SCHEMA below; [model] takes only the keys of its kind.  ``command`` in
+[run] picks the job and the sections it needs:
+
+    command      sections                                    artifacts
+    static       model thermo sampler run                    results.csv, ensemble.csv*
+    rpmd         model thermo sampler integrator run         results.csv, trajectory.csv*
+    cmd          model thermo sampler integrator run         results.csv, force_table.csv
+    oracle       model thermo oracle integrator run          results.csv
+    compare      model thermo sampler integrator oracle run  results.csv, diff.csv
+    spectrum     model thermo sampler integrator oracle run  results.csv, correlator.csv
+    convergence  model thermo sampler oracle run             results.csv
+
+(* with dump_ensemble / dump_trajectory = true.)  compare runs ``method``
+rpmd or cmd against the oracle; spectrum transforms the correlator of
+method rpmd, cmd or oracle.  Every run also writes meta.json.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -19,21 +41,19 @@ import numpy as np
 from . import __version__, io
 from .dynamics import IntegratorConfig, build_centroid_force_table, rpmd_trajectory
 from .errors import ConfigError
-from .estimators import (cmd_kubo_correlator, rpmd_initial_conditions, rpmd_kubo_correlator,
-                         spectrum)
-from .model import PotentialModel, ThermoParams
+from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_initial_conditions,
+                         rpmd_kubo_correlator, spectrum)
+from .model import HARMONIC, MILDLY_ANHARMONIC, QUARTIC, PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
-from .ringpoly import OBS_P, OBS_Q, RingPolymerState, observable_from_label
-from .sampler import (SamplerConfig, estimate_static_average, mean_square_position,
-                      sample_ring_positions)
+from .ringpoly import MOMENTUM, OBS_P, OBS_Q, RingPolymerState, observable_from_label
+from .sampler import (MOMENTUM_CONVENTIONS, SamplerConfig, draw_momenta, estimate_static_average,
+                      mean_square_position, sample_ring_positions)
 from .series import CorrelationSeries
 
-_COMMANDS = ("static", "rpmd", "cmd", "oracle", "compare", "spectrum", "convergence")
-
 _MODEL_KEYS = {
-    "harmonic": {"kind", "mass", "omega"},
-    "mildly_anharmonic": {"kind", "mass", "omega", "c3", "c4"},
-    "quartic": {"kind", "mass", "a4"},
+    HARMONIC: {"kind", "mass", "omega"},
+    MILDLY_ANHARMONIC: {"kind", "mass", "omega", "c3", "c4"},
+    QUARTIC: {"kind", "mass", "a4"},
 }
 
 # section -> key -> (converter, default); _REQUIRED means the key must appear
@@ -102,15 +122,8 @@ _SCHEMA = {
     },
 }
 
-_NEEDED = {
-    "static": ("model", "thermo", "sampler", "run"),
-    "rpmd": ("model", "thermo", "sampler", "integrator", "run"),
-    "cmd": ("model", "thermo", "sampler", "integrator", "run"),
-    "oracle": ("model", "thermo", "oracle", "integrator", "run"),
-    "compare": ("model", "thermo", "sampler", "integrator", "oracle", "run"),
-    "spectrum": ("model", "thermo", "sampler", "integrator", "oracle", "run"),
-    "convergence": ("model", "thermo", "sampler", "oracle", "run"),
-}
+# the correlator commands that compare and spectrum run as their `method`
+_METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
 
 
 class RunConfig:
@@ -213,15 +226,16 @@ def parse_config(text):
         raise ConfigError("missing [run] section")
     command = sections["run"].get("command")
     if command not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}, got {command!r}")
-    for needed in _NEEDED[command]:
+        raise ConfigError(f"command must be one of {tuple(_COMMANDS)}, got {command!r}")
+    needed_sections = _COMMANDS[command][0]
+    for needed in needed_sections:
         if needed not in sections:
             raise ConfigError(f"command {command!r} requires section [{needed}]")
 
     # apply defaults, reject missing required keys
     full = {}
     for name, schema in _SCHEMA.items():
-        if name not in sections and name not in _NEEDED[command]:
+        if name not in sections and name not in needed_sections:
             continue
         got = sections.get(name, {})
         full[name] = {}
@@ -231,42 +245,41 @@ def parse_config(text):
             elif default is _REQUIRED:
                 raise ConfigError(f"section [{name}] is missing required key {key!r}")
             else:
-                full[name][key] = default if name in _NEEDED[command] else None
+                full[name][key] = default if name in needed_sections else None
     # model keys not set explicitly stay None so kind-specific validation can
     # distinguish "omitted" from "given"
     if "model" in sections:
         for key in _SCHEMA["model"]:
             if key not in sections["model"] and key != "kind":
                 full["model"][key] = None
+    _check_run_values(command, full["run"])
     return RunConfig(full)
 
 
-# ----------------------------------------------------------------------
-# command implementations: compute everything, then write artifacts
-
-def _series_from_run(config, workers):
-    model, thermo = config.model(), config.thermo()
-    a_obs, b_obs = config.observables()
-    method = config.sections["run"]["method"]
-    if method == "rpmd":
-        return rpmd_kubo_correlator(model, thermo, config.sampler(), config.integrator(),
-                                    a_obs, b_obs,
-                                    config.sections["run"]["momentum_convention"],
-                                    workers=workers)
+def _check_run_values(command, run):
+    """Reject [run] values that would otherwise fail only after sampling."""
+    method = run["method"] if command in _METHODS else command
+    if command in _METHODS and method not in _METHODS[command]:
+        raise ConfigError(f"method for command {command!r} must be one of "
+                          f"{_METHODS[command]}, got {method!r}")
+    if run["window"] not in WINDOWS:
+        raise ConfigError(f"window must be one of {WINDOWS}, got {run['window']!r}")
+    if run["momentum_convention"] not in MOMENTUM_CONVENTIONS:
+        raise ConfigError(f"momentum_convention must be one of {MOMENTUM_CONVENTIONS}, "
+                          f"got {run['momentum_convention']!r}")
     if method == "cmd":
-        table, _ = _cmd_table(config, workers)
-        return cmd_kubo_correlator(model, thermo, table, config.sampler(),
-                                   config.integrator(), a_obs, b_obs, workers=workers)
-    raise ConfigError(f"method must be rpmd or cmd, got {method!r}")
+        try:
+            linear = observable_from_label(run["a"]) in CMD_OBSERVABLES
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not linear:
+            allowed = tuple(obs.label for obs in CMD_OBSERVABLES)
+            raise ConfigError(f"centroid dynamics needs a linear A, one of {allowed}, "
+                              f"got {run['a']!r}")
 
 
-def _cmd_table(config, workers):
-    run = config.sections["run"]
-    grid = np.linspace(run["table_min"], run["table_max"], run["table_nodes"])
-    table = build_centroid_force_table(config.model(), config.thermo(), config.sampler(),
-                                       grid, workers=workers)
-    return table, grid
-
+# ----------------------------------------------------------------------
+# command implementations: compute everything, return (filename, writer) pairs
 
 def _oracle_series(config, times):
     model, thermo = config.model(), config.thermo()
@@ -276,99 +289,38 @@ def _oracle_series(config, times):
     return exact_kubo_correlator(eig, a_obs, b_obs, thermo.beta, times)
 
 
-def _run_command(config, workers, stats):
-    """Returns a list of (filename, writer callable)."""
+def _method_series(config, method, workers):
+    """The correlator of method rpmd, cmd or oracle, and its own artifacts.
+
+    Run as its own command, rpmd adds trajectory.csv (with dump_trajectory)
+    and cmd adds force_table.csv; run as the method of compare or spectrum,
+    neither does.
+    """
+    if method == "oracle":
+        return _oracle_series(config, config.integrator().times()), []
     run = config.sections["run"]
-    command = config.command
-    artifacts = []
-
-    if command == "static":
-        model, thermo = config.model(), config.thermo()
-        a_obs, _ = config.observables()
-        ens = sample_ring_positions(model, thermo, config.sampler(), workers=workers)
-        mean, se = estimate_static_average(a_obs, ens, run["blocks"])
-        series = CorrelationSeries([0.0], [mean], [se], {})
-        artifacts.append(("results.csv", lambda p: io.write_series_csv(p, series)))
-        if run["dump_ensemble"]:
-            artifacts.append(("ensemble.csv", lambda p: io.write_ensemble_csv(p, ens)))
-        stats["mean"], stats["std_error"] = mean, se
-
-    elif command in ("rpmd", "cmd"):
-        if command == "cmd":
-            model, thermo = config.model(), config.thermo()
-            table, grid = _cmd_table(config, workers)
-            a_obs, b_obs = config.observables()
-            series = cmd_kubo_correlator(model, thermo, table, config.sampler(),
-                                         config.integrator(), a_obs, b_obs, workers=workers)
-            artifacts.append(("force_table.csv", lambda p: io.write_table_csv(
-                p, ["q_c", "force", "std_error"], [table.grid, table.force, table.std_errors])))
-        else:
-            model, thermo = config.model(), config.thermo()
-            scfg, icfg = config.sampler(), config.integrator()
-            a_obs, b_obs = config.observables()
-            x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg,
-                                             run["momentum_convention"], workers)
-            series = rpmd_kubo_correlator(model, thermo, scfg, icfg, a_obs, b_obs,
-                                          run["momentum_convention"], workers=workers,
-                                          initial=(x0, p0))
-            if run["dump_trajectory"]:
-                artifacts.append(("trajectory.csv", _trajectory_writer(
-                    model, thermo, icfg, b_obs, RingPolymerState(x0[0], p0[0]))))
-        artifacts.append(("results.csv", lambda p: io.write_series_csv(p, series)))
-
-    elif command == "oracle":
-        series = _oracle_series(config, config.integrator().times())
-        artifacts.append(("results.csv", lambda p: io.write_series_csv(p, series)))
-
-    elif command == "compare":
-        series = _series_from_run(config, workers)
-        oracle_series = _oracle_series(config, series.times)
-        diff = series.values - oracle_series.values
-        combined = np.sqrt(series.std_errors**2 + oracle_series.std_errors**2)
-        ratio = np.abs(diff) / np.maximum(combined, 1e-300)
-        stats["max_abs_diff"] = float(np.abs(diff).max())
-        stats["max_diff_over_se"] = float(ratio.max())
-        artifacts.append(("results.csv", lambda p: io.write_series_csv(p, series)))
-        artifacts.append(("diff.csv", lambda p: io.write_table_csv(
-            p, ["t", "method_value", "oracle_value", "diff", "combined_se"],
-            [series.times, series.values, oracle_series.values, diff, combined])))
-
-    elif command == "spectrum":
-        method = run["method"]
-        if method == "oracle":
-            series = _oracle_series(config, config.integrator().times())
-        else:
-            series = _series_from_run(config, workers)
-        omega, intensity = spectrum(series, run["window"])
-        spec_series = CorrelationSeries(omega, intensity, np.zeros_like(intensity),
-                                        {"note": "t column holds angular frequency"})
-        artifacts.append(("correlator.csv", lambda p: io.write_series_csv(p, series)))
-        artifacts.append(("results.csv", lambda p: io.write_series_csv(p, spec_series)))
-
-    elif command == "convergence":
-        model = config.model()
-        base_thermo = config.thermo()
-        grid, n_retained = config.grid()
-        eig = diagonalize(model, grid, n_retained, hbar=base_thermo.hbar)
-        exact = thermal_average(eig, lambda q: q * q, base_thermo.beta)
-        rows_n, rows_v, rows_e = [], [], []
-        for n_beads in run["n_values"]:
-            thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)
-            ens = sample_ring_positions(model, thermo, config.sampler(), workers=workers)
-            mean, se = mean_square_position(ens, model, thermo, conditioned=True,
-                                            blocks=run["blocks"])
-            rows_n.append(float(n_beads))
-            rows_v.append(mean)
-            rows_e.append(se)
-        errors = [abs(v - exact) for v in rows_v]
-        stats["exact"] = exact
-        stats["errors"] = errors
-        if len(errors) >= 2 and errors[-1] > 0:
-            stats["error_ratio_first_last"] = errors[0] / errors[-1]
-        artifacts.append(("results.csv", lambda p: io.write_table_csv(
-            p, ["n_beads", "mean_square", "std_error"], [rows_n, rows_v, rows_e])))
-
-    return artifacts
+    model, thermo = config.model(), config.thermo()
+    scfg, icfg = config.sampler(), config.integrator()
+    a_obs, b_obs = config.observables()
+    own = method == config.command
+    if method == "cmd":
+        grid = np.linspace(run["table_min"], run["table_max"], run["table_nodes"])
+        table = build_centroid_force_table(model, thermo, scfg, grid, workers=workers)
+        series = cmd_kubo_correlator(model, thermo, table, scfg, icfg, a_obs, b_obs,
+                                     workers=workers)
+        extra = [("force_table.csv", lambda p: io.write_table_csv(
+            p, ["q_c", "force", "std_error"], [table.grid, table.force, table.std_errors]))]
+    else:
+        x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg,
+                                         run["momentum_convention"], workers)
+        series = rpmd_kubo_correlator(model, thermo, scfg, icfg, a_obs, b_obs,
+                                      run["momentum_convention"], workers=workers,
+                                      initial=(x0, p0))
+        extra = []
+        if own and run["dump_trajectory"]:
+            extra = [("trajectory.csv", _trajectory_writer(
+                model, thermo, icfg, b_obs, RingPolymerState(x0[0], p0[0])))]
+    return series, extra if own else []
 
 
 def _trajectory_writer(model, thermo, integrator_cfg, b_obs, initial):
@@ -380,44 +332,116 @@ def _trajectory_writer(model, thermo, integrator_cfg, b_obs, initial):
         [times] + [rec[o.label] for o in record])
 
 
+def _static(config, workers, stats):
+    run = config.sections["run"]
+    model, thermo, scfg = config.model(), config.thermo(), config.sampler()
+    a_obs, _ = config.observables()
+    ens = sample_ring_positions(model, thermo, scfg, workers=workers)
+    data = draw_momenta(thermo, model, scfg) if a_obs.kind == MOMENTUM else ens
+    mean, se = estimate_static_average(a_obs, data, run["blocks"])
+    stats["mean"], stats["std_error"] = mean, se
+    series = CorrelationSeries([0.0], [mean], [se], {})
+    artifacts = [("results.csv", lambda p: io.write_series_csv(p, series))]
+    if run["dump_ensemble"]:
+        artifacts.append(("ensemble.csv", lambda p: io.write_ensemble_csv(p, ens)))
+    return artifacts
+
+
+def _correlator(config, workers, stats):
+    series, artifacts = _method_series(config, config.command, workers)
+    return artifacts + [("results.csv", lambda p: io.write_series_csv(p, series))]
+
+
+def _compare(config, workers, stats):
+    series, _ = _method_series(config, config.sections["run"]["method"], workers)
+    oracle_series = _oracle_series(config, series.times)
+    diff = series.values - oracle_series.values
+    combined = np.sqrt(series.std_errors**2 + oracle_series.std_errors**2)
+    ratio = np.abs(diff) / np.maximum(combined, 1e-300)
+    stats["max_abs_diff"] = float(np.abs(diff).max())
+    stats["max_diff_over_se"] = float(ratio.max())
+    return [("results.csv", lambda p: io.write_series_csv(p, series)),
+            ("diff.csv", lambda p: io.write_table_csv(
+                p, ["t", "method_value", "oracle_value", "diff", "combined_se"],
+                [series.times, series.values, oracle_series.values, diff, combined]))]
+
+
+def _spectrum(config, workers, stats):
+    run = config.sections["run"]
+    series, _ = _method_series(config, run["method"], workers)
+    omega, intensity = spectrum(series, run["window"])
+    spec_series = CorrelationSeries(omega, intensity, np.zeros_like(intensity),
+                                    {"note": "t column holds angular frequency"})
+    return [("correlator.csv", lambda p: io.write_series_csv(p, series)),
+            ("results.csv", lambda p: io.write_series_csv(p, spec_series))]
+
+
+def _convergence(config, workers, stats):
+    run = config.sections["run"]
+    model = config.model()
+    base_thermo = config.thermo()
+    grid, n_retained = config.grid()
+    eig = diagonalize(model, grid, n_retained, hbar=base_thermo.hbar)
+    exact = thermal_average(eig, lambda q: q * q, base_thermo.beta)
+    rows_n, rows_v, rows_e = [], [], []
+    for n_beads in run["n_values"]:
+        thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)
+        ens = sample_ring_positions(model, thermo, config.sampler(), workers=workers)
+        mean, se = mean_square_position(ens, model, thermo, conditioned=True,
+                                        blocks=run["blocks"])
+        rows_n.append(float(n_beads))
+        rows_v.append(mean)
+        rows_e.append(se)
+    errors = [abs(v - exact) for v in rows_v]
+    stats["exact"] = exact
+    stats["errors"] = errors
+    if len(errors) >= 2 and errors[-1] > 0:
+        stats["error_ratio_first_last"] = errors[0] / errors[-1]
+    return [("results.csv", lambda p: io.write_table_csv(
+        p, ["n_beads", "mean_square", "std_error"], [rows_n, rows_v, rows_e]))]
+
+
+# command -> (sections it needs, fn(config, workers, stats) -> [(filename, writer)])
+_COMMANDS = {
+    "static": (("model", "thermo", "sampler", "run"), _static),
+    "rpmd": (("model", "thermo", "sampler", "integrator", "run"), _correlator),
+    "cmd": (("model", "thermo", "sampler", "integrator", "run"), _correlator),
+    "oracle": (("model", "thermo", "oracle", "integrator", "run"), _correlator),
+    "compare": (("model", "thermo", "sampler", "integrator", "oracle", "run"), _compare),
+    "spectrum": (("model", "thermo", "sampler", "integrator", "oracle", "run"), _spectrum),
+    "convergence": (("model", "thermo", "sampler", "oracle", "run"), _convergence),
+}
+
+
 def run(config, workers=None):
     """Execute a parsed RunConfig; returns the exit status."""
-    import os
-
     t_start = time.time()
-    caught = []
     try:
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             stats = {}
-            artifacts = _run_command(config, workers, stats)
-        caught = [str(w.message) for w in wlist]
+            artifacts = _COMMANDS[config.command][1](config, workers, stats)
+        os.makedirs(config.output_dir, exist_ok=True)
+        for name, writer in artifacts:
+            writer(os.path.join(config.output_dir, name))
+        meta = {
+            "command": config.command,
+            "seed": config.seed,
+            "config": config.sections,
+            "package_version": __version__,
+            "numpy_version": np.__version__,
+            "wall_time_s": round(time.time() - t_start, 3),
+            "warnings": [str(w.message) for w in wlist],
+            "artifacts": sorted(name for name, _ in artifacts),
+            "stats": stats,
+        }
+        io.write_meta_json(os.path.join(config.output_dir, "meta.json"), meta)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failures map to exit code 3
+    except Exception as exc:  # runtime failures, writing included, map to exit code 3
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, writer in artifacts:
-        path = os.path.join(out_dir, name)
-        writer(path)
-        written.append(name)
-    meta = {
-        "command": config.command,
-        "seed": config.seed,
-        "config": config.sections,
-        "package_version": __version__,
-        "numpy_version": np.__version__,
-        "wall_time_s": round(time.time() - t_start, 3),
-        "warnings": caught,
-        "artifacts": sorted(written),
-        "stats": stats,
-    }
-    io.write_meta_json(os.path.join(out_dir, "meta.json"), meta)
     return 0
 
 

@@ -21,12 +21,15 @@ import numpy as np
 
 from . import _streams
 from ._stats import block_standard_error
-from .errors import InsufficientSamples, NonErgodicWarning
+from .errors import NonErgodicWarning
+from .model import potential_fn
 from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies, normal_mode_matrix
 
 _GROUP = 2048         # walkers per vectorized group (fixed; not tied to thread count)
 _BLOCK_SWEEPS = 64    # sweeps per pregenerated random block
 _ADAPT_WINDOW = 16    # sweeps per burn-in adaptation window
+
+MOMENTUM_CONVENTIONS = ("bead", "bond_midpoint")
 
 
 @dataclass(frozen=True)
@@ -64,25 +67,6 @@ def resolve_workers(workers=None):
     return os.cpu_count() or 1
 
 
-def _pot_fn(model):
-    v2, v3, v4 = model.poly_coefficients()
-    if v3 == 0.0 and v4 == 0.0:
-        return lambda q: v2 * q * q
-    if v3 == 0.0:
-        return lambda q: (v2 + v4 * q * q) * q * q
-    return lambda q: ((v4 * q + v3) * q + v2) * q * q
-
-
-def _grad_fn(model):
-    v2, v3, v4 = model.poly_coefficients()
-    if v3 == 0.0 and v4 == 0.0:
-        return lambda q: 2.0 * v2 * q
-    if v2 == 0.0 and v3 == 0.0:
-        # pure quartic: the dropped terms only add +0.0 to 4 v4 q^2 >= 0
-        return lambda q: 4.0 * v4 * q * q * q
-    return lambda q: (4.0 * v4 * q * q + 3.0 * v3 * q + 2.0 * v2) * q
-
-
 def _layout(cfg):
     walkers = min(cfg.n_walkers, cfg.n_samples)
     rounds = -(-cfg.n_samples // walkers)
@@ -90,13 +74,42 @@ def _layout(cfg):
     return walkers, rounds, groups
 
 
-def _map_groups(worker_fn, groups, workers):
+def map_groups(worker_fn, groups, workers=None):
+    """Call worker_fn on every group, on resolve_workers(workers) threads."""
+    workers = resolve_workers(workers)
     if workers <= 1 or len(groups) <= 1:
         for g in groups:
             worker_fn(g)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(worker_fn, groups))
+
+
+def _sample(run_group, model, thermo, cfg, workers, *args):
+    """Run run_group on every walker group; warn on the pooled acceptance rate.
+
+    run_group(model, thermo, cfg, *args, g_index, g_size, rounds, out) fills
+    its walkers' rows of out and returns (accepted, attempted) after burn-in.
+    """
+    walkers, rounds, groups = _layout(cfg)
+    out = np.empty((walkers * rounds, thermo.n_beads))
+    stats = [None] * len(groups)
+
+    def job(spec):
+        g, size = spec
+        stats[g] = run_group(model, thermo, cfg, *args, g, size, rounds, out)
+
+    map_groups(job, groups, workers)
+    _warn_if_nonergodic(sum(s[0] for s in stats), sum(s[1] for s in stats))
+    return out[: cfg.n_samples]
+
+
+def _warn_if_nonergodic(acc, att):
+    if att > 0:
+        rate = acc / att
+        if rate < 0.05 or rate > 0.95:
+            warnings.warn(NonErgodicWarning(
+                f"post-burn-in acceptance rate {rate:.3f} outside [0.05, 0.95]"))
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +132,7 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
     n = thermo.n_beads
     beta_n = thermo.beta / n
     c_spring = model.mass * n / (2.0 * thermo.beta * thermo.hbar**2)
-    pot = _pot_fn(model)
+    pot = potential_fn(model)
     gen = _streams.stream(cfg.seed, _streams.POSITIONS, g_index)
 
     x = 0.05 * gen.standard_normal((g_size, n))
@@ -194,27 +207,7 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
 
 def sample_ring_positions(model, thermo, cfg, workers=None):
     """Decorrelated configurations targeting R(x), shape (n_samples, N)."""
-    walkers, rounds, groups = _layout(cfg)
-    out = np.empty((walkers * rounds, thermo.n_beads))
-    stats = {}
-
-    def job(spec):
-        g, size = spec
-        stats[g] = _run_group_free(model, thermo, cfg, g, size, rounds, out)
-
-    _map_groups(job, groups, resolve_workers(workers))
-    acc = sum(stats[g][0] for g, _ in groups)
-    att = sum(stats[g][1] for g, _ in groups)
-    _warn_if_nonergodic(acc, att)
-    return out[: cfg.n_samples]
-
-
-def _warn_if_nonergodic(acc, att):
-    if att > 0:
-        rate = acc / att
-        if rate < 0.05 or rate > 0.95:
-            warnings.warn(NonErgodicWarning(
-                f"post-burn-in acceptance rate {rate:.3f} outside [0.05, 0.95]"))
+    return _sample(_run_group_free, model, thermo, cfg, workers)
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +216,7 @@ def _warn_if_nonergodic(acc, att):
 def _run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, rounds, out):
     n = thermo.n_beads
     beta_n = thermo.beta / n
-    pot = _pot_fn(model)
+    pot = potential_fn(model)
     gen = _streams.stream(cfg.seed, _streams.POSITIONS_CONSTRAINED, g_index)
     cmat = normal_mode_matrix(n)
     w = free_rp_frequencies(thermo)
@@ -285,19 +278,7 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
     if thermo.n_beads == 1:
         # a single bead is its own centroid; the constrained ensemble is a point
         return np.full((cfg.n_samples, 1), float(q_c))
-    walkers, rounds, groups = _layout(cfg)
-    out = np.empty((walkers * rounds, thermo.n_beads))
-    stats = {}
-
-    def job(spec):
-        g, size = spec
-        stats[g] = _run_group_constrained(model, thermo, cfg, q_c, g, size, rounds, out)
-
-    _map_groups(job, groups, resolve_workers(workers))
-    acc = sum(stats[g][0] for g, _ in groups)
-    att = sum(stats[g][1] for g, _ in groups)
-    _warn_if_nonergodic(acc, att)
-    ens = out[: cfg.n_samples]
+    ens = _sample(_run_group_constrained, model, thermo, cfg, workers, q_c)
     # remove accumulated roundoff in the pinned mode
     ens += (q_c - ens.mean(axis=1))[:, None]
     return ens
@@ -312,7 +293,7 @@ def draw_momenta(thermo, model, cfg, convention="bead", n_draws=None):
     convention="bond_midpoint" applies the cyclic midpoint map
     (p_k + p_{k+1})/2 to a bead draw; the centroid is unchanged.
     """
-    if convention not in ("bead", "bond_midpoint"):
+    if convention not in MOMENTUM_CONVENTIONS:
         raise ValueError("convention must be 'bead' or 'bond_midpoint'")
     n = cfg.n_samples if n_draws is None else int(n_draws)
     sigma = math.sqrt(model.mass * thermo.n_beads / thermo.beta)
@@ -329,8 +310,6 @@ def draw_momenta(thermo, model, cfg, convention="bead", n_draws=None):
 def estimate_static_average(obs, ensemble, blocks=16):
     """Ensemble mean of a centroid observable with a block standard error."""
     ensemble = np.asarray(ensemble, dtype=float)
-    if ensemble.shape[0] < 2 * blocks:
-        raise InsufficientSamples(f"need at least {2 * blocks} samples")
     if obs.kind == POSITION:
         vals = obs.f(ensemble).mean(axis=1)
     elif obs.kind == MOMENTUM:
@@ -350,8 +329,6 @@ def mean_square_position(ensemble, model, thermo, conditioned=True, blocks=16):
     The estimator stays unbiased by the law of total expectation.
     """
     x = np.asarray(ensemble, dtype=float)
-    if x.shape[0] < 2 * blocks:
-        raise InsufficientSamples(f"need at least {2 * blocks} samples")
     if not conditioned:
         vals = (x * x).mean(axis=1)
     else:

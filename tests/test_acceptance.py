@@ -45,7 +45,7 @@ from pimd_kubo import (CorrelationSeries, GridSpec, IntegratorConfig, OBS_Q, OBS
                        harmonic_swarm_trace, mean_square_position, mildly_anharmonic,
                        rpmd_kubo_correlator, sample_ring_positions, spectrum,
                        thermal_average)
-from pimd_kubo.dynamics import _propagate_batch
+from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.estimators import block_error
 from pimd_kubo.oracle import kubo_weights, position_matrix
 from pimd_kubo.sampler import draw_momenta
@@ -236,7 +236,7 @@ def test_criterion_06_caq_cross_validation():
     traj = {}
     for conv in ("bead", "bond_midpoint"):
         p0 = draw_momenta(th, HARMONIC, scfg, conv)
-        rec, _, _ = _propagate_batch(x0.copy(), p0, HARMONIC, th, icfg.dt, icfg.n_steps,
+        rec, _, _ = propagate_batch(x0.copy(), p0, HARMONIC, th, icfg.dt, icfg.n_steps,
                                      [OBS_Q])
         traj[conv] = rec[0]
     pvals = [stats.ks_2samp(traj["bead"][i], traj["bond_midpoint"][i]).pvalue

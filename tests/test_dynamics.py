@@ -9,10 +9,10 @@ from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q
                        draw_momenta, free_ring_polymer_step, harmonic,
                        mildly_anharmonic, potential_grad, quartic, ring_hamiltonian,
                        rpmd_step, rpmd_trajectory, sample_ring_positions)
-from pimd_kubo.dynamics import _propagate_batch, _rotation_factors
+from pimd_kubo.dynamics import _rotation_factors, propagate_batch
 from pimd_kubo.errors import GridEscape
+from pimd_kubo.model import grad_fn
 from pimd_kubo.ringpoly import POSITION, normal_mode_transform
-from pimd_kubo.sampler import _grad_fn
 
 
 def _random_state(n, seed=0, scale=1.0):
@@ -160,14 +160,14 @@ def test_long_time_conservation(harmonic_model):
     h0 = ring_hamiltonian(st, harmonic_model, th)
     x = st.positions[None, :].copy()
     p = st.momenta[None, :].copy()
-    _, xf, pf = _propagate_batch(x, p, harmonic_model, th, 0.005, 20000, [])
+    _, xf, pf = propagate_batch(x, p, harmonic_model, th, 0.005, 20000, [])
     hf = ring_hamiltonian(RingPolymerState(xf[0], pf[0]), harmonic_model, th)
     assert abs(hf - h0) / abs(h0) <= 1e-5
 
 
 def _reference_propagation(x, p, model, thermo, dt, n_steps, record):
     """Kick-rotate-kick with a fresh array for every product (no buffers)."""
-    grad = _grad_fn(model)
+    grad = grad_fn(model)
     cosw, sin_over, msin = _rotation_factors(thermo, model, dt)
     a = normal_mode_transform(x, "forward")
     b = normal_mode_transform(p, "forward")
@@ -200,7 +200,7 @@ def test_propagate_batch_matches_reference_step(n):
     p = np.sqrt(n / th.beta) * rng.standard_normal((17, n))
     x_in, p_in = x.copy(), p.copy()
     record = [OBS_Q2, OBS_P]
-    rec, xf, pf = _propagate_batch(x, p, model, th, 0.05, 40, record)
+    rec, xf, pf = propagate_batch(x, p, model, th, 0.05, 40, record)
     ref_rec, ref_x, ref_p = _reference_propagation(x, p, model, th, 0.05, 40, record)
     assert np.array_equal(x, x_in) and np.array_equal(p, p_in)
     for got, want in ((rec[0], ref_rec[0]), (rec[1], ref_rec[1]), (xf, ref_x), (pf, ref_p)):
@@ -221,7 +221,7 @@ def test_momentum_convention_centroid_distributions():
     series = {}
     for conv in ("bead", "bond_midpoint"):
         p0 = draw_momenta(th, model, scfg, conv)
-        rec, xf, pf = _propagate_batch(x0.copy(), p0, model, th, cfg.dt, cfg.n_steps, [OBS_Q])
+        rec, xf, pf = propagate_batch(x0.copy(), p0, model, th, cfg.dt, cfg.n_steps, [OBS_Q])
         series[conv] = rec[0]
     for idx in marks:
         _, pval = stats.ks_2samp(series["bead"][idx], series["bond_midpoint"][idx])

@@ -3,7 +3,7 @@ import pytest
 
 from pimd_kubo import (delta_v, harmonic, mildly_anharmonic, potential_eval,
                        potential_grad, quartic)
-from pimd_kubo.model import PotentialModel, ThermoParams
+from pimd_kubo.model import PotentialModel, ThermoParams, grad_fn, potential_fn
 
 
 def test_harmonic_value():
@@ -51,6 +51,20 @@ def test_grad_matches_finite_difference_grid(model):
     g = potential_grad(model, q)
     scale = np.maximum(np.abs(g), 1.0)
     assert np.all(np.abs(g - fd) / scale <= 1e-8)
+
+
+@pytest.mark.parametrize("model", [
+    harmonic(1.3, 0.7),
+    mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
+    mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05),
+    quartic(4.0, mass=2.0),
+])
+def test_checked_eval_is_the_hot_path_evaluator(model):
+    # potential_eval/potential_grad add only the finite check to the
+    # evaluator the sampler and the propagator use: equal bit for bit
+    q = np.random.default_rng(5).normal(scale=3.0, size=257)
+    assert potential_eval(model, q).tobytes() == potential_fn(model)(q).tobytes()
+    assert potential_grad(model, q).tobytes() == grad_fn(model)(q).tobytes()
 
 
 def test_delta_v_harmonic_closed_form():

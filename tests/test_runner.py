@@ -291,3 +291,53 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     assert run(cfg) == 3
     assert "NonFiniteResult" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", "method = rpmd\nwindow = hamming\n"),
+    ("rpmd", "momentum_convention = midpoint\n"),
+    ("cmd", "a = q2\n"),
+    ("compare", "method = classical\n"),
+], ids=["window", "momentum_convention", "cmd_nonlinear_a", "method"])
+def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command, extra):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("sampler called")
+
+    for target in ("pimd_kubo.estimators.sample_ring_positions",
+                   "pimd_kubo.runner.sample_ring_positions",
+                   "pimd_kubo.dynamics.sample_ring_positions_constrained"):
+        monkeypatch.setattr(target, counted)
+    out = tmp_path / "bad"
+    text = SMALL_COMPARE.format(out=out).replace("command = compare", f"command = {command}")
+    text = text.replace("a = q\n", "") + extra
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main([str(path), "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_output_dir_under_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("not a directory\n")
+    cfg = parse_config(MINIMAL_STATIC.format(out=blocker / "out"))
+    assert run(cfg) == 3
+    assert "runtime error: NotADirectoryError" in capsys.readouterr().err
+
+
+def test_static_momentum_is_centroid_momentum(tmp_path):
+    # <p> vanishes in any well; with c3 != 0 the position centroid does not,
+    # so averaging the position ensemble as "p" shows up at once
+    out = tmp_path / "p"
+    text = MINIMAL_STATIC.format(out=out).replace(
+        "kind = harmonic", "kind = mildly_anharmonic\nc3 = 0.3\nc4 = 0.1").replace(
+        "a = q2", "a = p")
+    cfg = parse_config(text)
+    assert run(cfg) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    mean, se = meta["stats"]["mean"], meta["stats"]["std_error"]
+    assert se > 0 and abs(mean) <= 3.0 * se
