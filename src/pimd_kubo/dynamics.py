@@ -8,7 +8,6 @@ mode receives no spring force, only drift, so the centroid decouples from
 the springs identically.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -191,20 +190,22 @@ class CentroidForceTable:
         return -self._spline.antiderivative()(q)
 
 
-def _node_seed(seed, index):
-    return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
-
-
 def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
-    """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node."""
+    """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node.
+
+    One sampler call covers the whole grid: node i samples the ring with its
+    centroid pinned at grid[i], from the streams keyed by the node seed
+    sampler._node_seed(cfg.seed, i), and every (node, walker group) pair
+    runs in one pool of `workers` threads.  The table is the same at any
+    worker count.
+    """
     grid = np.asarray(grid, dtype=float)
     grad = grad_fn(model)
+    ens = sample_ring_positions_constrained(model, thermo, cfg, grid, workers=workers)
     force = np.empty_like(grid)
     errs = np.empty_like(grid)
-    for i, q_c in enumerate(grid):
-        node_cfg = dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i))
-        ens = sample_ring_positions_constrained(model, thermo, node_cfg, q_c, workers=workers)
-        vals = -grad(ens).mean(axis=1)
+    for i, node in enumerate(ens):
+        vals = -grad(node).mean(axis=1)
         force[i] = vals.mean()
         errs[i] = block_standard_error(vals)
     return CentroidForceTable(grid, force, errs)

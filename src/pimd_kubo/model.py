@@ -105,17 +105,33 @@ def _check_finite(q):
 
 
 def potential_fn(model):
-    """V as an unchecked closure over arrays, in Horner form.
+    """V as an unchecked closure pot(q, out=None) over arrays, in Horner form.
 
     The evaluator of the sampler and propagation loops: it does not check
-    its input, so a non-finite q gives a non-finite V.
+    its input, so a non-finite q gives a non-finite V.  Every Horner step
+    is one ufunc writing into out (when None, a new float array in the
+    memory layout of q), so a call allocates at most its result, and the
+    operation order, and so every bit, is the same either way.
     """
     v2, v3, v4 = model.poly_coefficients()
+    mul, add = np.multiply, np.add
     if v3 == 0.0 and v4 == 0.0:
-        return lambda q: v2 * q * q
-    if v3 == 0.0:
-        return lambda q: (v2 + v4 * q * q) * q * q
-    return lambda q: ((v4 * q + v3) * q + v2) * q * q
+        def horner(q, out):  # v2 q q
+            return mul(mul(v2, q, out=out), q, out=out)
+    elif v3 == 0.0:
+        def horner(q, out):  # (v2 + v4 q q) q q
+            v = add(v2, mul(mul(v4, q, out=out), q, out=out), out=out)
+            return mul(mul(v, q, out=out), q, out=out)
+    else:
+        def horner(q, out):  # ((v4 q + v3) q + v2) q q
+            v = add(mul(v4, q, out=out), v3, out=out)
+            v = add(mul(v, q, out=out), v2, out=out)
+            return mul(mul(v, q, out=out), q, out=out)
+
+    def pot(q, out=None):
+        return horner(q, np.empty_like(q, dtype=float) if out is None else out)
+
+    return pot
 
 
 def grad_fn(model):

@@ -336,7 +336,10 @@ def _static(config, workers, stats):
     run = config.sections["run"]
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
     a_obs, _ = config.observables()
-    ens = sample_ring_positions(model, thermo, scfg, workers=workers)
+    ens = None
+    if a_obs.kind != MOMENTUM or run["dump_ensemble"]:
+        # <p> needs only the exact momentum draw; the positions serve the dump
+        ens = sample_ring_positions(model, thermo, scfg, workers=workers)
     data = draw_momenta(thermo, model, scfg) if a_obs.kind == MOMENTUM else ens
     mean, se = estimate_static_average(a_obs, data, run["blocks"])
     stats["mean"], stats["std_error"] = mean, se

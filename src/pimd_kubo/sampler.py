@@ -9,8 +9,16 @@ Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from counter-based streams keyed by (seed, purpose,
 walker group), so the output is a pure function of (config, seed) no matter
 how walker groups are scheduled across threads.
+
+The constrained sampler also takes a 1-D grid of centroids (the CMD force
+table's nodes).  Node i then draws from the streams keyed by
+(_node_seed(seed, i), purpose, walker group), and every (node, walker
+group) pair is one job of a single map_groups pool, so the nodes share the
+cores instead of running one after another.  The acceptance-rate warning is
+still decided per node, in the calling thread.
 """
 
+import dataclasses
 import math
 import os
 import warnings
@@ -85,23 +93,37 @@ def map_groups(worker_fn, groups, workers=None):
         list(pool.map(worker_fn, groups))
 
 
-def _sample(run_group, model, thermo, cfg, workers, *args):
-    """Run run_group on every walker group; warn on the pooled acceptance rate.
+def _node_seed(seed, index):
+    """Seed of grid node `index` of a constrained grid call (stream key part)."""
+    return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
 
-    run_group(model, thermo, cfg, *args, g_index, g_size, rounds, out) fills
-    its walkers' rows of out and returns (accepted, attempted) after burn-in.
+
+def _sample(run_group, model, thermo, cfgs, node_args, workers):
+    """Run run_group on every (node, walker group) pair in one map_groups call.
+
+    Node i samples with cfgs[i] and the extra arguments node_args[i]; all
+    nodes share one walker layout.  run_group(model, thermo, cfg, *args,
+    g_index, g_size, rounds, out) fills its walkers' rows of out (the node's
+    plane) and returns (accepted, attempted) after burn-in.  Returns an
+    array of shape (nodes, n_samples, N) and warns once for each node whose
+    acceptance rate, pooled over its walker groups, leaves [0.05, 0.95].
     """
+    cfg = cfgs[0]
     walkers, rounds, groups = _layout(cfg)
-    out = np.empty((walkers * rounds, thermo.n_beads))
-    stats = [None] * len(groups)
+    out = np.empty((len(cfgs), walkers * rounds, thermo.n_beads))
+    stats = {}
 
     def job(spec):
-        g, size = spec
-        stats[g] = run_group(model, thermo, cfg, *args, g, size, rounds, out)
+        node, g, size = spec
+        stats[node, g] = run_group(model, thermo, cfgs[node], *node_args[node],
+                                   g, size, rounds, out[node])
 
-    map_groups(job, groups, workers)
-    _warn_if_nonergodic(sum(s[0] for s in stats), sum(s[1] for s in stats))
-    return out[: cfg.n_samples]
+    map_groups(job, [(node, g, size) for node in range(len(cfgs)) for g, size in groups],
+               workers)
+    for node in range(len(cfgs)):
+        _warn_if_nonergodic(sum(stats[node, g][0] for g, _ in groups),
+                            sum(stats[node, g][1] for g, _ in groups))
+    return out[:, : cfg.n_samples]
 
 
 def _warn_if_nonergodic(acc, att):
@@ -207,7 +229,7 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
 
 def sample_ring_positions(model, thermo, cfg, workers=None):
     """Decorrelated configurations targeting R(x), shape (n_samples, N)."""
-    return _sample(_run_group_free, model, thermo, cfg, workers)
+    return _sample(_run_group_free, model, thermo, [cfg], [()], workers)[0]
 
 
 # ----------------------------------------------------------------------
@@ -229,59 +251,98 @@ def _run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, rounds, out
     a[:, 1:] = 0.1 * sigma0 * gen.standard_normal((g_size, n - 1))
     x = a @ cmat.T
     v_sum = pot(x).sum(axis=1)
-    scale = np.broadcast_to(cfg.move_scale * sigma0, (g_size, n - 1)).copy()
+    # mode-major copies: row k - 1 holds internal mode k of every walker
+    a = a[:, 1:].T.copy()
+    scale = np.repeat(cfg.move_scale * sigma0[:, None], g_size, axis=1)
+    lo, hi = 1e-4 * sigma0[:, None], 1e4 * sigma0[:, None]
+    cols = cmat[:, 1:].T.copy()
 
     total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
-    win = np.zeros((g_size, n - 1))
+    win = np.zeros((n - 1, g_size))
     acc_prod = 0.0
     att_prod = 0.0
     emitted = 0
-    half_spring = 0.5 * model.mass * w**2
+    spring = beta_n * (0.5 * model.mass * w**2)  # spring_k = beta_n m w_k^2 / 2
+
+    # every step below writes into these buffers, in the operation order of
+    # the expressions in the comments
+    z = np.empty((_BLOCK_SWEEPS, n - 1, g_size))
+    u = np.empty_like(z)
+    prop = np.empty_like(x)
+    v_beads = np.empty_like(x)
+    da, v_new, d, t, t2 = (np.empty(g_size) for _ in range(5))
+    acc = np.empty(g_size, dtype=bool)
 
     sweep = 0
     while sweep < total_sweeps:
         nb = min(_BLOCK_SWEEPS, total_sweeps - sweep)
-        z = gen.standard_normal((nb, n - 1, g_size))
-        u = gen.random((nb, n - 1, g_size))
+        gen.standard_normal(out=z[:nb])
+        gen.random(out=u[:nb])
         for s in range(nb):
             in_burn = sweep < cfg.burn_in
             for k in range(1, n):
-                da = scale[:, k - 1] * z[s, k - 1]
-                xp = x + da[:, None] * cmat[:, k][None, :]
-                v_new = pot(xp).sum(axis=1)
-                ak = a[:, k]
-                d = beta_n * (v_new - v_sum) + beta_n * half_spring[k] * ((ak + da) ** 2 - ak**2)
-                acc = u[s, k - 1] < np.exp(-np.minimum(d, 700.0))
-                x[acc] = xp[acc]
-                a[acc, k] += da[acc]
-                v_sum[acc] = v_new[acc]
+                ak = a[k - 1]
+                np.multiply(scale[k - 1], z[s, k - 1], out=da)
+                # prop = x + da c_k;  v_new = sum_j V(prop_j)
+                np.add(x, np.multiply(da[:, None], cols[k - 1], out=prop), out=prop)
+                np.sum(pot(prop, out=v_beads), axis=1, out=v_new)
+                # d = beta_n (v_new - v_sum) + spring_k ((a_k + da)^2 - a_k^2)
+                np.multiply(beta_n, np.subtract(v_new, v_sum, out=d), out=d)
+                np.square(np.add(ak, da, out=t), out=t)
+                np.subtract(t, np.square(ak, out=t2), out=t)
+                d += np.multiply(spring[k], t, out=t)
+                # acc = u < exp(-min(d, 700))
+                np.exp(np.negative(np.minimum(d, 700.0, out=d), out=d), out=d)
+                np.less(u[s, k - 1], d, out=acc)
+                np.copyto(x, prop, where=acc[:, None])
+                np.add(ak, da, out=ak, where=acc)
+                np.copyto(v_sum, v_new, where=acc)
                 if in_burn:
-                    win[:, k - 1] += acc
+                    win[k - 1] += acc
                 else:
-                    acc_prod += float(acc.sum())
+                    acc_prod += float(np.count_nonzero(acc))
                     att_prod += g_size
             sweep += 1
             if in_burn and sweep % _ADAPT_WINDOW == 0:
                 rate = win / _ADAPT_WINDOW
                 scale *= np.exp(1.2 * (rate - cfg.target_acceptance))
-                np.clip(scale, 1e-4 * sigma0, 1e4 * sigma0, out=scale)
+                np.clip(scale, lo, hi, out=scale)
                 win[:] = 0.0
             if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-                rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
-                out[rows] = x
+                # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
+                start = g_index * _GROUP * rounds + emitted
+                out[start:start + g_size * rounds:rounds] = x
                 emitted += 1
     return acc_prod, att_prod
 
 
 def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
-    """Configurations with the position centroid pinned to q_c exactly."""
+    """Configurations with the position centroid pinned to q_c exactly.
+
+    A scalar q_c gives shape (n_samples, N) from the streams of cfg.seed.
+    A 1-D grid of centroids gives shape (nodes, n_samples, N); node i
+    samples from the streams of _node_seed(cfg.seed, i), so it equals the
+    scalar call with that seed, and all (node, walker group) pairs share
+    one thread pool.
+    """
+    grid = np.asarray(q_c, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError("q_c must be a scalar or a 1-D grid of centroids")
+    nodes = grid.reshape(-1)
     if thermo.n_beads == 1:
         # a single bead is its own centroid; the constrained ensemble is a point
-        return np.full((cfg.n_samples, 1), float(q_c))
-    ens = _sample(_run_group_constrained, model, thermo, cfg, workers, q_c)
-    # remove accumulated roundoff in the pinned mode
-    ens += (q_c - ens.mean(axis=1))[:, None]
-    return ens
+        ens = np.repeat(nodes[:, None, None], cfg.n_samples, axis=1)
+    else:
+        if grid.ndim:
+            cfgs = [dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i))
+                    for i in range(nodes.size)]
+        else:
+            cfgs = [cfg]
+        ens = _sample(_run_group_constrained, model, thermo, cfgs,
+                      [(c,) for c in nodes], workers)
+        # remove accumulated roundoff in the pinned mode
+        ens += (nodes[:, None] - ens.mean(axis=2))[:, :, None]
+    return ens if grid.ndim else ens[0]
 
 
 # ----------------------------------------------------------------------

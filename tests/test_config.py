@@ -1,0 +1,193 @@
+"""Property tests of the run-configuration grammar (runner.parse_config).
+
+Valid configurations are generated from the schema itself: every command
+with its sections, any subset of optional keys, sections and keys in any
+order and letter case, with comments, blank lines and stray whitespace.
+"""
+
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pimd_kubo import io
+from pimd_kubo.errors import ConfigError
+from pimd_kubo.estimators import WINDOWS
+from pimd_kubo.runner import (_COMMANDS, _METHODS, _MODEL_KEYS, _REQUIRED, _SCHEMA, _to_bool,
+                              _to_int_list, parse_config)
+from pimd_kubo.sampler import MOMENTUM_CONVENTIONS
+
+SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _free_text(extra_blacklist=""):
+    """Text a single config line may hold: no line breaks of any kind."""
+    return st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                 blacklist_characters=extra_blacklist), max_size=12)
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ", ".join(str(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _value(draw, section, key, command, method):
+    conv = _SCHEMA[section][key][0]
+    if section == "run":
+        if key == "command":
+            return command
+        if key == "method":
+            return method
+        if key == "window":
+            return draw(st.sampled_from(WINDOWS))
+        if key == "momentum_convention":
+            return draw(st.sampled_from(MOMENTUM_CONVENTIONS))
+        if key in ("a", "b"):
+            labels = ("q", "p") if method == "cmd" and key == "a" else ("q", "p", "q2", "q3")
+            return draw(st.sampled_from(labels))
+        if key == "output_dir":
+            return draw(_free_text().map(str.strip))
+    if conv is float:
+        return draw(st.floats(allow_nan=False, allow_infinity=False))
+    if conv is int:
+        return draw(st.integers(-10**9, 10**9))
+    if conv is _to_int_list:
+        return draw(st.lists(st.integers(1, 4096), max_size=4))
+    assert conv is _to_bool
+    return draw(st.booleans())
+
+
+@st.composite
+def valid_configs(draw):
+    """(lines, given) where given maps section -> key -> the value written."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    method = draw(st.sampled_from(_METHODS[command])) if command in _METHODS else command
+    needed = set(_COMMANDS[command][0])
+    optional = sorted(set(_SCHEMA) - needed)
+    extra = draw(st.sets(st.sampled_from(optional))) if optional else set()
+    names = draw(st.permutations(sorted(needed | extra)))
+    given = {}
+    for name in names:
+        if name == "model":
+            kind = draw(st.sampled_from(sorted(_MODEL_KEYS)))
+            keys = {"kind"} | draw(st.sets(st.sampled_from(sorted(_MODEL_KEYS[kind] - {"kind"}))))
+        else:
+            required = {k for k, (_, d) in _SCHEMA[name].items() if d is _REQUIRED}
+            if name == "run" and command in _METHODS:
+                required.add("method")
+            keys = required | draw(st.sets(st.sampled_from(sorted(_SCHEMA[name]))))
+        given[name] = {}
+        for key in draw(st.permutations(sorted(keys))):
+            given[name][key] = (kind if name == "model" and key == "kind"
+                                else _value(draw, name, key, command, method))
+    lines = []
+    for name, keys in given.items():
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# note", "; note = 1"]), max_size=2))
+        lines.append(draw(st.sampled_from(["[{}]", " [ {} ] ", "[{}]  "])).format(
+            draw(st.sampled_from([name, name.upper(), name.title()]))))
+        for key, value in keys.items():
+            key_text = draw(st.sampled_from([key, key.upper()]))
+            lines.append(draw(st.sampled_from(["{} = {}", "{}={}", "  {}   =  {}  "])).format(
+                key_text, _render(value)))
+    return lines, given
+
+
+def _meta_config(config):
+    """The config block as run() writes it into meta.json, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "meta.json")
+        io.write_meta_json(path, {"config": config.sections})
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)["config"]
+
+
+def _canonical_text(sections):
+    lines = []
+    for name, keys in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {_render(value)}" for key, value in keys.items() if value is not None]
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(valid_configs())
+def test_valid_config_round_trips_through_meta_json(case):
+    lines, given = case
+    config = parse_config("\n".join(lines))
+    for name, keys in given.items():
+        for key, value in keys.items():
+            assert config.sections[name][key] == value
+    echoed = _meta_config(config)
+    assert echoed == config.sections
+    assert parse_config(_canonical_text(echoed)).sections == config.sections
+
+
+def _is_key_line(text):
+    s = text.strip()
+    return bool(s) and not s.startswith(("#", ";")) and not (s.startswith("[") and s.endswith("]"))
+
+
+def _section_at(lines, index):
+    """The section a line inserted before lines[index] would fall in."""
+    current = None
+    for line in lines[:index]:
+        s = line.strip()
+        if s.startswith("[") and s.endswith("]"):
+            current = s[1:-1].strip().lower()
+    return current
+
+
+@SETTINGS
+@given(valid_configs(), st.data())
+def test_malformed_line_reports_its_line_number(case, data):
+    lines, _ = case
+    draw = data.draw
+    kind = draw(st.sampled_from(["no_equals", "unknown_section", "duplicate_section",
+                                 "unknown_key", "duplicate_key", "bad_value", "outside"]))
+    headers = [i for i, line in enumerate(lines) if line.strip().startswith("[")]
+    key_lines = [i for i, line in enumerate(lines)
+                 if "=" in line and not line.startswith(("#", ";"))]
+    if kind == "no_equals":
+        at = draw(st.integers(0, len(lines)))
+        bad = draw(_free_text("=").filter(_is_key_line))
+    elif kind == "unknown_section":
+        at = draw(st.integers(0, len(lines)))
+        name = draw(_free_text().filter(lambda t: t.strip().lower() not in _SCHEMA))
+        bad = f"[{name}]"
+    elif kind == "duplicate_section":
+        first = draw(st.sampled_from(headers))
+        at = draw(st.integers(first + 1, len(lines)))
+        bad = lines[first]
+    elif kind == "duplicate_key":
+        first = draw(st.sampled_from(key_lines))
+        at = first + 1
+        bad = lines[first]
+    elif kind == "outside":
+        at = 0
+        bad = draw(st.sampled_from(["seed = 1", "kind = harmonic", "x=y"]))
+    else:
+        at = draw(st.integers(headers[0] + 1, len(lines)))
+        section = _section_at(lines, at)
+        if kind == "unknown_key":
+            key = draw(_free_text("=").map(lambda t: "x" + t).filter(
+                lambda t: t.strip().lower() not in _SCHEMA[section]))
+            bad = f"{key} = 1"
+        else:
+            key = draw(st.sampled_from(
+                [k for k, (conv, _) in _SCHEMA[section].items() if conv is not str]))
+            # no converter accepts these; an empty value is a valid empty n_values list
+            bad = f"{key} = {draw(st.sampled_from(['abc', '1.5.2', 'nan?', 'tru', '1, two']))}"
+    text = "\n".join(lines[:at] + [bad] + lines[at:])
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == at + 1, (kind, bad, str(err.value))
+    assert str(err.value).startswith(f"line {at + 1}: ")

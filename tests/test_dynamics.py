@@ -1,3 +1,7 @@
+import dataclasses
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,11 +12,13 @@ from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q
                        build_centroid_force_table, classical_trajectory, cmd_trajectory,
                        draw_momenta, free_ring_polymer_step, harmonic,
                        mildly_anharmonic, potential_grad, quartic, ring_hamiltonian,
-                       rpmd_step, rpmd_trajectory, sample_ring_positions)
+                       rpmd_step, rpmd_trajectory, sample_ring_positions,
+                       sample_ring_positions_constrained)
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
-from pimd_kubo.errors import GridEscape
+from pimd_kubo.errors import GridEscape, NonErgodicWarning
 from pimd_kubo.model import grad_fn
 from pimd_kubo.ringpoly import POSITION, normal_mode_transform
+from pimd_kubo.sampler import _node_seed
 
 
 def _random_state(n, seed=0, scale=1.0):
@@ -295,6 +301,71 @@ def test_force_table_antisymmetry():
         se = np.hypot(table.std_errors[i], table.std_errors[j])
         assert abs(table.force[i] + table.force[j]) <= 3.0 * se
     assert abs(table.force[2]) <= 3.0 * table.std_errors[2]
+
+
+def test_force_table_grid_schedule():
+    # two walker groups per node (2048 + 152 walkers), so the pool runs
+    # (node, group) pairs of several nodes at once
+    model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
+    th = ThermoParams(2.0, 3)
+    cfg = SamplerConfig(n_samples=2200, seed=41, burn_in=20, decorrelation_stride=1,
+                        n_walkers=2200)
+    grid = np.array([-1.0, 0.25, 1.5])
+    ens = sample_ring_positions_constrained(model, th, cfg, grid, workers=2)
+    assert ens.shape == (3, 2200, 3)
+    for i, q_c in enumerate(grid):
+        node_cfg = dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i))
+        alone = sample_ring_positions_constrained(model, th, node_cfg, q_c, workers=1)
+        assert ens[i].tobytes() == alone.tobytes()
+    tables = [build_centroid_force_table(model, th, cfg, grid, workers=w) for w in (1, 2, 3)]
+    for t in tables[1:]:
+        assert t.force.tobytes() == tables[0].force.tobytes()
+        assert t.std_errors.tobytes() == tables[0].std_errors.tobytes()
+    grad = grad_fn(model)
+    assert tables[0].force.tolist() == [float((-grad(e).mean(axis=1)).mean()) for e in ens]
+
+
+def test_force_table_samples_once_on_calling_thread(monkeypatch):
+    # tracers wrap this module attribute; their span stack is not thread-safe
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return sample_ring_positions_constrained(*args, **kwargs)
+
+    monkeypatch.setattr("pimd_kubo.dynamics.sample_ring_positions_constrained", spy)
+    cfg = SamplerConfig(n_samples=64, seed=4, burn_in=8, decorrelation_stride=1)
+    build_centroid_force_table(harmonic(), ThermoParams(1.0, 4), cfg,
+                               np.linspace(-1.0, 1.0, 5), workers=2)
+    assert threads == [threading.current_thread()]
+    with pytest.raises(ValueError):
+        sample_ring_positions_constrained(harmonic(), ThermoParams(1.0, 4), cfg,
+                                          np.zeros((2, 2)))
+
+
+def test_force_table_single_bead_grid():
+    cfg = SamplerConfig(n_samples=64, seed=2)
+    grid = np.array([-0.5, 0.0, 2.0])
+    ens = sample_ring_positions_constrained(harmonic(), ThermoParams(1.0, 1), cfg, grid)
+    assert ens.shape == (3, 64, 1)
+    assert np.array_equal(ens[:, :, 0], np.repeat(grid[:, None], 64, axis=1))
+    table = build_centroid_force_table(harmonic(), ThermoParams(1.0, 1), cfg, grid)
+    assert np.array_equal(table.force, -grid)
+
+
+def test_force_table_warns_per_node():
+    # no burn-in and a wide step: the node at q_c = 0 accepts about 27 % of
+    # its moves, the one in the steep quartic wall at q_c = 8 almost none;
+    # the pooled rate would stay inside [0.05, 0.95]
+    th = ThermoParams(8.0, 4)
+    cfg = SamplerConfig(n_samples=200, seed=3, burn_in=0, decorrelation_stride=1,
+                        move_scale=3.0, n_walkers=200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_centroid_force_table(quartic(1.0), th, cfg, np.array([0.0, 8.0]), workers=2)
+    nonergodic = [w for w in caught if issubclass(w.category, NonErgodicWarning)]
+    assert len(nonergodic) == 1
+    assert "outside [0.05, 0.95]" in str(nonergodic[0].message)
 
 
 def test_rpmd_step_matches_trajectory(harmonic_model):

@@ -67,6 +67,22 @@ def test_checked_eval_is_the_hot_path_evaluator(model):
     assert potential_grad(model, q).tobytes() == grad_fn(model)(q).tobytes()
 
 
+@pytest.mark.parametrize("model", [
+    harmonic(1.3, 0.7),
+    mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
+    mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05),
+    quartic(4.0, mass=2.0),
+])
+def test_potential_out_form_is_bit_identical(model):
+    # the constrained sampler evaluates V into a reused buffer
+    q = np.random.default_rng(6).normal(scale=3.0, size=(33, 16))
+    buf = np.full_like(q, np.nan)
+    assert potential_fn(model)(q, out=buf) is buf
+    assert buf.tobytes() == potential_fn(model)(q).tobytes()
+    # without out, the result keeps the layout of q (mixed layouts are slow)
+    assert potential_fn(model)(q.T).flags.f_contiguous
+
+
 def test_delta_v_harmonic_closed_form():
     # for a harmonic well the correction is m w^2 eta^2 / 8, independent of q
     m = harmonic(1.0, 1.0)

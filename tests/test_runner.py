@@ -341,3 +341,23 @@ def test_static_momentum_is_centroid_momentum(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     mean, se = meta["stats"]["mean"], meta["stats"]["std_error"]
     assert se > 0 and abs(mean) <= 3.0 * se
+
+
+def test_static_momentum_skips_position_sampler(tmp_path, monkeypatch):
+    # <p> comes from the exact momentum draw; positions are sampled only for
+    # the ensemble dump, and results.csv is the same either way
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_ring_positions(*args, **kwargs)
+
+    monkeypatch.setattr("pimd_kubo.runner.sample_ring_positions", counted)
+    text = MINIMAL_STATIC.replace("a = q2", "a = p")
+    assert run(parse_config(text.format(out=tmp_path / "p"))) == 0
+    assert calls == []
+    dumped = tmp_path / "p_dump"
+    assert run(parse_config(text.format(out=dumped) + "dump_ensemble = true\n")) == 0
+    assert calls == [1]
+    assert (tmp_path / "p" / "results.csv").read_bytes() == (dumped / "results.csv").read_bytes()
+    assert (dumped / "ensemble.csv").exists()

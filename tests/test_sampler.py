@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,10 +7,13 @@ from scipy import stats
 
 from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, draw_momenta,
                        estimate_static_average, harmonic, log_ring_density,
-                       mean_square_position, potential_grad, quartic,
+                       mean_square_position, mildly_anharmonic, potential_grad, quartic,
                        sample_ring_positions, sample_ring_positions_constrained)
+from pimd_kubo import _streams
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning
-from pimd_kubo.sampler import _conditional_centroid_m2
+from pimd_kubo.model import potential_fn
+from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
+from pimd_kubo.sampler import _GROUP, _conditional_centroid_m2, _run_group_constrained
 
 
 def _cfg(n, seed=1, **kw):
@@ -225,3 +229,86 @@ def test_sampler_config_validation():
         SamplerConfig(n_samples=10, seed=1, decorrelation_stride=0)
     with pytest.raises(ValueError):
         SamplerConfig(n_samples=10, seed=1, target_acceptance=1.5)
+
+
+def _reference_run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, rounds, out):
+    """The allocating mode-move kernel the buffered one must reproduce bit for bit."""
+    n = thermo.n_beads
+    beta_n = thermo.beta / n
+    pot = potential_fn(model)
+    gen = _streams.stream(cfg.seed, _streams.POSITIONS_CONSTRAINED, g_index)
+    cmat = normal_mode_matrix(n)
+    w = free_rp_frequencies(thermo)
+    v2 = model.poly_coefficients()[0]
+    curv = 2.0 * v2 + model.mass * 1e-6
+    sigma0 = np.sqrt(n / (thermo.beta * (model.mass * w[1:] ** 2 + curv)))
+
+    a = np.zeros((g_size, n))
+    a[:, 0] = math.sqrt(n) * q_c
+    a[:, 1:] = 0.1 * sigma0 * gen.standard_normal((g_size, n - 1))
+    x = a @ cmat.T
+    v_sum = pot(x).sum(axis=1)
+    scale = np.broadcast_to(cfg.move_scale * sigma0, (g_size, n - 1)).copy()
+
+    total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
+    win = np.zeros((g_size, n - 1))
+    acc_prod = 0.0
+    att_prod = 0.0
+    emitted = 0
+    half_spring = 0.5 * model.mass * w**2
+
+    sweep = 0
+    while sweep < total_sweeps:
+        nb = min(64, total_sweeps - sweep)
+        z = gen.standard_normal((nb, n - 1, g_size))
+        u = gen.random((nb, n - 1, g_size))
+        for s in range(nb):
+            in_burn = sweep < cfg.burn_in
+            for k in range(1, n):
+                da = scale[:, k - 1] * z[s, k - 1]
+                xp = x + da[:, None] * cmat[:, k][None, :]
+                v_new = pot(xp).sum(axis=1)
+                ak = a[:, k]
+                d = beta_n * (v_new - v_sum) + beta_n * half_spring[k] * ((ak + da) ** 2 - ak**2)
+                acc = u[s, k - 1] < np.exp(-np.minimum(d, 700.0))
+                x[acc] = xp[acc]
+                a[acc, k] += da[acc]
+                v_sum[acc] = v_new[acc]
+                if in_burn:
+                    win[:, k - 1] += acc
+                else:
+                    acc_prod += float(acc.sum())
+                    att_prod += g_size
+            sweep += 1
+            if in_burn and sweep % 16 == 0:
+                rate = win / 16
+                scale *= np.exp(1.2 * (rate - cfg.target_acceptance))
+                np.clip(scale, 1e-4 * sigma0, 1e4 * sigma0, out=scale)
+                win[:] = 0.0
+            if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
+                rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
+                out[rows] = x
+                emitted += 1
+    return acc_prod, att_prod
+
+
+@pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
+                                   quartic(1.0)],
+                         ids=["harmonic", "anharmonic_c3", "quartic"])
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_constrained_kernel_matches_reference(model, n):
+    # burn-in of 80 sweeps ends inside the second 64-sweep random block, and
+    # the last block is a partial one; group 1 checks the row offsets
+    th = ThermoParams(2.0, n)
+    cfg = SamplerConfig(n_samples=1, seed=23, burn_in=80, decorrelation_stride=3)
+    g_size, rounds = 37, 5
+    for g_index in (0, 1):
+        rows = (g_index * _GROUP + g_size) * rounds
+        got, want = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
+        got_stats = _run_group_constrained(model, th, cfg, 0.4, g_index, g_size, rounds, got)
+        want_stats = _reference_run_group_constrained(model, th, cfg, 0.4, g_index, g_size,
+                                                      rounds, want)
+        assert got_stats == want_stats
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[g_index * _GROUP * rounds:]).all()
