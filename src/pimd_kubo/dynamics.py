@@ -195,9 +195,10 @@ def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
 
     One sampler call covers the whole grid: node i samples the ring with its
     centroid pinned at grid[i], from the streams keyed by the node seed
-    sampler._node_seed(cfg.seed, i), and every (node, walker group) pair
-    runs in one pool of `workers` threads.  The table is the same at any
-    worker count.
+    sampler._node_seed(cfg.seed, i).  The sampler stacks the (node, walker
+    group) pairs of all nodes on one walker axis and uses the `workers`
+    threads only when the grid needs more than one stack.  The table is the
+    same at any worker count.
     """
     grid = np.asarray(grid, dtype=float)
     grad = grad_fn(model)

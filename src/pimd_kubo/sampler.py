@@ -12,13 +12,17 @@ how walker groups are scheduled across threads.
 
 The constrained sampler also takes a 1-D grid of centroids (the CMD force
 table's nodes).  Node i then draws from the streams keyed by
-(_node_seed(seed, i), purpose, walker group), and every (node, walker
-group) pair is one job of a single map_groups pool, so the nodes share the
-cores instead of running one after another.  The acceptance-rate warning is
-still decided per node, in the calling thread.
+(_node_seed(seed, i), purpose, walker group).  Each (node, walker group)
+pair is a lane.  Lanes are stacked side by side on one walker axis, so one
+ufunc call per step serves all of them; a grid is cut into several stacks
+only when one would pass _STACK_VALUES, and only then do stacks run on
+the map_groups threads.  A force table of 17 nodes x 1024 walkers at
+N = 16 fits in one stack and so samples on one core: split over two
+threads it ran about 1.6 times as fast on an idle 2-core machine, but its
+wall time spread far more between runs on a shared one.  The
+acceptance-rate warning is still decided per node, in the calling thread.
 """
 
-import dataclasses
 import math
 import os
 import warnings
@@ -36,6 +40,8 @@ from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies, normal_mode_matri
 _GROUP = 2048         # walkers per vectorized group (fixed; not tied to thread count)
 _BLOCK_SWEEPS = 64    # sweeps per pregenerated random block
 _ADAPT_WINDOW = 16    # sweeps per burn-in adaptation window
+_STACK_VALUES = 1 << 19  # walkers x beads per constrained stack at most (4 MB arrays)
+_CHUNK_VALUES = 1 << 15  # walkers x beads per constrained mode move (fits in L2)
 
 MOMENTUM_CONVENTIONS = ("bead", "bond_midpoint")
 
@@ -98,32 +104,23 @@ def _node_seed(seed, index):
     return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
 
 
-def _sample(run_group, model, thermo, cfgs, node_args, workers):
-    """Run run_group on every (node, walker group) pair in one map_groups call.
+def _sample(run_group, model, thermo, cfg, workers, *args):
+    """Run run_group on every walker group; warn on the pooled acceptance rate.
 
-    Node i samples with cfgs[i] and the extra arguments node_args[i]; all
-    nodes share one walker layout.  run_group(model, thermo, cfg, *args,
-    g_index, g_size, rounds, out) fills its walkers' rows of out (the node's
-    plane) and returns (accepted, attempted) after burn-in.  Returns an
-    array of shape (nodes, n_samples, N) and warns once for each node whose
-    acceptance rate, pooled over its walker groups, leaves [0.05, 0.95].
+    run_group(model, thermo, cfg, *args, g_index, g_size, rounds, out) fills
+    its walkers' rows of out and returns (accepted, attempted) after burn-in.
     """
-    cfg = cfgs[0]
     walkers, rounds, groups = _layout(cfg)
-    out = np.empty((len(cfgs), walkers * rounds, thermo.n_beads))
-    stats = {}
+    out = np.empty((walkers * rounds, thermo.n_beads))
+    stats = [None] * len(groups)
 
     def job(spec):
-        node, g, size = spec
-        stats[node, g] = run_group(model, thermo, cfgs[node], *node_args[node],
-                                   g, size, rounds, out[node])
+        g, size = spec
+        stats[g] = run_group(model, thermo, cfg, *args, g, size, rounds, out)
 
-    map_groups(job, [(node, g, size) for node in range(len(cfgs)) for g, size in groups],
-               workers)
-    for node in range(len(cfgs)):
-        _warn_if_nonergodic(sum(stats[node, g][0] for g, _ in groups),
-                            sum(stats[node, g][1] for g, _ in groups))
-    return out[:, : cfg.n_samples]
+    map_groups(job, groups, workers)
+    _warn_if_nonergodic(sum(s[0] for s in stats), sum(s[1] for s in stats))
+    return out[: cfg.n_samples]
 
 
 def _warn_if_nonergodic(acc, att):
@@ -229,79 +226,121 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
 
 def sample_ring_positions(model, thermo, cfg, workers=None):
     """Decorrelated configurations targeting R(x), shape (n_samples, N)."""
-    return _sample(_run_group_free, model, thermo, [cfg], [()], workers)[0]
+    return _sample(_run_group_free, model, thermo, cfg, workers)
 
 
 # ----------------------------------------------------------------------
 # centroid-constrained sampler: internal normal-mode moves, mode 0 pinned
 
-def _run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, rounds, out):
+def _run_lanes_constrained(model, thermo, cfg, lanes, rounds):
+    """Advance a stack of lanes of the constrained sampler as one walker array.
+
+    A lane (seed, q_c, g_index, g_size, out) is walker group g_index of the
+    node whose streams are keyed by seed: its walkers keep the centroid at
+    q_c and fill their rows of out, the node's (walkers * rounds, N) plane.
+    The lanes sit side by side on the walker axis, so one ufunc call per
+    step serves the whole stack; the mode moves run over chunks of
+    _CHUNK_VALUES walker x bead values, whose arrays stay in cache.  Every
+    step is elementwise in the walker, so a lane gets the same bits in any
+    stack and any chunking.  A lane's stream holds, per block of sweeps,
+    the block's normals and then its uniforms: the stream first steps over
+    the normals, then gives the uniforms sweep by sweep while a second
+    cursor, started at the block, gives the normals, so the stack holds one
+    sweep of draws, not a block.
+    Returns [(accepted, attempted) after burn-in] in lane order.
+    """
     n = thermo.n_beads
     beta_n = thermo.beta / n
     pot = potential_fn(model)
-    gen = _streams.stream(cfg.seed, _streams.POSITIONS_CONSTRAINED, g_index)
     cmat = normal_mode_matrix(n)
     w = free_rp_frequencies(thermo)
     v2 = model.poly_coefficients()[0]
     curv = 2.0 * v2 + model.mass * 1e-6
     sigma0 = np.sqrt(n / (thermo.beta * (model.mass * w[1:] ** 2 + curv)))
 
-    a = np.zeros((g_size, n))
-    a[:, 0] = math.sqrt(n) * q_c
-    a[:, 1:] = 0.1 * sigma0 * gen.standard_normal((g_size, n - 1))
-    x = a @ cmat.T
-    v_sum = pot(x).sum(axis=1)
-    # mode-major copies: row k - 1 holds internal mode k of every walker
-    a = a[:, 1:].T.copy()
-    scale = np.repeat(cfg.move_scale * sigma0[:, None], g_size, axis=1)
+    sizes = [lane[3] for lane in lanes]
+    walkers = sum(sizes)
+    spans = [slice(o - size, o) for o, size in zip(np.cumsum(sizes), sizes)]
+    x = np.empty((walkers, n))
+    v_sum = np.empty(walkers)
+    # mode-major: row k - 1 holds internal mode k of every walker
+    a = np.empty((n - 1, walkers))
+    gens, cursors = [], []
+    for (seed, q_c, g_index, g_size, _), span in zip(lanes, spans):
+        gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED, g_index)
+        a_lane = np.zeros((g_size, n))
+        a_lane[:, 0] = math.sqrt(n) * q_c
+        a_lane[:, 1:] = 0.1 * sigma0 * gen.standard_normal((g_size, n - 1))
+        x[span] = a_lane @ cmat.T
+        v_sum[span] = pot(x[span]).sum(axis=1)
+        a[:, span] = a_lane[:, 1:].T
+        gens.append(gen)
+        cursors.append(np.random.Generator(np.random.Philox(0)))
+    scale = np.repeat(cfg.move_scale * sigma0[:, None], walkers, axis=1)
     lo, hi = 1e-4 * sigma0[:, None], 1e4 * sigma0[:, None]
     cols = cmat[:, 1:].T.copy()
 
     total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
-    win = np.zeros((n - 1, g_size))
-    acc_prod = 0.0
-    att_prod = 0.0
+    win = np.zeros((n - 1, walkers))
+    n_acc = [0] * len(lanes)  # post-burn-in acceptances
     emitted = 0
-    spring = beta_n * (0.5 * model.mass * w**2)  # spring_k = beta_n m w_k^2 / 2
+    spring = beta_n * (0.5 * model.mass * w[1:, None] ** 2)  # beta_n m w_k^2 / 2
 
     # every step below writes into these buffers, in the operation order of
     # the expressions in the comments
-    z = np.empty((_BLOCK_SWEEPS, n - 1, g_size))
-    u = np.empty_like(z)
-    prop = np.empty_like(x)
-    v_beads = np.empty_like(x)
-    da, v_new, d, t, t2 = (np.empty(g_size) for _ in range(5))
-    acc = np.empty(g_size, dtype=bool)
+    z = np.empty((n - 1, walkers))
+    u, t, t2 = (np.empty_like(z) for _ in range(3))
+    acc = np.empty(z.shape, dtype=bool)
+    draw = np.empty((n - 1) * max(sizes))
+    bufs = [draw[: (n - 1) * size].reshape(n - 1, size) for size in sizes]
+    # the mode moves run over chunks of walkers whose arrays stay in cache
+    step = max(1, _CHUNK_VALUES // n)
+    prop, v_beads = np.empty((min(step, walkers), n)), np.empty((min(step, walkers), n))
+    v_new, d = np.empty(len(prop)), np.empty(len(prop))
+    chunks = []
+    for start in range(0, walkers, step):
+        c = slice(start, min(start + step, walkers))
+        m = c.stop - c.start
+        chunks.append((c, x[c], v_sum[c], prop[:m], v_beads[:m], v_new[:m], d[:m]))
 
     sweep = 0
     while sweep < total_sweeps:
         nb = min(_BLOCK_SWEEPS, total_sweeps - sweep)
-        gen.standard_normal(out=z[:nb])
-        gen.random(out=u[:nb])
+        for gen, cursor, buf in zip(gens, cursors, bufs):
+            cursor.bit_generator.state = gen.bit_generator.state
+            for _ in range(nb):
+                gen.standard_normal(out=buf)
         for s in range(nb):
+            for gen, cursor, buf, span in zip(gens, cursors, bufs, spans):
+                z[:, span] = cursor.standard_normal(out=buf)
+                u[:, span] = gen.random(out=buf)
             in_burn = sweep < cfg.burn_in
-            for k in range(1, n):
-                ak = a[k - 1]
-                np.multiply(scale[k - 1], z[s, k - 1], out=da)
-                # prop = x + da c_k;  v_new = sum_j V(prop_j)
-                np.add(x, np.multiply(da[:, None], cols[k - 1], out=prop), out=prop)
-                np.sum(pot(prop, out=v_beads), axis=1, out=v_new)
-                # d = beta_n (v_new - v_sum) + spring_k ((a_k + da)^2 - a_k^2)
-                np.multiply(beta_n, np.subtract(v_new, v_sum, out=d), out=d)
-                np.square(np.add(ak, da, out=t), out=t)
-                np.subtract(t, np.square(ak, out=t2), out=t)
-                d += np.multiply(spring[k], t, out=t)
-                # acc = u < exp(-min(d, 700))
-                np.exp(np.negative(np.minimum(d, 700.0, out=d), out=d), out=d)
-                np.less(u[s, k - 1], d, out=acc)
-                np.copyto(x, prop, where=acc[:, None])
-                np.add(ak, da, out=ak, where=acc)
-                np.copyto(v_sum, v_new, where=acc)
-                if in_burn:
-                    win[k - 1] += acc
-                else:
-                    acc_prod += float(np.count_nonzero(acc))
-                    att_prod += g_size
+            # amplitude a_k changes only in the move of mode k, so the step
+            # da = scale z and the spring term t = spring_k ((a_k + da)^2 - a_k^2)
+            # of every mode are known when the sweep starts
+            da = np.multiply(scale, z, out=z)
+            np.square(np.add(a, da, out=t), out=t)
+            np.subtract(t, np.square(a, out=t2), out=t)
+            np.multiply(spring, t, out=t)
+            for c, xc, vc, pc, vb, vn, dc in chunks:
+                for k in range(1, n):
+                    dak, acck = da[k - 1, c], acc[k - 1, c]
+                    # prop = x + da_k c_k;  v_new = sum_j V(prop_j)
+                    np.add(xc, np.multiply(dak[:, None], cols[k - 1], out=pc), out=pc)
+                    np.sum(pot(pc, out=vb), axis=1, out=vn)
+                    # d = beta_n (v_new - v_sum) + t_k;  acc = u < exp(-min(d, 700))
+                    np.multiply(beta_n, np.subtract(vn, vc, out=dc), out=dc)
+                    dc += t[k - 1, c]
+                    np.exp(np.negative(np.minimum(dc, 700.0, out=dc), out=dc), out=dc)
+                    np.less(u[k - 1, c], dc, out=acck)
+                    np.copyto(xc, pc, where=acck[:, None])
+                    np.copyto(vc, vn, where=acck)
+            np.add(a, da, out=a, where=acc)
+            if in_burn:
+                win += acc
+            else:
+                for i, span in enumerate(spans):
+                    n_acc[i] += int(np.count_nonzero(acc[:, span]))
             sweep += 1
             if in_burn and sweep % _ADAPT_WINDOW == 0:
                 rate = win / _ADAPT_WINDOW
@@ -310,10 +349,20 @@ def _run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, rounds, out
                 win[:] = 0.0
             if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
                 # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
-                start = g_index * _GROUP * rounds + emitted
-                out[start:start + g_size * rounds:rounds] = x
+                for (_, _, g_index, g_size, out), span in zip(lanes, spans):
+                    start = g_index * _GROUP * rounds + emitted
+                    out[start:start + g_size * rounds:rounds] = x[span]
                 emitted += 1
-    return acc_prod, att_prod
+    moves = rounds * cfg.decorrelation_stride * (n - 1)
+    return [(float(count), float(g_size * moves)) for count, g_size in zip(n_acc, sizes)]
+
+
+def _stacks(lanes, n_beads):
+    """Cut lanes into as few contiguous stacks of about equal size as keep
+    each at most about _STACK_VALUES walker x bead values (or one lane)."""
+    values = sum(lane[3] for lane in lanes) * n_beads
+    count = min(len(lanes), -(-values // _STACK_VALUES))
+    return [lanes[j * len(lanes) // count:(j + 1) * len(lanes) // count] for j in range(count)]
 
 
 def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
@@ -322,8 +371,9 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
     A scalar q_c gives shape (n_samples, N) from the streams of cfg.seed.
     A 1-D grid of centroids gives shape (nodes, n_samples, N); node i
     samples from the streams of _node_seed(cfg.seed, i), so it equals the
-    scalar call with that seed, and all (node, walker group) pairs share
-    one thread pool.
+    scalar call with that seed.  The (node, walker group) lanes of all
+    nodes are stacked (see _stacks); several stacks share a thread pool of
+    `workers` threads.
     """
     grid = np.asarray(q_c, dtype=float)
     if grid.ndim > 1:
@@ -333,13 +383,23 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
         # a single bead is its own centroid; the constrained ensemble is a point
         ens = np.repeat(nodes[:, None, None], cfg.n_samples, axis=1)
     else:
-        if grid.ndim:
-            cfgs = [dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i))
-                    for i in range(nodes.size)]
-        else:
-            cfgs = [cfg]
-        ens = _sample(_run_group_constrained, model, thermo, cfgs,
-                      [(c,) for c in nodes], workers)
+        seeds = [_node_seed(cfg.seed, i) for i in range(nodes.size)] if grid.ndim else [cfg.seed]
+        walkers, rounds, groups = _layout(cfg)
+        ens = np.empty((nodes.size, walkers * rounds, thermo.n_beads))
+        lanes = [(seed, q, g, size, plane)
+                 for seed, q, plane in zip(seeds, nodes, ens) for g, size in groups]
+        stacks = _stacks(lanes, thermo.n_beads)
+        stats = [None] * len(stacks)
+
+        def job(j):
+            stats[j] = _run_lanes_constrained(model, thermo, cfg, stacks[j], rounds)
+
+        map_groups(job, range(len(stacks)), workers)
+        lane_stats = [s for stack in stats for s in stack]  # node-major, as lanes
+        for node in range(nodes.size):
+            mine = lane_stats[node * len(groups):(node + 1) * len(groups)]
+            _warn_if_nonergodic(sum(s[0] for s in mine), sum(s[1] for s in mine))
+        ens = ens[:, : cfg.n_samples]
         # remove accumulated roundoff in the pinned mode
         ens += (nodes[:, None] - ens.mean(axis=2))[:, :, None]
     return ens if grid.ndim else ens[0]

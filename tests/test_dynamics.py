@@ -18,7 +18,7 @@ from pimd_kubo.dynamics import _rotation_factors, propagate_batch
 from pimd_kubo.errors import GridEscape, NonErgodicWarning
 from pimd_kubo.model import grad_fn
 from pimd_kubo.ringpoly import POSITION, normal_mode_transform
-from pimd_kubo.sampler import _node_seed
+from pimd_kubo.sampler import _node_seed, _stacks
 
 
 def _random_state(n, seed=0, scale=1.0):
@@ -303,9 +303,9 @@ def test_force_table_antisymmetry():
     assert abs(table.force[2]) <= 3.0 * table.std_errors[2]
 
 
-def test_force_table_grid_schedule():
-    # two walker groups per node (2048 + 152 walkers), so the pool runs
-    # (node, group) pairs of several nodes at once
+def test_force_table_grid_schedule(monkeypatch):
+    # two walker groups per node (2048 + 152 walkers), so stacks hold lanes
+    # of several nodes and of both group sizes
     model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
     th = ThermoParams(2.0, 3)
     cfg = SamplerConfig(n_samples=2200, seed=41, burn_in=20, decorrelation_stride=1,
@@ -318,11 +318,26 @@ def test_force_table_grid_schedule():
         alone = sample_ring_positions_constrained(model, th, node_cfg, q_c, workers=1)
         assert ens[i].tobytes() == alone.tobytes()
     tables = [build_centroid_force_table(model, th, cfg, grid, workers=w) for w in (1, 2, 3)]
+    # a small stack bound cuts the six lanes into one stack each, run on
+    # one thread and on two
+    monkeypatch.setattr("pimd_kubo.sampler._STACK_VALUES", 1)
+    tables += [build_centroid_force_table(model, th, cfg, grid, workers=w) for w in (1, 2)]
     for t in tables[1:]:
         assert t.force.tobytes() == tables[0].force.tobytes()
         assert t.std_errors.tobytes() == tables[0].std_errors.tobytes()
     grad = grad_fn(model)
     assert tables[0].force.tolist() == [float((-grad(e).mean(axis=1)).mean()) for e in ens]
+
+
+def test_stacks_cut_lanes_evenly():
+    # 17 lanes of 1024 walkers; as few stacks as keep each at most about
+    # 2^19 walker x bead values, and at least one lane per stack
+    lanes = [(0, 0.0, g, 1024, None) for g in range(17)]
+    for n_beads, count in ((2, 1), (16, 1), (32, 2), (128, 5), (4096, 17)):
+        stacks = _stacks(lanes, n_beads)
+        assert len(stacks) == count
+        assert [lane for stack in stacks for lane in stack] == lanes
+        assert max(map(len, stacks)) - min(map(len, stacks)) <= 1
 
 
 def test_force_table_samples_once_on_calling_thread(monkeypatch):

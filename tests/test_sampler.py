@@ -13,7 +13,7 @@ from pimd_kubo import _streams
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning
 from pimd_kubo.model import potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo.sampler import _GROUP, _conditional_centroid_m2, _run_group_constrained
+from pimd_kubo.sampler import _GROUP, _conditional_centroid_m2, _run_lanes_constrained
 
 
 def _cfg(n, seed=1, **kw):
@@ -297,18 +297,33 @@ def _reference_run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, r
                                    quartic(1.0)],
                          ids=["harmonic", "anharmonic_c3", "quartic"])
 @pytest.mark.parametrize("n", [2, 3, 16])
-def test_constrained_kernel_matches_reference(model, n):
+def test_constrained_kernel_matches_reference(model, n, monkeypatch):
     # burn-in of 80 sweeps ends inside the second 64-sweep random block, and
     # the last block is a partial one; group 1 checks the row offsets
     th = ThermoParams(2.0, n)
     cfg = SamplerConfig(n_samples=1, seed=23, burn_in=80, decorrelation_stride=3)
-    g_size, rounds = 37, 5
-    for g_index in (0, 1):
-        rows = (g_index * _GROUP + g_size) * rounds
-        got, want = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
-        got_stats = _run_group_constrained(model, th, cfg, 0.4, g_index, g_size, rounds, got)
-        want_stats = _reference_run_group_constrained(model, th, cfg, 0.4, g_index, g_size,
-                                                      rounds, want)
-        assert got_stats == want_stats
-        assert got.tobytes() == want.tobytes()
-        assert np.isfinite(got[g_index * _GROUP * rounds:]).all()
+    rounds = 5
+    rows = (_GROUP + 37) * rounds
+    # (seed, q_c, g_index, g_size) of each lane; the stack of all three must
+    # give every lane the bits it gets alone, also when its mode moves run
+    # in chunks of 7 walkers that cut across the lanes
+    lanes = [(23, 0.4, 0, 37), (23, 0.4, 1, 37), (91, -1.3, 1, 20)]
+    want, want_stats = [], []
+    for seed, q_c, g_index, g_size in lanes:
+        plane = np.full((rows, n), np.nan)
+        lane_cfg = SamplerConfig(n_samples=1, seed=seed, burn_in=80, decorrelation_stride=3)
+        want_stats.append(_reference_run_group_constrained(model, th, lane_cfg, q_c, g_index,
+                                                           g_size, rounds, plane))
+        want.append(plane)
+    for stack, chunk in (([0], None), ([1], None), ([2], None), ([0, 1, 2], None),
+                         ([0, 1, 2], 7 * n)):
+        if chunk:
+            monkeypatch.setattr("pimd_kubo.sampler._CHUNK_VALUES", chunk)
+        got = {i: np.full((rows, n), np.nan) for i in stack}
+        got_stats = _run_lanes_constrained(model, th, cfg, [lanes[i] + (got[i],) for i in stack],
+                                           rounds)
+        assert got_stats == [want_stats[i] for i in stack]
+        for i in stack:
+            assert got[i].tobytes() == want[i].tobytes()
+            start = lanes[i][2] * _GROUP * rounds
+            assert np.isfinite(got[i][start:start + lanes[i][3] * rounds]).all()
