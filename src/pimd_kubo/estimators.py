@@ -3,8 +3,9 @@
 Correlators are assembled from fresh equilibrium initial conditions, one
 microcanonical trajectory per sample; origin averaging along a single long
 trajectory is deliberately avoided because RPMD trajectories do not resample
-the thermal ensemble.  Accumulations reduce over full, deterministically
-ordered arrays, so results are identical for any work partitioning.
+the thermal ensemble.  RPMD products A0(0) * B0(t) are streamed in
+trajectory order into running sums, so results are identical for any work
+partitioning and no n_traj x n_times array is held.
 """
 
 import math
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from ._stats import block_standard_error as block_error
+from ._stats import RowAccumulator, block_standard_error as block_error
 from .dynamics import check_accuracy, cmd_propagate, propagate_batch
 from .errors import GridTooCoarse, InsufficientSamples, UnsupportedObservable
 from .model import OMEGA_KINDS
 from .ringpoly import MOMENTUM, OBS_P, OBS_Q, POSITION
-from .sampler import draw_momenta, map_groups, sample_ring_positions
+from .sampler import draw_momenta, map_in_order, sample_ring_positions
 from .series import CorrelationSeries
 
 CENTROID_DELTA = "centroid_delta"
@@ -63,19 +64,25 @@ def _chunks(n):
 
 def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs,
                              workers=None):
+    """(mean, block standard error) of A0(0) * B0(t) over the trajectories.
+
+    Chunks of trajectories propagate on the worker threads; their products
+    are added to one RowAccumulator in trajectory order in this thread.
+    """
     n = x0.shape[0]
     a0 = _initial_values(a_obs, x0, p0)
-    b_t = np.empty((n, integrator_cfg.n_steps + 1))
+    acc = RowAccumulator(n)
 
     def job(span):
         lo, hi = span
         rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], model, thermo,
                                     integrator_cfg.dt, integrator_cfg.n_steps, [b_obs])
-        b_t[lo:hi] = rec[0].T
+        prod = rec[0].T
+        prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
+        return prod
 
-    map_groups(job, _chunks(n), workers)
-    b_t *= a0[:, None]  # A0(0) * B0(t), formed in place
-    return b_t.mean(axis=0), block_error(b_t), b_t
+    map_in_order(job, _chunks(n), acc.add, workers)
+    return acc.result()
 
 
 def _check_rpmd_request(sampler_cfg, integrator_cfg, model):
@@ -114,7 +121,7 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
     else:
         _check_rpmd_request(sampler_cfg, integrator_cfg, model)
     x0, p0 = initial
-    values, errors, _ = _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg,
+    values, errors = _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg,
                                                  a_obs, b_obs, workers)
     meta = _model_meta(model, thermo)
     meta.update({"method": "rpmd", "A": a_obs.label, "B": b_obs.label,

@@ -19,10 +19,11 @@ from .model import HARMONIC, potential_eval
 from .ringpoly import MOMENTUM, Observable
 from .sampler import draw_momenta, sample_ring_positions
 from .series import CorrelationSeries
-from ._stats import block_standard_error
+from ._stats import RowAccumulator
 
 _DEGENERATE_CUT = 1e-10
 _BOUNDARY_TOL = 1e-8
+_ROW_CHUNK = 1024  # trajectories whose A0 * q_c(t) rows are formed at once
 
 
 @dataclass(frozen=True)
@@ -298,10 +299,14 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg, workers=None):
     qc = x.mean(axis=1)
     pc_mid = (0.5 * (p + np.roll(p, -1, axis=1))).mean(axis=1)
     w, m = model.omega, model.mass
-    x0_t = qc[:, None] * np.cos(w * times)[None, :] + (pc_mid / (m * w))[:, None] * np.sin(w * times)[None, :]
-    prod = a0[:, None] * x0_t
-    vals = prod.mean(axis=0)
-    errs = block_standard_error(prod)
+    cos_t, sin_t = np.cos(w * times)[None, :], np.sin(w * times)[None, :]
+    v0 = pc_mid / (m * w)
+    acc = RowAccumulator(len(a0))
+    for lo in range(0, len(a0), _ROW_CHUNK):
+        rows = slice(lo, lo + _ROW_CHUNK)
+        x0_t = qc[rows, None] * cos_t + v0[rows, None] * sin_t
+        acc.add(a0[rows, None] * x0_t)
+    vals, errs = acc.result()
     meta = {"method": "caq_reference", "A": a_obs.label, "B": "q",
             "beta": thermo.beta, "n_beads": thermo.n_beads, "seed": cfg.seed}
     return CorrelationSeries(times, vals, errs, meta)

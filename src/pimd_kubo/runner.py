@@ -24,7 +24,11 @@ _SCHEMA below; [model] takes only the keys of its kind.  ``command`` in
 
 (* with dump_ensemble / dump_trajectory = true.)  compare runs ``method``
 rpmd or cmd against the oracle; spectrum transforms the correlator of
-method rpmd, cmd or oracle.  Every run also writes meta.json.
+method rpmd, cmd or oracle.  Every run also writes meta.json, which
+records the process's peak resident set size (peak_rss_mb) among other
+things.  All files of a run are written to a temporary directory beside
+output_dir and moved in once every writer has finished, so a failing run
+adds no file to output_dir.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -32,7 +36,9 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 import argparse
 import json
 import os
+import resource
 import sys
+import tempfile
 import time
 import warnings
 
@@ -416,6 +422,12 @@ _COMMANDS = {
 }
 
 
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (2^20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes there, KiB on Linux
+
+
 def run(config, workers=None):
     """Execute a parsed RunConfig; returns the exit status."""
     t_start = time.time()
@@ -425,20 +437,27 @@ def run(config, workers=None):
             stats = {}
             artifacts = _COMMANDS[config.command][1](config, workers, stats)
         os.makedirs(config.output_dir, exist_ok=True)
-        for name, writer in artifacts:
-            writer(os.path.join(config.output_dir, name))
-        meta = {
-            "command": config.command,
-            "seed": config.seed,
-            "config": config.sections,
-            "package_version": __version__,
-            "numpy_version": np.__version__,
-            "wall_time_s": round(time.time() - t_start, 3),
-            "warnings": [str(w.message) for w in wlist],
-            "artifacts": sorted(name for name, _ in artifacts),
-            "stats": stats,
-        }
-        io.write_meta_json(os.path.join(config.output_dir, "meta.json"), meta)
+        # the whole set is written beside output_dir first, so a failing
+        # writer leaves no new file in output_dir
+        parent = os.path.dirname(os.path.abspath(config.output_dir))
+        with tempfile.TemporaryDirectory(dir=parent, prefix=".pimd-kubo-") as staging:
+            for name, writer in artifacts:
+                writer(os.path.join(staging, name))
+            meta = {
+                "command": config.command,
+                "seed": config.seed,
+                "config": config.sections,
+                "package_version": __version__,
+                "numpy_version": np.__version__,
+                "wall_time_s": round(time.time() - t_start, 3),
+                "peak_rss_mb": _peak_rss_mb(),
+                "warnings": [str(w.message) for w in wlist],
+                "artifacts": sorted(name for name, _ in artifacts),
+                "stats": stats,
+            }
+            io.write_meta_json(os.path.join(staging, "meta.json"), meta)
+            for name in os.listdir(staging):
+                os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,13 @@ pinned.  Momentum marginals are exact Gaussians and are drawn directly.
 Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from counter-based streams keyed by (seed, purpose,
 walker group), so the output is a pure function of (config, seed) no matter
-how walker groups are scheduled across threads.
+how walker groups are scheduled across threads.  Per block of _BLOCK_SWEEPS
+sweeps, a walker group's stream holds the block's normals, then its
+uniforms.  Neither sampler allocates a block's draws: both draw the
+uniforms sweep by sweep into one reused buffer, the free sampler draws each
+block's normals into one buffer that its walker group reuses, and the
+constrained sampler re-draws the normals sweep by sweep (see
+_run_lanes_constrained).
 
 The constrained sampler also takes a 1-D grid of centroids (the CMD force
 table's nodes).  Node i then draws from the streams keyed by
@@ -26,6 +32,7 @@ acceptance-rate warning is still decided per node, in the calling thread.
 import math
 import os
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -99,6 +106,28 @@ def map_groups(worker_fn, groups, workers=None):
         list(pool.map(worker_fn, groups))
 
 
+def map_in_order(fn, items, consume, workers=None):
+    """Call consume(fn(item)) for every item, in item order, in this thread.
+
+    fn runs on resolve_workers(workers) threads.  An item is submitted only
+    once the oldest result is consumed and dropped, so at most that many
+    results are alive at once.
+    """
+    workers = resolve_workers(workers)
+    if workers <= 1:
+        for item in items:
+            consume(fn(item))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) == workers:
+                consume(pending.popleft().result())
+            pending.append(pool.submit(fn, item))
+        while pending:
+            consume(pending.popleft().result())
+
+
 def _node_seed(seed, index):
     """Seed of grid node `index` of a constrained grid call (stream key part)."""
     return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
@@ -168,13 +197,17 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
 
     sets = _bead_sets(n)
     neighbors = [( (ks + 1) % n, (ks - 1) % n ) for ks in sets]
+    # per block the stream holds the block's normals, then its uniforms
+    # sweep by sweep: one reused normal block, one sweep of uniforms
+    z_block = np.empty((min(_BLOCK_SWEEPS, total_sweeps), n + 1, g_size))
+    u = np.empty((n + 1, g_size))
 
     sweep = 0
     while sweep < total_sweeps:
         nb = min(_BLOCK_SWEEPS, total_sweeps - sweep)
-        z = gen.standard_normal((nb, n + 1, g_size))
-        u = gen.random((nb, n + 1, g_size))
+        z = gen.standard_normal(out=z_block[:nb])
         for s in range(nb):
+            gen.random(out=u)
             in_burn = sweep < cfg.burn_in
             off = 0
             for ks, (kp, km) in zip(sets, neighbors):
@@ -186,7 +219,7 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
                     xkp, xkm = x[:, kp], x[:, km]
                     d = d + c_spring * ((prop - xkp) ** 2 + (prop - xkm) ** 2
                                         - (xk - xkp) ** 2 - (xk - xkm) ** 2)
-                acc = u[s, off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
+                acc = u[off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
                 x[:, ks] = np.where(acc, prop, xk)
                 v_cache[:, ks] = np.where(acc, v_new, v_cache[:, ks])
                 if in_burn:
@@ -200,7 +233,7 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
             xp = x + shift[:, None]
             v_new = pot(xp)
             d = beta_n * (v_new.sum(axis=1) - v_cache.sum(axis=1))
-            acc = u[s, n] < np.exp(-np.minimum(d, 700.0))
+            acc = u[n] < np.exp(-np.minimum(d, 700.0))
             x[acc] = xp[acc]
             v_cache[acc] = v_new[acc]
             if in_burn:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pimd_kubo import (CENTROID_DELTA, POSITION_DELTA, CentroidForceTable,
                        kubo_momentum_correlator_via_derivative, rpmd_kubo_correlator,
                        sample_ring_positions, spectrum)
 from pimd_kubo.errors import (GridTooCoarse, InsufficientSamples, UnsupportedObservable)
+from pimd_kubo._stats import RowAccumulator
 from pimd_kubo.estimators import _rpmd_correlator_from_ic
 
 
@@ -65,8 +68,8 @@ def test_rpmd_time_reversal(harmonic_model):
     icfg = IntegratorConfig(dt=0.05, n_steps=100)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
     p0 = draw_momenta(th, harmonic_model, scfg, "bead")
-    fwd, fe, _ = _rpmd_correlator_from_ic(x0, p0, harmonic_model, th, icfg, OBS_Q, OBS_Q)
-    bwd, be, _ = _rpmd_correlator_from_ic(x0, -p0, harmonic_model, th, icfg, OBS_Q, OBS_Q)
+    fwd, fe = _rpmd_correlator_from_ic(x0, p0, harmonic_model, th, icfg, OBS_Q, OBS_Q)
+    bwd, be = _rpmd_correlator_from_ic(x0, -p0, harmonic_model, th, icfg, OBS_Q, OBS_Q)
     dev = np.abs(fwd - bwd) / np.maximum(np.hypot(fe, be), 1e-12)
     assert dev.max() <= 3.0
 
@@ -76,9 +79,62 @@ def test_accumulation_partition_independent(harmonic_model):
     scfg = _scfg(2048, seed=56)
     icfg = IntegratorConfig(dt=0.05, n_steps=20)
     a = rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=1)
-    b = rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=4)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.std_errors, b.std_errors)
+    for workers in (2, 3, 4):
+        b = rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=workers)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.std_errors, b.std_errors)
+
+
+@pytest.mark.parametrize("n", [1000, 2500])
+def test_row_accumulator_matches_full_reduction(n):
+    # n is no multiple of 16 or of the 1024-trajectory chunk; a -0.0 first
+    # row, and a column of -0.0 whose mean numpy gives as +0.0, show that
+    # each sum starts at +0.0 as numpy's does
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 7)) * np.exp(rng.uniform(-5.0, 5.0, (n, 1)))
+    x[0] = -0.0
+    x[:, 3] = -0.0
+    acc = RowAccumulator(n)
+    lo = 0
+    for size in (1, 1023, 300, 5, 1024, 9999):
+        acc.add(x[lo:lo + size])
+        lo = min(lo + size, n)
+    mean, se = acc.result()
+    assert mean.tobytes() == x.mean(axis=0).tobytes()
+    assert se.tobytes() == block_error(x).tobytes()
+    # the same rows, strided as a propagation record's transpose
+    acc = RowAccumulator(n)
+    acc.add(np.asfortranarray(x))
+    assert acc.result()[0].tobytes() == mean.tobytes()
+
+
+def test_row_accumulator_checks_row_count():
+    with pytest.raises(InsufficientSamples):
+        RowAccumulator(31)
+    acc = RowAccumulator(40)
+    acc.add(np.ones((39, 2)))
+    with pytest.raises(ValueError):
+        acc.result()
+    with pytest.raises(ValueError):
+        acc.add(np.ones((2, 2)))
+
+
+def test_rpmd_correlator_streams_products(harmonic_model):
+    # the products A0 * B(t) are reduced chunk by chunk: the traced peak stays
+    # well below one n_traj x (n_steps + 1) array, which the full reduction held
+    th = ThermoParams(1.0, 4)
+    scfg = _scfg(4096, seed=60)
+    icfg = IntegratorConfig(dt=0.05, n_steps=500)
+    x0 = sample_ring_positions(harmonic_model, th, scfg)
+    p0 = draw_momenta(th, harmonic_model, scfg, "bead")
+    full = 4096 * (icfg.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        _rpmd_correlator_from_ic(x0, p0, harmonic_model, th, icfg, OBS_Q, OBS_Q, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * full
 
 
 # ----------------------------------------------------------------------

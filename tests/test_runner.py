@@ -361,3 +361,33 @@ def test_static_momentum_skips_position_sampler(tmp_path, monkeypatch):
     assert calls == [1]
     assert (tmp_path / "p" / "results.csv").read_bytes() == (dumped / "results.csv").read_bytes()
     assert (dumped / "ensemble.csv").exists()
+
+
+def test_failing_writer_adds_no_file(tmp_path, monkeypatch, capsys):
+    # results.csv is written before ensemble.csv fails; neither may reach
+    # output_dir, whether it holds an earlier run's files or is new
+    old = tmp_path / "old"
+    assert run(parse_config(MINIMAL_STATIC.format(out=old) + "dump_ensemble = true\n")) == 0
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+
+    def failing(path, ensemble):
+        with open(path, "w") as fh:
+            fh.write("x_1\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("pimd_kubo.io.write_ensemble_csv", failing)
+    for out in (old, tmp_path / "new"):
+        text = MINIMAL_STATIC.format(out=out).replace("seed = 7", "seed = 8")
+        assert run(parse_config(text + "dump_ensemble = true\n")) == 3
+        assert "runtime error: OSError: disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+    assert os.listdir(tmp_path / "new") == []
+    assert sorted(os.listdir(tmp_path)) == ["new", "old"]  # no staging directory left
+
+
+def test_meta_records_peak_rss(tmp_path):
+    out = tmp_path / "out"
+    assert run(parse_config(MINIMAL_STATIC.format(out=out))) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["peak_rss_mb"] > 0
+    assert "peak_rss_mb" not in meta["stats"]

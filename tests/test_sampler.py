@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from pimd_kubo import _streams
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning
 from pimd_kubo.model import potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo.sampler import _GROUP, _conditional_centroid_m2, _run_lanes_constrained
+from pimd_kubo.sampler import (_GROUP, _bead_sets, _conditional_centroid_m2, _run_group_free,
+                              _run_lanes_constrained)
 
 
 def _cfg(n, seed=1, **kw):
@@ -327,3 +329,118 @@ def test_constrained_kernel_matches_reference(model, n, monkeypatch):
             assert got[i].tobytes() == want[i].tobytes()
             start = lanes[i][2] * _GROUP * rounds
             assert np.isfinite(got[i][start:start + lanes[i][3] * rounds]).all()
+
+
+def _reference_run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
+    """The allocating bead-move kernel the buffered one must reproduce bit for bit."""
+    n = thermo.n_beads
+    beta_n = thermo.beta / n
+    c_spring = model.mass * n / (2.0 * thermo.beta * thermo.hbar**2)
+    pot = potential_fn(model)
+    gen = _streams.stream(cfg.seed, _streams.POSITIONS, g_index)
+
+    x = 0.05 * gen.standard_normal((g_size, n))
+    v_cache = pot(x)
+    scale = np.full((g_size, 1), cfg.move_scale)
+    t_scale = np.full(g_size, cfg.move_scale)
+
+    total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
+    win_bead = np.zeros(g_size)
+    win_tr = np.zeros(g_size)
+    acc_prod = 0.0
+    att_prod = 0.0
+    emitted = 0
+
+    sets = _bead_sets(n)
+    neighbors = [((ks + 1) % n, (ks - 1) % n) for ks in sets]
+
+    sweep = 0
+    while sweep < total_sweeps:
+        nb = min(64, total_sweeps - sweep)
+        z = gen.standard_normal((nb, n + 1, g_size))
+        u = gen.random((nb, n + 1, g_size))
+        for s in range(nb):
+            in_burn = sweep < cfg.burn_in
+            off = 0
+            for ks, (kp, km) in zip(sets, neighbors):
+                xk = x[:, ks]
+                prop = xk + scale * z[s, off:off + ks.size].T
+                v_new = pot(prop)
+                d = beta_n * (v_new - v_cache[:, ks])
+                if n > 1:
+                    xkp, xkm = x[:, kp], x[:, km]
+                    d = d + c_spring * ((prop - xkp) ** 2 + (prop - xkm) ** 2
+                                        - (xk - xkp) ** 2 - (xk - xkm) ** 2)
+                acc = u[s, off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
+                x[:, ks] = np.where(acc, prop, xk)
+                v_cache[:, ks] = np.where(acc, v_new, v_cache[:, ks])
+                if in_burn:
+                    win_bead += acc.sum(axis=1)
+                else:
+                    acc_prod += float(acc.sum())
+                    att_prod += acc.size
+                off += ks.size
+            shift = t_scale * z[s, n]
+            xp = x + shift[:, None]
+            v_new = pot(xp)
+            d = beta_n * (v_new.sum(axis=1) - v_cache.sum(axis=1))
+            acc = u[s, n] < np.exp(-np.minimum(d, 700.0))
+            x[acc] = xp[acc]
+            v_cache[acc] = v_new[acc]
+            if in_burn:
+                win_tr += acc
+
+            sweep += 1
+            if in_burn and sweep % 16 == 0:
+                rate = win_bead / (16 * n)
+                scale[:, 0] *= np.exp(1.2 * (rate - cfg.target_acceptance))
+                rate_t = win_tr / 16
+                t_scale *= np.exp(1.2 * (rate_t - cfg.target_acceptance))
+                np.clip(scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=scale)
+                np.clip(t_scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=t_scale)
+                win_bead[:] = 0.0
+                win_tr[:] = 0.0
+            if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
+                rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
+                out[rows] = x
+                emitted += 1
+    return acc_prod, att_prod
+
+
+@pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
+                                   quartic(1.0)],
+                         ids=["harmonic", "anharmonic_c3", "quartic"])
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_free_kernel_matches_reference(model, n):
+    # burn-in of 80 sweeps ends inside the second 64-sweep block, the last
+    # block (5 rounds x stride 3) is a partial one, and group 1 checks the
+    # row offsets
+    th = ThermoParams(2.0, n)
+    cfg = SamplerConfig(n_samples=1, seed=29, burn_in=80, decorrelation_stride=3)
+    rounds = 5
+    rows = (_GROUP + 37) * rounds
+    for g_index, g_size in ((0, 37), (1, 23)):
+        want, got = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
+        want_stats = _reference_run_group_free(model, th, cfg, g_index, g_size, rounds, want)
+        assert _run_group_free(model, th, cfg, g_index, g_size, rounds, got) == want_stats
+        assert got.tobytes() == want.tobytes()
+        start = g_index * _GROUP * rounds
+        assert np.isfinite(got[start:start + g_size * rounds]).all()
+
+
+def test_free_sampler_holds_one_normal_block(harmonic_model):
+    # one walker group, 64 + 16 sweeps: the second, shorter block reuses the
+    # first block's buffer, and the uniforms come one sweep at a time
+    th = ThermoParams(1.0, 8)
+    cfg = SamplerConfig(n_samples=4 * _GROUP, seed=31, burn_in=64, decorrelation_stride=4,
+                        n_walkers=_GROUP)
+    output = cfg.n_samples * th.n_beads * 8
+    block = 64 * (th.n_beads + 1) * _GROUP * 8
+    tracemalloc.start()
+    try:
+        sample_ring_positions(harmonic_model, th, cfg, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < output + 1.5 * block
