@@ -5,10 +5,11 @@ the free ring polymer in normal modes, half potential kick.  The rotation is
 exact for the spring term, so internal-mode stiffness never limits the time
 step; accuracy is governed by dt times the physical frequency.  The zero
 mode receives no spring force, only drift, so the centroid decouples from
-the springs identically.
+the springs identically.  The batched step (propagate_batch) keeps the
+modes as the real FFT half spectrum of the beads and never packs them into
+the orthonormal layout of ringpoly.normal_mode_matrix.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,27 +62,32 @@ def propagate_batch(x, p, model, thermo, dt, n_steps, record):
 
     record is a list of Observable; returns (recorded (n_obs, n_steps+1,
     n_traj), final positions, final momenta).  x and p are left untouched.
-    Each step works in preallocated buffers: the rotation runs in place, in
-    the operation order of a*cos + b*sin/(m w) and b*cos - a*m w sin, and
-    the transforms write into their outputs.
+    Positions, momenta and force are held as np.fft.rfft half spectra.  The
+    free-ring normal modes are their real and imaginary parts up to a fixed
+    scale per mode, and both parts of wavenumber k rotate at w_k, so the
+    rotation runs in place on the float64 views of the spectra, with the
+    factors of k <= N/2 repeated for each (re, im) pair, in the operation
+    order of a*cos + b*sin/(m w) and b*cos - a*m w sin.  The centroid
+    momentum is b_0 / N, and positions come back by one irfft per step.
     """
     grad = grad_fn(model)
-    cosw, sin_over, msin = _rotation_factors(thermo, model, dt)
-    sqrt_n = math.sqrt(thermo.n_beads)
+    n = thermo.n_beads
+    cosw, sin_over, msin = (np.repeat(f[: n // 2 + 1], 2)
+                            for f in _rotation_factors(thermo, model, dt))
     half = 0.5 * dt
 
     x_cur = np.array(x, dtype=float)
-    work = np.empty(x_cur.shape[:-1] + (x_cur.shape[-1] // 2 + 1,), dtype=complex)
-    a = normal_mode_transform(x_cur, "forward", work=work)
-    b = normal_mode_transform(p, "forward", work=work)
-    f_nm = np.empty_like(a)
+    a_ft = np.fft.rfft(x_cur)
+    b_ft = np.fft.rfft(p)
+    f_ft = np.empty_like(a_ft)
+    a, b, f = a_ft.view(float), b_ft.view(float), f_ft.view(float)
     a_msin = np.empty_like(a)
     scratch = np.empty_like(a)
 
     def force():
         g = grad(x_cur)
         np.negative(g, out=g)
-        normal_mode_transform(g, "forward", f_nm, work)
+        np.fft.rfft(g, out=f_ft)
 
     out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
 
@@ -90,24 +96,24 @@ def propagate_batch(x, p, model, thermo, dt, n_steps, record):
             if obs.kind == POSITION:
                 np.mean(obs.f(x_cur), axis=1, out=out[i, step])
             elif obs.kind == MOMENTUM:
-                np.divide(b[:, 0], sqrt_n, out=out[i, step])
+                np.divide(b[:, 0], n, out=out[i, step])
             else:
                 raise ValueError(f"unknown observable kind {obs.kind!r}")
 
     force()
     snapshot(0)
     for step in range(1, n_steps + 1):
-        b += np.multiply(f_nm, half, out=scratch)
+        b += np.multiply(f, half, out=scratch)
         np.multiply(a, msin, out=a_msin)
         a *= cosw
         a += np.multiply(b, sin_over, out=scratch)
         b *= cosw
         b -= a_msin
-        normal_mode_transform(a, "inverse", x_cur, work)
+        np.fft.irfft(a_ft, n=n, out=x_cur)
         force()
-        b += np.multiply(f_nm, half, out=scratch)
+        b += np.multiply(f, half, out=scratch)
         snapshot(step)
-    return out, x_cur, normal_mode_transform(b, "inverse", work=work)
+    return out, x_cur, np.fft.irfft(b_ft, n=n)
 
 
 def rpmd_step(state, model, thermo, dt):

@@ -3,9 +3,10 @@
 Correlators are assembled from fresh equilibrium initial conditions, one
 microcanonical trajectory per sample; origin averaging along a single long
 trajectory is deliberately avoided because RPMD trajectories do not resample
-the thermal ensemble.  RPMD products A0(0) * B0(t) are streamed in
-trajectory order into running sums, so results are identical for any work
-partitioning and no n_traj x n_times array is held.
+the thermal ensemble.  The products A0(0) * B(t) of every Monte Carlo
+correlator are streamed in trajectory order into running sums
+(_stats.RowAccumulator), so results are identical for any work
+partitioning and no n_traj x n_times product array is held.
 """
 
 import math
@@ -150,16 +151,15 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     qs, ps = cmd_propagate(qc0, pc0, table, model.mass, integrator_cfg.dt,
                            integrator_cfg.n_steps)
     a0 = qc0 if a_obs.kind == POSITION else pc0
-    if b_obs.kind == POSITION:
-        b_t = b_obs.f(qs).T
-    else:
-        b_t = ps.T
-    prod = a0[:, None] * b_t
+    acc = RowAccumulator(qc0.size)
+    for lo, hi in _chunks(qc0.size):
+        b_t = b_obs.f(qs[:, lo:hi]) if b_obs.kind == POSITION else ps[:, lo:hi]
+        acc.add(a0[lo:hi, None] * b_t.T)  # A0(0) * B(t), in trajectory order
+    values, errors = acc.result()
     meta = _model_meta(model, thermo)
     meta.update({"method": "cmd", "A": a_obs.label, "B": b_obs.label,
                  "seed": sampler_cfg.seed, "dt": integrator_cfg.dt})
-    return CorrelationSeries(integrator_cfg.times(), prod.mean(axis=0),
-                             block_error(prod), meta)
+    return CorrelationSeries(integrator_cfg.times(), values, errors, meta)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,8 @@ class PotentialModel:
                 raise ValueError("c3 must be finite")
             if not (np.isfinite(self.c4) and self.c4 >= 0):
                 raise ValueError("c4 must be finite and >= 0")
+            if self.c3 != 0.0 and self.c4 == 0.0:
+                raise ValueError("c3 != 0 needs c4 > 0: a cubic-only well is unbounded below")
         if self.kind == QUARTIC:
             if not (np.isfinite(self.a4) and self.a4 > 0):
                 raise ValueError("a4 must be finite and > 0")

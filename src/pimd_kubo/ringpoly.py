@@ -5,17 +5,10 @@ normal-mode transform is the real orthogonal transform diagonalizing the
 cyclic spring matrix; mode 0 carries sqrt(N) times the centroid and the
 mode frequencies are w_k = 2 (N / beta hbar) sin(k pi / N).
 
-The transform has one realisation for every N: a vectorised real FFT.
-normal_mode_matrix stays as its reference and for the constrained
-sampler's single-mode moves.  The FFT is chosen for the traffic the program
-serves: RPMD transforms 1024-trajectory chunks from a 2-thread pool with
-BLAS threads unset, and there every matmul of a matrix path also fans out
-to the BLAS threads.  Measured in that pool (2 cores, numpy 2.4.6, OpenBLAS
-0.3.31, median of 7), 300 RPMD steps took 1.16 s on the FFT path against
-1.89 s on the matrix path for 2048 x 128 beads, and 0.77 s against 0.84 s
-for 4096 x 32 beads.  Timed alone on one thread the matrix looks faster
-(about 7 against 25 ns per bead at N = 128); with OPENBLAS_NUM_THREADS=1
-the two paths tie in the pool.
+The transform is the product with normal_mode_matrix(N).  The RPMD step
+does not use it: it works on the real FFT half spectrum of the beads, whose
+real and imaginary parts are the same modes up to a scale per mode (see
+dynamics.propagate_batch).
 """
 
 from dataclasses import dataclass, field
@@ -172,57 +165,18 @@ def normal_mode_matrix(n):
     return c
 
 
-def _forward_fft(x, out=None, work=None):
-    """Forward transform of the last axis by one real FFT.
-
-    Mode k (0 < k < N/2) is sqrt(2/N) Re X_k, mode N-k is sqrt(2/N) Im X_k,
-    and modes 0 and N/2 are X_k / sqrt(N).  out receives the modes and work
-    the complex rfft output when given.
-    """
-    n = x.shape[-1]
-    h = (n + 1) // 2
-    ft = np.fft.rfft(x, axis=-1, out=work)
-    a = np.empty_like(x) if out is None else out
-    s2 = np.sqrt(2.0 / n)
-    np.divide(ft.real[..., 0], np.sqrt(n), out=a[..., 0])
-    np.multiply(ft.real[..., 1:h], s2, out=a[..., 1:h])
-    np.multiply(ft.imag[..., h - 1:0:-1], s2, out=a[..., n - h + 1:])
-    if n % 2 == 0:
-        np.divide(ft.real[..., n // 2], np.sqrt(n), out=a[..., n // 2])
-    return a
-
-
-def _inverse_fft(a, out=None, work=None):
-    """Inverse of _forward_fft: pack the modes into a half spectrum, one irfft."""
-    n = a.shape[-1]
-    h = (n + 1) // 2
-    ft = np.empty(a.shape[:-1] + (n // 2 + 1,), dtype=complex) if work is None else work
-    s2 = np.sqrt(n / 2.0)
-    np.multiply(a[..., 0], np.sqrt(n), out=ft.real[..., 0])
-    ft.imag[..., 0] = 0.0
-    np.multiply(a[..., 1:h], s2, out=ft.real[..., 1:h])
-    np.multiply(a[..., n - 1:n - h:-1], s2, out=ft.imag[..., 1:h])
-    if n % 2 == 0:
-        np.multiply(a[..., n // 2], np.sqrt(n), out=ft.real[..., n // 2])
-        ft.imag[..., n // 2] = 0.0
-    return np.fft.irfft(ft, n=n, axis=-1, out=out)
-
-
-def normal_mode_transform(arr, direction="forward", out=None, work=None):
+def normal_mode_transform(arr, direction="forward"):
     """Apply the cyclic normal-mode transform along the last axis.
 
-    The columns of normal_mode_matrix(N), agreeing with it to 1e-12, realised
-    for every N by one real FFT: in the RPMD thread pool that path beats the
-    matrix (1.16 s against 1.89 s for 300 steps of 2048 x 128 beads, 0.77 s
-    against 0.84 s at 4096 x 32; see the module docstring).  out (real,
-    shaped like arr) and work (complex, last axis N // 2 + 1) are optional
-    buffers for callers that transform in a loop.
+    forward gives the amplitudes a = x C of the columns of
+    C = normal_mode_matrix(N); inverse gives x = a C^T.
     """
     arr = np.asarray(arr, dtype=float)
+    c = normal_mode_matrix(arr.shape[-1])
     if direction == "forward":
-        return _forward_fft(arr, out, work)
+        return arr @ c
     if direction == "inverse":
-        return _inverse_fft(arr, out, work)
+        return arr @ c.T
     raise ValueError("direction must be 'forward' or 'inverse'")
 
 

@@ -8,13 +8,10 @@ pinned.  Momentum marginals are exact Gaussians and are drawn directly.
 Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from counter-based streams keyed by (seed, purpose,
 walker group), so the output is a pure function of (config, seed) no matter
-how walker groups are scheduled across threads.  Per block of _BLOCK_SWEEPS
-sweeps, a walker group's stream holds the block's normals, then its
-uniforms.  Neither sampler allocates a block's draws: both draw the
-uniforms sweep by sweep into one reused buffer, the free sampler draws each
-block's normals into one buffer that its walker group reuses, and the
-constrained sampler re-draws the normals sweep by sweep (see
-_run_lanes_constrained).
+how walker groups are scheduled across threads.  Both samplers read their
+streams sweep by sweep: per sweep, a walker group's stream gives the
+sweep's normals, then its uniforms, drawn into one reused sweep buffer.
+A longer run therefore reproduces every row of a shorter one.
 
 The constrained sampler also takes a 1-D grid of centroids (the CMD force
 table's nodes).  Node i then draws from the streams keyed by
@@ -45,7 +42,6 @@ from .model import potential_fn
 from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies, normal_mode_matrix
 
 _GROUP = 2048         # walkers per vectorized group (fixed; not tied to thread count)
-_BLOCK_SWEEPS = 64    # sweeps per pregenerated random block
 _ADAPT_WINDOW = 16    # sweeps per burn-in adaptation window
 _STACK_VALUES = 1 << 19  # walkers x beads per constrained stack at most (4 MB arrays)
 _CHUNK_VALUES = 1 << 15  # walkers x beads per constrained mode move (fits in L2)
@@ -197,63 +193,57 @@ def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
 
     sets = _bead_sets(n)
     neighbors = [( (ks + 1) % n, (ks - 1) % n ) for ks in sets]
-    # per block the stream holds the block's normals, then its uniforms
-    # sweep by sweep: one reused normal block, one sweep of uniforms
-    z_block = np.empty((min(_BLOCK_SWEEPS, total_sweeps), n + 1, g_size))
-    u = np.empty((n + 1, g_size))
+    z = np.empty((n + 1, g_size))
+    u = np.empty_like(z)
 
-    sweep = 0
-    while sweep < total_sweeps:
-        nb = min(_BLOCK_SWEEPS, total_sweeps - sweep)
-        z = gen.standard_normal(out=z_block[:nb])
-        for s in range(nb):
-            gen.random(out=u)
-            in_burn = sweep < cfg.burn_in
-            off = 0
-            for ks, (kp, km) in zip(sets, neighbors):
-                xk = x[:, ks]
-                prop = xk + scale * z[s, off:off + ks.size].T
-                v_new = pot(prop)
-                d = beta_n * (v_new - v_cache[:, ks])
-                if n > 1:
-                    xkp, xkm = x[:, kp], x[:, km]
-                    d = d + c_spring * ((prop - xkp) ** 2 + (prop - xkm) ** 2
-                                        - (xk - xkp) ** 2 - (xk - xkm) ** 2)
-                acc = u[off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
-                x[:, ks] = np.where(acc, prop, xk)
-                v_cache[:, ks] = np.where(acc, v_new, v_cache[:, ks])
-                if in_burn:
-                    win_bead += acc.sum(axis=1)
-                else:
-                    acc_prod += float(acc.sum())
-                    att_prod += acc.size
-                off += ks.size
-            # whole-ring translation (spring term invariant)
-            shift = t_scale * z[s, n]
-            xp = x + shift[:, None]
-            v_new = pot(xp)
-            d = beta_n * (v_new.sum(axis=1) - v_cache.sum(axis=1))
-            acc = u[n] < np.exp(-np.minimum(d, 700.0))
-            x[acc] = xp[acc]
-            v_cache[acc] = v_new[acc]
+    for sweep in range(1, total_sweeps + 1):
+        gen.standard_normal(out=z)
+        gen.random(out=u)
+        in_burn = sweep <= cfg.burn_in
+        off = 0
+        for ks, (kp, km) in zip(sets, neighbors):
+            xk = x[:, ks]
+            prop = xk + scale * z[off:off + ks.size].T
+            v_new = pot(prop)
+            d = beta_n * (v_new - v_cache[:, ks])
+            if n > 1:
+                xkp, xkm = x[:, kp], x[:, km]
+                d = d + c_spring * ((prop - xkp) ** 2 + (prop - xkm) ** 2
+                                    - (xk - xkp) ** 2 - (xk - xkm) ** 2)
+            acc = u[off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
+            x[:, ks] = np.where(acc, prop, xk)
+            v_cache[:, ks] = np.where(acc, v_new, v_cache[:, ks])
             if in_burn:
-                win_tr += acc
+                win_bead += acc.sum(axis=1)
+            else:
+                acc_prod += float(acc.sum())
+                att_prod += acc.size
+            off += ks.size
+        # whole-ring translation (spring term invariant)
+        shift = t_scale * z[n]
+        xp = x + shift[:, None]
+        v_new = pot(xp)
+        d = beta_n * (v_new.sum(axis=1) - v_cache.sum(axis=1))
+        acc = u[n] < np.exp(-np.minimum(d, 700.0))
+        x[acc] = xp[acc]
+        v_cache[acc] = v_new[acc]
+        if in_burn:
+            win_tr += acc
 
-            sweep += 1
-            if in_burn and sweep % _ADAPT_WINDOW == 0:
-                rate = win_bead / (_ADAPT_WINDOW * n)
-                scale[:, 0] *= np.exp(1.2 * (rate - cfg.target_acceptance))
-                rate_t = win_tr / _ADAPT_WINDOW
-                t_scale *= np.exp(1.2 * (rate_t - cfg.target_acceptance))
-                np.clip(scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=scale)
-                np.clip(t_scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=t_scale)
-                win_bead[:] = 0.0
-                win_tr[:] = 0.0
-            if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-                # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
-                rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
-                out[rows] = x
-                emitted += 1
+        if in_burn and sweep % _ADAPT_WINDOW == 0:
+            rate = win_bead / (_ADAPT_WINDOW * n)
+            scale[:, 0] *= np.exp(1.2 * (rate - cfg.target_acceptance))
+            rate_t = win_tr / _ADAPT_WINDOW
+            t_scale *= np.exp(1.2 * (rate_t - cfg.target_acceptance))
+            np.clip(scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=scale)
+            np.clip(t_scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=t_scale)
+            win_bead[:] = 0.0
+            win_tr[:] = 0.0
+        if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
+            # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
+            rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
+            out[rows] = x
+            emitted += 1
     return acc_prod, att_prod
 
 
@@ -275,11 +265,7 @@ def _run_lanes_constrained(model, thermo, cfg, lanes, rounds):
     step serves the whole stack; the mode moves run over chunks of
     _CHUNK_VALUES walker x bead values, whose arrays stay in cache.  Every
     step is elementwise in the walker, so a lane gets the same bits in any
-    stack and any chunking.  A lane's stream holds, per block of sweeps,
-    the block's normals and then its uniforms: the stream first steps over
-    the normals, then gives the uniforms sweep by sweep while a second
-    cursor, started at the block, gives the normals, so the stack holds one
-    sweep of draws, not a block.
+    stack and any chunking.
     Returns [(accepted, attempted) after burn-in] in lane order.
     """
     n = thermo.n_beads
@@ -298,7 +284,7 @@ def _run_lanes_constrained(model, thermo, cfg, lanes, rounds):
     v_sum = np.empty(walkers)
     # mode-major: row k - 1 holds internal mode k of every walker
     a = np.empty((n - 1, walkers))
-    gens, cursors = [], []
+    gens = []
     for (seed, q_c, g_index, g_size, _), span in zip(lanes, spans):
         gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED, g_index)
         a_lane = np.zeros((g_size, n))
@@ -308,7 +294,6 @@ def _run_lanes_constrained(model, thermo, cfg, lanes, rounds):
         v_sum[span] = pot(x[span]).sum(axis=1)
         a[:, span] = a_lane[:, 1:].T
         gens.append(gen)
-        cursors.append(np.random.Generator(np.random.Philox(0)))
     scale = np.repeat(cfg.move_scale * sigma0[:, None], walkers, axis=1)
     lo, hi = 1e-4 * sigma0[:, None], 1e4 * sigma0[:, None]
     cols = cmat[:, 1:].T.copy()
@@ -336,56 +321,48 @@ def _run_lanes_constrained(model, thermo, cfg, lanes, rounds):
         m = c.stop - c.start
         chunks.append((c, x[c], v_sum[c], prop[:m], v_beads[:m], v_new[:m], d[:m]))
 
-    sweep = 0
-    while sweep < total_sweeps:
-        nb = min(_BLOCK_SWEEPS, total_sweeps - sweep)
-        for gen, cursor, buf in zip(gens, cursors, bufs):
-            cursor.bit_generator.state = gen.bit_generator.state
-            for _ in range(nb):
-                gen.standard_normal(out=buf)
-        for s in range(nb):
-            for gen, cursor, buf, span in zip(gens, cursors, bufs, spans):
-                z[:, span] = cursor.standard_normal(out=buf)
-                u[:, span] = gen.random(out=buf)
-            in_burn = sweep < cfg.burn_in
-            # amplitude a_k changes only in the move of mode k, so the step
-            # da = scale z and the spring term t = spring_k ((a_k + da)^2 - a_k^2)
-            # of every mode are known when the sweep starts
-            da = np.multiply(scale, z, out=z)
-            np.square(np.add(a, da, out=t), out=t)
-            np.subtract(t, np.square(a, out=t2), out=t)
-            np.multiply(spring, t, out=t)
-            for c, xc, vc, pc, vb, vn, dc in chunks:
-                for k in range(1, n):
-                    dak, acck = da[k - 1, c], acc[k - 1, c]
-                    # prop = x + da_k c_k;  v_new = sum_j V(prop_j)
-                    np.add(xc, np.multiply(dak[:, None], cols[k - 1], out=pc), out=pc)
-                    np.sum(pot(pc, out=vb), axis=1, out=vn)
-                    # d = beta_n (v_new - v_sum) + t_k;  acc = u < exp(-min(d, 700))
-                    np.multiply(beta_n, np.subtract(vn, vc, out=dc), out=dc)
-                    dc += t[k - 1, c]
-                    np.exp(np.negative(np.minimum(dc, 700.0, out=dc), out=dc), out=dc)
-                    np.less(u[k - 1, c], dc, out=acck)
-                    np.copyto(xc, pc, where=acck[:, None])
-                    np.copyto(vc, vn, where=acck)
-            np.add(a, da, out=a, where=acc)
-            if in_burn:
-                win += acc
-            else:
-                for i, span in enumerate(spans):
-                    n_acc[i] += int(np.count_nonzero(acc[:, span]))
-            sweep += 1
-            if in_burn and sweep % _ADAPT_WINDOW == 0:
-                rate = win / _ADAPT_WINDOW
-                scale *= np.exp(1.2 * (rate - cfg.target_acceptance))
-                np.clip(scale, lo, hi, out=scale)
-                win[:] = 0.0
-            if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-                # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
-                for (_, _, g_index, g_size, out), span in zip(lanes, spans):
-                    start = g_index * _GROUP * rounds + emitted
-                    out[start:start + g_size * rounds:rounds] = x[span]
-                emitted += 1
+    for sweep in range(1, total_sweeps + 1):
+        for gen, buf, span in zip(gens, bufs, spans):
+            z[:, span] = gen.standard_normal(out=buf)
+            u[:, span] = gen.random(out=buf)
+        in_burn = sweep <= cfg.burn_in
+        # amplitude a_k changes only in the move of mode k, so the step
+        # da = scale z and the spring term t = spring_k ((a_k + da)^2 - a_k^2)
+        # of every mode are known when the sweep starts
+        da = np.multiply(scale, z, out=z)
+        np.square(np.add(a, da, out=t), out=t)
+        np.subtract(t, np.square(a, out=t2), out=t)
+        np.multiply(spring, t, out=t)
+        for c, xc, vc, pc, vb, vn, dc in chunks:
+            for k in range(1, n):
+                dak, acck = da[k - 1, c], acc[k - 1, c]
+                # prop = x + da_k c_k;  v_new = sum_j V(prop_j)
+                np.add(xc, np.multiply(dak[:, None], cols[k - 1], out=pc), out=pc)
+                np.sum(pot(pc, out=vb), axis=1, out=vn)
+                # d = beta_n (v_new - v_sum) + t_k;  acc = u < exp(-min(d, 700))
+                np.multiply(beta_n, np.subtract(vn, vc, out=dc), out=dc)
+                dc += t[k - 1, c]
+                np.exp(np.negative(np.minimum(dc, 700.0, out=dc), out=dc), out=dc)
+                np.less(u[k - 1, c], dc, out=acck)
+                np.copyto(xc, pc, where=acck[:, None])
+                np.copyto(vc, vn, where=acck)
+        np.add(a, da, out=a, where=acc)
+        if in_burn:
+            win += acc
+        else:
+            for i, span in enumerate(spans):
+                n_acc[i] += int(np.count_nonzero(acc[:, span]))
+        if in_burn and sweep % _ADAPT_WINDOW == 0:
+            rate = win / _ADAPT_WINDOW
+            scale *= np.exp(1.2 * (rate - cfg.target_acceptance))
+            np.clip(scale, lo, hi, out=scale)
+            win[:] = 0.0
+        if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
+            # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
+            for (_, _, g_index, g_size, out), span in zip(lanes, spans):
+                start = g_index * _GROUP * rounds + emitted
+                out[start:start + g_size * rounds:rounds] = x[span]
+            emitted += 1
     moves = rounds * cfg.decorrelation_stride * (n - 1)
     return [(float(count), float(g_size * moves)) for count, g_size in zip(n_acc, sizes)]
 
@@ -507,9 +484,6 @@ def _conditional_centroid_m2(model, thermo, u, n_nodes=201, chunk=65536):
         # Gaussian conditional: exponent beta_n * v2 * n * c^2 = (beta m w^2 / 2) c^2
         var = 1.0 / (2.0 * beta_n * v2 * n)
         return np.full(u.shape[0], var)
-    if v4 == 0.0:
-        raise ValueError("conditional centroid moment needs a bounded-below conditional; "
-                         "cubic-only anharmonicity is unbounded (use conditioned=False)")
     s3 = (u**3).sum(axis=-1)
     b4 = v4 * n
     b3 = v3 * n

@@ -2,7 +2,8 @@
 
 No module imports another module's private (underscore) name, except the
 shared helpers in _stats and _streams, and no import hides inside a
-function, where it would keep the module graph out of sight.
+function, where it would keep the module graph out of sight.  Only _streams
+makes random generators, so every draw is keyed by (seed, purpose, index).
 """
 
 import ast
@@ -10,6 +11,9 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pimd_kubo"
 SHARED = ("_stats", "_streams")
+# constructors of numpy generators, bit generators and seed sequences
+RANDOM_MAKERS = {"Generator", "RandomState", "default_rng", "SeedSequence", "BitGenerator",
+                 "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64"}
 
 
 def _trees():
@@ -34,4 +38,23 @@ def test_no_import_inside_function():
            for name, tree in _trees() for fn in ast.walk(tree)
            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
            for inner in ast.walk(fn) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not bad, bad
+
+
+
+def _makes_randomness(node):
+    """A reference to a generator constructor, or an import of a random module."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in RANDOM_MAKERS
+    if isinstance(node, ast.Name):
+        return node.id in RANDOM_MAKERS
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+        return any("random" in module.split(".") for module in modules)
+    return False
+
+
+def test_only_streams_makes_generators():
+    bad = [f"{name}:{node.lineno}" for name, tree in _trees() if name != "_streams.py"
+           for node in ast.walk(tree) if _makes_randomness(node)]
     assert not bad, bad

@@ -138,6 +138,8 @@ def test_model_validation():
     with pytest.raises(ValueError):
         PotentialModel("mildly_anharmonic", c4=-0.1)
     with pytest.raises(ValueError):
+        PotentialModel("mildly_anharmonic", c3=0.1, c4=0.0)  # unbounded below
+    with pytest.raises(ValueError):
         PotentialModel("unknown")
 
 

@@ -6,7 +6,7 @@ from pimd_kubo import (OBS_P, OBS_Q, Observable, RingPolymerState, ThermoParams,
                        free_rp_frequencies, harmonic, log_ring_density,
                        normal_mode_transform, spring_energy)
 from pimd_kubo.errors import UnsupportedObservable
-from pimd_kubo.ringpoly import _forward_fft, _inverse_fft, normal_mode_matrix
+from pimd_kubo.ringpoly import normal_mode_matrix
 
 
 def _state(x, p=None):
@@ -128,15 +128,6 @@ def test_normal_mode_constant_path():
     a = normal_mode_transform(np.full(8, 2.3), "forward")
     assert np.abs(a[1:]).max() <= 1e-13
     assert a[0] == pytest.approx(np.sqrt(8) * 2.3)
-
-
-def test_normal_mode_matrix_vs_fft():
-    rng = np.random.default_rng(2)
-    for n in (1, 2, 3, 4, 5, 6, 9, 16, 32, 33, 64, 65, 96, 127, 128):
-        x = rng.normal(size=(3, n))
-        c = normal_mode_matrix(n)
-        assert np.abs(x @ c - _forward_fft(x)).max() <= 1e-12
-        assert np.abs(_inverse_fft(x @ c) - x).max() <= 1e-12
 
 
 def test_transform_diagonalizes_spring_matrix():

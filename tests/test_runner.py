@@ -219,6 +219,26 @@ def test_convergence_command(tmp_path):
     assert len(meta["stats"]["errors"]) == 2
 
 
+def test_cubic_only_well_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    # c3 != 0 with c4 = 0 is unbounded below: the model is rejected before
+    # any sampler runs, not by the centroid quadrature after sampling
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("sampler called")
+
+    monkeypatch.setattr("pimd_kubo.runner.sample_ring_positions", counted)
+    out = tmp_path / "cubic"
+    text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = convergence")
+    text = text.replace("kind = harmonic", "kind = mildly_anharmonic\nc3 = 0.1")
+    text += "n_values = 4,8\n"
+    assert run(parse_config(text)) == 2
+    assert "unbounded below" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_ensemble_dump(tmp_path):
     out = tmp_path / "ens"
     text = MINIMAL_STATIC.format(out=out) + "dump_ensemble = true\n"
