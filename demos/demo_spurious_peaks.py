@@ -9,35 +9,23 @@ artifact dominates the spectrum, with the strongest RPMD line sitting at an
 internal-mode frequency the exact spectrum does not have at all.
 """
 
-import numpy as np
-
-from pimd_kubo import (CorrelationSeries, GridSpec, IntegratorConfig, OBS_Q, OBS_Q2,
-                       SamplerConfig, ThermoParams, diagonalize, exact_kubo_correlator,
-                       free_rp_frequencies, mildly_anharmonic, rpmd_kubo_correlator,
-                       spectrum)
+from pimd_kubo import (GridSpec, IntegratorConfig, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams,
+                       band_peaks, diagonalize, exact_kubo_correlator, mildly_anharmonic,
+                       rpmd_kubo_correlator)
 
 
-def detrended(series):
-    tail = series.values[-len(series.values) // 4:].mean()
-    return CorrelationSeries(series.times, series.values - tail, series.std_errors)
-
-
-def band_table(label, om_r, int_r, om_o, int_o, w_free):
+def band_table(label, bands):
     print(f"\n{label}: relative band intensities near free-RP frequencies")
     print(f"{'k':>3} {'w_k':>7} {'RPMD':>9} {'exact':>9}")
-    for k in range(1, 9):
-        band = (om_r >= 0.85 * w_free[k]) & (om_r <= 1.15 * w_free[k])
-        rr = int_r[band].max() / int_r.max()
-        oo = int_o[band].max() / int_o.max()
-        flag = "  <-- spurious" if rr >= 0.05 and oo <= 0.01 else ""
-        print(f"{k:>3} {w_free[k]:>7.3f} {rr:>9.4f} {oo:>9.5f}{flag}")
+    for k, w_k, rr, oo, spurious in bands:
+        flag = "  <-- spurious" if spurious else ""
+        print(f"{k:>3} {w_k:>7.3f} {rr:>9.4f} {oo:>9.5f}{flag}")
 
 
 def main():
     beta = 8.0
     model = mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05)
     thermo = ThermoParams(beta, 32)
-    w_free = free_rp_frequencies(thermo)
     eig = diagonalize(model, GridSpec(-12.0, 12.0, 640), 24)
 
     icfg = IntegratorConfig(dt=0.05, n_steps=3000)
@@ -48,12 +36,10 @@ def main():
                        (OBS_Q2, "A = B = q^2 (nonlinear)")):
         series = rpmd_kubo_correlator(model, thermo, scfg, icfg, obs, obs)
         oracle = exact_kubo_correlator(eig, obs, obs, beta, series.times)
-        om_r, int_r = spectrum(detrended(series), window="hann")
-        om_o, int_o = spectrum(detrended(oracle), window="hann")
+        (w_r, w_o), bands = band_peaks(series, oracle, thermo, range(1, 9), detrend=True)
         print(f"\n{label}")
-        print(f"  main RPMD line at w = {om_r[int_r.argmax()]:.3f}, "
-              f"exact main line at w = {om_o[int_o.argmax()]:.3f}")
-        band_table(label, om_r, int_r, om_o, int_o, w_free)
+        print(f"  main RPMD line at w = {w_r:.3f}, exact main line at w = {w_o:.3f}")
+        band_table(label, bands)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ to measure them against.
 from .dynamics import (CentroidForceTable, IntegratorConfig, build_centroid_force_table,
                        classical_trajectory, cmd_trajectory, free_ring_polymer_step,
                        ring_hamiltonian, rpmd_step, rpmd_trajectory)
-from .estimators import (CENTROID_DELTA, POSITION_DELTA, FilterSpec, block_error,
+from .estimators import (CENTROID_DELTA, POSITION_DELTA, FilterSpec, band_peaks, block_error,
                          cmd_kubo_correlator, filtered_density_estimate,
                          kubo_momentum_correlator_via_derivative, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)

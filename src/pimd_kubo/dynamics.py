@@ -1,13 +1,18 @@
 """Time propagation: RPMD, CMD on a tabulated centroid force, classical limit.
 
-RPMD uses the split-operator scheme: half potential kick, exact rotation of
-the free ring polymer in normal modes, half potential kick.  The rotation is
-exact for the spring term, so internal-mode stiffness never limits the time
-step; accuracy is governed by dt times the physical frequency.  The zero
-mode receives no spring force, only drift, so the centroid decouples from
-the springs identically.  The batched step (propagate_batch) keeps the
-modes as the real FFT half spectrum of the beads and never packs them into
-the orthonormal layout of ringpoly.normal_mode_matrix.
+One integrator, propagate_batch, serves every method: half potential
+kick, exact rotation of the free ring polymer in normal modes, half
+potential kick.  The rotation is exact for the spring term, so
+internal-mode stiffness never limits the time step; accuracy is governed by
+dt times the physical frequency.  The zero mode receives no spring force,
+only drift, so the centroid decouples from the springs identically.  The
+step keeps the modes as the real FFT half spectrum of the beads and never
+packs them into the orthonormal layout of ringpoly.normal_mode_matrix.
+
+RPMD is the N-bead ring polymer on the bare potential, the classical limit
+the one-bead one.  CMD is the one-bead ring polymer on the centroid mean
+force (CentroidForceTable.gradient): at N = 1 the rotation is the drift
+q + p dt/m, so the step is velocity Verlet.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from .errors import GridEscape
 from .model import OMEGA_KINDS, ThermoParams, grad_fn, potential_eval
 from .ringpoly import (MOMENTUM, OBS_P, OBS_Q, POSITION, RingPolymerState, free_rp_frequencies,
-                       normal_mode_transform, spring_energy)
+                       spring_energy)
 from .sampler import sample_ring_positions_constrained
 from ._stats import block_standard_error
 
@@ -44,24 +49,21 @@ def check_accuracy(cfg, model):
         raise ValueError("dt * omega must stay below 0.5 for the split-operator scheme")
 
 
-def _rotation_factors(thermo, model, dt):
+def _rotation_factors(thermo, mass, dt):
+    """cos(w dt), sin(w dt)/(m w) and m w sin(w dt) per mode; dt/m and 0 at w = 0."""
     w = free_rp_frequencies(thermo)
-    cosw = np.cos(w * dt)
-    sin_over = np.empty_like(w)
-    msin = np.empty_like(w)
-    nz = w > 0
-    sin_over[nz] = np.sin(w[nz] * dt) / (model.mass * w[nz])
-    sin_over[~nz] = dt / model.mass
-    msin[nz] = model.mass * w[nz] * np.sin(w[nz] * dt)
-    msin[~nz] = 0.0
-    return cosw, sin_over, msin
+    sin = np.sin(w * dt)
+    sin_over = np.divide(sin, mass * w, out=np.full_like(w, dt / mass), where=w > 0)
+    return np.cos(w * dt), sin_over, mass * w * sin
 
 
-def propagate_batch(x, p, model, thermo, dt, n_steps, record):
+def propagate_batch(x, p, grad, mass, thermo, dt, n_steps, record):
     """Evolve (n_traj, N) arrays, recording centroid observables every step.
 
-    record is a list of Observable; returns (recorded (n_obs, n_steps+1,
-    n_traj), final positions, final momenta).  x and p are left untouched.
+    grad maps the (n_traj, N) positions to a new array of dV/dq, and mass is
+    the bead mass.  record is a list of Observable; returns (recorded
+    (n_obs, n_steps+1, n_traj), final positions, final momenta).  x and p
+    are left untouched.
     Positions, momenta and force are held as np.fft.rfft half spectra.  The
     free-ring normal modes are their real and imaginary parts up to a fixed
     scale per mode, and both parts of wavenumber k rotate at w_k, so the
@@ -70,10 +72,9 @@ def propagate_batch(x, p, model, thermo, dt, n_steps, record):
     order of a*cos + b*sin/(m w) and b*cos - a*m w sin.  The centroid
     momentum is b_0 / N, and positions come back by one irfft per step.
     """
-    grad = grad_fn(model)
     n = thermo.n_beads
     cosw, sin_over, msin = (np.repeat(f[: n // 2 + 1], 2)
-                            for f in _rotation_factors(thermo, model, dt))
+                            for f in _rotation_factors(thermo, mass, dt))
     half = 0.5 * dt
 
     x_cur = np.array(x, dtype=float)
@@ -116,21 +117,20 @@ def propagate_batch(x, p, model, thermo, dt, n_steps, record):
     return out, x_cur, np.fft.irfft(b_ft, n=n)
 
 
-def rpmd_step(state, model, thermo, dt):
-    """One split-operator step: half kick, exact free-ring rotation, half kick."""
+def _single_step(state, grad, mass, thermo, dt):
     _, x1, p1 = propagate_batch(state.positions[None, :], state.momenta[None, :],
-                                model, thermo, dt, 1, [])
+                                grad, mass, thermo, dt, 1, [])
     return RingPolymerState(x1[0], p1[0])
 
 
+def rpmd_step(state, model, thermo, dt):
+    """One split-operator step: half kick, exact free-ring rotation, half kick."""
+    return _single_step(state, grad_fn(model), model.mass, thermo, dt)
+
+
 def free_ring_polymer_step(state, thermo, model, dt):
-    """Exact free-ring-polymer rotation alone (the kick-free substep)."""
-    cosw, sin_over, msin = _rotation_factors(thermo, model, dt)
-    a = normal_mode_transform(state.positions, "forward")
-    b = normal_mode_transform(state.momenta, "forward")
-    a, b = a * cosw + b * sin_over, b * cosw - a * msin
-    return RingPolymerState(normal_mode_transform(a, "inverse"),
-                            normal_mode_transform(b, "inverse"))
+    """Exact free-ring-polymer rotation alone: one step with zero gradient."""
+    return _single_step(state, np.zeros_like, model.mass, thermo, dt)
 
 
 def rpmd_trajectory(initial, model, thermo, cfg, record):
@@ -140,7 +140,8 @@ def rpmd_trajectory(initial, model, thermo, cfg, record):
     """
     check_accuracy(cfg, model)
     out, _, _ = propagate_batch(initial.positions[None, :], initial.momenta[None, :],
-                                model, thermo, cfg.dt, cfg.n_steps, record)
+                                grad_fn(model), model.mass, thermo, cfg.dt, cfg.n_steps,
+                                record)
     return cfg.times(), {obs.label: out[i, :, 0] for i, obs in enumerate(record)}
 
 
@@ -151,13 +152,17 @@ def ring_hamiltonian(state, model, thermo):
     return kin + spring_energy(state, thermo, model) + pot
 
 
+def _one_bead_trajectory(q0, p0, grad, mass, cfg):
+    """(times, q, p) of one bead on grad; beta is inert for a single bead."""
+    out, _, _ = propagate_batch(np.array([[float(q0)]]), np.array([[float(p0)]]), grad, mass,
+                                ThermoParams(1.0, 1), cfg.dt, cfg.n_steps, [OBS_Q, OBS_P])
+    return cfg.times(), out[0, :, 0], out[1, :, 0]
+
+
 def classical_trajectory(q0, p0, model, cfg):
-    """Velocity Verlet on V; shares the RPMD code path at N = 1 bit for bit."""
+    """Velocity Verlet on V: the one-bead ring polymer on the bare potential."""
     check_accuracy(cfg, model)
-    thermo = ThermoParams(beta=1.0, n_beads=1)  # beta is inert for a single bead
-    state = RingPolymerState(np.array([float(q0)]), np.array([float(p0)]))
-    times, rec = rpmd_trajectory(state, model, thermo, cfg, [OBS_Q, OBS_P])
-    return times, rec["q"], rec["p"]
+    return _one_bead_trajectory(q0, p0, grad_fn(model), model.mass, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -182,18 +187,22 @@ class CentroidForceTable:
             raise ValueError("grid, force and std_errors must have equal shape")
         self._spline = CubicSpline(self.grid, self.force, bc_type="natural")
 
-    def force_at(self, q):
+    def _inside(self, q):
         q = np.asarray(q, dtype=float)
         if np.any(q < self.grid[0]) or np.any(q > self.grid[-1]):
             raise GridEscape("centroid left the tabulated force range")
-        return self._spline(q)
+        return q
+
+    def force_at(self, q):
+        return self._spline(self._inside(q))
+
+    def gradient(self, q):
+        """Slope of the centroid potential, -force_at(q); raises GridEscape off the grid."""
+        return -self.force_at(q)
 
     def potential_at(self, q):
         """Effective centroid potential from the integrated spline, zero at grid[0]."""
-        q = np.asarray(q, dtype=float)
-        if np.any(q < self.grid[0]) or np.any(q > self.grid[-1]):
-            raise GridEscape("centroid left the tabulated force range")
-        return -self._spline.antiderivative()(q)
+        return -self._spline.antiderivative()(self._inside(q))
 
 
 def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
@@ -209,34 +218,11 @@ def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
     grid = np.asarray(grid, dtype=float)
     grad = grad_fn(model)
     ens = sample_ring_positions_constrained(model, thermo, cfg, grid, workers=workers)
-    force = np.empty_like(grid)
-    errs = np.empty_like(grid)
-    for i, node in enumerate(ens):
-        vals = -grad(node).mean(axis=1)
-        force[i] = vals.mean()
-        errs[i] = block_standard_error(vals)
-    return CentroidForceTable(grid, force, errs)
-
-
-def cmd_propagate(q, p, table, mass, dt, n_steps):
-    """Velocity Verlet for centroid phase-space points (vectorized)."""
-    q = np.array(q, dtype=float, copy=True)
-    p = np.array(p, dtype=float, copy=True)
-    qs = np.empty((n_steps + 1,) + q.shape)
-    ps = np.empty_like(qs)
-    qs[0], ps[0] = q, p
-    f = table.force_at(q)
-    half = 0.5 * dt
-    for step in range(1, n_steps + 1):
-        p += half * f
-        q += dt * p / mass
-        f = table.force_at(q)  # raises GridEscape outside the table
-        p += half * f
-        qs[step], ps[step] = q, p
-    return qs, ps
+    vals = [-grad(node).mean(axis=1) for node in ens]
+    return CentroidForceTable(grid, [v.mean() for v in vals],
+                              [block_standard_error(v) for v in vals])
 
 
 def cmd_trajectory(q_c0, p_c0, table, mass, cfg):
-    """Centroid trajectory under the interpolated mean force."""
-    qs, ps = cmd_propagate(float(q_c0), float(p_c0), table, mass, cfg.dt, cfg.n_steps)
-    return cfg.times(), qs, ps
+    """Centroid trajectory (times, q, p) under the interpolated mean force."""
+    return _one_bead_trajectory(q_c0, p_c0, table.gradient, mass, cfg)

@@ -3,8 +3,10 @@
 Correlators are assembled from fresh equilibrium initial conditions, one
 microcanonical trajectory per sample; origin averaging along a single long
 trajectory is deliberately avoided because RPMD trajectories do not resample
-the thermal ensemble.  The products A0(0) * B(t) of every Monte Carlo
-correlator are streamed in trajectory order into running sums
+the thermal ensemble.  RPMD and CMD share one correlator: RPMD runs N-bead
+ring polymers on the bare potential, CMD one-bead ones (the centroids) on
+the mean force of a CentroidForceTable.  The products A0(0) * B(t) of every
+Monte Carlo correlator are streamed in trajectory order into running sums
 (_stats.RowAccumulator), so results are identical for any work
 partitioning and no n_traj x n_times product array is held.
 """
@@ -16,10 +18,10 @@ import numpy as np
 
 from . import _streams
 from ._stats import RowAccumulator, block_standard_error as block_error
-from .dynamics import check_accuracy, cmd_propagate, propagate_batch
+from .dynamics import check_accuracy, propagate_batch
 from .errors import GridTooCoarse, InsufficientSamples, UnsupportedObservable
-from .model import OMEGA_KINDS
-from .ringpoly import MOMENTUM, OBS_P, OBS_Q, POSITION
+from .model import OMEGA_KINDS, ThermoParams, grad_fn
+from .ringpoly import MOMENTUM, OBS_P, OBS_Q, POSITION, free_rp_frequencies
 from .sampler import draw_momenta, map_in_order, sample_ring_positions
 from .series import CorrelationSeries
 
@@ -63,12 +65,14 @@ def _chunks(n):
     return [(lo, min(lo + _TRAJ_CHUNK, n)) for lo in range(0, n, _TRAJ_CHUNK)]
 
 
-def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs,
-                             workers=None):
+def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs,
+                        workers=None):
     """(mean, block standard error) of A0(0) * B0(t) over the trajectories.
 
-    Chunks of trajectories propagate on the worker threads; their products
-    are added to one RowAccumulator in trajectory order in this thread.
+    x0 and p0 are (n_traj, N) bead arrays, propagated by propagate_batch on
+    the gradient grad.  Chunks of trajectories propagate on the worker
+    threads; their products are added to one RowAccumulator in trajectory
+    order in this thread.
     """
     n = x0.shape[0]
     a0 = _initial_values(a_obs, x0, p0)
@@ -76,7 +80,7 @@ def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs
 
     def job(span):
         lo, hi = span
-        rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], model, thermo,
+        rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], grad, mass, thermo,
                                     integrator_cfg.dt, integrator_cfg.n_steps, [b_obs])
         prod = rec[0].T
         prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
@@ -86,10 +90,12 @@ def _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg, a_obs, b_obs
     return acc.result()
 
 
-def _check_rpmd_request(sampler_cfg, integrator_cfg, model):
+def _check_request(method, sampler_cfg, integrator_cfg, model):
+    """Reject too few trajectories, and for RPMD too coarse a time step."""
     if sampler_cfg.n_samples < 32:
         raise InsufficientSamples("need at least 32 trajectories")
-    check_accuracy(integrator_cfg, model)
+    if method == "rpmd":
+        check_accuracy(integrator_cfg, model)
 
 
 def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
@@ -101,7 +107,7 @@ def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
     and the time step are checked first, so a bad request fails before the
     sampler runs.
     """
-    _check_rpmd_request(sampler_cfg, integrator_cfg, model)
+    _check_request("rpmd", sampler_cfg, integrator_cfg, model)
     x0 = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
     p0 = draw_momenta(thermo, model, sampler_cfg, momentum_convention)
     return x0, p0
@@ -120,10 +126,10 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
         initial = rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
                                           momentum_convention, workers)
     else:
-        _check_rpmd_request(sampler_cfg, integrator_cfg, model)
+        _check_request("rpmd", sampler_cfg, integrator_cfg, model)
     x0, p0 = initial
-    values, errors = _rpmd_correlator_from_ic(x0, p0, model, thermo, integrator_cfg,
-                                                 a_obs, b_obs, workers)
+    values, errors = _correlator_from_ic(x0, p0, grad_fn(model), model.mass, thermo,
+                                         integrator_cfg, a_obs, b_obs, workers)
     meta = _model_meta(model, thermo)
     meta.update({"method": "rpmd", "A": a_obs.label, "B": b_obs.label,
                  "seed": sampler_cfg.seed, "dt": integrator_cfg.dt,
@@ -137,25 +143,22 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
 
     A must be linear (the position centroid q or the momentum); centroid
     positions are the centroids of an unconstrained ring ensemble, centroid
-    momenta are exact Gaussians of variance m/beta.
+    momenta are exact Gaussians of variance m/beta.  The centroids propagate
+    as one-bead ring polymers on table.gradient, on this thread.
     """
     if a_obs not in CMD_OBSERVABLES:
         raise UnsupportedObservable("centroid dynamics is defined for linear A only (q or p)")
-    if sampler_cfg.n_samples < 32:
-        raise InsufficientSamples("need at least 32 trajectories")
+    _check_request("cmd", sampler_cfg, integrator_cfg, model)
     x0 = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
     qc0 = x0.mean(axis=1)
     gen = _streams.stream(sampler_cfg.seed, _streams.CMD_MOMENTA, 0)
     pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
-
-    qs, ps = cmd_propagate(qc0, pc0, table, model.mass, integrator_cfg.dt,
-                           integrator_cfg.n_steps)
-    a0 = qc0 if a_obs.kind == POSITION else pc0
-    acc = RowAccumulator(qc0.size)
-    for lo, hi in _chunks(qc0.size):
-        b_t = b_obs.f(qs[:, lo:hi]) if b_obs.kind == POSITION else ps[:, lo:hi]
-        acc.add(a0[lo:hi, None] * b_t.T)  # A0(0) * B(t), in trajectory order
-    values, errors = acc.result()
+    centroid = ThermoParams(thermo.beta, 1, thermo.hbar)
+    # a one-bead step spends its time in the interpreter, so worker threads
+    # gain nothing, and their allocator arenas would keep freed records resident
+    values, errors = _correlator_from_ic(qc0[:, None], pc0[:, None], table.gradient,
+                                         model.mass, centroid, integrator_cfg, a_obs, b_obs,
+                                         workers=1)
     meta = _model_meta(model, thermo)
     meta.update({"method": "cmd", "A": a_obs.label, "B": b_obs.label,
                  "seed": sampler_cfg.seed, "dt": integrator_cfg.dt})
@@ -165,7 +168,6 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
 # ----------------------------------------------------------------------
 # derivative route to momentum correlators
 
-_D_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 _D_EDGE = {
     0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
     1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]),
@@ -270,3 +272,29 @@ def spectrum(series, window="none"):
     amp = np.abs(np.fft.rfft(ext)) * dt
     omega = 2.0 * np.pi * np.fft.rfftfreq(ext.size, d=dt)
     return omega, amp
+
+
+def band_peaks(series, reference, thermo, ks, detrend=False):
+    """Hann-spectrum lines of series near the free ring-polymer frequencies.
+
+    series and reference (say RPMD and the exact correlator) share their
+    times.  With detrend, each first loses the mean of its last quarter, the
+    <A><B> plateau of a nonlinear observable.  Returns (w_main, bands): the
+    main-line frequency of each spectrum, and per k in ks the strongest line
+    in the band [0.85, 1.15] w_k as (k, w_k, rel, rel_ref, spurious), with
+    each intensity relative to the main line of its own spectrum; spurious
+    marks rel >= 5 % where rel_ref <= 1 %.
+    """
+    if detrend:
+        series, reference = (CorrelationSeries(s.times, s.values - s.values[-len(s) // 4:].mean(),
+                                               s.std_errors) for s in (series, reference))
+    om, inten = spectrum(series, window="hann")
+    _, inten_ref = spectrum(reference, window="hann")
+    w_free = free_rp_frequencies(thermo)
+    bands = []
+    for k in ks:
+        band = (om >= 0.85 * w_free[k]) & (om <= 1.15 * w_free[k])
+        rel = inten[band].max() / inten.max()
+        rel_ref = inten_ref[band].max() / inten_ref.max()
+        bands.append((k, w_free[k], rel, rel_ref, bool(rel >= 0.05 and rel_ref <= 0.01)))
+    return (om[inten.argmax()], om[inten_ref.argmax()]), bands

@@ -65,7 +65,9 @@ class EigenSystem:
 def _kinetic_matrix(grid, mass, hbar):
     n = grid.n_points
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dq)
-    t = np.fft.ifft(np.fft.fft(np.eye(n), axis=0) * (hbar**2 * k**2 / (2.0 * mass))[:, None], axis=0).real
+    t = np.fft.fft(np.eye(n), axis=0)
+    t *= (hbar**2 * k**2 / (2.0 * mass))[:, None]  # in place: no second (n, n) complex array
+    t = np.fft.ifft(t, axis=0).real
     return 0.5 * (t + t.T)
 
 
@@ -165,7 +167,8 @@ def _spectral_sum(eig, beta, times, pair_weights):
     chunk = 512
     for lo in range(0, times.size, chunk):
         hi = min(lo + chunk, times.size)
-        vals[lo:hi] = np.exp(1j * np.outer(times[lo:hi], de)) @ g
+        phase = 1j * np.outer(times[lo:hi], de)
+        vals[lo:hi] = np.exp(phase, out=phase) @ g  # in place: one (chunk, M^2) array
     return vals
 
 

@@ -132,6 +132,14 @@ _SCHEMA = {
 _METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
 
 
+def _built(what, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 class RunConfig:
     """Typed, validated run configuration."""
 
@@ -151,38 +159,23 @@ class RunConfig:
         if extra:
             raise ConfigError(f"keys {sorted(extra)} not valid for model kind {kind!r}")
         args = {k: v for k, v in raw.items() if v is not None and k != "kind"}
-        try:
-            return PotentialModel(kind, **args)
-        except ValueError as exc:
-            raise ConfigError(f"invalid model: {exc}") from exc
+        return _built("model", PotentialModel, kind, **args)
 
     def thermo(self):
         raw = self.sections["thermo"]
-        try:
-            return ThermoParams(raw["beta"], raw["n_beads"], raw["hbar"])
-        except ValueError as exc:
-            raise ConfigError(f"invalid thermo: {exc}") from exc
+        return _built("thermo", ThermoParams, raw["beta"], raw["n_beads"], raw["hbar"])
 
     def sampler(self):
-        raw = dict(self.sections["sampler"])
-        try:
-            return SamplerConfig(seed=self.seed, **raw)
-        except ValueError as exc:
-            raise ConfigError(f"invalid sampler: {exc}") from exc
+        return _built("sampler", SamplerConfig, seed=self.seed, **self.sections["sampler"])
 
     def integrator(self):
         raw = self.sections["integrator"]
-        try:
-            return IntegratorConfig(raw["dt"], raw["n_steps"])
-        except ValueError as exc:
-            raise ConfigError(f"invalid integrator: {exc}") from exc
+        return _built("integrator", IntegratorConfig, raw["dt"], raw["n_steps"])
 
     def grid(self):
         raw = self.sections["oracle"]
-        try:
-            return GridSpec(raw["q_min"], raw["q_max"], raw["n_points"]), raw["n_retained"]
-        except ValueError as exc:
-            raise ConfigError(f"invalid oracle grid: {exc}") from exc
+        return (_built("oracle grid", GridSpec, raw["q_min"], raw["q_max"], raw["n_points"]),
+                raw["n_retained"])
 
     def observables(self):
         run = self.sections["run"]

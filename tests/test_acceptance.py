@@ -38,15 +38,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pimd_kubo import (CorrelationSeries, GridSpec, IntegratorConfig, OBS_Q, OBS_Q2,
-                       SamplerConfig, ThermoParams, build_centroid_force_table,
-                       cmd_kubo_correlator, diagonalize, discrete_kubo_correlator,
-                       exact_kubo_correlator, harmonic, harmonic_caq_reference,
-                       harmonic_swarm_trace, mean_square_position, mildly_anharmonic,
-                       rpmd_kubo_correlator, sample_ring_positions, spectrum,
-                       thermal_average)
+from pimd_kubo import (GridSpec, IntegratorConfig, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams,
+                       band_peaks, build_centroid_force_table, cmd_kubo_correlator,
+                       diagonalize, discrete_kubo_correlator, exact_kubo_correlator,
+                       harmonic, harmonic_caq_reference, harmonic_swarm_trace,
+                       mean_square_position, mildly_anharmonic, rpmd_kubo_correlator,
+                       sample_ring_positions, thermal_average)
 from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.estimators import block_error
+from pimd_kubo.model import grad_fn
 from pimd_kubo.oracle import kubo_weights, position_matrix
 from pimd_kubo.sampler import draw_momenta
 
@@ -128,36 +128,15 @@ def test_criterion_03_rpmd_nonlinear_b_failure():
 # ----------------------------------------------------------------------
 # 4. spurious spectral features from the internal ring-polymer modes
 
-def _detrended(series):
-    """Subtract the tail mean (last quarter), the <A><B> plateau of q^2."""
-    tail = series.values[-len(series.values) // 4:].mean()
-    return CorrelationSeries(series.times, series.values - tail, series.std_errors)
-
-
-def _band_peaks(rpmd, oracle, w_free):
-    """Strongest Hann-spectrum line in each band [0.85, 1.15] w_k, k = 1..15.
-
-    Returns [(k, rpmd, oracle)], each intensity relative to the main line of
-    its own spectrum.
-    """
-    om, int_r = spectrum(rpmd, window="hann")
-    _, int_o = spectrum(oracle, window="hann")
-    peaks = []
-    for k in range(1, 16):
-        band = (om >= 0.85 * w_free[k]) & (om <= 1.15 * w_free[k])
-        peaks.append((k, int_r[band].max() / int_r.max(), int_o[band].max() / int_o.max()))
-    return peaks
-
-
-def _spurious(peaks):
-    return [k for k, rel_r, rel_o in peaks if rel_r >= 0.05 and rel_o <= 0.01]
+def _spurious(bands):
+    """The k of the bands with an RPMD line >= 5% where the oracle is <= 1%."""
+    return [k for k, _, rel, rel_ref, _ in bands if rel >= 0.05 and rel_ref <= 0.01]
 
 
 def test_criterion_04_spurious_spectral_features():
     beta = 8.0
     model = mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05)
     th = ThermoParams(beta, 32)
-    w_free = 2.0 * th.omega_n * np.sin(np.pi * np.arange(32) / 32)
     eig = diagonalize(model, GridSpec(-12.0, 12.0, 640), 24)
 
     dt, n_steps = 0.05, 4000
@@ -169,20 +148,22 @@ def test_criterion_04_spurious_spectral_features():
     for obs in (OBS_Q, OBS_Q2):
         series = rpmd_kubo_correlator(model, th, scfg, icfg, obs, obs)
         oracle = exact_kubo_correlator(eig, obs, obs, beta, series.times)
-        if obs is OBS_Q2:
-            series, oracle = _detrended(series), _detrended(oracle)
-        peaks[obs.label] = _band_peaks(series, oracle, w_free)
+        # strongest Hann-spectrum line in each band [0.85, 1.15] w_k, k = 1..15,
+        # relative to the main line of its own spectrum; q^2 loses its
+        # <A><B> plateau (the last quarter's mean) first
+        _, peaks[obs.label] = band_peaks(series, oracle, th, range(1, 16),
+                                         detrend=obs is OBS_Q2)
 
     # (a) q^2 sees the internal modes directly: some band carries an RPMD
     # line >= 5% of the main line where the exact spectrum is <= 1%
     artifact = _spurious(peaks["q2"])
     # (b) the internal modes barely reach the centroid position: no C_qq
     # band reaches 5%
-    strongest = {label: max(p, key=lambda kro: kro[1]) for label, p in peaks.items()}
-    bound_ok = strongest["q"][1] < 0.05
+    strongest = {label: max(p, key=lambda band: band[2]) for label, p in peaks.items()}
+    bound_ok = strongest["q"][2] < 0.05
     ok = bool(artifact) and bound_ok
-    k2, r2, o2 = strongest["q2"]
-    k1, r1, o1 = strongest["q"]
+    k2, _, r2, o2, _ = strongest["q2"]
+    k1, _, r1, o1, _ = strongest["q"]
     assert _report(4, ok,
                    f"internal-mode artifact: q^2 bands with RPMD >= 5% and oracle <= 1%: "
                    f"k={artifact} (strongest k={k2}: RPMD {100 * r2:.2f}%, oracle "
@@ -236,8 +217,8 @@ def test_criterion_06_caq_cross_validation():
     traj = {}
     for conv in ("bead", "bond_midpoint"):
         p0 = draw_momenta(th, HARMONIC, scfg, conv)
-        rec, _, _ = propagate_batch(x0.copy(), p0, HARMONIC, th, icfg.dt, icfg.n_steps,
-                                     [OBS_Q])
+        rec, _, _ = propagate_batch(x0.copy(), p0, grad_fn(HARMONIC), HARMONIC.mass, th,
+                                    icfg.dt, icfg.n_steps, [OBS_Q])
         traj[conv] = rec[0]
     pvals = [stats.ks_2samp(traj["bead"][i], traj["bond_midpoint"][i]).pvalue
              for i in marks]
@@ -390,7 +371,6 @@ def test_nonlinear_observable_spectrum_artifact():
     beta = 8.0
     model = mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05)
     th = ThermoParams(beta, 32)
-    w_free = 2.0 * th.omega_n * np.sin(np.pi * np.arange(32) / 32)
     eig = diagonalize(model, GridSpec(-12.0, 12.0, 640), 24)
 
     icfg = IntegratorConfig(dt=0.05, n_steps=3000)
@@ -399,6 +379,6 @@ def test_nonlinear_observable_spectrum_artifact():
     series = rpmd_kubo_correlator(model, th, scfg, icfg, OBS_Q2, OBS_Q2)
     oracle = exact_kubo_correlator(eig, OBS_Q2, OBS_Q2, beta, series.times)
 
-    hits = _spurious(_band_peaks(_detrended(series), _detrended(oracle), w_free))
+    hits = _spurious(band_peaks(series, oracle, th, range(1, 16), detrend=True)[1])
     print(f"\nnonlinear-observable artifact bands (k): {hits}")
     assert hits, "expected at least one strong spurious band for the q^2 observable"

@@ -166,7 +166,8 @@ def test_long_time_conservation(harmonic_model):
     h0 = ring_hamiltonian(st, harmonic_model, th)
     x = st.positions[None, :].copy()
     p = st.momenta[None, :].copy()
-    _, xf, pf = propagate_batch(x, p, harmonic_model, th, 0.005, 20000, [])
+    _, xf, pf = propagate_batch(x, p, grad_fn(harmonic_model), harmonic_model.mass, th, 0.005,
+                                20000, [])
     hf = ring_hamiltonian(RingPolymerState(xf[0], pf[0]), harmonic_model, th)
     assert abs(hf - h0) / abs(h0) <= 1e-5
 
@@ -174,7 +175,7 @@ def test_long_time_conservation(harmonic_model):
 def _reference_propagation(x, p, model, thermo, dt, n_steps, record):
     """Kick-rotate-kick with a fresh array for every product (no buffers)."""
     grad = grad_fn(model)
-    cosw, sin_over, msin = _rotation_factors(thermo, model, dt)
+    cosw, sin_over, msin = _rotation_factors(thermo, model.mass, dt)
     a = normal_mode_transform(x, "forward")
     b = normal_mode_transform(p, "forward")
     x_cur = x.copy()
@@ -206,7 +207,7 @@ def test_propagate_batch_matches_reference_step(n):
     p = np.sqrt(n / th.beta) * rng.standard_normal((17, n))
     x_in, p_in = x.copy(), p.copy()
     record = [OBS_Q2, OBS_P]
-    rec, xf, pf = propagate_batch(x, p, model, th, 0.05, 40, record)
+    rec, xf, pf = propagate_batch(x, p, grad_fn(model), model.mass, th, 0.05, 40, record)
     ref_rec, ref_x, ref_p = _reference_propagation(x, p, model, th, 0.05, 40, record)
     assert np.array_equal(x, x_in) and np.array_equal(p, p_in)
     for got, want in ((rec[0], ref_rec[0]), (rec[1], ref_rec[1]), (xf, ref_x), (pf, ref_p)):
@@ -224,7 +225,8 @@ def test_momentum_convention_centroid_distributions():
     series = {}
     for conv in ("bead", "bond_midpoint"):
         p0 = draw_momenta(th, model, scfg, conv)
-        rec, xf, pf = propagate_batch(x0.copy(), p0, model, th, cfg.dt, cfg.n_steps, [OBS_Q])
+        rec, xf, pf = propagate_batch(x0.copy(), p0, grad_fn(model), model.mass, th, cfg.dt,
+                                      cfg.n_steps, [OBS_Q])
         series[conv] = rec[0]
     for idx in marks:
         _, pval = stats.ks_2samp(series["bead"][idx], series["bond_midpoint"][idx])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,17 @@ import pytest
 from pimd_kubo import (CENTROID_DELTA, POSITION_DELTA, CentroidForceTable,
                        CorrelationSeries, FilterSpec, IntegratorConfig, OBS_P, OBS_Q,
                        OBS_Q2, Observable, SamplerConfig, ThermoParams, block_error,
-                       cmd_kubo_correlator, diagonalize, draw_momenta,
+                       cmd_kubo_correlator, cmd_trajectory, diagonalize, draw_momenta,
                        exact_kubo_correlator, filtered_density_estimate, harmonic,
                        kubo_momentum_correlator_via_derivative, rpmd_kubo_correlator,
                        sample_ring_positions, spectrum)
-from pimd_kubo.errors import (GridTooCoarse, InsufficientSamples, UnsupportedObservable)
+from pimd_kubo.errors import (GridEscape, GridTooCoarse, InsufficientSamples,
+                              UnsupportedObservable)
+from pimd_kubo import _streams
 from pimd_kubo._stats import RowAccumulator
-from pimd_kubo.estimators import _rpmd_correlator_from_ic
+from pimd_kubo.estimators import _correlator_from_ic
+from pimd_kubo.model import grad_fn
+from pimd_kubo.ringpoly import POSITION
 
 
 def _scfg(n, seed=1, **kw):
@@ -68,8 +73,9 @@ def test_rpmd_time_reversal(harmonic_model):
     icfg = IntegratorConfig(dt=0.05, n_steps=100)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
     p0 = draw_momenta(th, harmonic_model, scfg, "bead")
-    fwd, fe = _rpmd_correlator_from_ic(x0, p0, harmonic_model, th, icfg, OBS_Q, OBS_Q)
-    bwd, be = _rpmd_correlator_from_ic(x0, -p0, harmonic_model, th, icfg, OBS_Q, OBS_Q)
+    grad, mass = grad_fn(harmonic_model), harmonic_model.mass
+    fwd, fe = _correlator_from_ic(x0, p0, grad, mass, th, icfg, OBS_Q, OBS_Q)
+    bwd, be = _correlator_from_ic(x0, -p0, grad, mass, th, icfg, OBS_Q, OBS_Q)
     dev = np.abs(fwd - bwd) / np.maximum(np.hypot(fe, be), 1e-12)
     assert dev.max() <= 3.0
 
@@ -83,6 +89,12 @@ def test_accumulation_partition_independent(harmonic_model):
         b = rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=workers)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.std_errors, b.std_errors)
+    # CMD on three chunks of trajectories (1024, 1024, 452)
+    cmd = [cmd_kubo_correlator(harmonic_model, th, _linear_table(), _scfg(2500, seed=56), icfg,
+                               OBS_Q, OBS_Q, workers=workers) for workers in (1, 2, 3)]
+    for b in cmd[1:]:
+        assert b.values.tobytes() == cmd[0].values.tobytes()
+        assert b.std_errors.tobytes() == cmd[0].std_errors.tobytes()
 
 
 @pytest.mark.parametrize("n", [1000, 2500])
@@ -130,7 +142,8 @@ def test_rpmd_correlator_streams_products(harmonic_model):
     full = 4096 * (icfg.n_steps + 1) * 8
     tracemalloc.start()
     try:
-        _rpmd_correlator_from_ic(x0, p0, harmonic_model, th, icfg, OBS_Q, OBS_Q, workers=1)
+        _correlator_from_ic(x0, p0, grad_fn(harmonic_model), harmonic_model.mass, th, icfg,
+                            OBS_Q, OBS_Q, workers=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -172,6 +185,87 @@ def test_cmd_free_table_constant_correlator(harmonic_model):
     dev = np.abs(series.values - series.values[0])
     tol = 3.0 * np.hypot(series.std_errors, series.std_errors[0])
     assert np.all(dev[1:] <= tol[1:])
+
+
+def _cmd_propagate_reference(q, p, table, mass, dt, n_steps):
+    """Velocity Verlet for centroid phase-space points, with the full history.
+
+    CMD's own integrator before it ran as the one-bead ring polymer.
+    """
+    q = np.array(q, dtype=float, copy=True)
+    p = np.array(p, dtype=float, copy=True)
+    qs = np.empty((n_steps + 1,) + q.shape)
+    ps = np.empty_like(qs)
+    qs[0], ps[0] = q, p
+    f = table.force_at(q)
+    half = 0.5 * dt
+    for step in range(1, n_steps + 1):
+        p += half * f
+        q += dt * p / mass
+        f = table.force_at(q)
+        p += half * f
+        qs[step], ps[step] = q, p
+    return qs, ps
+
+
+def _cmd_correlator_reference(model, thermo, table, scfg, icfg, a_obs, b_obs):
+    """(values, std_errors) of the CMD correlator from _cmd_propagate_reference."""
+    qc0 = sample_ring_positions(model, thermo, scfg).mean(axis=1)
+    gen = _streams.stream(scfg.seed, _streams.CMD_MOMENTA, 0)
+    pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
+    qs, ps = _cmd_propagate_reference(qc0, pc0, table, model.mass, icfg.dt, icfg.n_steps)
+    a0 = qc0 if a_obs.kind == POSITION else pc0
+    b_t = b_obs.f(qs) if b_obs.kind == POSITION else ps
+    acc = RowAccumulator(qc0.size)
+    acc.add(a0[:, None] * b_t.T)  # A0(0) * B(t), in trajectory order
+    return acc.result()
+
+
+def _cubic_table():
+    grid = np.linspace(-6.0, 6.0, 49)
+    return CentroidForceTable(grid, -grid - 0.3 * grid**3, np.zeros(49))
+
+
+def _close(got, want, mass):
+    """Bit for bit at unit mass; within 1e-14 of the largest |want| otherwise."""
+    if mass == 1.0:
+        return got.tobytes() == want.tobytes()
+    return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mass", [1.0, 1.7])
+def test_cmd_correlator_matches_velocity_verlet_reference(mass):
+    # at N = 1 the shared step is velocity Verlet with the drift q + p (dt/m);
+    # the reference drifts by (dt p)/m, the same bits when m = 1
+    model = harmonic(mass, 1.0)
+    th = ThermoParams(1.0, 8)
+    table = _cubic_table()
+    scfg = _scfg(2500, seed=65)
+    icfg = IntegratorConfig(dt=0.05, n_steps=200)
+    for a_obs, b_obs in ((OBS_Q, OBS_Q), (OBS_P, OBS_Q), (OBS_Q, OBS_P), (OBS_Q, OBS_Q2)):
+        got = cmd_kubo_correlator(model, th, table, scfg, icfg, a_obs, b_obs, workers=2)
+        values, errors = _cmd_correlator_reference(model, th, table, scfg, icfg, a_obs, b_obs)
+        assert _close(got.values, values, mass), (a_obs.label, b_obs.label)
+        assert _close(got.std_errors, errors, mass), (a_obs.label, b_obs.label)
+
+
+@pytest.mark.parametrize("mass", [1.0, 1.7])
+def test_cmd_trajectory_matches_velocity_verlet_reference(mass):
+    table = _cubic_table()
+    cfg = IntegratorConfig(dt=0.05, n_steps=400)
+    times, q, p = cmd_trajectory(0.9, -0.4, table, mass, cfg)
+    qs, ps = _cmd_propagate_reference(0.9, -0.4, table, mass, cfg.dt, cfg.n_steps)
+    assert times.tobytes() == cfg.times().tobytes()
+    assert _close(q, qs, mass) and _close(p, ps, mass)
+
+
+def test_cmd_correlator_grid_escape(harmonic_model):
+    # thermal centroids leave a table of [-0.5, 0.5] within the first steps
+    grid = np.linspace(-0.5, 0.5, 5)
+    table = CentroidForceTable(grid, -grid, np.zeros(5))
+    with pytest.raises(GridEscape):
+        cmd_kubo_correlator(harmonic_model, ThermoParams(1.0, 8), table, _scfg(2500, seed=66),
+                            IntegratorConfig(dt=0.05, n_steps=5), OBS_Q, OBS_Q, workers=2)
 
 
 def test_cmd_rejects_nonlinear_a(harmonic_model):

@@ -4,12 +4,17 @@ No module imports another module's private (underscore) name, except the
 shared helpers in _stats and _streams, and no import hides inside a
 function, where it would keep the module graph out of sight.  Only _streams
 makes random generators, so every draw is keyed by (seed, purpose, index).
+The per-layer trace (perfbench/traced.py) patches package attributes by
+name, so every name it uses must exist, with the parameters it reads.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pimd_kubo"
+TRACED = SRC.parent.parent / "perfbench" / "traced.py"
 SHARED = ("_stats", "_streams")
 # constructors of numpy generators, bit generators and seed sequences
 RANDOM_MAKERS = {"Generator", "RandomState", "default_rng", "SeedSequence", "BitGenerator",
@@ -41,7 +46,6 @@ def test_no_import_inside_function():
     assert not bad, bad
 
 
-
 def _makes_randomness(node):
     """A reference to a generator constructor, or an import of a random module."""
     if isinstance(node, ast.Attribute):
@@ -58,3 +62,70 @@ def test_only_streams_makes_generators():
     bad = [f"{name}:{node.lineno}" for name, tree in _trees() if name != "_streams.py"
            for node in ast.walk(tree) if _makes_randomness(node)]
     assert not bad, bad
+
+
+def _traced_uses():
+    """(package attributes traced.py names, {wrapped attribute: argument names read}).
+
+    Attributes are (module, name) pairs: module.name in any expression or
+    assignment, getattr/setattr(module, v) with v looping over string
+    constants, and from-imports.  The argument names are the a["..."] keys
+    read by the on_return counter passed to tracer.wrap(span, attribute, counter).
+    """
+    tree = ast.parse(TRACED.read_text())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name.startswith("pimd_kubo.")}
+    loops = {node.target.id: [elt.value for elt in node.iter.elts] for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)}
+
+    def refs(expr):
+        if isinstance(expr, ast.Attribute):
+            owner, names = expr.value, [expr.attr]
+        elif (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
+              and expr.func.id in ("getattr", "setattr")):
+            owner, names = expr.args[0], loops.get(getattr(expr.args[1], "id", None), [])
+        else:
+            return []
+        if isinstance(owner, ast.Name) and owner.id in modules:
+            return [(modules[owner.id], name) for name in names]
+        return []
+
+    used = {ref for node in ast.walk(tree) for ref in refs(node)}
+    used |= {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pimd_kubo")
+             for alias in node.names}
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+    def keys(counter):
+        arguments = counter.args.args[1].arg  # on_return(span, arguments, result)
+        return {sub.slice.value for sub in ast.walk(counter) if isinstance(sub, ast.Subscript)
+                and getattr(sub.value, "id", None) == arguments
+                and isinstance(sub.slice, ast.Constant)}
+
+    read = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap" and len(node.args) == 3
+                and isinstance(node.args[2], ast.Name)):
+            for ref in refs(node.args[1]):
+                read[ref] = keys(functions[node.args[2].id])
+    return used, read
+
+
+def test_traced_entry_points_exist():
+    used, read = _traced_uses()
+    missing = [f"{module}.{name}" for module, name in sorted(used)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
+    lost = [f"{module}.{name}({key})" for (module, name), keys in sorted(read.items())
+            for key in sorted(keys)
+            if key not in inspect.signature(
+                getattr(importlib.import_module(module), name)).parameters]
+    assert not lost, lost
+    # the parse must see the correlator counters, or the checks above prove nothing
+    for name in ("rpmd_kubo_correlator", "cmd_kubo_correlator"):
+        assert {"sampler_cfg", "integrator_cfg"} <= read[("pimd_kubo.runner", name)]
+    assert "thermo" in read[("pimd_kubo.runner", "rpmd_kubo_correlator")]
+    assert ("pimd_kubo.io", "write_meta_json") in used
+    assert ("pimd_kubo.estimators", "sample_ring_positions") in used
