@@ -6,7 +6,11 @@ class InsufficientSamples(ValueError):
 
 
 class NonErgodicWarning(UserWarning):
-    """Monte Carlo acceptance rate left the trustworthy window after burn-in."""
+    """Monte Carlo acceptance rate fell below 0.05 after burn-in.
+
+    The sampler proposes from a Gaussian reference, so a low rate means the
+    reference misses the target; a high rate means it fits (harmonic: 1).
+    """
 
 
 class GridEscape(RuntimeError):

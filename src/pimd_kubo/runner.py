@@ -95,8 +95,6 @@ _SCHEMA = {
         "n_samples": (int, _REQUIRED),
         "burn_in": (int, 256),
         "decorrelation_stride": (int, 4),
-        "move_scale": (float, 0.5),
-        "target_acceptance": (float, 0.4),
         "n_walkers": (int, 1024),
     },
     "integrator": {

@@ -1,29 +1,39 @@
 """Equilibrium sampling of the ring-polymer position distribution.
 
-The target density is R(x) (see ringpoly.log_ring_density).  Sampling uses
-single-bead Metropolis moves plus whole-ring translations; the
-centroid-constrained variant moves internal normal modes only, with mode 0
-pinned.  Momentum marginals are exact Gaussians and are drawn directly.
+The target density is R(x) (see ringpoly.log_ring_density), optionally
+with the centroid pinned at q_c (the CMD constrained ensemble).  Both
+ensembles are sampled by one independence Metropolis kernel (the rho = 0
+case of preconditioned Crank-Nicolson; Cotter et al., Stat. Sci. 28, 424
+(2013)).  Every proposal is an exact draw from a Gaussian reference: the
+free ring polymer plus the harmonic well kappa (x_j - c)^2 / 2 on each
+bead.  In normal modes the reference is diagonal, mode k with variance
+N / (beta (m w_k^2 + kappa)).  For the free ensemble c = 0 and every mode
+is drawn; for the constrained one c = q_c, mode 0 stays pinned at
+sqrt(N) q_c, and only the internal modes are drawn.  A proposal is
+accepted with min(1, exp(-dPhi)), where
+Phi(x) = (beta/N) sum_j [V(x_j) - kappa (x_j - c)^2 / 2] is what the
+reference leaves out of the ring exponent.  Momentum marginals are exact
+Gaussians and are drawn directly.
+
+kappa comes from the model alone (_reference_curvature): the
+self-consistent harmonic fixed point kappa = V''(c) + 12 v4 <u^2>_ref(kappa),
+where u = x_j - c and the average is over the reference itself.  For the
+constrained ensemble it is clamped at 0, where the springs still keep
+every internal mode proper.  For the harmonic well kappa = m omega^2 and
+Phi is constant, so every proposal is accepted and every row is an
+independent draw.  No step size is adapted.  One Gaussian serves one
+well: where V has a second minimum (9 v3^2 > 32 v2 v4) that holds much of
+the ring, the proposals rarely reach it and the ensemble misses it.
 
 Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from counter-based streams keyed by (seed, purpose,
-walker group), so the output is a pure function of (config, seed) no matter
-how walker groups are scheduled across threads.  Both samplers read their
-streams sweep by sweep: per sweep, a walker group's stream gives the
-sweep's normals, then its uniforms, drawn into one reused sweep buffer.
-A longer run therefore reproduces every row of a shorter one.
-
-The constrained sampler also takes a 1-D grid of centroids (the CMD force
-table's nodes).  Node i then draws from the streams keyed by
-(_node_seed(seed, i), purpose, walker group).  Each (node, walker group)
-pair is a lane.  Lanes are stacked side by side on one walker axis, so one
-ufunc call per step serves all of them; a grid is cut into several stacks
-only when one would pass _STACK_VALUES, and only then do stacks run on
-the map_groups threads.  A force table of 17 nodes x 1024 walkers at
-N = 16 fits in one stack and so samples on one core: split over two
-threads it ran about 1.6 times as fast on an idle 2-core machine, but its
-wall time spread far more between runs on a shared one.  The
-acceptance-rate warning is still decided per node, in the calling thread.
+walker group); node i of a constrained grid uses the seed
+_node_seed(seed, i).  A walker group's stream gives the first state's
+normals, then, per proposal, the proposal's normals followed by one
+uniform per walker.  So the output is a pure function of (config, seed)
+however the (node, walker group) jobs are scheduled across threads, and a
+longer run reproduces every row of a shorter one.  The acceptance-rate
+warning is decided per node, in the calling thread.
 """
 
 import math
@@ -39,24 +49,21 @@ from . import _streams
 from ._stats import block_standard_error
 from .errors import NonErgodicWarning
 from .model import potential_fn
-from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies, normal_mode_matrix
+from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies
 
 _GROUP = 2048         # walkers per vectorized group (fixed; not tied to thread count)
-_ADAPT_WINDOW = 16    # sweeps per burn-in adaptation window
-_STACK_VALUES = 1 << 19  # walkers x beads per constrained stack at most (4 MB arrays)
-_CHUNK_VALUES = 1 << 15  # walkers x beads per constrained mode move (fits in L2)
 
 MOMENTUM_CONVENTIONS = ("bead", "bond_midpoint")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """burn_in and decorrelation_stride count proposals per walker."""
+
     n_samples: int
     seed: int
     burn_in: int = 256
     decorrelation_stride: int = 4
-    move_scale: float = 0.5
-    target_acceptance: float = 0.4
     n_walkers: int = 1024
 
     def __post_init__(self):
@@ -66,10 +73,6 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
         if self.decorrelation_stride < 1:
             raise ValueError("decorrelation_stride must be > 0")
-        if not (self.move_scale > 0):
-            raise ValueError("move_scale must be > 0")
-        if not (0.0 < self.target_acceptance < 1.0):
-            raise ValueError("target_acceptance must be in (0, 1)")
         if self.n_walkers < 1:
             raise ValueError("n_walkers must be > 0")
 
@@ -129,290 +132,141 @@ def _node_seed(seed, index):
     return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
 
 
-def _sample(run_group, model, thermo, cfg, workers, *args):
-    """Run run_group on every walker group; warn on the pooled acceptance rate.
+def _reference_curvature(model, thermo, c, pinned):
+    """kappa of the Gaussian reference around c: the root of
+    kappa = V''(c) + 12 v4 sum_k 1 / (beta (m w_k^2 + kappa)),
+    the sum running over the drawn modes (k >= 1 when mode 0 is pinned);
+    the sum is <(x_j - c)^2> under the reference.  Clamped at 0 when pinned.
+    """
+    v2, v3, v4 = model.poly_coefficients()
+    curv = 2.0 * v2 + 6.0 * v3 * c + 12.0 * v4 * c * c
+    if v4 == 0.0:
+        return max(curv, 0.0)
+    w2 = model.mass * free_rp_frequencies(thermo)[1 if pinned else 0:] ** 2
 
-    run_group(model, thermo, cfg, *args, g_index, g_size, rounds, out) fills
-    its walkers' rows of out and returns (accepted, attempted) after burn-in.
+    def excess(kappa):  # increasing in kappa; -inf at 0 when mode 0 is drawn
+        return kappa - curv - 12.0 * v4 * np.sum(1.0 / (thermo.beta * (w2 + kappa)))
+
+    if pinned and excess(0.0) >= 0.0:
+        return 0.0
+    lo, hi = 0.0, max(curv, 0.0) + 1.0
+    while excess(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    return hi
+
+
+def _run_group(model, thermo, cfg, seed, q_c, g_index, g_size, rounds, out):
+    """Independence Metropolis for walker group g_index of one node.
+
+    q_c is None for the free ensemble, else the pinned centroid.  Fills the
+    group's walker-major rows of out (walker w, round r -> row w * rounds + r)
+    and returns (accepted, attempted) proposals after burn-in.
+    """
+    n = thermo.n_beads
+    pinned = q_c is not None
+    c = q_c if pinned else 0.0
+    kappa = _reference_curvature(model, thermo, c, pinned)
+    half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
+    pot = potential_fn(model)
+    gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS,
+                          g_index)
+    # x - c = irfft(spec): the (re, im) parts of wavenumber k are modes of
+    # variance sigma_k^2 = N / (beta (m w_k^2 + kappa)) times N / 2 (N for
+    # k = 0 and N/2), and columns 2..N of the float view hold every part of
+    # the internal modes (the imaginary parts of k = 0 and N/2 stay 0)
+    spec = np.zeros((g_size, n // 2 + 1), dtype=complex)
+    parts = spec.view(float)
+    k = np.arange(2, n + 1) // 2
+    sigma = np.sqrt(n / (thermo.beta * (model.mass * free_rp_frequencies(thermo)[k] ** 2 + kappa)))
+    scale = sigma * np.sqrt(np.where(2 * k == n, n, 0.5 * n))
+    z = np.empty((g_size, n - pinned))  # mode 0 first when it is drawn
+    u, d = np.empty(g_size), np.empty(g_size)
+    y, v, t = (np.empty((g_size, n)) for _ in range(3))
+
+    def propose(x, phi):
+        # x = c + y,  phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
+        gen.standard_normal(out=z)
+        np.multiply(z[:, 1 - pinned:], scale, out=parts[:, 2:n + 1])
+        if not pinned:
+            np.multiply(z[:, 0], n / math.sqrt(thermo.beta * kappa), out=parts[:, 0])
+        np.fft.irfft(spec, n=n, out=y)
+        np.add(y, c, out=x)
+        pot(x, out=v)
+        np.subtract(v, np.multiply(np.multiply(half_kappa, y, out=t), y, out=t), out=v)
+        np.multiply(v.sum(axis=1), beta_n, out=phi)
+
+    x, phi = np.empty((g_size, n)), np.empty(g_size)
+    x_new, phi_new = np.empty_like(x), np.empty_like(phi)
+    acc = np.empty(g_size, dtype=bool)
+    propose(x, phi)
+    accepted, emitted = 0, 0
+    start = g_index * _GROUP * rounds
+    for step in range(1, cfg.burn_in + rounds * cfg.decorrelation_stride + 1):
+        propose(x_new, phi_new)
+        gen.random(out=u)
+        # acc = u < exp(min(phi - phi_new, 0))
+        np.exp(np.minimum(np.subtract(phi, phi_new, out=d), 0.0, out=d), out=d)
+        np.less(u, d, out=acc)
+        np.copyto(x, x_new, where=acc[:, None])
+        np.copyto(phi, phi_new, where=acc)
+        after = step - cfg.burn_in
+        if after > 0:
+            accepted += int(np.count_nonzero(acc))
+            if after % cfg.decorrelation_stride == 0:
+                out[start + emitted:start + g_size * rounds:rounds] = x
+                emitted += 1
+    return accepted, g_size * rounds * cfg.decorrelation_stride
+
+
+def _sample(model, thermo, cfg, nodes, workers):
+    """Run _run_group on every (node, walker group) on the map_groups threads.
+
+    nodes lists (seed, q_c) pairs (q_c None for the free ensemble).  Warns
+    once for each node whose acceptance rate after burn-in falls below 0.05.
+    Returns shape (len(nodes), n_samples, N).
     """
     walkers, rounds, groups = _layout(cfg)
-    out = np.empty((walkers * rounds, thermo.n_beads))
-    stats = [None] * len(groups)
+    out = np.empty((len(nodes), walkers * rounds, thermo.n_beads))
+    jobs = [(i, g, size) for i in range(len(nodes)) for g, size in groups]
+    counts = {}
 
     def job(spec):
-        g, size = spec
-        stats[g] = run_group(model, thermo, cfg, *args, g, size, rounds, out)
+        i, g, size = spec
+        seed, q_c = nodes[i]
+        counts[spec] = _run_group(model, thermo, cfg, seed, q_c, g, size, rounds, out[i])
 
-    map_groups(job, groups, workers)
-    _warn_if_nonergodic(sum(s[0] for s in stats), sum(s[1] for s in stats))
-    return out[: cfg.n_samples]
-
-
-def _warn_if_nonergodic(acc, att):
-    if att > 0:
-        rate = acc / att
-        if rate < 0.05 or rate > 0.95:
+    map_groups(job, jobs, workers)
+    for i in range(len(nodes)):
+        acc, att = np.sum([counts[(i, g, size)] for g, size in groups], axis=0)
+        if att > 0 and acc / att < 0.05:
             warnings.warn(NonErgodicWarning(
-                f"post-burn-in acceptance rate {rate:.3f} outside [0.05, 0.95]"))
-
-
-# ----------------------------------------------------------------------
-# unconstrained sampler: bead moves + ring translations
-
-def _bead_sets(n):
-    """Bead index sets updatable in parallel (neighbors held fixed).
-
-    Even-odd decomposition for even N; cyclic neighbor conflicts force a
-    sequential schedule when N is odd.
-    """
-    if n == 1:
-        return [np.array([0])]
-    if n % 2 == 0:
-        return [np.arange(0, n, 2), np.arange(1, n, 2)]
-    return [np.array([k]) for k in range(n)]
-
-
-def _run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
-    n = thermo.n_beads
-    beta_n = thermo.beta / n
-    c_spring = model.mass * n / (2.0 * thermo.beta * thermo.hbar**2)
-    pot = potential_fn(model)
-    gen = _streams.stream(cfg.seed, _streams.POSITIONS, g_index)
-
-    x = 0.05 * gen.standard_normal((g_size, n))
-    v_cache = pot(x)
-    scale = np.full((g_size, 1), cfg.move_scale)
-    t_scale = np.full(g_size, cfg.move_scale)
-
-    total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
-    win_bead = np.zeros(g_size)
-    win_tr = np.zeros(g_size)
-    acc_prod = 0.0
-    att_prod = 0.0
-    emitted = 0
-
-    sets = _bead_sets(n)
-    neighbors = [( (ks + 1) % n, (ks - 1) % n ) for ks in sets]
-    z = np.empty((n + 1, g_size))
-    u = np.empty_like(z)
-
-    for sweep in range(1, total_sweeps + 1):
-        gen.standard_normal(out=z)
-        gen.random(out=u)
-        in_burn = sweep <= cfg.burn_in
-        off = 0
-        for ks, (kp, km) in zip(sets, neighbors):
-            xk = x[:, ks]
-            prop = xk + scale * z[off:off + ks.size].T
-            v_new = pot(prop)
-            d = beta_n * (v_new - v_cache[:, ks])
-            if n > 1:
-                xkp, xkm = x[:, kp], x[:, km]
-                d = d + c_spring * ((prop - xkp) ** 2 + (prop - xkm) ** 2
-                                    - (xk - xkp) ** 2 - (xk - xkm) ** 2)
-            acc = u[off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
-            x[:, ks] = np.where(acc, prop, xk)
-            v_cache[:, ks] = np.where(acc, v_new, v_cache[:, ks])
-            if in_burn:
-                win_bead += acc.sum(axis=1)
-            else:
-                acc_prod += float(acc.sum())
-                att_prod += acc.size
-            off += ks.size
-        # whole-ring translation (spring term invariant)
-        shift = t_scale * z[n]
-        xp = x + shift[:, None]
-        v_new = pot(xp)
-        d = beta_n * (v_new.sum(axis=1) - v_cache.sum(axis=1))
-        acc = u[n] < np.exp(-np.minimum(d, 700.0))
-        x[acc] = xp[acc]
-        v_cache[acc] = v_new[acc]
-        if in_burn:
-            win_tr += acc
-
-        if in_burn and sweep % _ADAPT_WINDOW == 0:
-            rate = win_bead / (_ADAPT_WINDOW * n)
-            scale[:, 0] *= np.exp(1.2 * (rate - cfg.target_acceptance))
-            rate_t = win_tr / _ADAPT_WINDOW
-            t_scale *= np.exp(1.2 * (rate_t - cfg.target_acceptance))
-            np.clip(scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=scale)
-            np.clip(t_scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=t_scale)
-            win_bead[:] = 0.0
-            win_tr[:] = 0.0
-        if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-            # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
-            rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
-            out[rows] = x
-            emitted += 1
-    return acc_prod, att_prod
+                f"post-burn-in acceptance rate {acc / att:.3f} below 0.05"))
+    return out[:, : cfg.n_samples]
 
 
 def sample_ring_positions(model, thermo, cfg, workers=None):
     """Decorrelated configurations targeting R(x), shape (n_samples, N)."""
-    return _sample(_run_group_free, model, thermo, cfg, workers)
-
-
-# ----------------------------------------------------------------------
-# centroid-constrained sampler: internal normal-mode moves, mode 0 pinned
-
-def _run_lanes_constrained(model, thermo, cfg, lanes, rounds):
-    """Advance a stack of lanes of the constrained sampler as one walker array.
-
-    A lane (seed, q_c, g_index, g_size, out) is walker group g_index of the
-    node whose streams are keyed by seed: its walkers keep the centroid at
-    q_c and fill their rows of out, the node's (walkers * rounds, N) plane.
-    The lanes sit side by side on the walker axis, so one ufunc call per
-    step serves the whole stack; the mode moves run over chunks of
-    _CHUNK_VALUES walker x bead values, whose arrays stay in cache.  Every
-    step is elementwise in the walker, so a lane gets the same bits in any
-    stack and any chunking.
-    Returns [(accepted, attempted) after burn-in] in lane order.
-    """
-    n = thermo.n_beads
-    beta_n = thermo.beta / n
-    pot = potential_fn(model)
-    cmat = normal_mode_matrix(n)
-    w = free_rp_frequencies(thermo)
-    v2 = model.poly_coefficients()[0]
-    curv = 2.0 * v2 + model.mass * 1e-6
-    sigma0 = np.sqrt(n / (thermo.beta * (model.mass * w[1:] ** 2 + curv)))
-
-    sizes = [lane[3] for lane in lanes]
-    walkers = sum(sizes)
-    spans = [slice(o - size, o) for o, size in zip(np.cumsum(sizes), sizes)]
-    x = np.empty((walkers, n))
-    v_sum = np.empty(walkers)
-    # mode-major: row k - 1 holds internal mode k of every walker
-    a = np.empty((n - 1, walkers))
-    gens = []
-    for (seed, q_c, g_index, g_size, _), span in zip(lanes, spans):
-        gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED, g_index)
-        a_lane = np.zeros((g_size, n))
-        a_lane[:, 0] = math.sqrt(n) * q_c
-        a_lane[:, 1:] = 0.1 * sigma0 * gen.standard_normal((g_size, n - 1))
-        x[span] = a_lane @ cmat.T
-        v_sum[span] = pot(x[span]).sum(axis=1)
-        a[:, span] = a_lane[:, 1:].T
-        gens.append(gen)
-    scale = np.repeat(cfg.move_scale * sigma0[:, None], walkers, axis=1)
-    lo, hi = 1e-4 * sigma0[:, None], 1e4 * sigma0[:, None]
-    cols = cmat[:, 1:].T.copy()
-
-    total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
-    win = np.zeros((n - 1, walkers))
-    n_acc = [0] * len(lanes)  # post-burn-in acceptances
-    emitted = 0
-    spring = beta_n * (0.5 * model.mass * w[1:, None] ** 2)  # beta_n m w_k^2 / 2
-
-    # every step below writes into these buffers, in the operation order of
-    # the expressions in the comments
-    z = np.empty((n - 1, walkers))
-    u, t, t2 = (np.empty_like(z) for _ in range(3))
-    acc = np.empty(z.shape, dtype=bool)
-    draw = np.empty((n - 1) * max(sizes))
-    bufs = [draw[: (n - 1) * size].reshape(n - 1, size) for size in sizes]
-    # the mode moves run over chunks of walkers whose arrays stay in cache
-    step = max(1, _CHUNK_VALUES // n)
-    prop, v_beads = np.empty((min(step, walkers), n)), np.empty((min(step, walkers), n))
-    v_new, d = np.empty(len(prop)), np.empty(len(prop))
-    chunks = []
-    for start in range(0, walkers, step):
-        c = slice(start, min(start + step, walkers))
-        m = c.stop - c.start
-        chunks.append((c, x[c], v_sum[c], prop[:m], v_beads[:m], v_new[:m], d[:m]))
-
-    for sweep in range(1, total_sweeps + 1):
-        for gen, buf, span in zip(gens, bufs, spans):
-            z[:, span] = gen.standard_normal(out=buf)
-            u[:, span] = gen.random(out=buf)
-        in_burn = sweep <= cfg.burn_in
-        # amplitude a_k changes only in the move of mode k, so the step
-        # da = scale z and the spring term t = spring_k ((a_k + da)^2 - a_k^2)
-        # of every mode are known when the sweep starts
-        da = np.multiply(scale, z, out=z)
-        np.square(np.add(a, da, out=t), out=t)
-        np.subtract(t, np.square(a, out=t2), out=t)
-        np.multiply(spring, t, out=t)
-        for c, xc, vc, pc, vb, vn, dc in chunks:
-            for k in range(1, n):
-                dak, acck = da[k - 1, c], acc[k - 1, c]
-                # prop = x + da_k c_k;  v_new = sum_j V(prop_j)
-                np.add(xc, np.multiply(dak[:, None], cols[k - 1], out=pc), out=pc)
-                np.sum(pot(pc, out=vb), axis=1, out=vn)
-                # d = beta_n (v_new - v_sum) + t_k;  acc = u < exp(-min(d, 700))
-                np.multiply(beta_n, np.subtract(vn, vc, out=dc), out=dc)
-                dc += t[k - 1, c]
-                np.exp(np.negative(np.minimum(dc, 700.0, out=dc), out=dc), out=dc)
-                np.less(u[k - 1, c], dc, out=acck)
-                np.copyto(xc, pc, where=acck[:, None])
-                np.copyto(vc, vn, where=acck)
-        np.add(a, da, out=a, where=acc)
-        if in_burn:
-            win += acc
-        else:
-            for i, span in enumerate(spans):
-                n_acc[i] += int(np.count_nonzero(acc[:, span]))
-        if in_burn and sweep % _ADAPT_WINDOW == 0:
-            rate = win / _ADAPT_WINDOW
-            scale *= np.exp(1.2 * (rate - cfg.target_acceptance))
-            np.clip(scale, lo, hi, out=scale)
-            win[:] = 0.0
-        if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-            # walker-major ordering: sample (walker w, round r) -> row w*rounds + r
-            for (_, _, g_index, g_size, out), span in zip(lanes, spans):
-                start = g_index * _GROUP * rounds + emitted
-                out[start:start + g_size * rounds:rounds] = x[span]
-            emitted += 1
-    moves = rounds * cfg.decorrelation_stride * (n - 1)
-    return [(float(count), float(g_size * moves)) for count, g_size in zip(n_acc, sizes)]
-
-
-def _stacks(lanes, n_beads):
-    """Cut lanes into as few contiguous stacks of about equal size as keep
-    each at most about _STACK_VALUES walker x bead values (or one lane)."""
-    values = sum(lane[3] for lane in lanes) * n_beads
-    count = min(len(lanes), -(-values // _STACK_VALUES))
-    return [lanes[j * len(lanes) // count:(j + 1) * len(lanes) // count] for j in range(count)]
+    return _sample(model, thermo, cfg, [(cfg.seed, None)], workers)[0]
 
 
 def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
-    """Configurations with the position centroid pinned to q_c exactly.
+    """Configurations with the position centroid pinned to q_c.
 
     A scalar q_c gives shape (n_samples, N) from the streams of cfg.seed.
     A 1-D grid of centroids gives shape (nodes, n_samples, N); node i
     samples from the streams of _node_seed(cfg.seed, i), so it equals the
-    scalar call with that seed.  The (node, walker group) lanes of all
-    nodes are stacked (see _stacks); several stacks share a thread pool of
-    `workers` threads.
+    scalar call with that seed.
     """
     grid = np.asarray(q_c, dtype=float)
     if grid.ndim > 1:
         raise ValueError("q_c must be a scalar or a 1-D grid of centroids")
-    nodes = grid.reshape(-1)
-    if thermo.n_beads == 1:
-        # a single bead is its own centroid; the constrained ensemble is a point
-        ens = np.repeat(nodes[:, None, None], cfg.n_samples, axis=1)
-    else:
-        seeds = [_node_seed(cfg.seed, i) for i in range(nodes.size)] if grid.ndim else [cfg.seed]
-        walkers, rounds, groups = _layout(cfg)
-        ens = np.empty((nodes.size, walkers * rounds, thermo.n_beads))
-        lanes = [(seed, q, g, size, plane)
-                 for seed, q, plane in zip(seeds, nodes, ens) for g, size in groups]
-        stacks = _stacks(lanes, thermo.n_beads)
-        stats = [None] * len(stacks)
-
-        def job(j):
-            stats[j] = _run_lanes_constrained(model, thermo, cfg, stacks[j], rounds)
-
-        map_groups(job, range(len(stacks)), workers)
-        lane_stats = [s for stack in stats for s in stack]  # node-major, as lanes
-        for node in range(nodes.size):
-            mine = lane_stats[node * len(groups):(node + 1) * len(groups)]
-            _warn_if_nonergodic(sum(s[0] for s in mine), sum(s[1] for s in mine))
-        ens = ens[:, : cfg.n_samples]
-        # remove accumulated roundoff in the pinned mode
-        ens += (nodes[:, None] - ens.mean(axis=2))[:, :, None]
-    return ens if grid.ndim else ens[0]
+    if grid.ndim == 0:
+        return _sample(model, thermo, cfg, [(cfg.seed, float(grid))], workers)[0]
+    nodes = [(_node_seed(cfg.seed, i), float(q)) for i, q in enumerate(grid)]
+    return _sample(model, thermo, cfg, nodes, workers)
 
 
 # ----------------------------------------------------------------------

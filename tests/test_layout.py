@@ -5,13 +5,17 @@ shared helpers in _stats and _streams, and no import hides inside a
 function, where it would keep the module graph out of sight.  Only _streams
 makes random generators, so every draw is keyed by (seed, purpose, index).
 The per-layer trace (perfbench/traced.py) patches package attributes by
-name, so every name it uses must exist, with the parameters it reads.
+name, so every name it uses must exist, with the parameters it reads and
+the SamplerConfig fields it reads.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
+
+from pimd_kubo.sampler import SamplerConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pimd_kubo"
 TRACED = SRC.parent.parent / "perfbench" / "traced.py"
@@ -113,6 +117,16 @@ def _traced_uses():
     return used, read
 
 
+def _sampler_fields_read():
+    """Attributes traced.py reads from a sampler config: cfg.<name> and
+    a["cfg"].<name> / a["sampler_cfg"].<name>."""
+    tree = ast.parse(TRACED.read_text())
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and (getattr(node.value, "id", None) == "cfg"
+                 or (isinstance(node.value, ast.Subscript)
+                     and getattr(node.value.slice, "value", None) in ("cfg", "sampler_cfg")))}
+
+
 def test_traced_entry_points_exist():
     used, read = _traced_uses()
     missing = [f"{module}.{name}" for module, name in sorted(used)
@@ -127,5 +141,8 @@ def test_traced_entry_points_exist():
     for name in ("rpmd_kubo_correlator", "cmd_kubo_correlator"):
         assert {"sampler_cfg", "integrator_cfg"} <= read[("pimd_kubo.runner", name)]
     assert "thermo" in read[("pimd_kubo.runner", "rpmd_kubo_correlator")]
+    fields = _sampler_fields_read()
+    assert fields <= {f.name for f in dataclasses.fields(SamplerConfig)}, fields
+    assert {"n_walkers", "n_samples", "burn_in", "decorrelation_stride"} <= fields
     assert ("pimd_kubo.io", "write_meta_json") in used
     assert ("pimd_kubo.estimators", "sample_ring_positions") in used

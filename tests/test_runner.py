@@ -67,7 +67,8 @@ def test_parse_minimal_defaults(tmp_path):
     cfg = parse_config(MINIMAL_STATIC.format(out=tmp_path / "o"))
     assert cfg.command == "static"
     assert cfg.sections["thermo"]["hbar"] == 1.0
-    assert cfg.sections["sampler"]["target_acceptance"] == 0.4
+    assert cfg.sections["sampler"]["burn_in"] == 64
+    assert cfg.sections["sampler"]["n_walkers"] == 1024
     assert cfg.sections["run"]["blocks"] == 16
     model = cfg.model()
     assert model.kind == "harmonic" and model.mass == 1.0
@@ -79,6 +80,21 @@ def test_parse_unknown_key_names_line():
         parse_config(text)
     assert "omeg" in str(err.value)
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["move_scale", "target_acceptance"])
+def test_step_size_keys_exit_2_naming_their_line(tmp_path, capsys, key):
+    # the sampler proposes from a Gaussian reference and adapts no step size
+    text = MINIMAL_STATIC.format(out=tmp_path / "o").replace(
+        "burn_in = 64\n", f"burn_in = 64\n{key} = 0.5\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == 11 and key in str(err.value)
+    path = tmp_path / "old.ini"
+    path.write_text(text)
+    assert main([str(path), "--quiet"]) == 2
+    assert f"line 11: unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_unknown_section():

@@ -10,12 +10,13 @@ from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, draw_m
                        estimate_static_average, harmonic, log_ring_density,
                        mean_square_position, mildly_anharmonic, potential_grad, quartic,
                        sample_ring_positions, sample_ring_positions_constrained)
-from pimd_kubo import _streams
+from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
+from pimd_kubo._stats import block_standard_error
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning
-from pimd_kubo.model import potential_fn
+from pimd_kubo.model import grad_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo.sampler import (_GROUP, _bead_sets, _conditional_centroid_m2, _run_group_free,
-                              _run_lanes_constrained)
+from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _reference_curvature,
+                              _run_group)
 
 
 def _cfg(n, seed=1, **kw):
@@ -215,13 +216,15 @@ def test_seed_reproducibility_and_worker_independence(harmonic_model):
     assert np.array_equal(c, d)
 
 
-def test_nonergodic_warning(harmonic_model):
-    th = ThermoParams(1.0, 4)
-    # no burn-in, giant step: acceptance collapses below 5%
-    cfg = SamplerConfig(n_samples=500, seed=19, burn_in=0, decorrelation_stride=1,
-                        move_scale=500.0)
-    with pytest.warns(NonErgodicWarning):
-        sample_ring_positions(harmonic_model, th, cfg)
+def test_nonergodic_warning():
+    # a pure quartic well deep in the quantum regime: the Gaussian reference
+    # misses the non-Gaussian shape of every one of the 512 beads, and after
+    # burn-in the walkers accept about 1.5 % of their proposals
+    th = ThermoParams(2048.0, 512)
+    cfg = SamplerConfig(n_samples=400, seed=19, burn_in=100, decorrelation_stride=1,
+                        n_walkers=200)
+    with pytest.warns(NonErgodicWarning, match="below 0.05"):
+        sample_ring_positions(quartic(1.0), th, cfg)
 
 
 def test_sampler_config_validation():
@@ -230,203 +233,146 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n_samples=10, seed=1, decorrelation_stride=0)
     with pytest.raises(ValueError):
-        SamplerConfig(n_samples=10, seed=1, target_acceptance=1.5)
+        SamplerConfig(n_samples=10, seed=1, n_walkers=0)
+    with pytest.raises(TypeError):  # no step size to adapt
+        SamplerConfig(n_samples=10, seed=1, move_scale=0.5)
 
 
-def _reference_run_group_constrained(model, thermo, cfg, q_c, g_index, g_size, rounds, out):
-    """The allocating mode-move kernel the buffered one must reproduce bit for bit."""
+def _run_kernel(model, thermo, cfg, q_c=None):
+    """(rows, accepted, attempted) of _run_group over every walker group of cfg."""
+    walkers, rounds, groups = _layout(cfg)
+    out = np.full((walkers * rounds, thermo.n_beads), np.nan)
+    counts = [_run_group(model, thermo, cfg, cfg.seed, q_c, g, size, rounds, out)
+              for g, size in groups]
+    return out[: cfg.n_samples], sum(c[0] for c in counts), sum(c[1] for c in counts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_harmonic_reference_is_exact(harmonic_model, n):
+    # the reference is the harmonic ring itself: every proposal is accepted,
+    # rows are independent draws, and each normal mode's mean square is its
+    # variance N / (beta (m w_k^2 + m w^2)) within 3 SE (sqrt(2 / rows) relative)
+    th = ThermoParams(8.0, n)
+    cfg = SamplerConfig(n_samples=4096, seed=n, burn_in=16, decorrelation_stride=1)
+    var = n / (th.beta * (free_rp_frequencies(th) ** 2 + 1.0))
+    for q_c in (None, 0.7):
+        ens, accepted, attempted = _run_kernel(harmonic_model, th, cfg, q_c)
+        assert accepted == attempted
+        a = ens @ normal_mode_matrix(n)
+        internal = (a[:, 1:] ** 2).mean(axis=0) / var[1:] - 1.0
+        assert np.abs(internal).max() <= 3.0 * math.sqrt(2.0 / len(ens))
+        if q_c is None:
+            assert abs((a[:, 0] ** 2).mean() / var[0] - 1.0) <= 3.0 * math.sqrt(2.0 / len(ens))
+        else:
+            assert np.abs(a[:, 0] - math.sqrt(n) * q_c).max() <= 1e-12
+
+
+def _importance_reference(model, thermo, q_c, f, draws=40000):
+    """<f(x)> and its SE by self-normalised importance sampling.
+
+    The draws are i.i.d. from the Gaussian ring of _reference_curvature,
+    built here from normal_mode_matrix and numpy's own generator; any
+    proper curvature would give an unbiased estimate, this one a precise
+    one.  Mode 0 is pinned at sqrt(N) q_c unless q_c is None.
+    """
     n = thermo.n_beads
-    beta_n = thermo.beta / n
-    pot = potential_fn(model)
-    gen = _streams.stream(cfg.seed, _streams.POSITIONS_CONSTRAINED, g_index)
-    cmat = normal_mode_matrix(n)
-    w = free_rp_frequencies(thermo)
-    v2 = model.poly_coefficients()[0]
-    curv = 2.0 * v2 + model.mass * 1e-6
-    sigma0 = np.sqrt(n / (thermo.beta * (model.mass * w[1:] ** 2 + curv)))
-
-    a = np.zeros((g_size, n))
-    a[:, 0] = math.sqrt(n) * q_c
-    a[:, 1:] = 0.1 * sigma0 * gen.standard_normal((g_size, n - 1))
-    x = a @ cmat.T
-    v_sum = pot(x).sum(axis=1)
-    scale = np.broadcast_to(cfg.move_scale * sigma0, (g_size, n - 1)).copy()
-
-    total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
-    win = np.zeros((g_size, n - 1))
-    acc_prod = 0.0
-    att_prod = 0.0
-    emitted = 0
-    half_spring = 0.5 * model.mass * w**2
-
-    sweep = 0
-    while sweep < total_sweeps:
-        z = gen.standard_normal((n - 1, g_size))
-        u = gen.random((n - 1, g_size))
-        in_burn = sweep < cfg.burn_in
-        for k in range(1, n):
-            da = scale[:, k - 1] * z[k - 1]
-            xp = x + da[:, None] * cmat[:, k][None, :]
-            v_new = pot(xp).sum(axis=1)
-            ak = a[:, k]
-            d = beta_n * (v_new - v_sum) + beta_n * half_spring[k] * ((ak + da) ** 2 - ak**2)
-            acc = u[k - 1] < np.exp(-np.minimum(d, 700.0))
-            x[acc] = xp[acc]
-            a[acc, k] += da[acc]
-            v_sum[acc] = v_new[acc]
-            if in_burn:
-                win[:, k - 1] += acc
-            else:
-                acc_prod += float(acc.sum())
-                att_prod += g_size
-        sweep += 1
-        if in_burn and sweep % 16 == 0:
-            rate = win / 16
-            scale *= np.exp(1.2 * (rate - cfg.target_acceptance))
-            np.clip(scale, 1e-4 * sigma0, 1e4 * sigma0, out=scale)
-            win[:] = 0.0
-        if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-            rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
-            out[rows] = x
-            emitted += 1
-    return acc_prod, att_prod
+    c = 0.0 if q_c is None else q_c
+    kappa = _reference_curvature(model, thermo, c, q_c is not None)
+    first = 0 if q_c is None else 1
+    w2 = model.mass * free_rp_frequencies(thermo)[first:] ** 2
+    sigma = np.sqrt(n / (thermo.beta * (w2 + kappa)))
+    y = (np.random.default_rng(5).standard_normal((draws, n - first)) * sigma
+         @ normal_mode_matrix(n)[:, first:].T)
+    x = c + y
+    log_w = -(thermo.beta / n) * (potential_fn(model)(x) - 0.5 * kappa * y * y).sum(axis=1)
+    w = np.exp(log_w - log_w.max())
+    vals = f(x)
+    mean = (w * vals).sum() / w.sum()
+    return mean, math.sqrt((w * w * (vals - mean) ** 2).sum()) / w.sum()
 
 
-@pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
-                                   mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
-                                   quartic(1.0)],
-                         ids=["harmonic", "anharmonic_c3", "quartic"])
+_MODELS = pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
+                                            mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
+                                            quartic(1.0)],
+                                  ids=["harmonic", "anharmonic_c3", "quartic"])
+
+
+@_MODELS
 @pytest.mark.parametrize("n", [2, 3, 16])
-def test_constrained_kernel_matches_reference(model, n, monkeypatch):
-    # burn-in of 80 sweeps is five adaptation windows, then 5 rounds at
-    # stride 3 are emitted; group 1 checks the row offsets
+def test_constrained_kernel_matches_reference(model, n):
+    # the mean force -<(1/N) sum_j V'(x_j)> on two nodes against the bare
+    # harmonic force -m w^2 q_c, a 1-D quadrature over the single internal
+    # mode of N = 2, or an importance-sampling estimate (4 combined SE:
+    # 18 comparisons)
     th = ThermoParams(2.0, n)
-    cfg = SamplerConfig(n_samples=1, seed=23, burn_in=80, decorrelation_stride=3)
-    rounds = 5
-    rows = (_GROUP + 37) * rounds
-    # (seed, q_c, g_index, g_size) of each lane; the stack of all three must
-    # give every lane the bits it gets alone, also when its mode moves run
-    # in chunks of 7 walkers that cut across the lanes
-    lanes = [(23, 0.4, 0, 37), (23, 0.4, 1, 37), (91, -1.3, 1, 20)]
-    want, want_stats = [], []
-    for seed, q_c, g_index, g_size in lanes:
-        plane = np.full((rows, n), np.nan)
-        lane_cfg = SamplerConfig(n_samples=1, seed=seed, burn_in=80, decorrelation_stride=3)
-        want_stats.append(_reference_run_group_constrained(model, th, lane_cfg, q_c, g_index,
-                                                           g_size, rounds, plane))
-        want.append(plane)
-    for stack, chunk in (([0], None), ([1], None), ([2], None), ([0, 1, 2], None),
-                         ([0, 1, 2], 7 * n)):
-        if chunk:
-            monkeypatch.setattr("pimd_kubo.sampler._CHUNK_VALUES", chunk)
-        got = {i: np.full((rows, n), np.nan) for i in stack}
-        got_stats = _run_lanes_constrained(model, th, cfg, [lanes[i] + (got[i],) for i in stack],
-                                           rounds)
-        assert got_stats == [want_stats[i] for i in stack]
-        for i in stack:
-            assert got[i].tobytes() == want[i].tobytes()
-            start = lanes[i][2] * _GROUP * rounds
-            assert np.isfinite(got[i][start:start + lanes[i][3] * rounds]).all()
+    cfg = SamplerConfig(n_samples=8192, seed=23, burn_in=64, decorrelation_stride=2)
+    grad = grad_fn(model)
+
+    def force(x):
+        return -grad(x).mean(axis=1)
+
+    for q_c in (0.4, -1.3):
+        vals = force(sample_ring_positions_constrained(model, th, cfg, q_c))
+        mean, se = vals.mean(), block_standard_error(vals, 64)
+        if model.kind == "harmonic":
+            assert abs(mean + q_c) <= 1e-12
+            continue
+        if n == 2:
+            # x = q_c -/+ a / sqrt(2); the ring exponent is
+            # (beta / 2) (V(x_0) + V(x_1) + m w_1^2 a^2 / 2)
+            a = np.linspace(-12.0, 12.0, 24001)
+            x = q_c + np.stack([-a, a], axis=1) / math.sqrt(2.0)
+            w1 = free_rp_frequencies(th)[1]
+            expo = 0.5 * th.beta * (potential_fn(model)(x).sum(axis=1) + 0.5 * w1**2 * a * a)
+            weight = np.exp(-(expo - expo.min()))
+            want, want_se = (weight * force(x)).sum() / weight.sum(), 0.0
+        else:
+            want, want_se = _importance_reference(model, th, q_c, force)
+        assert abs(mean - want) <= 4.0 * math.hypot(se, want_se)
 
 
-def _reference_run_group_free(model, thermo, cfg, g_index, g_size, rounds, out):
-    """The allocating bead-move kernel the buffered one must reproduce bit for bit."""
-    n = thermo.n_beads
-    beta_n = thermo.beta / n
-    c_spring = model.mass * n / (2.0 * thermo.beta * thermo.hbar**2)
-    pot = potential_fn(model)
-    gen = _streams.stream(cfg.seed, _streams.POSITIONS, g_index)
-
-    x = 0.05 * gen.standard_normal((g_size, n))
-    v_cache = pot(x)
-    scale = np.full((g_size, 1), cfg.move_scale)
-    t_scale = np.full(g_size, cfg.move_scale)
-
-    total_sweeps = cfg.burn_in + rounds * cfg.decorrelation_stride
-    win_bead = np.zeros(g_size)
-    win_tr = np.zeros(g_size)
-    acc_prod = 0.0
-    att_prod = 0.0
-    emitted = 0
-
-    sets = _bead_sets(n)
-    neighbors = [((ks + 1) % n, (ks - 1) % n) for ks in sets]
-
-    sweep = 0
-    while sweep < total_sweeps:
-        z = gen.standard_normal((n + 1, g_size))
-        u = gen.random((n + 1, g_size))
-        in_burn = sweep < cfg.burn_in
-        off = 0
-        for ks, (kp, km) in zip(sets, neighbors):
-            xk = x[:, ks]
-            prop = xk + scale * z[off:off + ks.size].T
-            v_new = pot(prop)
-            d = beta_n * (v_new - v_cache[:, ks])
-            if n > 1:
-                xkp, xkm = x[:, kp], x[:, km]
-                d = d + c_spring * ((prop - xkp) ** 2 + (prop - xkm) ** 2
-                                    - (xk - xkp) ** 2 - (xk - xkm) ** 2)
-            acc = u[off:off + ks.size].T < np.exp(-np.minimum(d, 700.0))
-            x[:, ks] = np.where(acc, prop, xk)
-            v_cache[:, ks] = np.where(acc, v_new, v_cache[:, ks])
-            if in_burn:
-                win_bead += acc.sum(axis=1)
-            else:
-                acc_prod += float(acc.sum())
-                att_prod += acc.size
-            off += ks.size
-        shift = t_scale * z[n]
-        xp = x + shift[:, None]
-        v_new = pot(xp)
-        d = beta_n * (v_new.sum(axis=1) - v_cache.sum(axis=1))
-        acc = u[n] < np.exp(-np.minimum(d, 700.0))
-        x[acc] = xp[acc]
-        v_cache[acc] = v_new[acc]
-        if in_burn:
-            win_tr += acc
-
-        sweep += 1
-        if in_burn and sweep % 16 == 0:
-            rate = win_bead / (16 * n)
-            scale[:, 0] *= np.exp(1.2 * (rate - cfg.target_acceptance))
-            rate_t = win_tr / 16
-            t_scale *= np.exp(1.2 * (rate_t - cfg.target_acceptance))
-            np.clip(scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=scale)
-            np.clip(t_scale, 1e-4 * cfg.move_scale, 1e4 * cfg.move_scale, out=t_scale)
-            win_bead[:] = 0.0
-            win_tr[:] = 0.0
-        if not in_burn and (sweep - cfg.burn_in) % cfg.decorrelation_stride == 0:
-            rows = (np.arange(g_size) + g_index * _GROUP) * rounds + emitted
-            out[rows] = x
-            emitted += 1
-    return acc_prod, att_prod
-
-
-@pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
-                                   mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
-                                   quartic(1.0)],
-                         ids=["harmonic", "anharmonic_c3", "quartic"])
+@_MODELS
 @pytest.mark.parametrize("n", [1, 2, 5, 64])
 def test_free_kernel_matches_reference(model, n):
-    # burn-in of 80 sweeps is five adaptation windows, then 5 rounds at
-    # stride 3 are emitted; group 1 checks the row offsets
+    # <centroid> and <(1/N) sum_j x_j^2> against the analytic harmonic
+    # values or an importance-sampling estimate (4 combined SE: 24 comparisons)
     th = ThermoParams(2.0, n)
-    cfg = SamplerConfig(n_samples=1, seed=29, burn_in=80, decorrelation_stride=3)
-    rounds = 5
-    rows = (_GROUP + 37) * rounds
-    for g_index, g_size in ((0, 37), (1, 23)):
-        want, got = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
-        want_stats = _reference_run_group_free(model, th, cfg, g_index, g_size, rounds, want)
-        assert _run_group_free(model, th, cfg, g_index, g_size, rounds, got) == want_stats
-        assert got.tobytes() == want.tobytes()
-        start = g_index * _GROUP * rounds
-        assert np.isfinite(got[start:start + g_size * rounds]).all()
+    cfg = SamplerConfig(n_samples=8192, seed=29, burn_in=64, decorrelation_stride=2)
+    ens = sample_ring_positions(model, th, cfg)
+    assert np.isfinite(ens).all()
+    bead_m2 = np.sum(1.0 / (th.beta * (free_rp_frequencies(th) ** 2 + 1.0)))
+    for f, harmonic_value in ((lambda x: x.mean(axis=1), 0.0),
+                              (lambda x: (x * x).mean(axis=1), bead_m2)):
+        vals = f(ens)
+        mean, se = vals.mean(), block_standard_error(vals, 64)
+        if model.kind == "harmonic":
+            want, want_se = harmonic_value, 0.0
+        else:
+            want, want_se = _importance_reference(model, th, None, f)
+        assert abs(mean - want) <= 4.0 * math.hypot(se, want_se)
+
+
+def test_quartic_centroid_variance_matches_oracle():
+    # the rpmd-quartic-n128 physics point, pooled over four runs of 2048
+    # samples (seeds 1-4): <q_c^2> is the Kubo C_qq(0) of the grid oracle
+    # (0.10465); the local-move Metropolis sampler read 0.1158 +- 0.0019 here
+    model = quartic(1.0)
+    th = ThermoParams(8.0, 128)
+    eig = diagonalize(model, GridSpec(-8.0, 8.0, 320), 24)
+    exact = exact_kubo_correlator(eig, OBS_Q, OBS_Q, th.beta, [0.0]).values[0]
+    means, ses = [], []
+    for seed in range(1, 5):
+        ens = sample_ring_positions(model, th, SamplerConfig(n_samples=2048, seed=seed))
+        qc2 = ens.mean(axis=1) ** 2
+        means.append(qc2.mean())
+        ses.append(block_standard_error(qc2))
+    assert abs(np.mean(means) - exact) <= 3.0 * math.hypot(*ses) / len(ses)
 
 
 def test_free_sampler_holds_one_sweep_of_draws(harmonic_model):
     # one walker group of 2048 at N = 8: the normals and uniforms come one
-    # sweep at a time, so the sampler holds far less than 64 sweeps of draws
+    # proposal at a time, so the sampler holds far less than 64 proposals'
+    # worth of draws (the bound counts N + 1 of them per walker and proposal)
     th = ThermoParams(1.0, 8)
     cfg = SamplerConfig(n_samples=4 * _GROUP, seed=31, burn_in=64, decorrelation_stride=4,
                         n_walkers=_GROUP)
@@ -444,8 +390,8 @@ def test_free_sampler_holds_one_sweep_of_draws(harmonic_model):
 @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
 def test_streams_are_prefix_stable(constrained):
     # a longer run reproduces every row of a shorter one bit for bit; the
-    # runs end at sweeps 70 and 115, so a layout that drew the normals of
-    # 64 sweeps ahead would give sweeps 65-70 different numbers in each
+    # runs end at proposals 70 and 115, so a layout that drew the normals of
+    # 64 proposals ahead would give proposals 65-70 different numbers in each
     model = mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1)
     th = ThermoParams(2.0, 5)
     walkers = 30
