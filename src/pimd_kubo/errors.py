@@ -13,6 +13,10 @@ class NonErgodicWarning(UserWarning):
     """
 
 
+class UnsupportedModel(ValueError):
+    """The sampler's Gaussian reference cannot serve a well with two minima."""
+
+
 class GridEscape(RuntimeError):
     """A centroid trajectory left the tabulated force range."""
 

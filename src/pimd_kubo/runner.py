@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__, io
 from .dynamics import IntegratorConfig, build_centroid_force_table, rpmd_trajectory
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedModel
 from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
 from .model import HARMONIC, MILDLY_ANHARMONIC, QUARTIC, PotentialModel, ThermoParams
@@ -449,7 +449,7 @@ def run(config, workers=None):
             io.write_meta_json(os.path.join(staging, "meta.json"), meta)
             for name in os.listdir(staging):
                 os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedModel) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures, writing included, map to exit code 3

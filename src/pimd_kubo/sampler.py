@@ -7,23 +7,24 @@ case of preconditioned Crank-Nicolson; Cotter et al., Stat. Sci. 28, 424
 (2013)).  Every proposal is an exact draw from a Gaussian reference: the
 free ring polymer plus the harmonic well kappa (x_j - c)^2 / 2 on each
 bead.  In normal modes the reference is diagonal, mode k with variance
-N / (beta (m w_k^2 + kappa)).  For the free ensemble c = 0 and every mode
-is drawn; for the constrained one c = q_c, mode 0 stays pinned at
-sqrt(N) q_c, and only the internal modes are drawn.  A proposal is
-accepted with min(1, exp(-dPhi)), where
-Phi(x) = (beta/N) sum_j [V(x_j) - kappa (x_j - c)^2 / 2] is what the
-reference leaves out of the ring exponent.  Momentum marginals are exact
-Gaussians and are drawn directly.
+N / (beta (m w_k^2 + kappa)).  For the free ensemble every mode is drawn;
+for the constrained one c = q_c, mode 0 stays pinned at sqrt(N) q_c, and
+only the internal modes are drawn.  A proposal is accepted with
+min(1, exp(-dPhi)), where Phi(x) = (beta/N) sum_j [V(x_j) - kappa (x_j - c)^2 / 2]
+is what the reference leaves out of the ring exponent.  Momentum marginals
+are exact Gaussians and are drawn directly.
 
-kappa comes from the model alone (_reference_curvature): the
+c and kappa come from the model alone (_reference).  kappa is the
 self-consistent harmonic fixed point kappa = V''(c) + 12 v4 <u^2>_ref(kappa),
-where u = x_j - c and the average is over the reference itself.  For the
-constrained ensemble it is clamped at 0, where the springs still keep
-every internal mode proper.  For the harmonic well kappa = m omega^2 and
-Phi is constant, so every proposal is accepted and every row is an
-independent draw.  No step size is adapted.  One Gaussian serves one
-well: where V has a second minimum (9 v3^2 > 32 v2 v4) that holds much of
-the ring, the proposals rarely reach it and the ensemble misses it.
+u = x_j - c, clamped at 0 for the constrained ensemble, whose springs keep
+every internal mode proper.  The free ensemble's c minimises the
+Gibbs-Bogoliubov bound on the ring's free energy over this family of
+Gaussians (c = 0 for an even V).  Any c and kappa > 0 give a correct
+sampler; these make it accept often.  For the harmonic well every proposal
+is accepted and every row is an independent draw.  No step size is
+adapted.  A well with a second minimum (9 v3^2 > 32 v2 v4) raises
+UnsupportedModel: rings that reach into both minima carry weight that the
+proposals miss.
 
 Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from counter-based streams keyed by (seed, purpose,
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import _streams
 from ._stats import block_standard_error
-from .errors import NonErgodicWarning
+from .errors import NonErgodicWarning, UnsupportedModel
 from .model import potential_fn
 from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies
 
@@ -94,17 +95,6 @@ def _layout(cfg):
     return walkers, rounds, groups
 
 
-def map_groups(worker_fn, groups, workers=None):
-    """Call worker_fn on every group, on resolve_workers(workers) threads."""
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(groups) <= 1:
-        for g in groups:
-            worker_fn(g)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(worker_fn, groups))
-
-
 def map_in_order(fn, items, consume, workers=None):
     """Call consume(fn(item)) for every item, in item order, in this thread.
 
@@ -132,30 +122,53 @@ def _node_seed(seed, index):
     return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
 
 
-def _reference_curvature(model, thermo, c, pinned):
-    """kappa of the Gaussian reference around c: the root of
-    kappa = V''(c) + 12 v4 sum_k 1 / (beta (m w_k^2 + kappa)),
-    the sum running over the drawn modes (k >= 1 when mode 0 is pinned);
-    the sum is <(x_j - c)^2> under the reference.  Clamped at 0 when pinned.
+def _reference(model, thermo, q_c):
+    """(c, kappa) of the Gaussian reference for the node q_c (None: free).
+
+    kappa(c) solves kappa = V''(c) + 12 v4 s2(kappa), s2 = <(x_j - c)^2>_ref
+    (clamped at 0 when pinned).  The free c zeroes the slope of the
+    Gibbs-Bogoliubov bound, V'(c) + V'''(c) s2 / 2, where it turns from - to +.
     """
     v2, v3, v4 = model.poly_coefficients()
-    curv = 2.0 * v2 + 6.0 * v3 * c + 12.0 * v4 * c * c
-    if v4 == 0.0:
-        return max(curv, 0.0)
+    pinned = q_c is not None
     w2 = model.mass * free_rp_frequencies(thermo)[1 if pinned else 0:] ** 2
 
-    def excess(kappa):  # increasing in kappa; -inf at 0 when mode 0 is drawn
-        return kappa - curv - 12.0 * v4 * np.sum(1.0 / (thermo.beta * (w2 + kappa)))
+    def s2(kappa):
+        return np.sum(1.0 / (thermo.beta * (w2 + kappa)))
 
-    if pinned and excess(0.0) >= 0.0:
-        return 0.0
-    lo, hi = 0.0, max(curv, 0.0) + 1.0
-    while excess(hi) < 0.0:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
-    return hi
+    def kappa_at(c):
+        curv = 2.0 * v2 + 6.0 * v3 * c + 12.0 * v4 * c * c
+        if v4 == 0.0:
+            return max(curv, 0.0)
+
+        def excess(kappa):  # increasing in kappa; -inf at 0 when mode 0 is drawn
+            return kappa - curv - 12.0 * v4 * s2(kappa)
+
+        if pinned and excess(0.0) >= 0.0:
+            return 0.0
+        lo, hi = 0.0, max(curv, 0.0) + 1.0
+        while excess(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+        return hi
+
+    def slope(c):  # dF/dc / beta
+        return (((4.0 * v4 * c + 3.0 * v3) * c + 2.0 * v2) * c
+                + (3.0 * v3 + 12.0 * v4 * c) * s2(kappa_at(c)))
+
+    c = 0.0 if q_c is None else q_c
+    if not pinned and v3 != 0.0:
+        lo, hi = -1.0, 1.0
+        while slope(lo) >= 0.0:
+            lo *= 2.0
+        while slope(hi) <= 0.0:
+            hi *= 2.0
+        for _ in range(64):
+            c = 0.5 * (lo + hi)
+            lo, hi = (c, hi) if slope(c) < 0.0 else (lo, c)
+    return c, kappa_at(c)
 
 
 def _run_group(model, thermo, cfg, seed, q_c, g_index, g_size, rounds, out):
@@ -167,8 +180,7 @@ def _run_group(model, thermo, cfg, seed, q_c, g_index, g_size, rounds, out):
     """
     n = thermo.n_beads
     pinned = q_c is not None
-    c = q_c if pinned else 0.0
-    kappa = _reference_curvature(model, thermo, c, pinned)
+    c, kappa = _reference(model, thermo, q_c)
     half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
     pot = potential_fn(model)
     gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS,
@@ -222,25 +234,28 @@ def _run_group(model, thermo, cfg, seed, q_c, g_index, g_size, rounds, out):
 
 
 def _sample(model, thermo, cfg, nodes, workers):
-    """Run _run_group on every (node, walker group) on the map_groups threads.
+    """Run _run_group on every (node, walker group) on the map_in_order threads.
 
     nodes lists (seed, q_c) pairs (q_c None for the free ensemble).  Warns
     once for each node whose acceptance rate after burn-in falls below 0.05.
     Returns shape (len(nodes), n_samples, N).
     """
+    v2, v3, v4 = model.poly_coefficients()
+    if 9.0 * v3 * v3 > 32.0 * v2 * v4:
+        raise UnsupportedModel("V has a second minimum (9 v3^2 > 32 v2 v4)")
     walkers, rounds, groups = _layout(cfg)
     out = np.empty((len(nodes), walkers * rounds, thermo.n_beads))
     jobs = [(i, g, size) for i in range(len(nodes)) for g, size in groups]
-    counts = {}
+    counts = []
 
     def job(spec):
         i, g, size = spec
         seed, q_c = nodes[i]
-        counts[spec] = _run_group(model, thermo, cfg, seed, q_c, g, size, rounds, out[i])
+        return _run_group(model, thermo, cfg, seed, q_c, g, size, rounds, out[i])
 
-    map_groups(job, jobs, workers)
+    map_in_order(job, jobs, counts.append, workers)
     for i in range(len(nodes)):
-        acc, att = np.sum([counts[(i, g, size)] for g, size in groups], axis=0)
+        acc, att = np.sum(counts[i * len(groups):(i + 1) * len(groups)], axis=0)
         if att > 0 and acc / att < 0.05:
             warnings.warn(NonErgodicWarning(
                 f"post-burn-in acceptance rate {acc / att:.3f} below 0.05"))

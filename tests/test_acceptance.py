@@ -37,8 +37,10 @@ One criterion runs another seed than its specification:
   over 1001 times with a 16-block SE, exceeds 3 for 2 to 5 % of seeds even
   when every sample is an exact independent draw (seeds 2100-2139: 2 of 40
   with the Gaussian-reference sampler, 1 of 40 with the earlier local-move
-  one).  Seed 2100 drew C(0) 2.6 true SE low and its block SE came out 25 %
-  below the spread of the rows, so it reads 3.7.
+  one), and as often when numpy draws every initial ring exactly in place
+  of the sampler (2 of 60 seeds: 3.01 and 4.40).  Seed 2100 drew C(0)
+  2.6 true SE low and its block SE came out 25 % below the spread of the
+  rows, so it reads 3.7.
 """
 
 import json

@@ -97,6 +97,18 @@ def test_step_size_keys_exit_2_naming_their_line(tmp_path, capsys, key):
     assert not (tmp_path / "o").exists()
 
 
+def test_second_minimum_exits_2_before_writing(tmp_path, capsys):
+    # c3 = -1, c4 = 0.3 has a second, deeper minimum at q = 2.10, which the
+    # Gaussian-reference sampler cannot serve: the run stops at the sampler
+    # with the named error and writes nothing
+    out = tmp_path / "o"
+    text = MINIMAL_STATIC.format(out=out).replace(
+        "kind = harmonic", "kind = mildly_anharmonic\nc3 = -1.0\nc4 = 0.3")
+    assert run(parse_config(text)) == 2
+    assert "second minimum" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_unknown_section():
     with pytest.raises(ConfigError) as err:
         parse_config("[banana]\nx = 1\n")

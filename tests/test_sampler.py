@@ -12,10 +12,10 @@ from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, draw_m
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo._stats import block_standard_error
-from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning
+from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import grad_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _reference_curvature,
+from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _reference,
                               _run_group)
 
 
@@ -270,14 +270,13 @@ def test_harmonic_reference_is_exact(harmonic_model, n):
 def _importance_reference(model, thermo, q_c, f, draws=40000):
     """<f(x)> and its SE by self-normalised importance sampling.
 
-    The draws are i.i.d. from the Gaussian ring of _reference_curvature,
+    The draws are i.i.d. from the Gaussian ring of _reference,
     built here from normal_mode_matrix and numpy's own generator; any
     proper curvature would give an unbiased estimate, this one a precise
     one.  Mode 0 is pinned at sqrt(N) q_c unless q_c is None.
     """
     n = thermo.n_beads
-    c = 0.0 if q_c is None else q_c
-    kappa = _reference_curvature(model, thermo, c, q_c is not None)
+    c, kappa = _reference(model, thermo, q_c)
     first = 0 if q_c is None else 1
     w2 = model.mass * free_rp_frequencies(thermo)[first:] ** 2
     sigma = np.sqrt(n / (thermo.beta * (w2 + kappa)))
@@ -367,6 +366,47 @@ def test_quartic_centroid_variance_matches_oracle():
         means.append(qc2.mean())
         ses.append(block_standard_error(qc2))
     assert abs(np.mean(means) - exact) <= 3.0 * math.hypot(*ses) / len(ses)
+
+
+def _transfer_matrix_moments(model, thermo, span=8.0, points=801):
+    """Bead <x> and <x^2> of the N-bead ring from the N-th power of its
+    symmetric bead transfer matrix on a uniform grid."""
+    x = np.linspace(-span, span, points)
+    v = potential_fn(model)(x)
+    n, beta = thermo.n_beads, thermo.beta
+    step = np.exp(-(beta / n) * 0.5 * (v[:, None] + v[None, :])
+                  - (model.mass * n / (2.0 * beta)) * (x[:, None] - x[None, :]) ** 2)
+    d = np.diag(np.linalg.matrix_power(step * (x[1] - x[0]), n))
+    return (d * x).sum() / d.sum(), (d * x * x).sum() / d.sum()
+
+
+def test_shoulder_well_matches_transfer_matrix():
+    # c3 = -0.72, c4 = 0.3 is a single well just short of a second minimum
+    # (9 v3^2 = 4.67 < 32 v2 v4 = 4.8); at beta = 8, N = 16 its ring sits
+    # off q = 0, at <x> = 0.525, where a reference centred at q = 0 reads
+    # 0.419.  Bead <x> and <x^2> within 4 SE of the transfer matrix
+    model = mildly_anharmonic(1.0, 1.0, c3=-0.72, c4=0.3)
+    th = ThermoParams(8.0, 16)
+    ens = sample_ring_positions(model, th, SamplerConfig(n_samples=8192, seed=43))
+    for f, want in zip((lambda x: x.mean(axis=1), lambda x: (x * x).mean(axis=1)),
+                       _transfer_matrix_moments(model, th)):
+        vals = f(ens)
+        assert abs(vals.mean() - want) <= 4.0 * block_standard_error(vals, 64)
+
+
+def test_second_minimum_is_rejected():
+    # c3 = -1, c4 = 0.3: a second, deeper minimum at q = 2.10.  At beta = 8,
+    # N = 16 the transfer matrix puts 3.6 % of the beads below the barrier
+    # top at q = 0.40, nearly all on the 27 % of rings that cross it, which
+    # Gaussian proposals reach too rarely: both ensembles refuse the model
+    model = mildly_anharmonic(1.0, 1.0, c3=-1.0, c4=0.3)
+    th = ThermoParams(8.0, 16)
+    cfg = SamplerConfig(n_samples=64, seed=1)
+    assert _transfer_matrix_moments(model, th)[0] == pytest.approx(1.7186, abs=1e-4)
+    with pytest.raises(UnsupportedModel, match="second minimum"):
+        sample_ring_positions(model, th, cfg)
+    with pytest.raises(UnsupportedModel, match="second minimum"):
+        sample_ring_positions_constrained(model, th, cfg, [0.0, 2.0])
 
 
 def test_free_sampler_holds_one_sweep_of_draws(harmonic_model):
