@@ -32,7 +32,7 @@ def main():
         cfg = SamplerConfig(n_samples=400_000, seed=100 + n_beads, burn_in=256,
                             decorrelation_stride=4, n_walkers=8192)
         ens = sample_ring_positions(model, thermo, cfg)
-        mean, se = mean_square_position(ens, model, thermo, conditioned=True)
+        mean, se = mean_square_position(ens, model, thermo)
         errors[n_beads] = abs(mean - exact)
         print(f"{n_beads:>4} {mean:>12.7f} {se:>10.1e} {mean - exact:>12.2e}")
 

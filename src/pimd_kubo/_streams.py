@@ -8,13 +8,11 @@ numbers as a serial run.
 
 import numpy as np
 
-# purpose tags (fit in 16 bits)
+# purpose tags (fit in 16 bits); a tag's value keys its streams, so it stays fixed
 POSITIONS = 1
 POSITIONS_CONSTRAINED = 2
 MOMENTA = 3
-INIT = 4
 CMD_MOMENTA = 5
-CAQ_MOMENTA = 6
 
 
 def stream(seed, purpose, index=0):

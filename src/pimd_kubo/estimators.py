@@ -45,14 +45,6 @@ class FilterSpec:
             raise ValueError(f"unknown filter kind {self.kind!r}")
 
 
-def _model_meta(model, thermo):
-    meta = {"model": model.kind, "mass": model.mass, "beta": thermo.beta,
-            "n_beads": thermo.n_beads, "hbar": thermo.hbar}
-    if model.kind in OMEGA_KINDS:
-        meta["omega"] = model.omega
-    return meta
-
-
 def _initial_values(obs, positions, momenta):
     if obs.kind == POSITION:
         return obs.f(positions).mean(axis=1)
@@ -130,11 +122,7 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
     x0, p0 = initial
     values, errors = _correlator_from_ic(x0, p0, grad_fn(model), model.mass, thermo,
                                          integrator_cfg, a_obs, b_obs, workers)
-    meta = _model_meta(model, thermo)
-    meta.update({"method": "rpmd", "A": a_obs.label, "B": b_obs.label,
-                 "seed": sampler_cfg.seed, "dt": integrator_cfg.dt,
-                 "momentum_convention": momentum_convention})
-    return CorrelationSeries(integrator_cfg.times(), values, errors, meta)
+    return CorrelationSeries(integrator_cfg.times(), values, errors)
 
 
 def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs, b_obs,
@@ -159,10 +147,7 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     values, errors = _correlator_from_ic(qc0[:, None], pc0[:, None], table.gradient,
                                          model.mass, centroid, integrator_cfg, a_obs, b_obs,
                                          workers=1)
-    meta = _model_meta(model, thermo)
-    meta.update({"method": "cmd", "A": a_obs.label, "B": b_obs.label,
-                 "seed": sampler_cfg.seed, "dt": integrator_cfg.dt})
-    return CorrelationSeries(integrator_cfg.times(), values, errors, meta)
+    return CorrelationSeries(integrator_cfg.times(), values, errors)
 
 
 # ----------------------------------------------------------------------
@@ -178,15 +163,18 @@ def kubo_momentum_correlator_via_derivative(series, mass):
     """C_Ap(t) = m dC_Aq/dt via 4th-order finite differences.
 
     One-sided stencils at the grid ends; standard errors propagate through
-    the stencil coefficients assuming independent points.
+    the stencil coefficients assuming independent points.  The time step
+    must resolve the series: dt * omega <= 0.2 at the frequency omega of the
+    strongest line of its spectrum.
     """
     n = len(series)
     if n < 5:
         raise GridTooCoarse("need at least 5 time points")
     h = series.dt
-    omega = series.metadata.get("omega")
-    if omega is not None and h * omega > 0.2:
-        raise GridTooCoarse(f"dt * omega = {h * omega:.3f} exceeds 0.2")
+    omega, intensity = spectrum(series)
+    w_main = omega[intensity.argmax()]
+    if h * w_main > 0.2:
+        raise GridTooCoarse(f"dt * omega = {h * w_main:.3f} exceeds 0.2 at the strongest line")
     f = series.values
     se = series.std_errors
     d = np.empty(n)
@@ -202,10 +190,7 @@ def kubo_momentum_correlator_via_derivative(series, mass):
     d[core] = (f[core - 2] - 8.0 * f[core - 1] + 8.0 * f[core + 1] - f[core + 2]) / (12.0 * h)
     dse[core] = np.sqrt(se[core - 2] ** 2 + 64.0 * se[core - 1] ** 2
                         + 64.0 * se[core + 1] ** 2 + se[core + 2] ** 2) / (12.0 * h)
-    meta = dict(series.metadata)
-    meta["B"] = "p"
-    meta["derived"] = "time derivative of " + str(series.metadata.get("B", "?"))
-    return CorrelationSeries(series.times, mass * d, mass * dse, meta)
+    return CorrelationSeries(series.times, mass * d, mass * dse)
 
 
 # ----------------------------------------------------------------------
@@ -245,9 +230,12 @@ def filtered_density_estimate(filter_spec, model, thermo, sampler_cfg, grid=None
         width = float(edges[1] - edges[0])
     counts, edges = np.histogram(data, bins=edges)
     density = counts / (counts.sum() * width)
-    meta = _model_meta(model, thermo)
-    meta.update({"filter": filter_spec.kind, "bin_rule": "scott" if grid is None else "given",
-                 "bin_width": width, "n_samples": int(data.size)})
+    meta = {"model": model.kind, "mass": model.mass, "beta": thermo.beta,
+            "n_beads": thermo.n_beads, "hbar": thermo.hbar, "filter": filter_spec.kind,
+            "bin_rule": "scott" if grid is None else "given", "bin_width": width,
+            "n_samples": int(data.size)}
+    if model.kind in OMEGA_KINDS:
+        meta["omega"] = model.omega
     if filter_spec.kind == CENTROID_DELTA:
         meta["p_variance"] = model.mass / thermo.beta
     return DensityEstimate(0.5 * (edges[:-1] + edges[1:]), density, width, meta)

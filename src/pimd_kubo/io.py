@@ -8,8 +8,6 @@ import json
 
 import numpy as np
 
-from .series import CorrelationSeries
-
 
 def _fmt(x):
     return repr(float(x))
@@ -20,11 +18,6 @@ def write_series_csv(path, series):
         fh.write("t,value,std_error\n")
         for t, v, e in zip(series.times, series.values, series.std_errors):
             fh.write(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n")
-
-
-def read_series_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return CorrelationSeries(data[:, 0], data[:, 1], data[:, 2])
 
 
 def write_table_csv(path, header, columns):

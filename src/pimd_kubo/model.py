@@ -7,7 +7,7 @@ well (strong nonlinearity).  Natural units throughout; hbar is carried
 as a parameter of the thermodynamic state.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,7 +15,12 @@ HARMONIC = "harmonic"
 MILDLY_ANHARMONIC = "mildly_anharmonic"
 QUARTIC = "quartic"
 
-_KINDS = (HARMONIC, MILDLY_ANHARMONIC, QUARTIC)
+# the parameters of V each kind uses; a kind's other parameters keep their defaults
+KIND_PARAMETERS = {
+    HARMONIC: ("mass", "omega"),
+    MILDLY_ANHARMONIC: ("mass", "omega", "c3", "c4"),
+    QUARTIC: ("mass", "a4"),
+}
 OMEGA_KINDS = (HARMONIC, MILDLY_ANHARMONIC)  # kinds with a harmonic frequency omega
 
 
@@ -28,6 +33,9 @@ class PotentialModel:
     omega       angular frequency (harmonic part), > 0 where used
     c3, c4      cubic and quartic coefficients (mildly_anharmonic)
     a4          quartic strength for V = a4 q^4 / 4 (quartic)
+
+    A parameter that the kind does not use (KIND_PARAMETERS) must keep its
+    default, so one well has one description.
     """
 
     kind: str
@@ -38,8 +46,11 @@ class PotentialModel:
     a4: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KIND_PARAMETERS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        for f in fields(self)[1:]:  # the parameters after kind
+            if f.name not in KIND_PARAMETERS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} is not a parameter of kind {self.kind!r}")
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise ValueError("mass must be finite and > 0")
         if self.kind in OMEGA_KINDS:

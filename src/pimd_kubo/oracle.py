@@ -189,8 +189,7 @@ def exact_kubo_correlator(eig, a_obs, b_obs, beta, times):
     residue = np.abs(vals.imag).max() if vals.size else 0.0
     if residue >= 1e-10 * max(1.0, np.abs(vals.real).max()):
         raise RuntimeError(f"imaginary residue {residue:.2e} of the spectral sum")
-    meta = {"method": "oracle", "A": a_obs.label, "B": b_obs.label, "beta": beta}
-    return CorrelationSeries(times, vals.real, np.zeros_like(times), meta)
+    return CorrelationSeries(times, vals.real, np.zeros_like(times))
 
 
 def discrete_kubo_transform(eig, a_obs, beta, n_slices):
@@ -227,9 +226,7 @@ def discrete_kubo_correlator(eig, a_obs, b_obs, beta, n_slices, times):
         return k_mat * observable_matrix(eig, b_obs).T / z
 
     vals = _spectral_sum(eig, beta, times, pair_weights)
-    meta = {"method": "discrete_kubo", "A": a_obs.label, "B": b_obs.label,
-            "beta": beta, "n_slices": n_slices}
-    return CorrelationSeries(times, vals.real, np.zeros_like(times), meta)
+    return CorrelationSeries(times, vals.real, np.zeros_like(times))
 
 
 # ----------------------------------------------------------------------
@@ -310,9 +307,7 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg, workers=None):
         x0_t = qc[rows, None] * cos_t + v0[rows, None] * sin_t
         acc.add(a0[rows, None] * x0_t)
     vals, errs = acc.result()
-    meta = {"method": "caq_reference", "A": a_obs.label, "B": "q",
-            "beta": thermo.beta, "n_beads": thermo.n_beads, "seed": cfg.seed}
-    return CorrelationSeries(times, vals, errs, meta)
+    return CorrelationSeries(times, vals, errs)
 
 
 @dataclass

@@ -10,8 +10,12 @@ sampler, integrator, oracle or run; each following ``key = value`` line sets
 one key of that section (names and keys are case-insensitive, values are
 stripped).  Blank lines and lines starting with ``#`` or ``;`` are ignored.
 A section or key may appear once.  The keys, their types and defaults are
-_SCHEMA below; [model] takes only the keys of its kind.  ``command`` in
-[run] picks the job and the sections it needs:
+_SCHEMA below.  [model], [thermo], [sampler] and [integrator] are the fields
+of PotentialModel, ThermoParams, SamplerConfig (less seed, which [run] sets)
+and IntegratorConfig, with the fields' types and defaults.  model.py owns
+the keys each model kind takes (KIND_PARAMETERS): a key of another kind may
+appear only at its default.  ``command`` in [run] picks the job and the
+sections it needs:
 
     command      sections                                    artifacts
     static       model thermo sampler run                    results.csv, ensemble.csv*
@@ -34,7 +38,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 import argparse
-import json
+import dataclasses
 import os
 import resource
 import sys
@@ -49,21 +53,21 @@ from .dynamics import IntegratorConfig, build_centroid_force_table, rpmd_traject
 from .errors import ConfigError, UnsupportedModel
 from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
-from .model import HARMONIC, MILDLY_ANHARMONIC, QUARTIC, PotentialModel, ThermoParams
+from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
 from .ringpoly import MOMENTUM, OBS_P, OBS_Q, RingPolymerState, observable_from_label
 from .sampler import (MOMENTUM_CONVENTIONS, SamplerConfig, draw_momenta, estimate_static_average,
                       mean_square_position, sample_ring_positions)
 from .series import CorrelationSeries
 
-_MODEL_KEYS = {
-    HARMONIC: {"kind", "mass", "omega"},
-    MILDLY_ANHARMONIC: {"kind", "mass", "omega", "c3", "c4"},
-    QUARTIC: {"kind", "mass", "a4"},
-}
-
 # section -> key -> (converter, default); _REQUIRED means the key must appear
-_REQUIRED = object()
+_REQUIRED = dataclasses.MISSING
+
+
+def _fields(cls, skip=()):
+    """Schema section of a config dataclass: each field's type and default."""
+    return {f.name: (f.type, f.default) for f in dataclasses.fields(cls) if f.name not in skip}
+
 
 def _to_bool(s):
     if s.lower() in ("true", "yes", "1"):
@@ -78,29 +82,10 @@ def _to_int_list(s):
 
 
 _SCHEMA = {
-    "model": {
-        "kind": (str, _REQUIRED),
-        "mass": (float, 1.0),
-        "omega": (float, 1.0),
-        "c3": (float, 0.0),
-        "c4": (float, 0.0),
-        "a4": (float, 0.0),
-    },
-    "thermo": {
-        "beta": (float, _REQUIRED),
-        "n_beads": (int, _REQUIRED),
-        "hbar": (float, 1.0),
-    },
-    "sampler": {
-        "n_samples": (int, _REQUIRED),
-        "burn_in": (int, 256),
-        "decorrelation_stride": (int, 4),
-        "n_walkers": (int, 1024),
-    },
-    "integrator": {
-        "dt": (float, _REQUIRED),
-        "n_steps": (int, _REQUIRED),
-    },
+    "model": _fields(PotentialModel),
+    "thermo": _fields(ThermoParams),
+    "sampler": _fields(SamplerConfig, skip=("seed",)),  # [run] sets the seed
+    "integrator": _fields(IntegratorConfig),
     "oracle": {
         "q_min": (float, -12.0),
         "q_max": (float, 12.0),
@@ -149,26 +134,16 @@ class RunConfig:
         self.output_dir = run["output_dir"]
 
     def model(self):
-        raw = self.sections["model"]
-        kind = raw["kind"]
-        if kind not in _MODEL_KEYS:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        extra = {k for k, v in raw.items() if k not in _MODEL_KEYS[kind] and v is not None}
-        if extra:
-            raise ConfigError(f"keys {sorted(extra)} not valid for model kind {kind!r}")
-        args = {k: v for k, v in raw.items() if v is not None and k != "kind"}
-        return _built("model", PotentialModel, kind, **args)
+        return _built("model", PotentialModel, **self.sections["model"])
 
     def thermo(self):
-        raw = self.sections["thermo"]
-        return _built("thermo", ThermoParams, raw["beta"], raw["n_beads"], raw["hbar"])
+        return _built("thermo", ThermoParams, **self.sections["thermo"])
 
     def sampler(self):
         return _built("sampler", SamplerConfig, seed=self.seed, **self.sections["sampler"])
 
     def integrator(self):
-        raw = self.sections["integrator"]
-        return _built("integrator", IntegratorConfig, raw["dt"], raw["n_steps"])
+        return _built("integrator", IntegratorConfig, **self.sections["integrator"])
 
     def grid(self):
         raw = self.sections["oracle"]
@@ -243,12 +218,6 @@ def parse_config(text):
                 raise ConfigError(f"section [{name}] is missing required key {key!r}")
             else:
                 full[name][key] = default if name in needed_sections else None
-    # model keys not set explicitly stay None so kind-specific validation can
-    # distinguish "omitted" from "given"
-    if "model" in sections:
-        for key in _SCHEMA["model"]:
-            if key not in sections["model"] and key != "kind":
-                full["model"][key] = None
     _check_run_values(command, full["run"])
     return RunConfig(full)
 
@@ -286,7 +255,7 @@ def _oracle_series(config, times):
     return exact_kubo_correlator(eig, a_obs, b_obs, thermo.beta, times)
 
 
-def _method_series(config, method, workers):
+def _method_series(config, method):
     """The correlator of method rpmd, cmd or oracle, and its own artifacts.
 
     Run as its own command, rpmd adds trajectory.csv (with dump_trajectory)
@@ -302,17 +271,14 @@ def _method_series(config, method, workers):
     own = method == config.command
     if method == "cmd":
         grid = np.linspace(run["table_min"], run["table_max"], run["table_nodes"])
-        table = build_centroid_force_table(model, thermo, scfg, grid, workers=workers)
-        series = cmd_kubo_correlator(model, thermo, table, scfg, icfg, a_obs, b_obs,
-                                     workers=workers)
+        table = build_centroid_force_table(model, thermo, scfg, grid)
+        series = cmd_kubo_correlator(model, thermo, table, scfg, icfg, a_obs, b_obs)
         extra = [("force_table.csv", lambda p: io.write_table_csv(
             p, ["q_c", "force", "std_error"], [table.grid, table.force, table.std_errors]))]
     else:
-        x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg,
-                                         run["momentum_convention"], workers)
+        x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg, run["momentum_convention"])
         series = rpmd_kubo_correlator(model, thermo, scfg, icfg, a_obs, b_obs,
-                                      run["momentum_convention"], workers=workers,
-                                      initial=(x0, p0))
+                                      run["momentum_convention"], initial=(x0, p0))
         extra = []
         if own and run["dump_trajectory"]:
             extra = [("trajectory.csv", _trajectory_writer(
@@ -329,31 +295,31 @@ def _trajectory_writer(model, thermo, integrator_cfg, b_obs, initial):
         [times] + [rec[o.label] for o in record])
 
 
-def _static(config, workers, stats):
+def _static(config, stats):
     run = config.sections["run"]
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
     a_obs, _ = config.observables()
     ens = None
     if a_obs.kind != MOMENTUM or run["dump_ensemble"]:
         # <p> needs only the exact momentum draw; the positions serve the dump
-        ens = sample_ring_positions(model, thermo, scfg, workers=workers)
+        ens = sample_ring_positions(model, thermo, scfg)
     data = draw_momenta(thermo, model, scfg) if a_obs.kind == MOMENTUM else ens
     mean, se = estimate_static_average(a_obs, data, run["blocks"])
     stats["mean"], stats["std_error"] = mean, se
-    series = CorrelationSeries([0.0], [mean], [se], {})
+    series = CorrelationSeries([0.0], [mean], [se])
     artifacts = [("results.csv", lambda p: io.write_series_csv(p, series))]
     if run["dump_ensemble"]:
         artifacts.append(("ensemble.csv", lambda p: io.write_ensemble_csv(p, ens)))
     return artifacts
 
 
-def _correlator(config, workers, stats):
-    series, artifacts = _method_series(config, config.command, workers)
+def _correlator(config, stats):
+    series, artifacts = _method_series(config, config.command)
     return artifacts + [("results.csv", lambda p: io.write_series_csv(p, series))]
 
 
-def _compare(config, workers, stats):
-    series, _ = _method_series(config, config.sections["run"]["method"], workers)
+def _compare(config, stats):
+    series, _ = _method_series(config, config.sections["run"]["method"])
     oracle_series = _oracle_series(config, series.times)
     diff = series.values - oracle_series.values
     combined = np.sqrt(series.std_errors**2 + oracle_series.std_errors**2)
@@ -366,17 +332,17 @@ def _compare(config, workers, stats):
                 [series.times, series.values, oracle_series.values, diff, combined]))]
 
 
-def _spectrum(config, workers, stats):
+def _spectrum(config, stats):
     run = config.sections["run"]
-    series, _ = _method_series(config, run["method"], workers)
+    series, _ = _method_series(config, run["method"])
     omega, intensity = spectrum(series, run["window"])
-    spec_series = CorrelationSeries(omega, intensity, np.zeros_like(intensity),
-                                    {"note": "t column holds angular frequency"})
+    # the t column of results.csv holds the angular frequency
+    spec_series = CorrelationSeries(omega, intensity, np.zeros_like(intensity))
     return [("correlator.csv", lambda p: io.write_series_csv(p, series)),
             ("results.csv", lambda p: io.write_series_csv(p, spec_series))]
 
 
-def _convergence(config, workers, stats):
+def _convergence(config, stats):
     run = config.sections["run"]
     model = config.model()
     base_thermo = config.thermo()
@@ -386,9 +352,8 @@ def _convergence(config, workers, stats):
     rows_n, rows_v, rows_e = [], [], []
     for n_beads in run["n_values"]:
         thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)
-        ens = sample_ring_positions(model, thermo, config.sampler(), workers=workers)
-        mean, se = mean_square_position(ens, model, thermo, conditioned=True,
-                                        blocks=run["blocks"])
+        ens = sample_ring_positions(model, thermo, config.sampler())
+        mean, se = mean_square_position(ens, model, thermo, blocks=run["blocks"])
         rows_n.append(float(n_beads))
         rows_v.append(mean)
         rows_e.append(se)
@@ -401,7 +366,7 @@ def _convergence(config, workers, stats):
         p, ["n_beads", "mean_square", "std_error"], [rows_n, rows_v, rows_e]))]
 
 
-# command -> (sections it needs, fn(config, workers, stats) -> [(filename, writer)])
+# command -> (sections it needs, fn(config, stats) -> [(filename, writer)])
 _COMMANDS = {
     "static": (("model", "thermo", "sampler", "run"), _static),
     "rpmd": (("model", "thermo", "sampler", "integrator", "run"), _correlator),
@@ -419,14 +384,14 @@ def _peak_rss_mb():
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes there, KiB on Linux
 
 
-def run(config, workers=None):
+def run(config):
     """Execute a parsed RunConfig; returns the exit status."""
     t_start = time.time()
     try:
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             stats = {}
-            artifacts = _COMMANDS[config.command][1](config, workers, stats)
+            artifacts = _COMMANDS[config.command][1](config, stats)
         os.makedirs(config.output_dir, exist_ok=True)
         # the whole set is written beside output_dir first, so a failing
         # writer leaves no new file in output_dir

@@ -171,16 +171,17 @@ def _reference(model, thermo, q_c):
     return c, kappa_at(c)
 
 
-def _run_group(model, thermo, cfg, seed, q_c, g_index, g_size, rounds, out):
+def _run_group(model, thermo, cfg, seed, q_c, reference, g_index, g_size, rounds, out):
     """Independence Metropolis for walker group g_index of one node.
 
-    q_c is None for the free ensemble, else the pinned centroid.  Fills the
-    group's walker-major rows of out (walker w, round r -> row w * rounds + r)
-    and returns (accepted, attempted) proposals after burn-in.
+    q_c is None for the free ensemble, else the pinned centroid, and
+    reference is the node's (c, kappa) from _reference.  Fills the group's
+    walker-major rows of out (walker w, round r -> row w * rounds + r) and
+    returns (accepted, attempted) proposals after burn-in.
     """
     n = thermo.n_beads
     pinned = q_c is not None
-    c, kappa = _reference(model, thermo, q_c)
+    c, kappa = reference
     half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
     pot = potential_fn(model)
     gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS,
@@ -236,7 +237,8 @@ def _run_group(model, thermo, cfg, seed, q_c, g_index, g_size, rounds, out):
 def _sample(model, thermo, cfg, nodes, workers):
     """Run _run_group on every (node, walker group) on the map_in_order threads.
 
-    nodes lists (seed, q_c) pairs (q_c None for the free ensemble).  Warns
+    nodes lists (seed, q_c) pairs (q_c None for the free ensemble); each
+    node's reference is solved once, here, for all its walker groups.  Warns
     once for each node whose acceptance rate after burn-in falls below 0.05.
     Returns shape (len(nodes), n_samples, N).
     """
@@ -245,13 +247,14 @@ def _sample(model, thermo, cfg, nodes, workers):
         raise UnsupportedModel("V has a second minimum (9 v3^2 > 32 v2 v4)")
     walkers, rounds, groups = _layout(cfg)
     out = np.empty((len(nodes), walkers * rounds, thermo.n_beads))
+    references = [_reference(model, thermo, q_c) for _, q_c in nodes]
     jobs = [(i, g, size) for i in range(len(nodes)) for g, size in groups]
     counts = []
 
     def job(spec):
         i, g, size = spec
         seed, q_c = nodes[i]
-        return _run_group(model, thermo, cfg, seed, q_c, g, size, rounds, out[i])
+        return _run_group(model, thermo, cfg, seed, q_c, references[i], g, size, rounds, out[i])
 
     map_in_order(job, jobs, counts.append, workers)
     for i in range(len(nodes)):
@@ -287,18 +290,17 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
 # ----------------------------------------------------------------------
 # momentum draws (exact Gaussians, never MCMC)
 
-def draw_momenta(thermo, model, cfg, convention="bead", n_draws=None):
-    """i.i.d. bead momenta with variance m N / beta, shape (n_draws, N).
+def draw_momenta(thermo, model, cfg, convention="bead"):
+    """i.i.d. bead momenta with variance m N / beta, shape (n_samples, N).
 
     convention="bond_midpoint" applies the cyclic midpoint map
     (p_k + p_{k+1})/2 to a bead draw; the centroid is unchanged.
     """
     if convention not in MOMENTUM_CONVENTIONS:
         raise ValueError("convention must be 'bead' or 'bond_midpoint'")
-    n = cfg.n_samples if n_draws is None else int(n_draws)
     sigma = math.sqrt(model.mass * thermo.n_beads / thermo.beta)
     gen = _streams.stream(cfg.seed, _streams.MOMENTA, 0)
-    p = sigma * gen.standard_normal((n, thermo.n_beads))
+    p = sigma * gen.standard_normal((cfg.n_samples, thermo.n_beads))
     if convention == "bond_midpoint":
         p = 0.5 * (p + np.roll(p, -1, axis=1))
     return p
@@ -319,22 +321,20 @@ def estimate_static_average(obs, ensemble, blocks=16):
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
-def mean_square_position(ensemble, model, thermo, conditioned=True, blocks=16):
-    """<(1/N) sum_k x_k^2> with optional exact centroid integration.
+def mean_square_position(ensemble, model, thermo, blocks=16):
+    """<(1/N) sum_k x_k^2> with exact centroid integration.
 
-    With conditioned=True the centroid coordinate is integrated out
-    analytically (or by quadrature for anharmonic wells) for every sampled
-    internal configuration; this removes the dominant classical variance and
-    leaves only the internal-mode fluctuations in the Monte Carlo error.
-    The estimator stays unbiased by the law of total expectation.
+    The centroid coordinate is integrated out analytically (or by quadrature
+    for anharmonic wells) for every sampled internal configuration; this
+    removes the dominant classical variance and leaves only the
+    internal-mode fluctuations in the Monte Carlo error.  The estimator
+    stays unbiased by the law of total expectation.  The plain estimator is
+    estimate_static_average(OBS_Q2, ensemble).
     """
     x = np.asarray(ensemble, dtype=float)
-    if not conditioned:
-        vals = (x * x).mean(axis=1)
-    else:
-        qc = x.mean(axis=1)
-        u = x - qc[:, None]
-        vals = _conditional_centroid_m2(model, thermo, u) + (u * u).mean(axis=1)
+    qc = x.mean(axis=1)
+    u = x - qc[:, None]
+    vals = _conditional_centroid_m2(model, thermo, u) + (u * u).mean(axis=1)
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 

@@ -1,6 +1,6 @@
 """Time-series container shared by estimators and oracles."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ class CorrelationSeries:
     times: np.ndarray
     values: np.ndarray
     std_errors: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

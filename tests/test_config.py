@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from pimd_kubo import io
 from pimd_kubo.errors import ConfigError
 from pimd_kubo.estimators import WINDOWS
-from pimd_kubo.runner import (_COMMANDS, _METHODS, _MODEL_KEYS, _REQUIRED, _SCHEMA, _to_bool,
-                              _to_int_list, parse_config)
+from pimd_kubo.model import KIND_PARAMETERS
+from pimd_kubo.runner import (_COMMANDS, _METHODS, _REQUIRED, _SCHEMA, _to_bool, _to_int_list,
+                              parse_config)
 from pimd_kubo.sampler import MOMENTUM_CONVENTIONS
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None,
@@ -78,8 +79,8 @@ def valid_configs(draw):
     given = {}
     for name in names:
         if name == "model":
-            kind = draw(st.sampled_from(sorted(_MODEL_KEYS)))
-            keys = {"kind"} | draw(st.sets(st.sampled_from(sorted(_MODEL_KEYS[kind] - {"kind"}))))
+            kind = draw(st.sampled_from(sorted(KIND_PARAMETERS)))
+            keys = {"kind"} | draw(st.sets(st.sampled_from(KIND_PARAMETERS[kind])))
         else:
             required = {k for k, (_, d) in _SCHEMA[name].items() if d is _REQUIRED}
             if name == "run" and command in _METHODS:

@@ -294,7 +294,7 @@ def test_derivative_of_constant():
 
 def test_derivative_grid_too_coarse():
     t = np.arange(0.0, 10.0001, 0.5)
-    series = CorrelationSeries(t, np.cos(t), np.zeros_like(t), {"omega": 1.0})
+    series = CorrelationSeries(t, np.cos(t), np.zeros_like(t))
     with pytest.raises(GridTooCoarse):
         kubo_momentum_correlator_via_derivative(series, 1.0)
 

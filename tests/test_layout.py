@@ -6,7 +6,10 @@ function, where it would keep the module graph out of sight.  Only _streams
 makes random generators, so every draw is keyed by (seed, purpose, index).
 The per-layer trace (perfbench/traced.py) patches package attributes by
 name, so every name it uses must exist, with the parameters it reads and
-the SamplerConfig fields it reads.
+the SamplerConfig fields it reads.  The benchmark driver
+(perfbench/run.py) imports package names, in its own source and in the
+programs it runs with python -c, and reads a parsed RunConfig's
+attributes and [section] keys, so those must exist too.
 """
 
 import ast
@@ -15,10 +18,12 @@ import importlib
 import inspect
 import pathlib
 
+from pimd_kubo.runner import _SCHEMA, parse_config
 from pimd_kubo.sampler import SamplerConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pimd_kubo"
 TRACED = SRC.parent.parent / "perfbench" / "traced.py"
+BENCH_RUN = SRC.parent.parent / "perfbench" / "run.py"
 SHARED = ("_stats", "_streams")
 # constructors of numpy generators, bit generators and seed sequences
 RANDOM_MAKERS = {"Generator", "RandomState", "default_rng", "SeedSequence", "BitGenerator",
@@ -146,3 +151,67 @@ def test_traced_entry_points_exist():
     assert {"n_walkers", "n_samples", "burn_in", "decorrelation_stride"} <= fields
     assert ("pimd_kubo.io", "write_meta_json") in used
     assert ("pimd_kubo.estimators", "sample_ring_positions") in used
+
+
+def _programs(tree):
+    """The string constants of tree that parse as Python and import the package."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and "from pimd_kubo" in str(node.value):
+            try:
+                out.append(ast.parse(node.value))
+            except SyntaxError:
+                pass
+    return out
+
+
+def _config_reads(tree):
+    """({attribute: called}, {(section, key)}) that run.py reads from a parse_config result.
+
+    A result is held in an attribute assigned from parse_config(...) (say
+    self.config) or in the parameter a module function receives it in.
+    """
+    held = {t.attr for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "parse_config"
+            for t in node.targets if isinstance(t, ast.Attribute)}
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    params = {(functions[call.func.id], param.arg) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) in functions
+              for param, arg in zip(functions[call.func.id].args.args, call.args)
+              if isinstance(arg, ast.Attribute) and arg.attr in held}
+    holders = {id(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in held}
+    holders |= {id(node) for fn, name in params for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and node.id == name}
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    reads = {node.attr: id(node) in called for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and id(node.value) in holders}
+    keys = {(outer.value.slice.value, outer.slice.value) for outer in ast.walk(tree)
+            if isinstance(outer, ast.Subscript) and isinstance(outer.value, ast.Subscript)
+            and isinstance(outer.value.value, ast.Attribute)
+            and outer.value.value.attr == "sections" and id(outer.value.value.value) in holders}
+    return reads, keys
+
+
+def test_benchmark_driver_names_exist():
+    tree = ast.parse(BENCH_RUN.read_text())
+    imported = {(node.module, alias.name) for t in [tree] + _programs(tree)
+                for node in ast.walk(t) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("pimd_kubo") for alias in node.names}
+    missing = [f"{module}.{name}" for module, name in sorted(imported)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
+    assert {("pimd_kubo.runner", "main"), ("pimd_kubo.runner", "parse_config"),
+            ("pimd_kubo.sampler", "resolve_workers")} <= imported
+    reads, keys = _config_reads(tree)
+    config = parse_config("[model]\nkind = harmonic\n[thermo]\nbeta = 1\nn_beads = 4\n"
+                          "[sampler]\nn_samples = 64\n[run]\ncommand = static\nseed = 1\n"
+                          "output_dir = x\n")
+    lost = [name for name, call in sorted(reads.items())
+            if not hasattr(config, name) or call and not callable(getattr(config, name))]
+    assert not lost, lost
+    assert [k for k in sorted(keys) if k[0] not in _SCHEMA or k[1] not in _SCHEMA[k[0]]] == []
+    # the parse must see reference() and the precision note, or the checks prove nothing
+    assert {"model", "thermo", "grid", "observables", "command", "sections"} <= set(reads)
+    assert ("sampler", "n_samples") in keys

@@ -143,6 +143,19 @@ def test_model_validation():
         PotentialModel("unknown")
 
 
+@pytest.mark.parametrize("kind, params, key, default", [
+    ("harmonic", {"c4": 0.1}, "c4", 0.0),
+    ("quartic", {"a4": 1.0, "omega": 3.0}, "omega", 1.0),
+])
+def test_parameter_of_another_kind_rejected(kind, params, key, default):
+    # a well is described one way: a parameter its kind does not use keeps
+    # its default, or the model names it and refuses
+    with pytest.raises(ValueError, match=f"{key} is not a parameter of kind {kind!r}"):
+        PotentialModel(kind, **params)
+    assert PotentialModel(kind, **{**params, key: default}) == PotentialModel(
+        kind, **{k: v for k, v in params.items() if k != key})
+
+
 def test_thermo_validation():
     ThermoParams(1.0, 1)
     with pytest.raises(ValueError):

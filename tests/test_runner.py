@@ -124,6 +124,28 @@ def test_parse_rejects_wrong_kind_keys():
     assert "a4" in str(err.value)
 
 
+def test_off_kind_model_key_at_default_and_meta_echo(tmp_path, capsys):
+    # a key the kind does not use names the same well at its default; the
+    # meta.json echo holds every [model] key with its value and reruns to
+    # the same results.csv bytes
+    out = tmp_path / "first"
+    text = MINIMAL_STATIC.format(out=out).replace("kind = harmonic", "kind = harmonic\nc4 = 0.0")
+    assert run(parse_config(text)) == 0
+    echo = json.loads((out / "meta.json").read_text())["config"]
+    assert echo["model"] == {"kind": "harmonic", "mass": 1.0, "omega": 1.0,
+                             "c3": 0.0, "c4": 0.0, "a4": 0.0}
+    echo["run"]["output_dir"] = str(tmp_path / "again")
+    rerun = "".join(f"[{name}]\n" + "".join(
+        f"{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for key, v in keys.items() if v is not None) for name, keys in echo.items())
+    assert run(parse_config(rerun)) == 0
+    assert (tmp_path / "again" / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+    path = tmp_path / "off_kind.ini"
+    path.write_text(text.replace("c4 = 0.0", "c4 = 0.1"))
+    assert main([str(path), "--quiet"]) == 2
+    assert "c4 is not a parameter of kind 'harmonic'" in capsys.readouterr().err
+
+
 def test_invalid_invariant_cited(tmp_path):
     text = MINIMAL_STATIC.format(out=tmp_path).replace("n_beads = 8", "n_beads = 0")
     cfg = parse_config(text)
@@ -201,7 +223,7 @@ def test_worker_count_invariance(tmp_path, monkeypatch):
     assert blobs["1"] == blobs["3"]
 
 
-def test_runtime_error_exit_3(tmp_path):
+def test_runtime_error_exit_3(tmp_path, capsys):
     # CMD run whose tabulated range cannot contain the sampled trajectories
     text = SMALL_COMPARE.format(out=tmp_path / "ge").replace(
         "command = compare", "command = cmd").replace(
@@ -210,7 +232,39 @@ def test_runtime_error_exit_3(tmp_path):
     cfg = parse_config(text)
     status = run(cfg)
     assert status == 3
+    assert "runtime error: GridEscape: " in capsys.readouterr().err
     assert not (tmp_path / "ge" / "results.csv").exists()
+
+
+# a force table wide enough for every trajectory of SMALL_COMPARE's ensemble
+WIDE_TABLE = "table_min = -6.0\ntable_max = 6.0\ntable_nodes = 13\n"
+
+
+def test_cmd_command_writes_force_table(tmp_path):
+    out = tmp_path / "cmd"
+    text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = cmd")
+    assert run(parse_config(text + WIDE_TABLE)) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["artifacts"] == ["force_table.csv", "results.csv"]
+    table = np.loadtxt(out / "force_table.csv", delimiter=",", skiprows=1)
+    # the harmonic mean force is -m w^2 q_c, exactly: the centroid is pinned
+    assert np.array_equal(table[:, 0], np.linspace(-6.0, 6.0, 13))
+    assert np.abs(table[:, 1] + table[:, 0]).max() <= 1e-12
+    series = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+    assert series.shape == (61, 3)
+    assert abs(series[0, 1] - 1.0) <= 4.0 * series[0, 2]  # <q_c^2> = 1 / (beta m w^2)
+
+
+def test_compare_cmd_writes_diff(tmp_path):
+    # CMD is exact for linear A and B in a harmonic well
+    out = tmp_path / "cmpcmd"
+    text = SMALL_COMPARE.format(out=out) + "method = cmd\n" + WIDE_TABLE
+    assert run(parse_config(text)) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["artifacts"] == ["diff.csv", "results.csv"]
+    assert meta["stats"]["max_diff_over_se"] <= 4.0
+    diff = np.loadtxt(out / "diff.csv", delimiter=",", skiprows=1)
+    assert diff.shape == (61, 5)
 
 
 def test_no_writes_outside_output_dir(tmp_path, monkeypatch):

@@ -117,7 +117,7 @@ def test_trotter_convergence_ratio(harmonic_model):
         th = ThermoParams(1.0, n_beads)
         cfg = _cfg(n, seed=40 + n_beads, burn_in=256, n_walkers=8192)
         ens = sample_ring_positions(harmonic_model, th, cfg)
-        mean, se = mean_square_position(ens, harmonic_model, th, conditioned=True)
+        mean, se = mean_square_position(ens, harmonic_model, th)
         errs[n_beads] = abs(mean - exact)
         assert se < 0.15 * errs[n_beads]
     assert 3.2 <= errs[4] / errs[8] <= 4.8
@@ -127,8 +127,8 @@ def test_conditional_estimator_consistency(harmonic_model):
     # conditioned and plain estimators agree within combined errors
     th = ThermoParams(1.0, 16)
     ens = sample_ring_positions(harmonic_model, th, _cfg(30000, seed=9))
-    m1, s1 = mean_square_position(ens, harmonic_model, th, conditioned=False)
-    m2, s2 = mean_square_position(ens, harmonic_model, th, conditioned=True)
+    m1, s1 = estimate_static_average(OBS_Q2, ens)
+    m2, s2 = mean_square_position(ens, harmonic_model, th)
     assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2)
 
 
@@ -152,8 +152,8 @@ def test_conditional_estimator_anharmonic():
     model = quartic(1.0)
     th = ThermoParams(2.0, 8)
     ens = sample_ring_positions(model, th, _cfg(40000, seed=11))
-    m1, s1 = mean_square_position(ens, model, th, conditioned=False)
-    m2, s2 = mean_square_position(ens, model, th, conditioned=True)
+    m1, s1 = estimate_static_average(OBS_Q2, ens)
+    m2, s2 = mean_square_position(ens, model, th)
     assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2)
     assert s2 < s1
 
@@ -242,9 +242,31 @@ def _run_kernel(model, thermo, cfg, q_c=None):
     """(rows, accepted, attempted) of _run_group over every walker group of cfg."""
     walkers, rounds, groups = _layout(cfg)
     out = np.full((walkers * rounds, thermo.n_beads), np.nan)
-    counts = [_run_group(model, thermo, cfg, cfg.seed, q_c, g, size, rounds, out)
+    reference = _reference(model, thermo, q_c)
+    counts = [_run_group(model, thermo, cfg, cfg.seed, q_c, reference, g, size, rounds, out)
               for g, size in groups]
     return out[: cfg.n_samples], sum(c[0] for c in counts), sum(c[1] for c in counts)
+
+
+def test_reference_solved_once_per_node(monkeypatch):
+    # (c, kappa) depends on the node alone: a free call on a cubic well, where
+    # every solve bisects for c, solves once for its four walker groups, and
+    # a constrained grid once per node
+    calls = []
+
+    def counted(model, thermo, q_c):
+        calls.append(q_c)
+        return _reference(model, thermo, q_c)
+
+    monkeypatch.setattr("pimd_kubo.sampler._reference", counted)
+    model, th = mildly_anharmonic(c3=0.1, c4=0.01), ThermoParams(8.0, 4)
+    cfg = SamplerConfig(n_samples=4 * _GROUP, seed=3, burn_in=1, decorrelation_stride=1,
+                        n_walkers=4 * _GROUP)
+    assert len(_layout(cfg)[2]) == 4
+    sample_ring_positions(model, th, cfg, workers=2)
+    assert calls == [None]
+    sample_ring_positions_constrained(model, th, cfg, [-0.5, 0.5], workers=2)
+    assert calls == [None, -0.5, 0.5]
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 64])
