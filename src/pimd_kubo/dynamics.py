@@ -12,13 +12,15 @@ packs them into the orthonormal layout of ringpoly.normal_mode_matrix.
 RPMD is the N-bead ring polymer on the bare potential, the classical limit
 the one-bead one.  CMD is the one-bead ring polymer on the centroid mean
 force (CentroidForceTable.gradient): at N = 1 the rotation is the drift
-q + p dt/m, so the step is velocity Verlet.
+q + p dt/m, so the step is velocity Verlet.  The table joins its nodes by
+a natural cubic spline built in numpy: one solve of the tridiagonal system
+for the second derivatives, then a cubic per interval, evaluated by one
+searchsorted and one Horner pass.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridEscape
 from .model import OMEGA_KINDS, ThermoParams, grad_fn, potential_eval
@@ -168,14 +170,34 @@ def classical_trajectory(q0, p0, model, cfg):
 # ----------------------------------------------------------------------
 # CMD: centroid force table and centroid dynamics
 
+def _horner(coef, i, t):
+    """sum_j coef[j, i] t^(deg - j): row j of coef holds power deg - j, column i one interval."""
+    out = coef[0].take(i)
+    for row in coef[1:]:
+        out *= t
+        out += row.take(i)
+    return out
+
+
 @dataclass
 class CentroidForceTable:
-    """Mean constrained force on a centroid grid, with a natural cubic spline."""
+    """Mean constrained force on a centroid grid, joined by a natural cubic spline.
+
+    The spline's second derivatives M vanish at both ends; the interior ones
+    solve the tridiagonal system
+        h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (s[i] - s[i-1])
+    with h the node spacings and s the chord slopes, which on 2 nodes leaves
+    the straight line.  __post_init__ turns M into the cubic of each interval
+    in t = q - grid[i], and its antiderivative into a quartic plus the
+    integral over the intervals before; a point is evaluated by one
+    searchsorted and one Horner pass.
+    """
 
     grid: np.ndarray
     force: np.ndarray
     std_errors: np.ndarray
-    _spline: object = field(default=None, repr=False, compare=False)
+    _cubic: np.ndarray = field(default=None, repr=False, compare=False)
+    _quartic: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -185,16 +207,32 @@ class CentroidForceTable:
             raise ValueError("grid must be strictly ascending")
         if not (self.grid.shape == self.force.shape == self.std_errors.shape):
             raise ValueError("grid, force and std_errors must have equal shape")
-        self._spline = CubicSpline(self.grid, self.force, bc_type="natural")
+        if self.grid.size < 2:
+            raise ValueError("grid needs at least 2 nodes")
+        h = np.diff(self.grid)
+        y = self.force
+        s = np.diff(y) / h
+        m = np.zeros_like(y)
+        if y.size > 2:
+            tri = np.diag(2.0 * (h[:-1] + h[1:])) + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1)
+            m[1:-1] = np.linalg.solve(tri, 6.0 * np.diff(s))
+        self._cubic = np.array([np.diff(m) / (6.0 * h), 0.5 * m[:-1],
+                                s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+        self._quartic = np.vstack([self._cubic / [[4.0], [3.0], [2.0], [1.0]], np.zeros(h.size)])
+        # the constant of each interval: the integral over the intervals before it
+        whole = np.arange(h.size - 1)
+        self._quartic[-1, 1:] = np.cumsum(_horner(self._quartic, whole, h[:-1]))
 
-    def _inside(self, q):
+    def _interval(self, q):
+        """(interval index, offset from its left node); raises GridEscape off the grid."""
         q = np.asarray(q, dtype=float)
-        if np.any(q < self.grid[0]) or np.any(q > self.grid[-1]):
+        if q.size and (q.min() < self.grid[0] or q.max() > self.grid[-1]):
             raise GridEscape("centroid left the tabulated force range")
-        return q
+        i = np.searchsorted(self.grid[1:-1], q, side="right")
+        return i, q - self.grid.take(i)
 
     def force_at(self, q):
-        return self._spline(self._inside(q))
+        return _horner(self._cubic, *self._interval(q))
 
     def gradient(self, q):
         """Slope of the centroid potential, -force_at(q); raises GridEscape off the grid."""
@@ -202,7 +240,7 @@ class CentroidForceTable:
 
     def potential_at(self, q):
         """Effective centroid potential from the integrated spline, zero at grid[0]."""
-        return -self._spline.antiderivative()(self._inside(q))
+        return -_horner(self._quartic, *self._interval(q))
 
 
 def build_centroid_force_table(model, thermo, cfg, grid, workers=None):

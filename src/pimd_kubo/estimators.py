@@ -165,13 +165,15 @@ def kubo_momentum_correlator_via_derivative(series, mass):
     One-sided stencils at the grid ends; standard errors propagate through
     the stencil coefficients assuming independent points.  The time step
     must resolve the series: dt * omega <= 0.2 at the frequency omega of the
-    strongest line of its spectrum.
+    strongest line of its spectrum, taken after the <A><q> plateau (the
+    mean of the last quarter) is subtracted, so a plateau's line at omega = 0
+    cannot hide the oscillation.
     """
     n = len(series)
     if n < 5:
         raise GridTooCoarse("need at least 5 time points")
     h = series.dt
-    omega, intensity = spectrum(series)
+    omega, intensity = spectrum(_detrended(series))
     w_main = omega[intensity.argmax()]
     if h * w_main > 0.2:
         raise GridTooCoarse(f"dt * omega = {h * w_main:.3f} exceeds 0.2 at the strongest line")
@@ -262,6 +264,12 @@ def spectrum(series, window="none"):
     return omega, amp
 
 
+def _detrended(series):
+    """series less the mean of its last quarter, the <A><B> plateau of a nonlinear observable."""
+    plateau = series.values[-len(series) // 4:].mean()
+    return CorrelationSeries(series.times, series.values - plateau, series.std_errors)
+
+
 def band_peaks(series, reference, thermo, ks, detrend=False):
     """Hann-spectrum lines of series near the free ring-polymer frequencies.
 
@@ -274,8 +282,7 @@ def band_peaks(series, reference, thermo, ks, detrend=False):
     marks rel >= 5 % where rel_ref <= 1 %.
     """
     if detrend:
-        series, reference = (CorrelationSeries(s.times, s.values - s.values[-len(s) // 4:].mean(),
-                                               s.std_errors) for s in (series, reference))
+        series, reference = _detrended(series), _detrended(reference)
     om, inten = spectrum(series, window="hann")
     _, inten_ref = spectrum(reference, window="hann")
     w_free = free_rp_frequencies(thermo)

@@ -28,7 +28,8 @@ sections it needs:
 
 (* with dump_ensemble / dump_trajectory = true.)  compare runs ``method``
 rpmd or cmd against the oracle; spectrum transforms the correlator of
-method rpmd, cmd or oracle.  Every run also writes meta.json, which
+method rpmd, cmd or oracle.  ``blocks`` sets the error blocks of static and
+convergence; the other commands have fixed blocks and reject the key.  Every run also writes meta.json, which
 records the process's peak resident set size (peak_rss_mb) among other
 things.  All files of a run are written to a temporary directory beside
 output_dir and moved in once every writer has finished, so a failing run
@@ -113,6 +114,9 @@ _SCHEMA = {
 
 # the correlator commands that compare and spectrum run as their `method`
 _METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
+# the commands whose error bars take [run] blocks; the correlators use the
+# fixed blocks of _stats.RowAccumulator
+_BLOCKED = ("static", "convergence")
 
 
 def _built(what, make, *args, **kwargs):
@@ -218,12 +222,20 @@ def parse_config(text):
                 raise ConfigError(f"section [{name}] is missing required key {key!r}")
             else:
                 full[name][key] = default if name in needed_sections else None
-    _check_run_values(command, full["run"])
+    _check_run_values(command, full["run"], sections["run"])
+    if command not in _BLOCKED:
+        full["run"]["blocks"] = None  # echoed as null, like the keys of an unused section
     return RunConfig(full)
 
 
-def _check_run_values(command, run):
-    """Reject [run] values that would otherwise fail only after sampling."""
+def _check_run_values(command, run, given):
+    """Reject [run] values that would fail only after sampling, or do nothing.
+
+    run holds every key, given only the keys the config text sets.
+    """
+    if "blocks" in given and command not in _BLOCKED:
+        raise ConfigError(f"blocks applies to the commands {_BLOCKED} only; "
+                          f"command {command!r} ignores it", key="blocks")
     method = run["method"] if command in _METHODS else command
     if command in _METHODS and method not in _METHODS[command]:
         raise ConfigError(f"method for command {command!r} must be one of "

@@ -17,8 +17,8 @@ from pimd_kubo import io
 from pimd_kubo.errors import ConfigError
 from pimd_kubo.estimators import WINDOWS
 from pimd_kubo.model import KIND_PARAMETERS
-from pimd_kubo.runner import (_COMMANDS, _METHODS, _REQUIRED, _SCHEMA, _to_bool, _to_int_list,
-                              parse_config)
+from pimd_kubo.runner import (_BLOCKED, _COMMANDS, _METHODS, _REQUIRED, _SCHEMA, _to_bool,
+                              _to_int_list, parse_config)
 from pimd_kubo.sampler import MOMENTUM_CONVENTIONS
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None,
@@ -85,7 +85,10 @@ def valid_configs(draw):
             required = {k for k, (_, d) in _SCHEMA[name].items() if d is _REQUIRED}
             if name == "run" and command in _METHODS:
                 required.add("method")
-            keys = required | draw(st.sets(st.sampled_from(sorted(_SCHEMA[name]))))
+            # only the commands in _BLOCKED take [run] blocks
+            allowed = [k for k in sorted(_SCHEMA[name])
+                       if (name, k) != ("run", "blocks") or command in _BLOCKED]
+            keys = required | draw(st.sets(st.sampled_from(allowed)))
         given[name] = {}
         for key in draw(st.permutations(sorted(keys))):
             given[name][key] = (kind if name == "model" and key == "kind"
@@ -192,3 +195,35 @@ def test_malformed_line_reports_its_line_number(case, data):
         parse_config(text)
     assert err.value.line == at + 1, (kind, bad, str(err.value))
     assert str(err.value).startswith(f"line {at + 1}: ")
+
+
+_MINIMAL_SECTIONS = {
+    "model": "kind = harmonic",
+    "thermo": "beta = 1.0\nn_beads = 4",
+    "sampler": "n_samples = 64",
+    "integrator": "dt = 0.05\nn_steps = 10",
+    "oracle": "",
+}
+
+
+def _minimal_text(command, run_lines=()):
+    text = [f"[{name}]\n{_MINIMAL_SECTIONS[name]}" for name in _COMMANDS[command][0]
+            if name != "run"]
+    text.append("\n".join(["[run]", f"command = {command}", "seed = 1", "output_dir = out",
+                            *run_lines]))
+    return "\n".join(text) + "\n"
+
+
+@pytest.mark.parametrize("command", ["rpmd", "cmd", "oracle", "compare", "spectrum"])
+def test_blocks_rejected_where_ignored(command):
+    assert command not in _BLOCKED
+    with pytest.raises(ConfigError) as err:
+        parse_config(_minimal_text(command, ["blocks = 4"]))
+    assert err.value.key == "blocks"
+    # left unset, the key is echoed as unused
+    assert parse_config(_minimal_text(command)).sections["run"]["blocks"] is None
+
+
+@pytest.mark.parametrize("command", _BLOCKED)
+def test_blocks_accepted_where_used(command):
+    assert parse_config(_minimal_text(command, ["blocks = 4"])).sections["run"]["blocks"] == 4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q2,
                        RingPolymerState, SamplerConfig, ThermoParams,
@@ -272,6 +273,21 @@ def test_cmd_energy_conservation():
     times, q, p = cmd_trajectory(1.1, 0.0, table, 1.0, cfg)
     e = 0.5 * p**2 + table.potential_at(q) - table.potential_at(np.zeros(1))
     assert np.abs(e - e[0]).max() / abs(e[0]) <= 1e-5
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 17, 33])
+def test_force_table_matches_natural_cubic_spline(nodes):
+    rng = np.random.default_rng(nodes)
+    grid = np.cumsum(rng.uniform(0.1, 1.0, nodes)) - 3.0
+    force = rng.standard_normal(nodes)
+    table = CentroidForceTable(grid, force, np.zeros(nodes))
+    spline = CubicSpline(grid, force, bc_type="natural")
+    q = np.concatenate([grid, rng.uniform(grid[0], grid[-1], 500)])
+    for got, ref in ((table.force_at(q), spline(q)),
+                     (table.potential_at(q), -spline.antiderivative()(q))):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_array_equal(table.gradient(q), -table.force_at(q))
+    assert table.force_at(grid[1]) == pytest.approx(force[1], rel=1e-14)
 
 
 def test_cmd_grid_escape():

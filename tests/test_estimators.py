@@ -299,6 +299,14 @@ def test_derivative_grid_too_coarse():
         kubo_momentum_correlator_via_derivative(series, 1.0)
 
 
+def test_derivative_grid_too_coarse_under_a_plateau():
+    # the plateau puts the strongest raw line at omega = 0; the guard must see past it
+    t = np.arange(0.0, 10.0001, 0.5)
+    series = CorrelationSeries(t, 3.0 + np.cos(t), np.zeros_like(t))
+    with pytest.raises(GridTooCoarse):
+        kubo_momentum_correlator_via_derivative(series, 1.0)
+
+
 def test_derivative_vs_spectral_oracle(harmonic_qq, harmonic_eig):
     d = kubo_momentum_correlator_via_derivative(harmonic_qq, 1.0)
     oracle = exact_kubo_correlator(harmonic_eig, OBS_Q, OBS_P, 1.0, d.times)

@@ -9,14 +9,19 @@ name, so every name it uses must exist, with the parameters it reads and
 the SamplerConfig fields it reads.  The benchmark driver
 (perfbench/run.py) imports package names, in its own source and in the
 programs it runs with python -c, and reads a parsed RunConfig's
-attributes and [section] keys, so those must exist too.
+attributes and [section] keys, so those must exist too.  The runtime
+needs numpy only: a run must not load scipy, which the tests use as a
+reference.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 from pimd_kubo.runner import _SCHEMA, parse_config
 from pimd_kubo.sampler import SamplerConfig
@@ -215,3 +220,54 @@ def test_benchmark_driver_names_exist():
     # the parse must see reference() and the precision note, or the checks prove nothing
     assert {"model", "thermo", "grid", "observables", "command", "sections"} <= set(reads)
     assert ("sampler", "n_samples") in keys
+
+
+NO_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("the runtime must not import " + name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from pimd_kubo import runner
+
+config = runner.parse_config('''
+[model]
+kind = mildly_anharmonic
+[thermo]
+beta = 2.0
+n_beads = 4
+[sampler]
+n_samples = 64
+n_walkers = 16
+burn_in = 16
+[integrator]
+dt = 0.05
+n_steps = 20
+[run]
+command = cmd
+seed = 3
+output_dir = {out}
+table_min = -2.0
+table_max = 2.0
+table_nodes = 9
+''')
+status = runner.run(config)
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+print(status, loaded)
+"""
+
+
+def test_runtime_never_loads_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY.format(out=tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []", (proc.stdout, proc.stderr)
+    assert (tmp_path / "out" / "force_table.csv").is_file()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pimd_kubo import (GridSpec, OBS_P, OBS_Q, OBS_Q2, Observable, SamplerConfig,
                        ThermoParams, centroid_density_reference, diagonalize,
@@ -206,6 +207,22 @@ def test_swarm_trace_gaussian_width():
     val = harmonic_swarm_trace(x, p, np.pi / 2.0, lambda q: q * q, m, th)
     assert val == pytest.approx(8.0 / (4.0 * 4.0), abs=1e-9)
     assert val == pytest.approx(0.5, abs=1e-9)
+
+
+def test_swarm_trace_matches_adaptive_quadrature():
+    # a non-polynomial B, so the Gauss-Hermite sums are not exact at any order
+    rng = np.random.default_rng(12)
+    m = harmonic(1.0, 1.0)
+    th = ThermoParams(8.0, 4)
+    x, p = rng.normal(size=(2, 4))
+    t = 0.7
+    val = harmonic_swarm_trace(x, p, t, lambda q: np.cos(3.0 * q), m, th)
+    centers = x * np.cos(t) + 0.5 * (p + np.roll(p, -1)) * np.sin(t)
+    sigma = np.sqrt(8.0 * np.sin(t) ** 2 / 16.0)
+    ref = np.mean([quad(lambda q, mu=mu: np.cos(3.0 * q) * np.exp(-0.5 * ((q - mu) / sigma) ** 2),
+                        mu - 12.0 * sigma, mu + 12.0 * sigma, epsabs=1e-14, epsrel=1e-14,
+                        limit=200)[0] for mu in centers]) / (sigma * np.sqrt(2.0 * np.pi))
+    assert val == pytest.approx(ref, abs=1e-10)
 
 
 def test_swarm_trace_quadrature_failure():
