@@ -1,4 +1,4 @@
-"""Time propagation: RPMD, CMD on a tabulated centroid force, classical limit.
+"""Time propagation: RPMD, and CMD on a tabulated centroid force.
 
 One integrator, propagate_batch, serves every method: half potential
 kick, exact rotation of the free ring polymer in normal modes, half
@@ -9,8 +9,8 @@ only drift, so the centroid decouples from the springs identically.  The
 step keeps the modes as the real FFT half spectrum of the beads and never
 packs them into the orthonormal layout of ringpoly.normal_mode_matrix.
 
-RPMD is the N-bead ring polymer on the bare potential, the classical limit
-the one-bead one.  CMD is the one-bead ring polymer on the centroid mean
+RPMD is the N-bead ring polymer on the bare potential (at N = 1, classical
+dynamics).  CMD is the one-bead ring polymer on the centroid mean
 force (CentroidForceTable.gradient): at N = 1 the rotation is the drift
 q + p dt/m, so the step is velocity Verlet.  The table joins its nodes by
 a natural cubic spline built in numpy: one solve of the tridiagonal system
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridEscape
-from .model import OMEGA_KINDS, ThermoParams, grad_fn, potential_eval
-from .ringpoly import (MOMENTUM, OBS_P, OBS_Q, POSITION, RingPolymerState, free_rp_frequencies,
-                       spring_energy)
+from .errors import GridEscape, GridTooCoarse
+from .model import OMEGA_KINDS, grad_fn, potential_eval
+from .ringpoly import POSITION, free_rp_frequencies, spring_energy
 from .sampler import sample_ring_positions_constrained
 from ._stats import block_standard_error
 
@@ -48,7 +47,7 @@ class IntegratorConfig:
 def check_accuracy(cfg, model):
     """Reject a time step too coarse for the well's harmonic frequency."""
     if model.kind in OMEGA_KINDS and cfg.dt * model.omega >= 0.5:
-        raise ValueError("dt * omega must stay below 0.5 for the split-operator scheme")
+        raise GridTooCoarse("dt * omega must stay below 0.5 for the split-operator scheme")
 
 
 def _rotation_factors(thermo, mass, dt):
@@ -98,10 +97,8 @@ def propagate_batch(x, p, grad, mass, thermo, dt, n_steps, record):
         for i, obs in enumerate(record):
             if obs.kind == POSITION:
                 np.mean(obs.f(x_cur), axis=1, out=out[i, step])
-            elif obs.kind == MOMENTUM:
-                np.divide(b[:, 0], n, out=out[i, step])
             else:
-                raise ValueError(f"unknown observable kind {obs.kind!r}")
+                np.divide(b[:, 0], n, out=out[i, step])
 
     force()
     snapshot(0)
@@ -117,22 +114,6 @@ def propagate_batch(x, p, grad, mass, thermo, dt, n_steps, record):
         b += np.multiply(f, half, out=scratch)
         snapshot(step)
     return out, x_cur, np.fft.irfft(b_ft, n=n)
-
-
-def _single_step(state, grad, mass, thermo, dt):
-    _, x1, p1 = propagate_batch(state.positions[None, :], state.momenta[None, :],
-                                grad, mass, thermo, dt, 1, [])
-    return RingPolymerState(x1[0], p1[0])
-
-
-def rpmd_step(state, model, thermo, dt):
-    """One split-operator step: half kick, exact free-ring rotation, half kick."""
-    return _single_step(state, grad_fn(model), model.mass, thermo, dt)
-
-
-def free_ring_polymer_step(state, thermo, model, dt):
-    """Exact free-ring-polymer rotation alone: one step with zero gradient."""
-    return _single_step(state, np.zeros_like, model.mass, thermo, dt)
 
 
 def rpmd_trajectory(initial, model, thermo, cfg, record):
@@ -154,21 +135,8 @@ def ring_hamiltonian(state, model, thermo):
     return kin + spring_energy(state, thermo, model) + pot
 
 
-def _one_bead_trajectory(q0, p0, grad, mass, cfg):
-    """(times, q, p) of one bead on grad; beta is inert for a single bead."""
-    out, _, _ = propagate_batch(np.array([[float(q0)]]), np.array([[float(p0)]]), grad, mass,
-                                ThermoParams(1.0, 1), cfg.dt, cfg.n_steps, [OBS_Q, OBS_P])
-    return cfg.times(), out[0, :, 0], out[1, :, 0]
-
-
-def classical_trajectory(q0, p0, model, cfg):
-    """Velocity Verlet on V: the one-bead ring polymer on the bare potential."""
-    check_accuracy(cfg, model)
-    return _one_bead_trajectory(q0, p0, grad_fn(model), model.mass, cfg)
-
-
 # ----------------------------------------------------------------------
-# CMD: centroid force table and centroid dynamics
+# CMD: the centroid force table
 
 def _horner(coef, i, t):
     """sum_j coef[j, i] t^(deg - j): row j of coef holds power deg - j, column i one interval."""
@@ -188,16 +156,14 @@ class CentroidForceTable:
         h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (s[i] - s[i-1])
     with h the node spacings and s the chord slopes, which on 2 nodes leaves
     the straight line.  __post_init__ turns M into the cubic of each interval
-    in t = q - grid[i], and its antiderivative into a quartic plus the
-    integral over the intervals before; a point is evaluated by one
-    searchsorted and one Horner pass.
+    in t = q - grid[i]; a point is evaluated by one searchsorted and one
+    Horner pass.
     """
 
     grid: np.ndarray
     force: np.ndarray
     std_errors: np.ndarray
     _cubic: np.ndarray = field(default=None, repr=False, compare=False)
-    _quartic: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -218,10 +184,6 @@ class CentroidForceTable:
             m[1:-1] = np.linalg.solve(tri, 6.0 * np.diff(s))
         self._cubic = np.array([np.diff(m) / (6.0 * h), 0.5 * m[:-1],
                                 s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
-        self._quartic = np.vstack([self._cubic / [[4.0], [3.0], [2.0], [1.0]], np.zeros(h.size)])
-        # the constant of each interval: the integral over the intervals before it
-        whole = np.arange(h.size - 1)
-        self._quartic[-1, 1:] = np.cumsum(_horner(self._quartic, whole, h[:-1]))
 
     def _interval(self, q):
         """(interval index, offset from its left node); raises GridEscape off the grid."""
@@ -237,10 +199,6 @@ class CentroidForceTable:
     def gradient(self, q):
         """Slope of the centroid potential, -force_at(q); raises GridEscape off the grid."""
         return -self.force_at(q)
-
-    def potential_at(self, q):
-        """Effective centroid potential from the integrated spline, zero at grid[0]."""
-        return -_horner(self._quartic, *self._interval(q))
 
 
 def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
@@ -258,8 +216,3 @@ def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
     vals = [-grad(node).mean(axis=1) for node in ens]
     return CentroidForceTable(grid, [v.mean() for v in vals],
                               [block_standard_error(v) for v in vals])
-
-
-def cmd_trajectory(q_c0, p_c0, table, mass, cfg):
-    """Centroid trajectory (times, q, p) under the interpolated mean force."""
-    return _one_bead_trajectory(q_c0, p_c0, table.gradient, mass, cfg)

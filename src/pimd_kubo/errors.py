@@ -22,7 +22,7 @@ class GridEscape(RuntimeError):
 
 
 class GridTooCoarse(ValueError):
-    """Time grid too coarse for the requested finite-difference derivative."""
+    """Time step too coarse for the well's harmonic frequency (dt * omega >= 0.5)."""
 
 
 class QuadratureFailure(RuntimeError):

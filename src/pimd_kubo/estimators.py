@@ -1,4 +1,4 @@
-"""Correlation-function estimators, spectra and error bars.
+"""Correlation-function estimators and spectra.
 
 Correlators are assembled from fresh equilibrium initial conditions, one
 microcanonical trajectory per sample; origin averaging along a single long
@@ -12,45 +12,22 @@ partitioning and no n_traj x n_times product array is held.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _streams
-from ._stats import RowAccumulator, block_standard_error as block_error
+from ._stats import RowAccumulator
 from .dynamics import check_accuracy, propagate_batch
-from .errors import GridTooCoarse, InsufficientSamples, UnsupportedObservable
-from .model import OMEGA_KINDS, ThermoParams, grad_fn
-from .ringpoly import MOMENTUM, OBS_P, OBS_Q, POSITION, free_rp_frequencies
+from .errors import InsufficientSamples, UnsupportedObservable
+from .model import ThermoParams, grad_fn
+from .ringpoly import OBS_P, OBS_Q, free_rp_frequencies
 from .sampler import draw_momenta, map_in_order, sample_ring_positions
 from .series import CorrelationSeries
-
-CENTROID_DELTA = "centroid_delta"
-POSITION_DELTA = "position_delta"
 
 _TRAJ_CHUNK = 1024  # trajectories per propagation chunk (fixed; not tied to threads)
 
 CMD_OBSERVABLES = (OBS_Q, OBS_P)  # the linear A that centroid dynamics admits
 WINDOWS = ("none", "hann")  # spectrum tapers
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """One of the two built-in delta filters of the preaveraged formalism."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (CENTROID_DELTA, POSITION_DELTA):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-
-
-def _initial_values(obs, positions, momenta):
-    if obs.kind == POSITION:
-        return obs.f(positions).mean(axis=1)
-    if obs.kind == MOMENTUM:
-        return momenta.mean(axis=1)
-    raise ValueError(f"unknown observable kind {obs.kind!r}")
 
 
 def _chunks(n):
@@ -67,7 +44,7 @@ def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs
     order in this thread.
     """
     n = x0.shape[0]
-    a0 = _initial_values(a_obs, x0, p0)
+    a0 = a_obs.centroid(x0, p0)
     acc = RowAccumulator(n)
 
     def job(span):
@@ -151,97 +128,7 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
 
 
 # ----------------------------------------------------------------------
-# derivative route to momentum correlators
-
-_D_EDGE = {
-    0: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]),
-    1: np.array([-3.0, -10.0, 18.0, -6.0, 1.0]),
-}
-
-
-def kubo_momentum_correlator_via_derivative(series, mass):
-    """C_Ap(t) = m dC_Aq/dt via 4th-order finite differences.
-
-    One-sided stencils at the grid ends; standard errors propagate through
-    the stencil coefficients assuming independent points.  The time step
-    must resolve the series: dt * omega <= 0.2 at the frequency omega of the
-    strongest line of its spectrum, taken after the <A><q> plateau (the
-    mean of the last quarter) is subtracted, so a plateau's line at omega = 0
-    cannot hide the oscillation.
-    """
-    n = len(series)
-    if n < 5:
-        raise GridTooCoarse("need at least 5 time points")
-    h = series.dt
-    omega, intensity = spectrum(_detrended(series))
-    w_main = omega[intensity.argmax()]
-    if h * w_main > 0.2:
-        raise GridTooCoarse(f"dt * omega = {h * w_main:.3f} exceeds 0.2 at the strongest line")
-    f = series.values
-    se = series.std_errors
-    d = np.empty(n)
-    dse = np.empty(n)
-
-    def stencil(coeffs, idx):
-        return coeffs @ f[idx] / (12.0 * h), math.sqrt(((coeffs**2) @ (se[idx] ** 2))) / (12.0 * h)
-
-    for j, c in _D_EDGE.items():
-        d[j], dse[j] = stencil(c, np.arange(5))
-        d[n - 1 - j], dse[n - 1 - j] = stencil(-c[::-1], np.arange(n - 5, n))
-    core = np.arange(2, n - 2)
-    d[core] = (f[core - 2] - 8.0 * f[core - 1] + 8.0 * f[core + 1] - f[core + 2]) / (12.0 * h)
-    dse[core] = np.sqrt(se[core - 2] ** 2 + 64.0 * se[core - 1] ** 2
-                        + 64.0 * se[core + 1] ** 2 + se[core + 2] ** 2) / (12.0 * h)
-    return CorrelationSeries(series.times, mass * d, mass * dse)
-
-
-# ----------------------------------------------------------------------
-# filtered densities and spectra
-
-@dataclass
-class DensityEstimate:
-    centers: np.ndarray
-    density: np.ndarray
-    bin_width: float
-    metadata: dict
-
-
-def filtered_density_estimate(filter_spec, model, thermo, sampler_cfg, grid=None,
-                              workers=None):
-    """Histogram estimate of the filtered density rho_0 on a uniform grid.
-
-    CentroidDelta bins the position centroid (the momentum factor is the
-    analytic Gaussian of variance m/beta and is reported in the metadata);
-    PositionDelta bins the pooled per-bead marginal of the ring density.
-    With grid=None the bin width follows Scott's rule.
-    """
-    ens = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
-    if filter_spec.kind == CENTROID_DELTA:
-        data = ens.mean(axis=1)
-    else:
-        data = ens.ravel()
-    if data.size < 32:
-        raise InsufficientSamples("need at least 32 samples")
-    if grid is None:
-        width = 3.49 * data.std() * data.size ** (-1.0 / 3.0)
-        lo = data.mean() - 5.0 * data.std()
-        nbins = max(8, int(math.ceil((data.max() + width - lo) / width)))
-        edges = lo + width * np.arange(nbins + 1)
-    else:
-        edges = np.asarray(grid, dtype=float)
-        width = float(edges[1] - edges[0])
-    counts, edges = np.histogram(data, bins=edges)
-    density = counts / (counts.sum() * width)
-    meta = {"model": model.kind, "mass": model.mass, "beta": thermo.beta,
-            "n_beads": thermo.n_beads, "hbar": thermo.hbar, "filter": filter_spec.kind,
-            "bin_rule": "scott" if grid is None else "given", "bin_width": width,
-            "n_samples": int(data.size)}
-    if model.kind in OMEGA_KINDS:
-        meta["omega"] = model.omega
-    if filter_spec.kind == CENTROID_DELTA:
-        meta["p_variance"] = model.mass / thermo.beta
-    return DensityEstimate(0.5 * (edges[:-1] + edges[1:]), density, width, meta)
-
+# spectra
 
 def spectrum(series, window="none"):
     """Cosine transform of the even-extended series; returns (omega, |F|).

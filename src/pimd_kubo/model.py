@@ -8,6 +8,7 @@ as a parameter of the thermodynamic state.
 """
 
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -76,16 +77,15 @@ class PotentialModel:
         return 0.0, 0.0, 0.25 * self.a4
 
 
-def harmonic(mass=1.0, omega=1.0):
-    return PotentialModel(HARMONIC, mass=mass, omega=omega)
+# a model of one kind; the arguments are PotentialModel's later fields, in order
+# (mass, omega, c3, c4), and keep its defaults
+harmonic = partial(PotentialModel, HARMONIC)
+mildly_anharmonic = partial(PotentialModel, MILDLY_ANHARMONIC)
 
 
-def mildly_anharmonic(mass=1.0, omega=1.0, c3=0.0, c4=0.0):
-    return PotentialModel(MILDLY_ANHARMONIC, mass=mass, omega=omega, c3=c3, c4=c4)
-
-
-def quartic(a4=1.0, mass=1.0):
-    return PotentialModel(QUARTIC, mass=mass, a4=a4)
+def quartic(a4, **fields):
+    """The well a4 q^4 / 4; fields (mass) as in PotentialModel."""
+    return PotentialModel(QUARTIC, a4=a4, **fields)
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,3 @@ def potential_grad(model, q):
     """dV/dq, analytic."""
     g = grad_fn(model)(_check_finite(q))
     return g if g.ndim else float(g)
-
-
-def delta_v(model, q, eta):
-    """Path-splitting correction (V(q+eta/2) + V(q-eta/2))/2 - V(q).
-
-    Even in eta; for a harmonic well it is m omega^2 eta^2 / 8,
-    independent of q.
-    """
-    q = _check_finite(q)
-    eta = _check_finite(eta)
-    half = 0.5 * eta
-    return (potential_eval(model, q + half) + potential_eval(model, q - half)) / 2.0 - potential_eval(model, q)

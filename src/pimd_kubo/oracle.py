@@ -4,7 +4,8 @@ The Hamiltonian is represented on a uniform position grid with a Fourier
 (periodic plane-wave) kinetic operator, which is exponentially accurate for
 states that vanish at the box edges.  Kubo-transformed correlators are then
 energy-basis double sums; the imaginary-time-discretized transform and the
-closed-form harmonic kernels provide independent cross checks.
+harmonic-well references (the Gaussian swarm trace and the classically
+evolved centroid) provide independent cross checks.
 """
 
 import math
@@ -232,24 +233,11 @@ def discrete_kubo_correlator(eig, a_obs, b_obs, beta, n_slices, times):
 
 
 # ----------------------------------------------------------------------
-# closed-form harmonic kernels
+# harmonic-well references
 
 def _require_harmonic(model):
     if model.kind != HARMONIC:
-        raise ValueError("closed-form kernel is defined for the harmonic model only")
-
-
-def harmonic_j_kernel(x_k, p_mid, eta, model, thermo):
-    """Gaussian-damped phase factor of the harmonic path kernel.
-
-    exp(-beta m w^2 eta^2 / (8N)) * exp(i eta p_mid / hbar), where p_mid is
-    the cyclic bond-midpoint momentum supplied by the caller.  The bead
-    position does not enter for a harmonic well.
-    """
-    _require_harmonic(model)
-    del x_k
-    damp = math.exp(-thermo.beta * model.mass * model.omega**2 * eta**2 / (8.0 * thermo.n_beads))
-    return damp * complex(math.cos(eta * p_mid / thermo.hbar), math.sin(eta * p_mid / thermo.hbar))
+        raise ValueError("this reference is defined for the harmonic model only")
 
 
 def harmonic_swarm_trace(x, p, t, b, model, thermo, tol=1e-8):
@@ -292,7 +280,7 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg, workers=None):
     times = np.asarray(times, dtype=float)
     x = sample_ring_positions(model, thermo, cfg, workers=workers)
     p = draw_momenta(thermo, model, cfg, "bead")
-    a0 = np.mean(a_obs.f(x), axis=1)
+    a0 = a_obs.centroid(x, p)
     qc = x.mean(axis=1)
     pc_mid = (0.5 * (p + np.roll(p, -1, axis=1))).mean(axis=1)
     w, m = model.omega, model.mass
@@ -305,25 +293,3 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg, workers=None):
         acc.add(a0[rows, None] * x0_t)
     vals, errs = acc.result()
     return CorrelationSeries(times, vals, errs)
-
-
-@dataclass
-class CentroidDensityReference:
-    q_grid: np.ndarray
-    q_density: np.ndarray
-    q_variance: float
-    p_variance: float
-
-
-def centroid_density_reference(model, thermo, grid):
-    """Analytic harmonic phase-space centroid density.
-
-    Gaussian in q_c with variance 1/(beta m w^2) (the harmonic centroid
-    potential is the bare well up to a constant), Gaussian in p_c with
-    variance m/beta.
-    """
-    _require_harmonic(model)
-    grid = np.asarray(grid, dtype=float)
-    var_q = 1.0 / (thermo.beta * model.mass * model.omega**2)
-    rho = np.exp(-0.5 * grid**2 / var_q) / math.sqrt(2.0 * math.pi * var_q)
-    return CentroidDensityReference(grid, rho, var_q, model.mass / thermo.beta)

@@ -1,4 +1,4 @@
-"""Ring-polymer state, centroid functionals and the cyclic normal-mode transform.
+"""Ring-polymer state, observables and the cyclic normal-mode transform.
 
 Bead indexing is 0-based with cyclic closure (index N wraps to 0).  The
 normal-mode transform is the real orthogonal transform diagonalizing the
@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedObservable
 from .model import potential_eval
 
 POSITION = "position"
@@ -38,13 +37,6 @@ class RingPolymerState:
         if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.momenta))):
             raise ValueError("non-finite bead entries rejected")
 
-    @property
-    def n_beads(self):
-        return self.positions.size
-
-    def copy(self):
-        return RingPolymerState(self.positions.copy(), self.momenta.copy())
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -54,6 +46,10 @@ class Observable:
     label: str
     f: object = field(default=None, compare=False)
 
+    def __post_init__(self):
+        if self.kind not in (POSITION, MOMENTUM):
+            raise ValueError(f"unknown observable kind {self.kind!r}")
+
     @classmethod
     def position(cls, f, label):
         return cls(POSITION, label, f)
@@ -61,6 +57,12 @@ class Observable:
     @classmethod
     def momentum(cls):
         return cls(MOMENTUM, "p")
+
+    def centroid(self, positions, momenta):
+        """Centroid value per sample of (n, N) bead arrays: the bead mean of f(x), or of p."""
+        if self.kind == POSITION:
+            return self.f(positions).mean(axis=1)
+        return momenta.mean(axis=1)
 
 
 OBS_Q = Observable.position(lambda q: q, "q")
@@ -82,26 +84,6 @@ def observable_from_label(label):
 
         return Observable.position(poly, label)
     raise ValueError(f"unknown observable label {label!r}")
-
-
-# ----------------------------------------------------------------------
-# centroids
-
-def centroid_position(state):
-    """(1/N) sum_k x_k."""
-    return float(np.mean(state.positions))
-
-
-def centroid_momentum(state):
-    """(1/N) sum_k p_k."""
-    return float(np.mean(state.momenta))
-
-
-def centroid_observable(obs, state):
-    """(1/N) sum_k f(x_k) for a position-function observable."""
-    if obs.kind != POSITION:
-        raise UnsupportedObservable("centroid_observable needs a position observable; use centroid_momentum for p")
-    return float(np.mean(obs.f(state.positions)))
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,8 @@ things.  All files of a run are written to a temporary directory beside
 output_dir and moved in once every writer has finished, so a failing run
 adds no file to output_dir.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error (a well the sampler cannot
+serve, or a time step too coarse for the well, included), 3 runtime error.
 """
 
 import argparse
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import __version__, io
 from .dynamics import IntegratorConfig, build_centroid_force_table, rpmd_trajectory
-from .errors import ConfigError, UnsupportedModel
+from .errors import ConfigError, GridTooCoarse, UnsupportedModel
 from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
 from .model import PotentialModel, ThermoParams
@@ -311,12 +312,13 @@ def _static(config, stats):
     run = config.sections["run"]
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
     a_obs, _ = config.observables()
-    ens = None
+    ens = mom = None
     if a_obs.kind != MOMENTUM or run["dump_ensemble"]:
         # <p> needs only the exact momentum draw; the positions serve the dump
         ens = sample_ring_positions(model, thermo, scfg)
-    data = draw_momenta(thermo, model, scfg) if a_obs.kind == MOMENTUM else ens
-    mean, se = estimate_static_average(a_obs, data, run["blocks"])
+    if a_obs.kind == MOMENTUM:
+        mom = draw_momenta(thermo, model, scfg)
+    mean, se = estimate_static_average(a_obs, ens, mom, run["blocks"])
     stats["mean"], stats["std_error"] = mean, se
     series = CorrelationSeries([0.0], [mean], [se])
     artifacts = [("results.csv", lambda p: io.write_series_csv(p, series))]
@@ -426,7 +428,7 @@ def run(config):
             io.write_meta_json(os.path.join(staging, "meta.json"), meta)
             for name in os.listdir(staging):
                 os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
-    except (ConfigError, UnsupportedModel) as exc:
+    except (ConfigError, GridTooCoarse, UnsupportedModel) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures, writing included, map to exit code 3

@@ -50,7 +50,7 @@ from . import _streams
 from ._stats import block_standard_error
 from .errors import NonErgodicWarning, UnsupportedModel
 from .model import potential_fn
-from .ringpoly import MOMENTUM, POSITION, free_rp_frequencies
+from .ringpoly import free_rp_frequencies
 
 _GROUP = 2048         # walkers per vectorized group (fixed; not tied to thread count)
 
@@ -309,15 +309,13 @@ def draw_momenta(thermo, model, cfg, convention="bead"):
 # ----------------------------------------------------------------------
 # static estimators
 
-def estimate_static_average(obs, ensemble, blocks=16):
-    """Ensemble mean of a centroid observable with a block standard error."""
-    ensemble = np.asarray(ensemble, dtype=float)
-    if obs.kind == POSITION:
-        vals = obs.f(ensemble).mean(axis=1)
-    elif obs.kind == MOMENTUM:
-        vals = ensemble.mean(axis=1)
-    else:
-        raise ValueError(f"unknown observable kind {obs.kind!r}")
+def estimate_static_average(obs, positions=None, momenta=None, blocks=16):
+    """Ensemble mean of a centroid observable with a block standard error.
+
+    positions and momenta are (n_samples, N) bead arrays; obs reads the one
+    of its kind, and the other may be None.
+    """
+    vals = obs.centroid(positions, momenta)
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
@@ -329,7 +327,8 @@ def mean_square_position(ensemble, model, thermo, blocks=16):
     removes the dominant classical variance and leaves only the
     internal-mode fluctuations in the Monte Carlo error.  The estimator
     stays unbiased by the law of total expectation.  The plain estimator is
-    estimate_static_average(OBS_Q2, ensemble).
+    estimate_static_average(OBS_Q2, ensemble), the sample mean of
+    OBS_Q2.centroid over the rows.
     """
     x = np.asarray(ensemble, dtype=float)
     qc = x.mean(axis=1)

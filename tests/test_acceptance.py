@@ -74,7 +74,6 @@ from pimd_kubo import (GridSpec, IntegratorConfig, OBS_Q, OBS_Q2, SamplerConfig,
                        mean_square_position, mildly_anharmonic, rpmd_initial_conditions,
                        rpmd_kubo_correlator, sample_ring_positions, thermal_average)
 from pimd_kubo.dynamics import propagate_batch
-from pimd_kubo.estimators import block_error
 from pimd_kubo.model import grad_fn
 from pimd_kubo.oracle import kubo_weights, position_matrix
 from pimd_kubo.sampler import draw_momenta

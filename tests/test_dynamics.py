@@ -10,13 +10,11 @@ from scipy.interpolate import CubicSpline
 
 from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q2,
                        RingPolymerState, SamplerConfig, ThermoParams,
-                       build_centroid_force_table, classical_trajectory, cmd_trajectory,
-                       draw_momenta, free_ring_polymer_step, harmonic,
-                       mildly_anharmonic, potential_grad, quartic, ring_hamiltonian,
-                       rpmd_step, rpmd_trajectory, sample_ring_positions,
-                       sample_ring_positions_constrained)
+                       build_centroid_force_table, draw_momenta, harmonic,
+                       mildly_anharmonic, quartic, ring_hamiltonian, rpmd_trajectory,
+                       sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
-from pimd_kubo.errors import GridEscape, NonErgodicWarning
+from pimd_kubo.errors import GridEscape, GridTooCoarse, NonErgodicWarning
 from pimd_kubo.model import grad_fn
 from pimd_kubo.ringpoly import POSITION, normal_mode_transform
 from pimd_kubo.sampler import _node_seed
@@ -27,17 +25,32 @@ def _random_state(n, seed=0, scale=1.0):
     return RingPolymerState(scale * rng.standard_normal(n), scale * rng.standard_normal(n))
 
 
-def test_free_ring_polymer_ballistic_centroid(harmonic_model):
-    # rotation substep alone: the zero mode drifts exactly
+def _classical(q0, p0, model, cfg):
+    """(times, q, p) of one bead on V: RPMD at N = 1, where beta is inert."""
+    times, rec = rpmd_trajectory(RingPolymerState([q0], [p0]), model, ThermoParams(1.0, 1),
+                                 cfg, [OBS_Q, OBS_P])
+    return times, rec["q"], rec["p"]
+
+
+def _centroid_on_table(q0, p0, table, mass, cfg):
+    """(q, p) of one bead on table.gradient: the CMD centroid trajectory."""
+    rec, _, _ = propagate_batch(np.array([[q0]]), np.array([[p0]]), table.gradient, mass,
+                                ThermoParams(1.0, 1), cfg.dt, cfg.n_steps, [OBS_Q, OBS_P])
+    return rec[0, :, 0], rec[1, :, 0]
+
+
+def test_free_ring_polymer_ballistic_centroid():
+    # the rotation alone (zero gradient): the zero mode drifts exactly
     th = ThermoParams(1.0, 8)
     st = _random_state(8, seed=1)
     q0, p0 = st.positions.mean(), st.momenta.mean()
     dt = 0.05
-    s = st
-    for k in range(1, 201):
-        s = free_ring_polymer_step(s, th, harmonic_model, dt)
-        assert abs(s.positions.mean() - (q0 + p0 * k * dt)) <= 1e-12
-        assert abs(s.momenta.mean() - p0) <= 1e-12
+    rec, _, pf = propagate_batch(st.positions[None, :], st.momenta[None, :], np.zeros_like,
+                                 1.0, th, dt, 200, [OBS_Q, OBS_P])
+    k = np.arange(201)
+    assert np.abs(rec[0, :, 0] - (q0 + p0 * k * dt)).max() <= 1e-12
+    assert np.abs(rec[1, :, 0] - p0).max() <= 1e-12
+    assert abs(pf.mean() - p0) <= 1e-12
 
 
 def test_zero_mode_feels_no_spring_force(harmonic_model):
@@ -56,7 +69,7 @@ def test_zero_mode_feels_no_spring_force(harmonic_model):
 
 def test_single_bead_is_classical(harmonic_model):
     cfg = IntegratorConfig(dt=0.01, n_steps=10000)
-    times, q, p = classical_trajectory(1.0, 0.0, harmonic_model, cfg)
+    times, q, p = _classical(1.0, 0.0, harmonic_model, cfg)
     e = 0.5 * p**2 + 0.5 * q**2
     # the symplectic flow has a bounded O(dt^2) energy oscillation but no
     # secular drift; conservation to 1e-6 is a statement about the drift
@@ -68,25 +81,29 @@ def test_single_bead_is_classical(harmonic_model):
 
 
 def test_classical_matches_rpmd_n1_bitwise(harmonic_model):
+    # at N = 1 the RPMD step is velocity Verlet on V, bit for bit at unit mass
     cfg = IntegratorConfig(dt=0.01, n_steps=500)
-    times, q, p = classical_trajectory(0.7, -0.3, harmonic_model, cfg)
-    st = RingPolymerState(np.array([0.7]), np.array([-0.3]))
-    _, rec = rpmd_trajectory(st, harmonic_model, ThermoParams(1.0, 1), cfg, [OBS_Q, OBS_P])
-    assert np.array_equal(q, rec["q"])
-    assert np.array_equal(p, rec["p"])
+    _, q, p = _classical(0.7, -0.3, harmonic_model, cfg)
+    grad = grad_fn(harmonic_model)
+    qv, pv = np.array([0.7]), np.array([-0.3])
+    for step in range(1, cfg.n_steps + 1):
+        pv = pv - 0.5 * cfg.dt * grad(qv)
+        qv = qv + cfg.dt * pv
+        pv = pv - 0.5 * cfg.dt * grad(qv)
+        assert q[step] == qv[0] and p[step] == pv[0], step
 
 
 def test_classical_harmonic_closed_form(harmonic_model):
     cfg = IntegratorConfig(dt=1e-4, n_steps=10000)
-    times, q, p = classical_trajectory(0.4, 0.9, harmonic_model, cfg)
+    times, q, p = _classical(0.4, 0.9, harmonic_model, cfg)
     ref = 0.4 * np.cos(times) + 0.9 * np.sin(times)
     assert np.abs(q - ref).max() <= 1e-8
 
 
-def test_classical_quartic_energy(harmonic_model):
+def test_classical_quartic_energy():
     model = quartic(1.0)
     cfg = IntegratorConfig(dt=0.001, n_steps=50000)
-    times, q, p = classical_trajectory(1.0, 0.0, model, cfg)
+    times, q, p = _classical(1.0, 0.0, model, cfg)
     e = 0.5 * p**2 + 0.25 * q**4
     assert np.abs(e - e[0]).max() / e[0] <= 1e-6
 
@@ -94,14 +111,12 @@ def test_classical_quartic_energy(harmonic_model):
 def test_reversibility(harmonic_model):
     th = ThermoParams(2.0, 12)
     st = _random_state(12, seed=3)
-    s = st.copy()
-    for _ in range(100):
-        s = rpmd_step(s, harmonic_model, th, 0.01)
-    s = RingPolymerState(s.positions, -s.momenta)
-    for _ in range(100):
-        s = rpmd_step(s, harmonic_model, th, 0.01)
-    assert np.abs(s.positions - st.positions).max() <= 1e-10
-    assert np.abs(-s.momenta - st.momenta).max() <= 1e-10
+    grad, mass = grad_fn(harmonic_model), harmonic_model.mass
+    _, x, p = propagate_batch(st.positions[None, :], st.momenta[None, :], grad, mass, th, 0.01,
+                              100, [])
+    _, x, p = propagate_batch(x, -p, grad, mass, th, 0.01, 100, [])
+    assert np.abs(x[0] - st.positions).max() <= 1e-10
+    assert np.abs(-p[0] - st.momenta).max() <= 1e-10
 
 
 def test_centroid_closed_form(harmonic_model):
@@ -148,11 +163,11 @@ def test_hamiltonian_conservation_and_dt_scaling():
     h0 = ring_hamiltonian(st, model, th)
 
     def max_drift(dt, n_steps):
-        s = st.copy()
+        x, p = st.positions[None, :], st.momenta[None, :]
         drift = 0.0
         for _ in range(n_steps):
-            s = rpmd_step(s, model, th, dt)
-            drift = max(drift, abs(ring_hamiltonian(s, model, th) - h0))
+            _, x, p = propagate_batch(x, p, grad_fn(model), model.mass, th, dt, 1, [])
+            drift = max(drift, abs(ring_hamiltonian(RingPolymerState(x[0], p[0]), model, th) - h0))
         return drift
 
     d1 = max_drift(0.02, 500)
@@ -237,7 +252,7 @@ def test_momentum_convention_centroid_distributions():
 
 
 def test_integrator_accuracy_guard(harmonic_model):
-    with pytest.raises(ValueError):
+    with pytest.raises(GridTooCoarse):
         rpmd_trajectory(_random_state(4, seed=7), harmonic_model, ThermoParams(1.0, 4),
                         IntegratorConfig(dt=0.6, n_steps=10), [OBS_Q])
 
@@ -253,7 +268,8 @@ def _linear_table(omega=1.0, lim=6.0, nodes=25):
 def test_cmd_harmonic_table_trajectory():
     table = _linear_table()
     cfg = IntegratorConfig(dt=0.01, n_steps=1000)
-    times, q, p = cmd_trajectory(0.8, 0.5, table, 1.0, cfg)
+    q, p = _centroid_on_table(0.8, 0.5, table, 1.0, cfg)
+    times = cfg.times()
     ref = 0.8 * np.cos(times) + 0.5 * np.sin(times)
     assert np.abs(q - ref).max() <= 1e-4
 
@@ -262,16 +278,17 @@ def test_cmd_free_table_ballistic():
     grid = np.linspace(-50.0, 50.0, 11)
     table = CentroidForceTable(grid, np.zeros(11), np.zeros(11))
     cfg = IntegratorConfig(dt=0.01, n_steps=500)
-    times, q, p = cmd_trajectory(0.0, 1.0, table, 1.0, cfg)
-    assert np.abs(q - times).max() <= 1e-12
+    q, p = _centroid_on_table(0.0, 1.0, table, 1.0, cfg)
+    assert np.abs(q - cfg.times()).max() <= 1e-12
     assert np.abs(p - 1.0).max() == 0.0
 
 
 def test_cmd_energy_conservation():
+    # the linear table's force -q is the spline's own, so its potential is q^2 / 2
     table = _linear_table()
     cfg = IntegratorConfig(dt=0.005, n_steps=4000)
-    times, q, p = cmd_trajectory(1.1, 0.0, table, 1.0, cfg)
-    e = 0.5 * p**2 + table.potential_at(q) - table.potential_at(np.zeros(1))
+    q, p = _centroid_on_table(1.1, 0.0, table, 1.0, cfg)
+    e = 0.5 * p**2 + 0.5 * q**2
     assert np.abs(e - e[0]).max() / abs(e[0]) <= 1e-5
 
 
@@ -283,9 +300,8 @@ def test_force_table_matches_natural_cubic_spline(nodes):
     table = CentroidForceTable(grid, force, np.zeros(nodes))
     spline = CubicSpline(grid, force, bc_type="natural")
     q = np.concatenate([grid, rng.uniform(grid[0], grid[-1], 500)])
-    for got, ref in ((table.force_at(q), spline(q)),
-                     (table.potential_at(q), -spline.antiderivative()(q))):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    ref = spline(q)
+    np.testing.assert_allclose(table.force_at(q), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_array_equal(table.gradient(q), -table.force_at(q))
     assert table.force_at(grid[1]) == pytest.approx(force[1], rel=1e-14)
 
@@ -294,7 +310,7 @@ def test_cmd_grid_escape():
     table = _linear_table(lim=1.0, nodes=9)
     cfg = IntegratorConfig(dt=0.01, n_steps=2000)
     with pytest.raises(GridEscape):
-        cmd_trajectory(0.9, 1.5, table, 1.0, cfg)
+        _centroid_on_table(0.9, 1.5, table, 1.0, cfg)
 
 
 def test_force_table_harmonic(harmonic_model):
@@ -382,14 +398,3 @@ def test_force_table_warns_per_node():
     nonergodic = [w for w in caught if issubclass(w.category, NonErgodicWarning)]
     assert len(nonergodic) == 1
     assert "below 0.05" in str(nonergodic[0].message)
-
-
-def test_rpmd_step_matches_trajectory(harmonic_model):
-    th = ThermoParams(1.0, 8)
-    st = _random_state(8, seed=8)
-    cfg = IntegratorConfig(dt=0.01, n_steps=5)
-    _, rec = rpmd_trajectory(st, harmonic_model, th, cfg, [OBS_Q])
-    s = st
-    for k in range(1, 6):
-        s = rpmd_step(s, harmonic_model, th, 0.01)
-        assert s.positions.mean() == pytest.approx(rec["q"][k], abs=1e-12)

@@ -4,17 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pimd_kubo import (CENTROID_DELTA, POSITION_DELTA, CentroidForceTable,
-                       CorrelationSeries, FilterSpec, IntegratorConfig, OBS_P, OBS_Q,
-                       OBS_Q2, Observable, SamplerConfig, ThermoParams, block_error,
-                       cmd_kubo_correlator, cmd_trajectory, diagonalize, draw_momenta,
-                       exact_kubo_correlator, filtered_density_estimate, harmonic,
-                       kubo_momentum_correlator_via_derivative, rpmd_kubo_correlator,
-                       sample_ring_positions, spectrum)
-from pimd_kubo.errors import (GridEscape, GridTooCoarse, InsufficientSamples,
-                              UnsupportedObservable)
+from pimd_kubo import (CentroidForceTable, CorrelationSeries, IntegratorConfig, OBS_P, OBS_Q,
+                       OBS_Q2, SamplerConfig, ThermoParams, block_standard_error,
+                       cmd_kubo_correlator, draw_momenta, exact_kubo_correlator, harmonic,
+                       rpmd_kubo_correlator, sample_ring_positions, spectrum)
+from pimd_kubo.errors import GridEscape, InsufficientSamples, UnsupportedObservable
 from pimd_kubo import _streams
 from pimd_kubo._stats import RowAccumulator
+from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.estimators import _correlator_from_ic
 from pimd_kubo.model import grad_fn
 from pimd_kubo.ringpoly import POSITION
@@ -113,7 +110,7 @@ def test_row_accumulator_matches_full_reduction(n):
         lo = min(lo + size, n)
     mean, se = acc.result()
     assert mean.tobytes() == x.mean(axis=0).tobytes()
-    assert se.tobytes() == block_error(x).tobytes()
+    assert se.tobytes() == block_standard_error(x).tobytes()
     # the same rows, strided as a propagation record's transpose
     acc = RowAccumulator(n)
     acc.add(np.asfortranarray(x))
@@ -251,12 +248,13 @@ def test_cmd_correlator_matches_velocity_verlet_reference(mass):
 
 @pytest.mark.parametrize("mass", [1.0, 1.7])
 def test_cmd_trajectory_matches_velocity_verlet_reference(mass):
+    # one centroid, propagated as the one-bead ring polymer on the table
     table = _cubic_table()
     cfg = IntegratorConfig(dt=0.05, n_steps=400)
-    times, q, p = cmd_trajectory(0.9, -0.4, table, mass, cfg)
+    rec, _, _ = propagate_batch(np.array([[0.9]]), np.array([[-0.4]]), table.gradient, mass,
+                                ThermoParams(1.0, 1), cfg.dt, cfg.n_steps, [OBS_Q, OBS_P])
     qs, ps = _cmd_propagate_reference(0.9, -0.4, table, mass, cfg.dt, cfg.n_steps)
-    assert times.tobytes() == cfg.times().tobytes()
-    assert _close(q, qs, mass) and _close(p, ps, mass)
+    assert _close(rec[0, :, 0], qs, mass) and _close(rec[1, :, 0], ps, mass)
 
 
 def test_cmd_correlator_grid_escape(harmonic_model):
@@ -276,81 +274,7 @@ def test_cmd_rejects_nonlinear_a(harmonic_model):
 
 
 # ----------------------------------------------------------------------
-# derivative route
-
-def test_derivative_of_cosine():
-    t = np.arange(0.0, 10.0001, 0.01)
-    series = CorrelationSeries(t, np.cos(t), np.zeros_like(t))
-    d = kubo_momentum_correlator_via_derivative(series, 1.0)
-    assert np.abs(d.values + np.sin(t)).max() <= 1e-6
-
-
-def test_derivative_of_constant():
-    t = np.arange(0.0, 1.0001, 0.01)
-    series = CorrelationSeries(t, np.ones_like(t), np.zeros_like(t))
-    d = kubo_momentum_correlator_via_derivative(series, 2.0)
-    assert np.abs(d.values).max() <= 1e-12
-
-
-def test_derivative_grid_too_coarse():
-    t = np.arange(0.0, 10.0001, 0.5)
-    series = CorrelationSeries(t, np.cos(t), np.zeros_like(t))
-    with pytest.raises(GridTooCoarse):
-        kubo_momentum_correlator_via_derivative(series, 1.0)
-
-
-def test_derivative_grid_too_coarse_under_a_plateau():
-    # the plateau puts the strongest raw line at omega = 0; the guard must see past it
-    t = np.arange(0.0, 10.0001, 0.5)
-    series = CorrelationSeries(t, 3.0 + np.cos(t), np.zeros_like(t))
-    with pytest.raises(GridTooCoarse):
-        kubo_momentum_correlator_via_derivative(series, 1.0)
-
-
-def test_derivative_vs_spectral_oracle(harmonic_qq, harmonic_eig):
-    d = kubo_momentum_correlator_via_derivative(harmonic_qq, 1.0)
-    oracle = exact_kubo_correlator(harmonic_eig, OBS_Q, OBS_P, 1.0, d.times)
-    dev = np.abs(d.values - oracle.values) / np.maximum(d.std_errors, 1e-12)
-    # interior points: one-sided edge stencils amplify noise at the two ends
-    assert dev[2:-2].max() <= 4.0
-
-
-def test_derivative_error_propagation():
-    t = np.arange(0.0, 1.0001, 0.01)
-    se = np.full_like(t, 0.01)
-    series = CorrelationSeries(t, np.cos(t), se)
-    d = kubo_momentum_correlator_via_derivative(series, 1.0)
-    expect = 0.01 * np.sqrt(1.0 + 64.0 + 64.0 + 1.0) / (12.0 * 0.01)
-    assert d.std_errors[10] == pytest.approx(expect, rel=1e-12)
-
-
-# ----------------------------------------------------------------------
-# filtered densities
-
-def test_centroid_density_gaussian(harmonic_model):
-    th = ThermoParams(1.0, 16)
-    est = filtered_density_estimate(FilterSpec(CENTROID_DELTA), harmonic_model, th,
-                                    _scfg(30000, seed=61))
-    var = np.sum(est.centers**2 * est.density) * est.bin_width
-    assert var == pytest.approx(1.0, abs=0.05)
-    assert est.metadata["p_variance"] == pytest.approx(1.0)
-
-
-def test_density_normalization(harmonic_model):
-    th = ThermoParams(1.0, 8)
-    grid = np.linspace(-6.0, 6.0, 121)
-    est = filtered_density_estimate(FilterSpec(CENTROID_DELTA), harmonic_model, th,
-                                    _scfg(5000, seed=62), grid=grid)
-    assert np.sum(est.density) * est.bin_width == pytest.approx(1.0, abs=1e-12)
-
-
-def test_bead_marginal_variance(harmonic_model):
-    th = ThermoParams(1.0, 32)
-    est = filtered_density_estimate(FilterSpec(POSITION_DELTA), harmonic_model, th,
-                                    _scfg(8000, seed=63))
-    var = np.sum(est.centers**2 * est.density) * est.bin_width
-    assert var == pytest.approx(1.08198, abs=0.05)
-
+# centroid filtering
 
 def test_filtering_consistency(harmonic_model):
     # binning the centroid and recombining conditional means reproduces the
@@ -398,12 +322,12 @@ def test_spectrum_intensity_ratio():
 
 
 def test_block_error_constant():
-    assert np.all(block_error(np.ones(640)) == 0.0)
+    assert np.all(block_standard_error(np.ones(640)) == 0.0)
 
 
 def test_block_error_gaussian():
     rng = np.random.default_rng(3)
-    se = block_error(rng.standard_normal(1600))
+    se = block_standard_error(rng.standard_normal(1600))
     assert se == pytest.approx(1.0 / 40.0, rel=0.30)
 
 
@@ -411,7 +335,7 @@ def test_block_error_scaling():
     # average the blocked SE over replications: a single 16-block estimate has
     # ~18% scatter, the mean over 12 replications pins the 1/sqrt(n) law
     rng = np.random.default_rng(4)
-    ses = [float(np.mean([block_error(rng.standard_normal(n)) for _ in range(12)]))
+    ses = [float(np.mean([block_standard_error(rng.standard_normal(n)) for _ in range(12)]))
            for n in (400, 1600, 6400)]
     assert ses[0] / ses[1] == pytest.approx(2.0, rel=0.30)
     assert ses[1] / ses[2] == pytest.approx(2.0, rel=0.30)
@@ -419,7 +343,7 @@ def test_block_error_scaling():
 
 def test_block_error_insufficient():
     with pytest.raises(InsufficientSamples):
-        block_error(np.ones(31))
+        block_standard_error(np.ones(31))
 
 
 def test_series_validation():

@@ -9,7 +9,8 @@ name, so every name it uses must exist, with the parameters it reads and
 the SamplerConfig fields it reads.  The benchmark driver
 (perfbench/run.py) imports package names, in its own source and in the
 programs it runs with python -c, and reads a parsed RunConfig's
-attributes and [section] keys, so those must exist too.  The runtime
+attributes and [section] keys, so those must exist too; so must every
+name the demos (demos/*.py), which no test runs, import.  The runtime
 needs numpy only: a run must not load scipy, which the tests use as a
 reference.
 """
@@ -29,6 +30,7 @@ from pimd_kubo.sampler import SamplerConfig
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pimd_kubo"
 TRACED = SRC.parent.parent / "perfbench" / "traced.py"
 BENCH_RUN = SRC.parent.parent / "perfbench" / "run.py"
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 SHARED = ("_stats", "_streams")
 # constructors of numpy generators, bit generators and seed sequences
 RANDOM_MAKERS = {"Generator", "RandomState", "default_rng", "SeedSequence", "BitGenerator",
@@ -199,13 +201,22 @@ def _config_reads(tree):
     return reads, keys
 
 
+def _package_imports(trees):
+    """(module, name) of every `from pimd_kubo... import name` in trees."""
+    return {(node.module, alias.name) for t in trees for node in ast.walk(t)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pimd_kubo")
+            for alias in node.names}
+
+
+def _missing(imported):
+    return [f"{module}.{name}" for module, name in sorted(imported)
+            if not hasattr(importlib.import_module(module), name)]
+
+
 def test_benchmark_driver_names_exist():
     tree = ast.parse(BENCH_RUN.read_text())
-    imported = {(node.module, alias.name) for t in [tree] + _programs(tree)
-                for node in ast.walk(t) if isinstance(node, ast.ImportFrom)
-                and (node.module or "").startswith("pimd_kubo") for alias in node.names}
-    missing = [f"{module}.{name}" for module, name in sorted(imported)
-               if not hasattr(importlib.import_module(module), name)]
+    imported = _package_imports([tree] + _programs(tree))
+    missing = _missing(imported)
     assert not missing, missing
     assert {("pimd_kubo.runner", "main"), ("pimd_kubo.runner", "parse_config"),
             ("pimd_kubo.sampler", "resolve_workers")} <= imported
@@ -220,6 +231,14 @@ def test_benchmark_driver_names_exist():
     # the parse must see reference() and the precision note, or the checks prove nothing
     assert {"model", "thermo", "grid", "observables", "command", "sections"} <= set(reads)
     assert ("sampler", "n_samples") in keys
+
+
+def test_demo_imports_exist():
+    imported = _package_imports(ast.parse(path.read_text(), filename=str(path)) for path in DEMOS)
+    # the parse must see the demos' imports, or the check proves nothing
+    assert len(DEMOS) >= 4 and ("pimd_kubo", "rpmd_kubo_correlator") in imported
+    missing = _missing(imported)
+    assert not missing, missing
 
 
 NO_SCIPY = """

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from pimd_kubo import (delta_v, harmonic, mildly_anharmonic, potential_eval,
-                       potential_grad, quartic)
+from pimd_kubo import harmonic, mildly_anharmonic, potential_eval, potential_grad, quartic
 from pimd_kubo.model import PotentialModel, ThermoParams, grad_fn, potential_fn
 
 
@@ -81,34 +80,6 @@ def test_potential_out_form_is_bit_identical(model):
     assert buf.tobytes() == potential_fn(model)(q).tobytes()
     # without out, the result keeps the layout of q (mixed layouts are slow)
     assert potential_fn(model)(q.T).flags.f_contiguous
-
-
-def test_delta_v_harmonic_closed_form():
-    # for a harmonic well the correction is m w^2 eta^2 / 8, independent of q
-    m = harmonic(1.0, 1.0)
-    assert delta_v(m, 3.0, 2.0) == pytest.approx(0.5, abs=1e-14)
-    for q in (-2.0, 0.0, 1.7):
-        assert delta_v(m, q, 2.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_delta_v_zero_eta():
-    for m in (harmonic(), quartic(3.0), mildly_anharmonic(c3=0.2, c4=0.1)):
-        assert delta_v(m, 1.3, 0.0) == 0.0
-
-
-def test_delta_v_quartic_direct():
-    m = quartic(4.0)
-    v = lambda q: potential_eval(m, q)
-    assert delta_v(m, 1.0, 2.0) == pytest.approx((v(2.0) + v(0.0)) / 2 - v(1.0), abs=1e-14)
-    assert delta_v(m, 1.0, 2.0) == pytest.approx(7.0, abs=1e-14)
-
-
-def test_delta_v_even_in_eta():
-    rng = np.random.default_rng(0)
-    for m in (harmonic(1.2, 0.8), mildly_anharmonic(c3=0.3, c4=0.05), quartic(2.0)):
-        for _ in range(20):
-            q, eta = rng.normal(size=2) * 2.0
-            assert delta_v(m, q, eta) == pytest.approx(delta_v(m, q, -eta), abs=1e-13)
 
 
 def test_bounded_below():

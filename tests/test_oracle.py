@@ -3,10 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from pimd_kubo import (GridSpec, OBS_P, OBS_Q, OBS_Q2, Observable, SamplerConfig,
-                       ThermoParams, centroid_density_reference, diagonalize,
-                       discrete_kubo_correlator, discrete_kubo_transform,
-                       exact_kubo_correlator, harmonic, harmonic_caq_reference,
-                       harmonic_j_kernel, harmonic_swarm_trace, mildly_anharmonic,
+                       ThermoParams, diagonalize, discrete_kubo_correlator,
+                       discrete_kubo_transform, exact_kubo_correlator, harmonic,
+                       harmonic_caq_reference, harmonic_swarm_trace, mildly_anharmonic,
                        thermal_average)
 from pimd_kubo.errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
 from pimd_kubo.oracle import kubo_weights, momentum_matrix, position_matrix
@@ -159,24 +158,6 @@ def test_discrete_kubo_convergence(harmonic_eig):
     assert 3.5 <= errs[8] / errs[16] <= 4.5
 
 
-def test_j_kernel():
-    th = ThermoParams(8.0, 8)
-    m = harmonic(1.0, 1.0)
-    assert harmonic_j_kernel(0.3, 0.7, 0.0, m, th) == pytest.approx(1.0)
-    val = harmonic_j_kernel(0.0, 0.0, 1.0, m, th)
-    assert val == pytest.approx(np.exp(-1.0 / 8.0), abs=1e-12)
-    assert val == pytest.approx(0.88250, abs=1e-5)
-    # modulus independent of momentum
-    for p in (0.0, 1.3, -2.0):
-        assert abs(harmonic_j_kernel(0.1, p, 0.7, m, th)) == pytest.approx(
-            np.exp(-8.0 * 0.49 / 64.0), rel=1e-12)
-
-
-def test_j_kernel_rejects_anharmonic():
-    with pytest.raises(ValueError):
-        harmonic_j_kernel(0.0, 0.0, 1.0, mildly_anharmonic(c4=0.1), ThermoParams(1.0, 4))
-
-
 def test_swarm_trace_delta_limit():
     rng = np.random.default_rng(4)
     m = harmonic(1.0, 1.0)
@@ -243,15 +224,3 @@ def test_caq_reference_matches_cos(harmonic_model):
     dev = np.abs(series.values - np.cos(times)) / np.maximum(series.std_errors, 1e-12)
     assert dev.max() <= 3.0
     assert series.values[0] == pytest.approx(1.0, abs=3 * series.std_errors[0])
-
-
-def test_centroid_density_reference(harmonic_model):
-    th = ThermoParams(1.0, 32)
-    grid = np.linspace(-8.0, 8.0, 2001)
-    ref = centroid_density_reference(harmonic_model, th, grid)
-    assert ref.q_variance == pytest.approx(1.0)
-    assert ref.p_variance == pytest.approx(1.0)
-    dx = grid[1] - grid[0]
-    assert np.trapezoid(ref.q_density, dx=dx) == pytest.approx(1.0, abs=1e-10)
-    var = np.trapezoid(grid**2 * ref.q_density, dx=dx)
-    assert var == pytest.approx(1.0, abs=1e-8)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from pimd_kubo import (OBS_P, OBS_Q, Observable, RingPolymerState, ThermoParams,
-                       centroid_momentum, centroid_observable, centroid_position,
                        free_rp_frequencies, harmonic, log_ring_density,
                        normal_mode_transform, spring_energy)
-from pimd_kubo.errors import UnsupportedObservable
 from pimd_kubo.ringpoly import normal_mode_matrix
 
 
@@ -14,31 +12,38 @@ def _state(x, p=None):
     return RingPolymerState(x, np.zeros_like(x) if p is None else np.asarray(p, float))
 
 
+def _centroid(obs, x, p=None):
+    """obs.centroid of one ring given as bead lists (momenta zero when omitted)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    p = np.zeros_like(x) if p is None else np.atleast_2d(np.asarray(p, dtype=float))
+    return float(obs.centroid(x, p)[0])
+
+
 def test_centroid_position():
-    assert centroid_position(_state([1.0, 2.0, 3.0])) == 2.0
-    assert centroid_position(_state([4.2] * 7)) == pytest.approx(4.2)
-    assert centroid_position(_state([-1.0, 1.0])) == 0.0
+    assert _centroid(OBS_Q, [1.0, 2.0, 3.0]) == 2.0
+    assert _centroid(OBS_Q, [4.2] * 7) == pytest.approx(4.2)
+    assert _centroid(OBS_Q, [-1.0, 1.0]) == 0.0
+    # one value per row of an (n, N) ensemble
+    rows = np.array([[1.0, 3.0], [-2.0, 0.0], [5.0, 5.0]])
+    assert OBS_Q.centroid(rows, np.zeros_like(rows)).tolist() == [2.0, -1.0, 5.0]
 
 
 def test_centroid_observable():
-    st = _state([1.0, 2.0])
-    assert centroid_observable(Observable.position(lambda q: q * q, "q2"), st) == 2.5
-    rng = np.random.default_rng(3)
-    st2 = _state(rng.normal(size=9))
-    assert centroid_observable(OBS_Q, st2) == pytest.approx(centroid_position(st2))
+    assert _centroid(Observable.position(lambda q: q * q, "q2"), [1.0, 2.0]) == 2.5
     a = 1.7
-    st3 = _state([-a, a])
-    assert centroid_observable(Observable.position(lambda q: q**3, "q3"), st3) == 0.0
-
-
-def test_centroid_observable_rejects_momentum():
-    with pytest.raises(UnsupportedObservable):
-        centroid_observable(OBS_P, _state([0.0, 1.0]))
+    assert _centroid(Observable.position(lambda q: q**3, "q3"), [-a, a]) == 0.0
+    # a position observable never reads the momenta
+    assert _centroid(OBS_Q, [1.0, 2.0], [10.0, 20.0]) == 1.5
 
 
 def test_centroid_momentum():
-    assert centroid_momentum(_state([0.0, 0.0], [2.0, 4.0])) == 3.0
-    assert centroid_momentum(_state([1.0] * 5, [0.0] * 5)) == 0.0
+    assert _centroid(OBS_P, [0.0, 0.0], [2.0, 4.0]) == 3.0
+    assert _centroid(OBS_P, [1.0] * 5, [0.0] * 5) == 0.0
+
+
+def test_observable_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown observable kind"):
+        Observable("spin", "s")
 
 
 def test_bond_midpoint_resummation():
@@ -54,13 +59,12 @@ def test_cyclic_permutation_invariance():
     x, p = rng.normal(size=(2, 8))
     th = ThermoParams(1.3, 8)
     m = harmonic(1.1, 0.9)
-    base = (centroid_position(_state(x, p)), centroid_momentum(_state(x, p)),
-            spring_energy(_state(x, p), th, m))
+    base = (_centroid(OBS_Q, x, p), _centroid(OBS_P, x, p), spring_energy(_state(x, p), th, m))
     for shift in range(1, 8):
-        st = _state(np.roll(x, shift), np.roll(p, shift))
-        assert centroid_position(st) == pytest.approx(base[0], abs=1e-14)
-        assert centroid_momentum(st) == pytest.approx(base[1], abs=1e-14)
-        assert spring_energy(st, th, m) == pytest.approx(base[2], rel=1e-13)
+        xs, ps = np.roll(x, shift), np.roll(p, shift)
+        assert _centroid(OBS_Q, xs, ps) == pytest.approx(base[0], abs=1e-14)
+        assert _centroid(OBS_P, xs, ps) == pytest.approx(base[1], abs=1e-14)
+        assert spring_energy(_state(xs, ps), th, m) == pytest.approx(base[2], rel=1e-13)
 
 
 def test_spring_energy_examples():

@@ -423,6 +423,28 @@ def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, co
     assert not out.exists()
 
 
+def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    # dt * omega = 0.6 breaks the integrator's accuracy bound: a fault of the
+    # config, found before any sampler runs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("sampler called")
+
+    for target in ("pimd_kubo.estimators.sample_ring_positions",
+                   "pimd_kubo.runner.sample_ring_positions"):
+        monkeypatch.setattr(target, counted)
+    out = tmp_path / "coarse"
+    text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = rpmd")
+    text = text.replace("n_beads = 8", "n_beads = 4").replace("dt = 0.05", "dt = 0.6")
+    assert run(parse_config(text)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "dt * omega" in err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_output_dir_under_a_file_exits_3(tmp_path, capsys):
     blocker = tmp_path / "plain_file"
     blocker.write_text("not a directory\n")

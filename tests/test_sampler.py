@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, draw_momenta,
-                       estimate_static_average, harmonic, log_ring_density,
+from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, block_standard_error,
+                       draw_momenta, estimate_static_average, harmonic, log_ring_density,
                        mean_square_position, mildly_anharmonic, potential_grad, quartic,
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
-from pimd_kubo._stats import block_standard_error
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import grad_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
@@ -45,8 +44,7 @@ def test_centroid_distribution(harmonic_model):
     th = ThermoParams(1.0, 16)
     ens = sample_ring_positions(harmonic_model, th, _cfg(30000, seed=4))
     qc = ens.mean(axis=1)
-    from pimd_kubo.estimators import block_error
-    var_se = block_error(qc * qc)
+    var_se = block_standard_error(qc * qc)
     assert abs((qc * qc).mean() - 1.0) <= 3.0 * var_se
 
 
@@ -196,7 +194,7 @@ def test_static_average_symmetry(harmonic_model):
     mean, se = estimate_static_average(OBS_Q, ens)
     assert abs(mean) <= 3.0 * se
     p = draw_momenta(th, harmonic_model, _cfg(20000, seed=17))
-    pmean, pse = estimate_static_average(OBS_P, p)
+    pmean, pse = estimate_static_average(OBS_P, momenta=p)
     assert abs(pmean) <= 3.0 * pse
 
 
