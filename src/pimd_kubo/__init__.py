@@ -12,7 +12,7 @@ from .dynamics import (CentroidForceTable, IntegratorConfig, build_centroid_forc
 from .estimators import (band_peaks, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
 from .model import (PotentialModel, ThermoParams, harmonic, mildly_anharmonic, potential_eval,
-                    potential_grad, quartic)
+                    quartic)
 from .oracle import (EigenSystem, GridSpec, diagonalize, discrete_kubo_correlator,
                      discrete_kubo_transform, exact_kubo_correlator, harmonic_caq_reference,
                      harmonic_swarm_trace, thermal_average)

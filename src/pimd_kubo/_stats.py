@@ -4,6 +4,8 @@ import numpy as np
 
 from .errors import InsufficientSamples
 
+N_BLOCKS = 16  # error blocks of every blocked mean unless a run sets [run] blocks
+
 
 def _block_edges(n, n_blocks):
     if n < 2 * n_blocks:
@@ -15,7 +17,7 @@ def _error_of_block_means(means):
     return means.std(axis=0, ddof=1) / np.sqrt(len(means))
 
 
-def block_standard_error(samples, n_blocks=16):
+def block_standard_error(samples, n_blocks=N_BLOCKS):
     """Standard error of the mean from n_blocks contiguous block means.
 
     samples may be (n,) or (n, T); the error is computed per column.
@@ -31,16 +33,16 @@ def block_standard_error(samples, n_blocks=16):
 class RowAccumulator:
     """Mean and block standard error of n_rows rows that arrive in order.
 
-    Only running sums are kept: one for all rows and one per block of
-    block_standard_error.  Each sum starts at zero and adds its rows one by
-    one, as numpy reduces a C-ordered (n_rows, T) array over axis 0, so
-    result() equals samples.mean(axis=0) and block_standard_error(samples)
-    of that array bit for bit when T >= 2 (a single column numpy sums
-    pairwise).
+    Only running sums are kept: one for all rows and one for each of the
+    N_BLOCKS blocks of block_standard_error.  Each sum starts at zero and
+    adds its rows one by one, as numpy reduces a C-ordered (n_rows, T)
+    array over axis 0, so result() equals samples.mean(axis=0) and
+    block_standard_error(samples) of that array bit for bit when T >= 2 (a
+    single column numpy sums pairwise).
     """
 
-    def __init__(self, n_rows, n_blocks=16):
-        self._edges = _block_edges(n_rows, n_blocks)
+    def __init__(self, n_rows):
+        self._edges = _block_edges(n_rows, N_BLOCKS)
         self._total = None
         self._sums = None
         self._count = 0

@@ -47,7 +47,7 @@ class IntegratorConfig:
 def check_accuracy(cfg, model):
     """Reject a time step too coarse for the well's harmonic frequency."""
     if model.kind in OMEGA_KINDS and cfg.dt * model.omega >= 0.5:
-        raise GridTooCoarse("dt * omega must stay below 0.5 for the split-operator scheme")
+        raise GridTooCoarse("dt * omega must stay below 0.5 for the RPMD and CMD integrators")
 
 
 def _rotation_factors(thermo, mass, dt):
@@ -201,18 +201,18 @@ class CentroidForceTable:
         return -self.force_at(q)
 
 
-def build_centroid_force_table(model, thermo, cfg, grid, workers=None):
+def build_centroid_force_table(model, thermo, cfg, grid):
     """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node.
 
     One sampler call covers the whole grid: node i samples the ring with its
     centroid pinned at grid[i], from the streams keyed by the node seed
     sampler._node_seed(cfg.seed, i).  The sampler runs the (node, walker
-    group) pairs on `workers` threads; the table is the same at any worker
-    count.
+    group) pairs on sampler.resolve_workers() threads; the table is the
+    same at any thread count.
     """
     grid = np.asarray(grid, dtype=float)
     grad = grad_fn(model)
-    ens = sample_ring_positions_constrained(model, thermo, cfg, grid, workers=workers)
+    ens = sample_ring_positions_constrained(model, thermo, cfg, grid)
     vals = [-grad(node).mean(axis=1) for node in ens]
     return CentroidForceTable(grid, [v.mean() for v in vals],
                               [block_standard_error(v) for v in vals])

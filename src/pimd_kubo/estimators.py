@@ -21,7 +21,7 @@ from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
 from .model import ThermoParams, grad_fn
 from .ringpoly import OBS_P, OBS_Q, free_rp_frequencies
-from .sampler import draw_momenta, map_in_order, sample_ring_positions
+from .sampler import draw_momenta, map_in_order, resolve_workers, sample_ring_positions
 from .series import CorrelationSeries
 
 _TRAJ_CHUNK = 1024  # trajectories per propagation chunk (fixed; not tied to threads)
@@ -34,14 +34,16 @@ def _chunks(n):
     return [(lo, min(lo + _TRAJ_CHUNK, n)) for lo in range(0, n, _TRAJ_CHUNK)]
 
 
-def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs,
-                        workers=None):
+def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs):
     """(mean, block standard error) of A0(0) * B0(t) over the trajectories.
 
     x0 and p0 are (n_traj, N) bead arrays, propagated by propagate_batch on
-    the gradient grad.  Chunks of trajectories propagate on the worker
-    threads; their products are added to one RowAccumulator in trajectory
-    order in this thread.
+    the gradient grad.  Chunks of trajectories propagate on
+    resolve_workers() threads; their products are added to one
+    RowAccumulator in trajectory order in this thread.  One-bead chunks
+    (N = 1, as in CMD) propagate on this thread: their step spends its time
+    in the interpreter, so worker threads gain nothing, and the threads'
+    allocator arenas would keep freed records resident.
     """
     n = x0.shape[0]
     a0 = a_obs.centroid(x0, p0)
@@ -55,20 +57,19 @@ def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs
         prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
         return prod
 
-    map_in_order(job, _chunks(n), acc.add, workers)
+    map_in_order(job, _chunks(n), acc.add, 1 if thermo.n_beads == 1 else resolve_workers())
     return acc.result()
 
 
-def _check_request(method, sampler_cfg, integrator_cfg, model):
-    """Reject too few trajectories, and for RPMD too coarse a time step."""
+def _check_request(sampler_cfg, integrator_cfg, model):
+    """Reject too few trajectories and too coarse a time step."""
     if sampler_cfg.n_samples < 32:
         raise InsufficientSamples("need at least 32 trajectories")
-    if method == "rpmd":
-        check_accuracy(integrator_cfg, model)
+    check_accuracy(integrator_cfg, model)
 
 
 def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
-                            momentum_convention="bead", workers=None):
+                            momentum_convention="bead"):
     """Initial (positions, momenta) of the RPMD correlator, each (n_samples, N).
 
     Positions are sampled from the ring density, momenta from the Maxwell
@@ -76,14 +77,14 @@ def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
     and the time step are checked first, so a bad request fails before the
     sampler runs.
     """
-    _check_request("rpmd", sampler_cfg, integrator_cfg, model)
-    x0 = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
+    _check_request(sampler_cfg, integrator_cfg, model)
+    x0 = sample_ring_positions(model, thermo, sampler_cfg)
     p0 = draw_momenta(thermo, model, sampler_cfg, momentum_convention)
     return x0, p0
 
 
 def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_obs,
-                         momentum_convention="bead", workers=None, initial=None):
+                         momentum_convention="bead", initial=None):
     """Kubo-transformed correlator from RPMD trajectories.
 
     The estimator is the ensemble mean of A0(0) * B0(t) with blocked errors,
@@ -93,17 +94,16 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
     """
     if initial is None:
         initial = rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
-                                          momentum_convention, workers)
+                                          momentum_convention)
     else:
-        _check_request("rpmd", sampler_cfg, integrator_cfg, model)
+        _check_request(sampler_cfg, integrator_cfg, model)
     x0, p0 = initial
     values, errors = _correlator_from_ic(x0, p0, grad_fn(model), model.mass, thermo,
-                                         integrator_cfg, a_obs, b_obs, workers)
+                                         integrator_cfg, a_obs, b_obs)
     return CorrelationSeries(integrator_cfg.times(), values, errors)
 
 
-def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs, b_obs,
-                        workers=None):
+def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs, b_obs):
     """Kubo-transformed correlator from centroid dynamics on a force table.
 
     A must be linear (the position centroid q or the momentum); centroid
@@ -113,17 +113,14 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     """
     if a_obs not in CMD_OBSERVABLES:
         raise UnsupportedObservable("centroid dynamics is defined for linear A only (q or p)")
-    _check_request("cmd", sampler_cfg, integrator_cfg, model)
-    x0 = sample_ring_positions(model, thermo, sampler_cfg, workers=workers)
+    _check_request(sampler_cfg, integrator_cfg, model)
+    x0 = sample_ring_positions(model, thermo, sampler_cfg)
     qc0 = x0.mean(axis=1)
     gen = _streams.stream(sampler_cfg.seed, _streams.CMD_MOMENTA, 0)
     pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
     centroid = ThermoParams(thermo.beta, 1, thermo.hbar)
-    # a one-bead step spends its time in the interpreter, so worker threads
-    # gain nothing, and their allocator arenas would keep freed records resident
     values, errors = _correlator_from_ic(qc0[:, None], pc0[:, None], table.gradient,
-                                         model.mass, centroid, integrator_cfg, a_obs, b_obs,
-                                         workers=1)
+                                         model.mass, centroid, integrator_cfg, a_obs, b_obs)
     return CorrelationSeries(integrator_cfg.times(), values, errors)
 
 

@@ -110,13 +110,6 @@ class ThermoParams:
         return self.n_beads / (self.beta * self.hbar)
 
 
-def _check_finite(q):
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("non-finite position rejected")
-    return q
-
-
 def potential_fn(model):
     """V as an unchecked closure pot(q, out=None) over arrays, in Horner form.
 
@@ -160,11 +153,8 @@ def grad_fn(model):
 
 def potential_eval(model, q):
     """V(q).  Accepts scalars or arrays; rejects non-finite input."""
-    v = potential_fn(model)(_check_finite(q))
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
+        raise ValueError("non-finite position rejected")
+    v = potential_fn(model)(q)
     return v if v.ndim else float(v)
-
-
-def potential_grad(model, q):
-    """dV/dq, analytic."""
-    g = grad_fn(model)(_check_finite(q))
-    return g if g.ndim else float(g)

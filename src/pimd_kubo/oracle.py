@@ -24,6 +24,7 @@ from ._stats import RowAccumulator
 _DEGENERATE_CUT = 1e-10
 _BOUNDARY_TOL = 1e-8
 _ROW_CHUNK = 1024  # trajectories whose A0 * q_c(t) rows are formed at once
+_SWARM_TOL = 1e-8  # largest |I_32 - I_64| the swarm trace accepts per bead
 # probabilists' Gauss-Hermite rules (weight exp(-z^2 / 2)) of the swarm trace,
 # exact for polynomials of degree < 2n: (nodes, weights / sqrt(2 pi)) per order
 _SWARM_RULES = [(z, w / math.sqrt(2.0 * math.pi)) for z, w in map(hermegauss, (32, 64))]
@@ -59,10 +60,6 @@ class EigenSystem:
     grid: GridSpec
     mass: float
     hbar: float
-
-    @property
-    def n_retained(self):
-        return self.energies.size
 
 
 def _kinetic_matrix(grid, mass, hbar):
@@ -240,7 +237,7 @@ def _require_harmonic(model):
         raise ValueError("this reference is defined for the harmonic model only")
 
 
-def harmonic_swarm_trace(x, p, t, b, model, thermo, tol=1e-8):
+def harmonic_swarm_trace(x, p, t, b, model, thermo):
     """Bead-averaged Gaussian swarm value of a position observable at time t.
 
     Each bead contributes the expectation of B under a Gaussian of variance
@@ -248,7 +245,8 @@ def harmonic_swarm_trace(x, p, t, b, model, thermo, tol=1e-8):
     bead position; at sin(w t) = 0 the Gaussian is a delta (analytic limit).
     The expectations are Gauss-Hermite sums of orders 32 and 64 over all
     beads at once; the order-64 value I_64 is returned, and a bead whose
-    |I_32 - I_64| exceeds tol (or is not finite) raises QuadratureFailure.
+    |I_32 - I_64| exceeds _SWARM_TOL (or is not finite) raises
+    QuadratureFailure.
     """
     _require_harmonic(model)
     f = b.f if isinstance(b, Observable) else b
@@ -264,12 +262,12 @@ def harmonic_swarm_trace(x, p, t, b, model, thermo, tol=1e-8):
     sigma = math.sqrt(thermo.beta * thermo.hbar**2 * s**2 / (4.0 * m * n))
     low, high = (f(centers[:, None] + sigma * z) @ wz for z, wz in _SWARM_RULES)
     err = np.abs(low - high).max()
-    if not err <= tol:
-        raise QuadratureFailure(f"quadrature error estimate {err:.2e} exceeds {tol:.0e}")
+    if not err <= _SWARM_TOL:
+        raise QuadratureFailure(f"quadrature error estimate {err:.2e} exceeds {_SWARM_TOL:.0e}")
     return float(high.mean())
 
 
-def harmonic_caq_reference(model, thermo, a_obs, times, cfg, workers=None):
+def harmonic_caq_reference(model, thermo, a_obs, times, cfg):
     """Monte Carlo closed-form reference for C_Aq(t) in a harmonic well.
 
     Positions are sampled from R(x), bead momenta from the Maxwell
@@ -278,7 +276,7 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg, workers=None):
     """
     _require_harmonic(model)
     times = np.asarray(times, dtype=float)
-    x = sample_ring_positions(model, thermo, cfg, workers=workers)
+    x = sample_ring_positions(model, thermo, cfg)
     p = draw_momenta(thermo, model, cfg, "bead")
     a0 = a_obs.centroid(x, p)
     qc = x.mean(axis=1)

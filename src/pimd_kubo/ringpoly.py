@@ -94,7 +94,7 @@ def spring_energy(state, thermo, model):
 
     Zero for a single bead (no springs).
     """
-    x = state.positions if isinstance(state, RingPolymerState) else np.asarray(state, float)
+    x = state.positions
     if x.shape[-1] == 1:
         return 0.0
     d = x - np.roll(x, -1, axis=-1)
@@ -147,7 +147,7 @@ def normal_mode_matrix(n):
     return c
 
 
-def normal_mode_transform(arr, direction="forward"):
+def normal_mode_transform(arr, direction):
     """Apply the cyclic normal-mode transform along the last axis.
 
     forward gives the amplitudes a = x C of the columns of

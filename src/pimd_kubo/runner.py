@@ -3,7 +3,7 @@
 Runs are described by a flat key-value file with sections; flags are
 reserved for paths and verbosity.  Every artifact is a pure function of
 (config, seed): rerunning the config echoed in meta.json reproduces
-results.csv byte for byte at any worker count.
+results.csv byte for byte at any thread count (PIMD_KUBO_THREADS).
 
 Config grammar.  A ``[name]`` line opens one of the sections model, thermo,
 sampler, integrator, oracle or run; each following ``key = value`` line sets
@@ -29,11 +29,12 @@ sections it needs:
 (* with dump_ensemble / dump_trajectory = true.)  compare runs ``method``
 rpmd or cmd against the oracle; spectrum transforms the correlator of
 method rpmd, cmd or oracle.  ``blocks`` sets the error blocks of static and
-convergence; the other commands have fixed blocks and reject the key.  Every run also writes meta.json, which
-records the process's peak resident set size (peak_rss_mb) among other
-things.  All files of a run are written to a temporary directory beside
-output_dir and moved in once every writer has finished, so a failing run
-adds no file to output_dir.
+convergence; the other commands have fixed blocks and reject the key.
+
+Every run also writes meta.json, which records the process's peak resident
+set size (peak_rss_mb) among other things.  All files of a run are written
+to a temporary directory beside output_dir and moved in once every writer
+has finished, so a failing run adds no file to output_dir.
 
 Exit codes: 0 success, 2 configuration error (a well the sampler cannot
 serve, or a time step too coarse for the well, included), 3 runtime error.
@@ -51,7 +52,8 @@ import warnings
 import numpy as np
 
 from . import __version__, io
-from .dynamics import IntegratorConfig, build_centroid_force_table, rpmd_trajectory
+from ._stats import N_BLOCKS
+from .dynamics import IntegratorConfig, build_centroid_force_table, check_accuracy, rpmd_trajectory
 from .errors import ConfigError, GridTooCoarse, UnsupportedModel
 from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
@@ -107,7 +109,7 @@ _SCHEMA = {
         "table_min": (float, -4.0),
         "table_max": (float, 4.0),
         "table_nodes": (int, 33),
-        "blocks": (int, 16),
+        "blocks": (int, N_BLOCKS),
         "dump_ensemble": (_to_bool, False),
         "dump_trajectory": (_to_bool, False),
     },
@@ -116,7 +118,7 @@ _SCHEMA = {
 # the correlator commands that compare and spectrum run as their `method`
 _METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
 # the commands whose error bars take [run] blocks; the correlators use the
-# fixed blocks of _stats.RowAccumulator
+# fixed N_BLOCKS of _stats.RowAccumulator
 _BLOCKED = ("static", "convergence")
 
 
@@ -133,10 +135,18 @@ class RunConfig:
 
     def __init__(self, sections):
         self.sections = sections
-        run = sections["run"]
-        self.command = run["command"]
-        self.seed = run["seed"]
-        self.output_dir = run["output_dir"]
+
+    @property
+    def command(self):
+        return self.sections["run"]["command"]
+
+    @property
+    def seed(self):
+        return self.sections["run"]["seed"]
+
+    @property
+    def output_dir(self):
+        return self.sections["run"]["output_dir"]
 
     def model(self):
         return _built("model", PotentialModel, **self.sections["model"])
@@ -283,6 +293,7 @@ def _method_series(config, method):
     a_obs, b_obs = config.observables()
     own = method == config.command
     if method == "cmd":
+        check_accuracy(icfg, model)  # before the force table is sampled
         grid = np.linspace(run["table_min"], run["table_max"], run["table_nodes"])
         table = build_centroid_force_table(model, thermo, scfg, grid)
         series = cmd_kubo_correlator(model, thermo, table, scfg, icfg, a_obs, b_obs)
@@ -457,7 +468,6 @@ def main(argv=None):
         return 2
     if args.output_dir:
         config.sections["run"]["output_dir"] = args.output_dir
-        config.output_dir = args.output_dir
     status = run(config)
     if status == 0 and not args.quiet:
         print(f"{config.command}: artifacts written to {config.output_dir}")

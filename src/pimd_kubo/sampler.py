@@ -47,12 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from ._stats import block_standard_error
+from ._stats import N_BLOCKS, block_standard_error
 from .errors import NonErgodicWarning, UnsupportedModel
 from .model import potential_fn
 from .ringpoly import free_rp_frequencies
 
-_GROUP = 2048         # walkers per vectorized group (fixed; not tied to thread count)
+_GROUP = 2048            # walkers per vectorized group (fixed; not tied to thread count)
+_CENTROID_NODES = 201    # Gauss-Legendre nodes of the conditional centroid integral
+_CENTROID_CHUNK = 65536  # samples whose centroid integrals are formed at once
 
 MOMENTUM_CONVENTIONS = ("bead", "bond_midpoint")
 
@@ -78,10 +80,8 @@ class SamplerConfig:
             raise ValueError("n_walkers must be > 0")
 
 
-def resolve_workers(workers=None):
-    """Worker count: explicit argument, else PIMD_KUBO_THREADS, else cpu count."""
-    if workers is not None:
-        return max(1, int(workers))
+def resolve_workers():
+    """Thread count: PIMD_KUBO_THREADS, else the cpu count."""
     env = os.environ.get("PIMD_KUBO_THREADS", "").strip()
     if env:
         return max(1, int(env))
@@ -95,14 +95,13 @@ def _layout(cfg):
     return walkers, rounds, groups
 
 
-def map_in_order(fn, items, consume, workers=None):
+def map_in_order(fn, items, consume, workers):
     """Call consume(fn(item)) for every item, in item order, in this thread.
 
-    fn runs on resolve_workers(workers) threads.  An item is submitted only
-    once the oldest result is consumed and dropped, so at most that many
-    results are alive at once.
+    fn runs on `workers` threads (on this one when workers is 1).  An item
+    is submitted only once the oldest result is consumed and dropped, so at
+    most `workers` results are alive at once.
     """
-    workers = resolve_workers(workers)
     if workers <= 1:
         for item in items:
             consume(fn(item))
@@ -234,8 +233,8 @@ def _run_group(model, thermo, cfg, seed, q_c, reference, g_index, g_size, rounds
     return accepted, g_size * rounds * cfg.decorrelation_stride
 
 
-def _sample(model, thermo, cfg, nodes, workers):
-    """Run _run_group on every (node, walker group) on the map_in_order threads.
+def _sample(model, thermo, cfg, nodes):
+    """Run _run_group on every (node, walker group) on resolve_workers() threads.
 
     nodes lists (seed, q_c) pairs (q_c None for the free ensemble); each
     node's reference is solved once, here, for all its walker groups.  Warns
@@ -256,7 +255,7 @@ def _sample(model, thermo, cfg, nodes, workers):
         seed, q_c = nodes[i]
         return _run_group(model, thermo, cfg, seed, q_c, references[i], g, size, rounds, out[i])
 
-    map_in_order(job, jobs, counts.append, workers)
+    map_in_order(job, jobs, counts.append, resolve_workers())
     for i in range(len(nodes)):
         acc, att = np.sum(counts[i * len(groups):(i + 1) * len(groups)], axis=0)
         if att > 0 and acc / att < 0.05:
@@ -265,12 +264,12 @@ def _sample(model, thermo, cfg, nodes, workers):
     return out[:, : cfg.n_samples]
 
 
-def sample_ring_positions(model, thermo, cfg, workers=None):
+def sample_ring_positions(model, thermo, cfg):
     """Decorrelated configurations targeting R(x), shape (n_samples, N)."""
-    return _sample(model, thermo, cfg, [(cfg.seed, None)], workers)[0]
+    return _sample(model, thermo, cfg, [(cfg.seed, None)])[0]
 
 
-def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
+def sample_ring_positions_constrained(model, thermo, cfg, q_c):
     """Configurations with the position centroid pinned to q_c.
 
     A scalar q_c gives shape (n_samples, N) from the streams of cfg.seed.
@@ -282,9 +281,9 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c, workers=None):
     if grid.ndim > 1:
         raise ValueError("q_c must be a scalar or a 1-D grid of centroids")
     if grid.ndim == 0:
-        return _sample(model, thermo, cfg, [(cfg.seed, float(grid))], workers)[0]
+        return _sample(model, thermo, cfg, [(cfg.seed, float(grid))])[0]
     nodes = [(_node_seed(cfg.seed, i), float(q)) for i, q in enumerate(grid)]
-    return _sample(model, thermo, cfg, nodes, workers)
+    return _sample(model, thermo, cfg, nodes)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +308,7 @@ def draw_momenta(thermo, model, cfg, convention="bead"):
 # ----------------------------------------------------------------------
 # static estimators
 
-def estimate_static_average(obs, positions=None, momenta=None, blocks=16):
+def estimate_static_average(obs, positions=None, momenta=None, blocks=N_BLOCKS):
     """Ensemble mean of a centroid observable with a block standard error.
 
     positions and momenta are (n_samples, N) bead arrays; obs reads the one
@@ -319,7 +318,7 @@ def estimate_static_average(obs, positions=None, momenta=None, blocks=16):
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
-def mean_square_position(ensemble, model, thermo, blocks=16):
+def mean_square_position(ensemble, model, thermo, blocks=N_BLOCKS):
     """<(1/N) sum_k x_k^2> with exact centroid integration.
 
     The centroid coordinate is integrated out analytically (or by quadrature
@@ -337,7 +336,7 @@ def mean_square_position(ensemble, model, thermo, blocks=16):
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
-def _conditional_centroid_m2(model, thermo, u, n_nodes=201, chunk=65536):
+def _conditional_centroid_m2(model, thermo, u):
     """E[q_c^2 | internal displacements u] under R(x), per sample.
 
     The conditional density of the centroid c given u is
@@ -358,10 +357,10 @@ def _conditional_centroid_m2(model, thermo, u, n_nodes=201, chunk=65536):
     b2 = v2 * n + 6.0 * v4 * s2
     b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
 
-    t, wq = np.polynomial.legendre.leggauss(n_nodes)
+    t, wq = np.polynomial.legendre.leggauss(_CENTROID_NODES)
     out = np.empty(u.shape[0])
-    for lo in range(0, u.shape[0], chunk):
-        hi = min(lo + chunk, u.shape[0])
+    for lo in range(0, u.shape[0], _CENTROID_CHUNK):
+        hi = min(lo + _CENTROID_CHUNK, u.shape[0])
         bb1, bb2 = b1[lo:hi], b2[lo:hi]
 
         def expo(c):

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q2,
                        RingPolymerState, SamplerConfig, ThermoParams,
-                       build_centroid_force_table, draw_momenta, harmonic,
+                       build_centroid_force_table, cmd_kubo_correlator, draw_momenta, harmonic,
                        mildly_anharmonic, quartic, ring_hamiltonian, rpmd_trajectory,
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
@@ -252,9 +252,12 @@ def test_momentum_convention_centroid_distributions():
 
 
 def test_integrator_accuracy_guard(harmonic_model):
+    th, coarse = ThermoParams(1.0, 4), IntegratorConfig(dt=0.6, n_steps=10)
     with pytest.raises(GridTooCoarse):
-        rpmd_trajectory(_random_state(4, seed=7), harmonic_model, ThermoParams(1.0, 4),
-                        IntegratorConfig(dt=0.6, n_steps=10), [OBS_Q])
+        rpmd_trajectory(_random_state(4, seed=7), harmonic_model, th, coarse, [OBS_Q])
+    with pytest.raises(GridTooCoarse):
+        cmd_kubo_correlator(harmonic_model, th, _linear_table(), SamplerConfig(64, seed=1),
+                            coarse, OBS_Q, OBS_Q)
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +337,7 @@ def test_force_table_antisymmetry():
     assert abs(table.force[2]) <= 3.0 * table.std_errors[2]
 
 
-def test_force_table_grid_schedule():
+def test_force_table_grid_schedule(monkeypatch):
     # two walker groups per node (2048 + 152 walkers), so the six
     # (node, walker group) jobs have both group sizes
     model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
@@ -342,13 +345,20 @@ def test_force_table_grid_schedule():
     cfg = SamplerConfig(n_samples=2200, seed=41, burn_in=20, decorrelation_stride=1,
                         n_walkers=2200)
     grid = np.array([-1.0, 0.25, 1.5])
-    ens = sample_ring_positions_constrained(model, th, cfg, grid, workers=2)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
+    ens = sample_ring_positions_constrained(model, th, cfg, grid)
     assert ens.shape == (3, 2200, 3)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     for i, q_c in enumerate(grid):
         node_cfg = dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i))
-        alone = sample_ring_positions_constrained(model, th, node_cfg, q_c, workers=1)
+        alone = sample_ring_positions_constrained(model, th, node_cfg, q_c)
         assert ens[i].tobytes() == alone.tobytes()
-    tables = [build_centroid_force_table(model, th, cfg, grid, workers=w) for w in (1, 2, 3)]
+
+    def table(threads):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        return build_centroid_force_table(model, th, cfg, grid)
+
+    tables = [table(w) for w in ("1", "2", "3")]
     for t in tables[1:]:
         assert t.force.tobytes() == tables[0].force.tobytes()
         assert t.std_errors.tobytes() == tables[0].std_errors.tobytes()
@@ -365,9 +375,9 @@ def test_force_table_samples_once_on_calling_thread(monkeypatch):
         return sample_ring_positions_constrained(*args, **kwargs)
 
     monkeypatch.setattr("pimd_kubo.dynamics.sample_ring_positions_constrained", spy)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
     cfg = SamplerConfig(n_samples=64, seed=4, burn_in=8, decorrelation_stride=1)
-    build_centroid_force_table(harmonic(), ThermoParams(1.0, 4), cfg,
-                               np.linspace(-1.0, 1.0, 5), workers=2)
+    build_centroid_force_table(harmonic(), ThermoParams(1.0, 4), cfg, np.linspace(-1.0, 1.0, 5))
     assert threads == [threading.current_thread()]
     with pytest.raises(ValueError):
         sample_ring_positions_constrained(harmonic(), ThermoParams(1.0, 4), cfg,
@@ -384,7 +394,7 @@ def test_force_table_single_bead_grid():
     assert np.array_equal(table.force, -grid)
 
 
-def test_force_table_warns_per_node():
+def test_force_table_warns_per_node(monkeypatch):
     # a pure quartic well deep in the quantum regime (beta = 2048, N = 512):
     # the node at q_c = 0 accepts about 1 % of its proposals after burn-in,
     # the one at q_c = 8, where the steep wall makes the internal modes
@@ -392,9 +402,10 @@ def test_force_table_warns_per_node():
     th = ThermoParams(2048.0, 512)
     cfg = SamplerConfig(n_samples=400, seed=3, burn_in=100, decorrelation_stride=1,
                         n_walkers=200)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        build_centroid_force_table(quartic(1.0), th, cfg, np.array([0.0, 8.0]), workers=2)
+        build_centroid_force_table(quartic(1.0), th, cfg, np.array([0.0, 8.0]))
     nonergodic = [w for w in caught if issubclass(w.category, NonErgodicWarning)]
     assert len(nonergodic) == 1
     assert "below 0.05" in str(nonergodic[0].message)

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,9 @@ def harmonic_qq(harmonic_model):
     th = ThermoParams(1.0, 32)
     scfg = _scfg(4096, seed=51)
     icfg = IntegratorConfig(dt=0.02, n_steps=500)
-    return rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PIMD_KUBO_THREADS", "2")
+        return rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q)
 
 
 def test_rpmd_qq_equal_time(harmonic_qq):
@@ -77,21 +80,52 @@ def test_rpmd_time_reversal(harmonic_model):
     assert dev.max() <= 3.0
 
 
-def test_accumulation_partition_independent(harmonic_model):
+def test_accumulation_partition_independent(harmonic_model, monkeypatch):
     th = ThermoParams(1.0, 8)
     scfg = _scfg(2048, seed=56)
     icfg = IntegratorConfig(dt=0.05, n_steps=20)
-    a = rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=1)
-    for workers in (2, 3, 4):
-        b = rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q, workers=workers)
+
+    def rpmd(threads):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        return rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q)
+
+    def cmd(threads):  # three chunks of trajectories (1024, 1024, 452)
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        return cmd_kubo_correlator(harmonic_model, th, _linear_table(), _scfg(2500, seed=56),
+                                   icfg, OBS_Q, OBS_Q)
+
+    a = rpmd("1")
+    for threads in ("2", "3", "4"):
+        b = rpmd(threads)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.std_errors, b.std_errors)
-    # CMD on three chunks of trajectories (1024, 1024, 452)
-    cmd = [cmd_kubo_correlator(harmonic_model, th, _linear_table(), _scfg(2500, seed=56), icfg,
-                               OBS_Q, OBS_Q, workers=workers) for workers in (1, 2, 3)]
-    for b in cmd[1:]:
-        assert b.values.tobytes() == cmd[0].values.tobytes()
-        assert b.std_errors.tobytes() == cmd[0].std_errors.tobytes()
+    cmds = [cmd(threads) for threads in ("1", "2", "3")]
+    for b in cmds[1:]:
+        assert b.values.tobytes() == cmds[0].values.tobytes()
+        assert b.std_errors.tobytes() == cmds[0].std_errors.tobytes()
+
+
+def test_one_bead_correlator_propagates_on_calling_thread(harmonic_model, monkeypatch):
+    # at PIMD_KUBO_THREADS = 3, an N = 4 correlator of three 1024-trajectory
+    # chunks propagates on pool threads, a one-bead (CMD) one on this thread
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "3")
+    th, scfg = ThermoParams(1.0, 4), _scfg(2500, seed=67, burn_in=8)
+    icfg = IntegratorConfig(dt=0.05, n_steps=2)
+    threads = {"rpmd": set(), "cmd": set()}
+
+    def spy(method, grad):
+        def traced(x):
+            threads[method].add(threading.get_ident())
+            return grad(x)
+        return traced
+
+    monkeypatch.setattr("pimd_kubo.estimators.grad_fn", lambda m: spy("rpmd", grad_fn(m)))
+    rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q)
+    table = _linear_table()
+    table.gradient = spy("cmd", table.gradient)
+    cmd_kubo_correlator(harmonic_model, th, table, scfg, icfg, OBS_Q, OBS_Q)
+    assert threads["cmd"] == {threading.get_ident()}
+    assert threads["rpmd"] and threading.get_ident() not in threads["rpmd"]
 
 
 @pytest.mark.parametrize("n", [1000, 2500])
@@ -128,7 +162,7 @@ def test_row_accumulator_checks_row_count():
         acc.add(np.ones((2, 2)))
 
 
-def test_rpmd_correlator_streams_products(harmonic_model):
+def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch):
     # the products A0 * B(t) are reduced chunk by chunk: the traced peak stays
     # well below one n_traj x (n_steps + 1) array, which the full reduction held
     th = ThermoParams(1.0, 4)
@@ -137,10 +171,11 @@ def test_rpmd_correlator_streams_products(harmonic_model):
     x0 = sample_ring_positions(harmonic_model, th, scfg)
     p0 = draw_momenta(th, harmonic_model, scfg, "bead")
     full = 4096 * (icfg.n_steps + 1) * 8
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     tracemalloc.start()
     try:
         _correlator_from_ic(x0, p0, grad_fn(harmonic_model), harmonic_model.mass, th, icfg,
-                            OBS_Q, OBS_Q, workers=1)
+                            OBS_Q, OBS_Q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -231,7 +266,7 @@ def _close(got, want, mass):
 
 
 @pytest.mark.parametrize("mass", [1.0, 1.7])
-def test_cmd_correlator_matches_velocity_verlet_reference(mass):
+def test_cmd_correlator_matches_velocity_verlet_reference(mass, monkeypatch):
     # at N = 1 the shared step is velocity Verlet with the drift q + p (dt/m);
     # the reference drifts by (dt p)/m, the same bits when m = 1
     model = harmonic(mass, 1.0)
@@ -239,8 +274,9 @@ def test_cmd_correlator_matches_velocity_verlet_reference(mass):
     table = _cubic_table()
     scfg = _scfg(2500, seed=65)
     icfg = IntegratorConfig(dt=0.05, n_steps=200)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
     for a_obs, b_obs in ((OBS_Q, OBS_Q), (OBS_P, OBS_Q), (OBS_Q, OBS_P), (OBS_Q, OBS_Q2)):
-        got = cmd_kubo_correlator(model, th, table, scfg, icfg, a_obs, b_obs, workers=2)
+        got = cmd_kubo_correlator(model, th, table, scfg, icfg, a_obs, b_obs)
         values, errors = _cmd_correlator_reference(model, th, table, scfg, icfg, a_obs, b_obs)
         assert _close(got.values, values, mass), (a_obs.label, b_obs.label)
         assert _close(got.std_errors, errors, mass), (a_obs.label, b_obs.label)
@@ -257,13 +293,14 @@ def test_cmd_trajectory_matches_velocity_verlet_reference(mass):
     assert _close(rec[0, :, 0], qs, mass) and _close(rec[1, :, 0], ps, mass)
 
 
-def test_cmd_correlator_grid_escape(harmonic_model):
+def test_cmd_correlator_grid_escape(harmonic_model, monkeypatch):
     # thermal centroids leave a table of [-0.5, 0.5] within the first steps
     grid = np.linspace(-0.5, 0.5, 5)
     table = CentroidForceTable(grid, -grid, np.zeros(5))
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
     with pytest.raises(GridEscape):
         cmd_kubo_correlator(harmonic_model, ThermoParams(1.0, 8), table, _scfg(2500, seed=66),
-                            IntegratorConfig(dt=0.05, n_steps=5), OBS_Q, OBS_Q, workers=2)
+                            IntegratorConfig(dt=0.05, n_steps=5), OBS_Q, OBS_Q)
 
 
 def test_cmd_rejects_nonlinear_a(harmonic_model):
@@ -271,28 +308,6 @@ def test_cmd_rejects_nonlinear_a(harmonic_model):
     with pytest.raises(UnsupportedObservable):
         cmd_kubo_correlator(harmonic_model, th, _linear_table(), _scfg(64, seed=60),
                             IntegratorConfig(dt=0.05, n_steps=2), OBS_Q2, OBS_Q)
-
-
-# ----------------------------------------------------------------------
-# centroid filtering
-
-def test_filtering_consistency(harmonic_model):
-    # binning the centroid and recombining conditional means reproduces the
-    # plain estimator of <A0 B0> exactly (weighted-mean identity)
-    th = ThermoParams(1.0, 8)
-    ens = sample_ring_positions(harmonic_model, th, _scfg(4000, seed=64))
-    a0 = ens.mean(axis=1)
-    b0 = (ens**2).mean(axis=1)
-    prod = a0 * b0
-    qc = a0
-    edges = np.linspace(qc.min() - 1e-9, qc.max() + 1e-9, 25)
-    idx = np.digitize(qc, edges) - 1
-    total = 0.0
-    for b in range(24):
-        sel = idx == b
-        if sel.any():
-            total += sel.mean() * prod[sel].mean()
-    assert total == pytest.approx(prod.mean(), rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pimd_kubo import harmonic, mildly_anharmonic, potential_eval, potential_grad, quartic
+from pimd_kubo import harmonic, mildly_anharmonic, potential_eval, quartic
 from pimd_kubo.model import PotentialModel, ThermoParams, grad_fn, potential_fn
 
 
@@ -19,19 +19,19 @@ def test_mildly_anharmonic_value():
 
 
 def test_grad_harmonic():
-    assert potential_grad(harmonic(1.0, 2.0), 1.0) == 4.0
+    assert grad_fn(harmonic(1.0, 2.0))(1.0) == 4.0
 
 
 def test_grad_even_at_origin():
     for m in (harmonic(), mildly_anharmonic(c3=0.0, c4=0.3), quartic(2.0)):
-        assert potential_grad(m, 0.0) == 0.0
+        assert grad_fn(m)(0.0) == 0.0
 
 
 def test_grad_quartic_finite_difference():
     m = quartic(2.0)
     h = 1e-5
     fd = (potential_eval(m, 1.0 + h) - potential_eval(m, 1.0 - h)) / (2 * h)
-    g = potential_grad(m, 1.0)
+    g = grad_fn(m)(1.0)
     assert g == pytest.approx(2.0, rel=1e-9)
     assert g == pytest.approx(fd, rel=1e-8)
 
@@ -47,7 +47,7 @@ def test_grad_matches_finite_difference_grid(model):
     q = np.linspace(-5.0, 5.0, 101)
     h = 1e-5
     fd = (potential_eval(model, q + h) - potential_eval(model, q - h)) / (2 * h)
-    g = potential_grad(model, q)
+    g = grad_fn(model)(q)
     scale = np.maximum(np.abs(g), 1.0)
     assert np.all(np.abs(g - fd) / scale <= 1e-8)
 
@@ -59,11 +59,10 @@ def test_grad_matches_finite_difference_grid(model):
     quartic(4.0, mass=2.0),
 ])
 def test_checked_eval_is_the_hot_path_evaluator(model):
-    # potential_eval/potential_grad add only the finite check to the
-    # evaluator the sampler and the propagator use: equal bit for bit
+    # potential_eval adds only the finite check to the evaluator the sampler
+    # uses: equal bit for bit
     q = np.random.default_rng(5).normal(scale=3.0, size=257)
     assert potential_eval(model, q).tobytes() == potential_fn(model)(q).tobytes()
-    assert potential_grad(model, q).tobytes() == grad_fn(model)(q).tobytes()
 
 
 @pytest.mark.parametrize("model", [
@@ -95,8 +94,6 @@ def test_nonfinite_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             potential_eval(m, bad)
-        with pytest.raises(ValueError):
-            potential_grad(m, bad)
 
 
 def test_model_validation():

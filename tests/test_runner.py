@@ -423,9 +423,10 @@ def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, co
     assert not out.exists()
 
 
-def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["rpmd", "cmd"])
+def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command):
     # dt * omega = 0.6 breaks the integrator's accuracy bound: a fault of the
-    # config, found before any sampler runs
+    # config, found before any sampler runs (for cmd, the force table's)
     calls = []
 
     def counted(*args, **kwargs):
@@ -433,16 +434,29 @@ def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
         raise AssertionError("sampler called")
 
     for target in ("pimd_kubo.estimators.sample_ring_positions",
-                   "pimd_kubo.runner.sample_ring_positions"):
+                   "pimd_kubo.runner.sample_ring_positions",
+                   "pimd_kubo.dynamics.sample_ring_positions_constrained"):
         monkeypatch.setattr(target, counted)
     out = tmp_path / "coarse"
-    text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = rpmd")
+    text = SMALL_COMPARE.format(out=out).replace("command = compare", f"command = {command}")
     text = text.replace("n_beads = 8", "n_beads = 4").replace("dt = 0.05", "dt = 0.6")
     assert run(parse_config(text)) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "dt * omega" in err
     assert calls == []
     assert not out.exists()
+
+
+def test_output_dir_flag_overrides_config(tmp_path):
+    # --output-dir replaces the config's output_dir everywhere it is read:
+    # the artifacts land in the flag's directory, and meta.json echoes it
+    path = tmp_path / "static.ini"
+    path.write_text(MINIMAL_STATIC.format(out=tmp_path / "from_config"))
+    flag = tmp_path / "from_flag"
+    assert main([str(path), "--output-dir", str(flag), "--quiet"]) == 0
+    assert (flag / "results.csv").exists()
+    assert json.loads((flag / "meta.json").read_text())["config"]["run"]["output_dir"] == str(flag)
+    assert not (tmp_path / "from_config").exists()
 
 
 def test_output_dir_under_a_file_exits_3(tmp_path, capsys):

@@ -8,7 +8,7 @@ from scipy import stats
 
 from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, block_standard_error,
                        draw_momenta, estimate_static_average, harmonic, log_ring_density,
-                       mean_square_position, mildly_anharmonic, potential_grad, quartic,
+                       mean_square_position, mildly_anharmonic, quartic,
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
@@ -68,7 +68,7 @@ def test_constrained_mean_force(harmonic_model):
     # harmonic centroid potential is the bare well: <-V'> = -m w^2 q_c exactly
     th = ThermoParams(1.0, 32)
     ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(2000, seed=7), 0.7)
-    force = -potential_grad(harmonic_model, ens).mean(axis=1)
+    force = -grad_fn(harmonic_model)(ens).mean(axis=1)
     assert abs(force.mean() + 0.7) <= 1e-12
 
 
@@ -203,15 +203,18 @@ def test_static_average_insufficient():
         estimate_static_average(OBS_Q, np.zeros((8, 4)))
 
 
-def test_seed_reproducibility_and_worker_independence(harmonic_model):
+def test_seed_reproducibility_and_worker_independence(harmonic_model, monkeypatch):
     th = ThermoParams(1.0, 8)
     cfg = _cfg(5000, seed=18)
-    a = sample_ring_positions(harmonic_model, th, cfg, workers=1)
-    b = sample_ring_positions(harmonic_model, th, cfg, workers=4)
-    assert np.array_equal(a, b)
-    c = sample_ring_positions_constrained(harmonic_model, th, cfg, 0.5, workers=1)
-    d = sample_ring_positions_constrained(harmonic_model, th, cfg, 0.5, workers=3)
-    assert np.array_equal(c, d)
+
+    def sampled(threads, *q_c):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        if q_c:
+            return sample_ring_positions_constrained(harmonic_model, th, cfg, *q_c)
+        return sample_ring_positions(harmonic_model, th, cfg)
+
+    assert np.array_equal(sampled("1"), sampled("4"))
+    assert np.array_equal(sampled("1", 0.5), sampled("3", 0.5))
 
 
 def test_nonergodic_warning():
@@ -257,13 +260,14 @@ def test_reference_solved_once_per_node(monkeypatch):
         return _reference(model, thermo, q_c)
 
     monkeypatch.setattr("pimd_kubo.sampler._reference", counted)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
     model, th = mildly_anharmonic(c3=0.1, c4=0.01), ThermoParams(8.0, 4)
     cfg = SamplerConfig(n_samples=4 * _GROUP, seed=3, burn_in=1, decorrelation_stride=1,
                         n_walkers=4 * _GROUP)
     assert len(_layout(cfg)[2]) == 4
-    sample_ring_positions(model, th, cfg, workers=2)
+    sample_ring_positions(model, th, cfg)
     assert calls == [None]
-    sample_ring_positions_constrained(model, th, cfg, [-0.5, 0.5], workers=2)
+    sample_ring_positions_constrained(model, th, cfg, [-0.5, 0.5])
     assert calls == [None, -0.5, 0.5]
 
 
@@ -429,7 +433,7 @@ def test_second_minimum_is_rejected():
         sample_ring_positions_constrained(model, th, cfg, [0.0, 2.0])
 
 
-def test_free_sampler_holds_one_sweep_of_draws(harmonic_model):
+def test_free_sampler_holds_one_sweep_of_draws(harmonic_model, monkeypatch):
     # one walker group of 2048 at N = 8: the normals and uniforms come one
     # proposal at a time, so the sampler holds far less than 64 proposals'
     # worth of draws (the bound counts N + 1 of them per walker and proposal)
@@ -438,9 +442,10 @@ def test_free_sampler_holds_one_sweep_of_draws(harmonic_model):
                         n_walkers=_GROUP)
     output = cfg.n_samples * th.n_beads * 8
     block = 64 * (th.n_beads + 1) * _GROUP * 8
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     tracemalloc.start()
     try:
-        sample_ring_positions(harmonic_model, th, cfg, workers=1)
+        sample_ring_positions(harmonic_model, th, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
