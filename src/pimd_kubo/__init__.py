@@ -16,9 +16,9 @@ from .model import (PotentialModel, ThermoParams, harmonic, mildly_anharmonic, p
 from .oracle import (EigenSystem, GridSpec, diagonalize, discrete_kubo_correlator,
                      discrete_kubo_transform, exact_kubo_correlator, harmonic_caq_reference,
                      harmonic_swarm_trace, thermal_average)
-from .ringpoly import (OBS_P, OBS_Q, OBS_Q2, OBS_Q3, Observable, RingPolymerState,
-                       free_rp_frequencies, log_ring_density, normal_mode_transform,
-                       observable_from_label, spring_energy)
+from .ringpoly import (OBS_P, OBS_Q, OBS_Q2, OBS_Q3, Observable, free_rp_frequencies,
+                       log_ring_density, normal_mode_transform, observable_from_label,
+                       spring_energy)
 from .sampler import (SamplerConfig, draw_momenta, estimate_static_average,
                       mean_square_position, sample_ring_positions,
                       sample_ring_positions_constrained)

@@ -116,23 +116,22 @@ def propagate_batch(x, p, grad, mass, thermo, dt, n_steps, record):
     return out, x_cur, np.fft.irfft(b_ft, n=n)
 
 
-def rpmd_trajectory(initial, model, thermo, cfg, record):
-    """Propagate one ring polymer, recording centroid observables per step.
+def rpmd_trajectory(x, p, model, thermo, cfg, record):
+    """Propagate one ring polymer, given as (N,) bead arrays, recording centroid observables.
 
     Returns (times, {label: series}) with series of length n_steps + 1.
     """
     check_accuracy(cfg, model)
-    out, _, _ = propagate_batch(initial.positions[None, :], initial.momenta[None, :],
-                                grad_fn(model), model.mass, thermo, cfg.dt, cfg.n_steps,
-                                record)
+    out, _, _ = propagate_batch(x[None, :], p[None, :], grad_fn(model), model.mass, thermo,
+                                cfg.dt, cfg.n_steps, record)
     return cfg.times(), {obs.label: out[i, :, 0] for i, obs in enumerate(record)}
 
 
-def ring_hamiltonian(state, model, thermo):
-    """Conserved quantity of the RPMD flow: kinetic + spring + potential."""
-    kin = float(np.sum(state.momenta**2)) / (2.0 * model.mass)
-    pot = float(np.sum(potential_eval(model, state.positions)))
-    return kin + spring_energy(state, thermo, model) + pot
+def ring_hamiltonian(x, p, model, thermo):
+    """Conserved quantity of the RPMD flow, kinetic + spring + potential, per (..., N) ring."""
+    kin = np.sum(p**2, axis=-1) / (2.0 * model.mass)
+    pot = np.sum(potential_eval(model, x), axis=-1)
+    return kin + spring_energy(x, model, thermo) + pot
 
 
 # ----------------------------------------------------------------------
@@ -202,15 +201,15 @@ class CentroidForceTable:
 
 
 def build_centroid_force_table(model, thermo, cfg, grid):
-    """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node.
+    """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node of the 1-D grid.
 
     One sampler call covers the whole grid: node i samples the ring with its
     centroid pinned at grid[i], from the streams keyed by the node seed
-    sampler._node_seed(cfg.seed, i).  The sampler runs the (node, walker
-    group) pairs on sampler.resolve_workers() threads; the table is the
-    same at any thread count.
+    sampler._node_seed(cfg.seed, i), so its force and error depend only on
+    (cfg, i, grid[i]).  The sampler runs the (node, walker group) pairs on
+    sampler.resolve_workers() threads; the table is the same at any thread
+    count.
     """
-    grid = np.asarray(grid, dtype=float)
     grad = grad_fn(model)
     ens = sample_ring_positions_constrained(model, thermo, cfg, grid)
     vals = [-grad(node).mean(axis=1) for node in ens]

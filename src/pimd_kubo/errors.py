@@ -26,7 +26,7 @@ class GridTooCoarse(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not reach the requested absolute accuracy."""
+    """The swarm trace's Gauss-Hermite sums of orders 32 and 64 disagree beyond its tolerance."""
 
 
 class SpectralIncomplete(ValueError):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import _streams
-from ._stats import RowAccumulator
+from ._stats import N_BLOCKS, RowAccumulator
 from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
 from .model import ThermoParams, grad_fn
@@ -63,8 +63,8 @@ def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs
 
 def _check_request(sampler_cfg, integrator_cfg, model):
     """Reject too few trajectories and too coarse a time step."""
-    if sampler_cfg.n_samples < 32:
-        raise InsufficientSamples("need at least 32 trajectories")
+    if sampler_cfg.n_samples < 2 * N_BLOCKS:
+        raise InsufficientSamples(f"need at least {2 * N_BLOCKS} trajectories")
     check_accuracy(integrator_cfg, model)
 
 

@@ -16,7 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
 from .model import HARMONIC, potential_eval
-from .ringpoly import MOMENTUM, Observable
+from .ringpoly import MOMENTUM
 from .sampler import draw_momenta, sample_ring_positions
 from .series import CorrelationSeries
 from ._stats import RowAccumulator
@@ -237,10 +237,11 @@ def _require_harmonic(model):
         raise ValueError("this reference is defined for the harmonic model only")
 
 
-def harmonic_swarm_trace(x, p, t, b, model, thermo):
-    """Bead-averaged Gaussian swarm value of a position observable at time t.
+def harmonic_swarm_trace(x, p, t, f, model, thermo):
+    """Bead-averaged Gaussian swarm value of a position function f at time t.
 
-    Each bead contributes the expectation of B under a Gaussian of variance
+    x and p are the (N,) bead positions and momenta of one ring.  Each bead
+    contributes the expectation of f under a Gaussian of variance
     beta hbar^2 sin^2(w t) / (4 m N) centered on the classically evolved
     bead position; at sin(w t) = 0 the Gaussian is a delta (analytic limit).
     The expectations are Gauss-Hermite sums of orders 32 and 64 over all
@@ -249,9 +250,6 @@ def harmonic_swarm_trace(x, p, t, b, model, thermo):
     QuadratureFailure.
     """
     _require_harmonic(model)
-    f = b.f if isinstance(b, Observable) else b
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
     n = x.size
     w, m = model.omega, model.mass
     s, c = math.sin(w * t), math.cos(w * t)

@@ -1,6 +1,8 @@
-"""Ring-polymer state, observables and the cyclic normal-mode transform.
+"""Ring-polymer observables, energetics and the cyclic normal-mode transform.
 
-Bead indexing is 0-based with cyclic closure (index N wraps to 0).  The
+A ring is a bead array of shape (..., N): the last axis holds the N beads
+and any leading axes index rings, so a 1-D array is one ring.  Bead
+indexing is 0-based with cyclic closure (index N wraps to 0).  The
 normal-mode transform is the real orthogonal transform diagonalizing the
 cyclic spring matrix; mode 0 carries sqrt(N) times the centroid and the
 mode frequencies are w_k = 2 (N / beta hbar) sin(k pi / N).
@@ -20,22 +22,6 @@ from .model import potential_eval
 
 POSITION = "position"
 MOMENTUM = "momentum"
-
-
-@dataclass
-class RingPolymerState:
-    """N bead positions and momenta of one cyclic path."""
-
-    positions: np.ndarray
-    momenta: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        self.momenta = np.atleast_1d(np.asarray(self.momenta, dtype=float))
-        if self.positions.shape != self.momenta.shape or self.positions.ndim != 1:
-            raise ValueError("positions and momenta must be 1D arrays of equal length")
-        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.momenta))):
-            raise ValueError("non-finite bead entries rejected")
 
 
 @dataclass(frozen=True)
@@ -59,10 +45,10 @@ class Observable:
         return cls(MOMENTUM, "p")
 
     def centroid(self, positions, momenta):
-        """Centroid value per sample of (n, N) bead arrays: the bead mean of f(x), or of p."""
+        """Centroid value per ring of (..., N) bead arrays: the bead mean of f(x), or of p."""
         if self.kind == POSITION:
-            return self.f(positions).mean(axis=1)
-        return momenta.mean(axis=1)
+            return self.f(positions).mean(axis=-1)
+        return momenta.mean(axis=-1)
 
 
 OBS_Q = Observable.position(lambda q: q, "q")
@@ -89,36 +75,25 @@ def observable_from_label(label):
 # ----------------------------------------------------------------------
 # energetics of the cyclic chain
 
-def spring_energy(state, thermo, model):
-    """Harmonic link energy sum_k (m/2) w_N^2 (x_k - x_{k+1})^2, cyclic.
-
-    Zero for a single bead (no springs).
-    """
-    x = state.positions
-    if x.shape[-1] == 1:
-        return 0.0
+def spring_energy(x, model, thermo):
+    """Harmonic link energy sum_k (m/2) w_N^2 (x_k - x_{k+1})^2 of each ring, cyclic."""
     d = x - np.roll(x, -1, axis=-1)
-    w_n = thermo.omega_n
-    return float(0.5 * model.mass * w_n**2 * np.sum(d * d, axis=-1))
+    return 0.5 * model.mass * thermo.omega_n**2 * np.sum(d * d, axis=-1)
 
 
-def log_ring_density(positions, thermo, model):
-    """log R(x): Gaussian-link prefactor minus potential and spring exponents.
+def log_ring_density(x, model, thermo):
+    """log R(x) of each ring: Gaussian-link prefactor minus potential and spring exponents.
 
     log R = (N/2) log(m N / (2 pi beta hbar^2))
             - (beta/N) sum_k V(x_k)
             - (m N / (2 beta hbar^2)) sum_k (x_k - x_{k+1})^2
     """
-    x = np.atleast_1d(np.asarray(positions, dtype=float))
     n = x.shape[-1]
     beta, hbar, m = thermo.beta, thermo.hbar, model.mass
     pref = 0.5 * n * np.log(m * n / (2.0 * np.pi * beta * hbar**2))
     pot = (beta / n) * np.sum(potential_eval(model, x), axis=-1)
-    if n > 1:
-        d = x - np.roll(x, -1, axis=-1)
-        spring = (m * n / (2.0 * beta * hbar**2)) * np.sum(d * d, axis=-1)
-    else:
-        spring = 0.0
+    d = x - np.roll(x, -1, axis=-1)
+    spring = (m * n / (2.0 * beta * hbar**2)) * np.sum(d * d, axis=-1)
     return pref - pot - spring
 
 

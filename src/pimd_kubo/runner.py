@@ -59,7 +59,7 @@ from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_ini
                          rpmd_kubo_correlator, spectrum)
 from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
-from .ringpoly import MOMENTUM, OBS_P, OBS_Q, RingPolymerState, observable_from_label
+from .ringpoly import MOMENTUM, OBS_P, OBS_Q, observable_from_label
 from .sampler import (MOMENTUM_CONVENTIONS, SamplerConfig, draw_momenta, estimate_static_average,
                       mean_square_position, sample_ring_positions)
 from .series import CorrelationSeries
@@ -233,17 +233,19 @@ def parse_config(text):
                 raise ConfigError(f"section [{name}] is missing required key {key!r}")
             else:
                 full[name][key] = default if name in needed_sections else None
-    _check_run_values(command, full["run"], sections["run"])
+    _check_run_values(command, full, sections["run"])
     if command not in _BLOCKED:
         full["run"]["blocks"] = None  # echoed as null, like the keys of an unused section
     return RunConfig(full)
 
 
-def _check_run_values(command, run, given):
-    """Reject [run] values that would fail only after sampling, or do nothing.
+def _check_run_values(command, full, given):
+    """Reject values that would fail only after sampling, or do nothing.
 
-    run holds every key, given only the keys the config text sets.
+    full holds every key of every section, given only the [run] keys the
+    config text sets.  Each key is checked only where the command uses it.
     """
+    run, needed = full["run"], _COMMANDS[command][0]
     if "blocks" in given and command not in _BLOCKED:
         raise ConfigError(f"blocks applies to the commands {_BLOCKED} only; "
                           f"command {command!r} ignores it", key="blocks")
@@ -265,6 +267,17 @@ def _check_run_values(command, run, given):
             allowed = tuple(obs.label for obs in CMD_OBSERVABLES)
             raise ConfigError(f"centroid dynamics needs a linear A, one of {allowed}, "
                               f"got {run['a']!r}")
+        if run["table_nodes"] < 2 or not -np.inf < run["table_min"] < run["table_max"] < np.inf:
+            raise ConfigError("table_nodes must be >= 2 and table_min < table_max, both finite")
+    blocks = run["blocks"] if command in _BLOCKED else N_BLOCKS
+    if blocks < 2:
+        raise ConfigError("blocks must be >= 2", key="blocks")
+    if "sampler" in needed and full["sampler"]["n_samples"] < 2 * blocks:
+        raise ConfigError(f"n_samples must be >= 2 * blocks = {2 * blocks}", key="n_samples")
+    if "oracle" in needed and not 1 <= full["oracle"]["n_retained"] <= full["oracle"]["n_points"]:
+        raise ConfigError("n_retained must be in [1, n_points]", key="n_retained")
+    if command == "convergence" and not (run["n_values"] and min(run["n_values"]) >= 1):
+        raise ConfigError("n_values must list one or more bead counts >= 1", key="n_values")
 
 
 # ----------------------------------------------------------------------
@@ -305,15 +318,15 @@ def _method_series(config, method):
                                       run["momentum_convention"], initial=(x0, p0))
         extra = []
         if own and run["dump_trajectory"]:
-            extra = [("trajectory.csv", _trajectory_writer(
-                model, thermo, icfg, b_obs, RingPolymerState(x0[0], p0[0])))]
+            extra = [("trajectory.csv",
+                      _trajectory_writer(model, thermo, icfg, b_obs, x0[0], p0[0]))]
     return series, extra if own else []
 
 
-def _trajectory_writer(model, thermo, integrator_cfg, b_obs, initial):
-    """Propagate the first correlator trajectory now; the writer only writes."""
+def _trajectory_writer(model, thermo, integrator_cfg, b_obs, x, p):
+    """Propagate the first correlator trajectory, the ring (x, p), now; the writer only writes."""
     record = [OBS_Q, OBS_P] + ([b_obs] if b_obs.label not in ("q", "p") else [])
-    times, rec = rpmd_trajectory(initial, model, thermo, integrator_cfg, record)
+    times, rec = rpmd_trajectory(x, p, model, thermo, integrator_cfg, record)
     return lambda path: io.write_table_csv(
         path, ["t", "x0", "p0"] + [o.label for o in record[2:]],
         [times] + [rec[o.label] for o in record])

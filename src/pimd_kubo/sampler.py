@@ -1,14 +1,15 @@
 """Equilibrium sampling of the ring-polymer position distribution.
 
-The target density is R(x) (see ringpoly.log_ring_density), optionally
-with the centroid pinned at q_c (the CMD constrained ensemble).  Both
+The target density is R(x) (see ringpoly.log_ring_density), or, for the
+CMD constrained ensemble, R(x) with the centroid pinned at each node q_c
+of a 1-D grid.  Both
 ensembles are sampled by one independence Metropolis kernel (the rho = 0
 case of preconditioned Crank-Nicolson; Cotter et al., Stat. Sci. 28, 424
 (2013)).  Every proposal is an exact draw from a Gaussian reference: the
 free ring polymer plus the harmonic well kappa (x_j - c)^2 / 2 on each
 bead.  In normal modes the reference is diagonal, mode k with variance
 N / (beta (m w_k^2 + kappa)).  For the free ensemble every mode is drawn;
-for the constrained one c = q_c, mode 0 stays pinned at sqrt(N) q_c, and
+for a constrained node c = q_c, mode 0 stays pinned at sqrt(N) q_c, and
 only the internal modes are drawn.  A proposal is accepted with
 min(1, exp(-dPhi)), where Phi(x) = (beta/N) sum_j [V(x_j) - kappa (x_j - c)^2 / 2]
 is what the reference leaves out of the ring exponent.  Momentum marginals
@@ -29,12 +30,13 @@ proposals miss.
 Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from counter-based streams keyed by (seed, purpose,
 walker group); node i of a constrained grid uses the seed
-_node_seed(seed, i).  A walker group's stream gives the first state's
-normals, then, per proposal, the proposal's normals followed by one
-uniform per walker.  So the output is a pure function of (config, seed)
-however the (node, walker group) jobs are scheduled across threads, and a
-longer run reproduces every row of a shorter one.  The acceptance-rate
-warning is decided per node, in the calling thread.
+_node_seed(seed, i), so its rows do not depend on the other nodes.  A
+walker group's stream gives the first state's normals, then, per
+proposal, the proposal's normals followed by one uniform per walker.  So
+the output is a pure function of (config, seed) however the (node, walker
+group) jobs are scheduled across threads, and a longer run reproduces
+every row of a shorter one.  The acceptance-rate warning is decided per
+node, in the calling thread.
 """
 
 import math
@@ -270,18 +272,14 @@ def sample_ring_positions(model, thermo, cfg):
 
 
 def sample_ring_positions_constrained(model, thermo, cfg, q_c):
-    """Configurations with the position centroid pinned to q_c.
+    """Configurations with the position centroid pinned at each node of the 1-D grid q_c.
 
-    A scalar q_c gives shape (n_samples, N) from the streams of cfg.seed.
-    A 1-D grid of centroids gives shape (nodes, n_samples, N); node i
-    samples from the streams of _node_seed(cfg.seed, i), so it equals the
-    scalar call with that seed.
+    Returns shape (nodes, n_samples, N).  Node i samples from the streams of
+    _node_seed(cfg.seed, i), so its rows depend only on (cfg, i, q_c[i]).
     """
     grid = np.asarray(q_c, dtype=float)
-    if grid.ndim > 1:
-        raise ValueError("q_c must be a scalar or a 1-D grid of centroids")
-    if grid.ndim == 0:
-        return _sample(model, thermo, cfg, [(cfg.seed, float(grid))])[0]
+    if grid.ndim != 1:
+        raise ValueError("q_c must be a 1-D grid of centroids")
     nodes = [(_node_seed(cfg.seed, i), float(q)) for i, q in enumerate(grid)]
     return _sample(model, thermo, cfg, nodes)
 

@@ -43,6 +43,9 @@ def _render(value):
 
 def _value(draw, section, key, command, method):
     conv = _SCHEMA[section][key][0]
+    used = _USED_RANGES.get((section, key))
+    if used is not None and used[0](command, method):
+        return draw(used[1])
     if section == "run":
         if key == "command":
             return command
@@ -65,6 +68,26 @@ def _value(draw, section, key, command, method):
         return draw(st.lists(st.integers(1, 4096), max_size=4))
     assert conv is _to_bool
     return draw(st.booleans())
+
+
+# keys that parse_config checks where the command uses them: (uses(command,
+# method), values inside the accepted range).  Each range keeps clear of the
+# others' bounds: blocks <= 512 <= n_samples / 2, n_retained <= 64 <= n_points,
+# table_min <= 0 < table_max, whichever of each pair is left at its default.
+_USED_RANGES = {
+    ("sampler", "n_samples"): (lambda c, m: "sampler" in _COMMANDS[c][0],
+                               st.integers(1024, 10**9)),
+    ("run", "blocks"): (lambda c, m: c in _BLOCKED, st.integers(2, 512)),
+    ("oracle", "n_points"): (lambda c, m: "oracle" in _COMMANDS[c][0], st.integers(64, 10**9)),
+    ("oracle", "n_retained"): (lambda c, m: "oracle" in _COMMANDS[c][0], st.integers(1, 64)),
+    ("run", "table_nodes"): (lambda c, m: m == "cmd", st.integers(2, 10**9)),
+    ("run", "table_min"): (lambda c, m: m == "cmd",
+                           st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+    ("run", "table_max"): (lambda c, m: m == "cmd",
+                           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    ("run", "n_values"): (lambda c, m: c == "convergence",
+                          st.lists(st.integers(1, 4096), min_size=1, max_size=4)),
+}
 
 
 @st.composite

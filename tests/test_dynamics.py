@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 import warnings
 
@@ -9,25 +8,24 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q2,
-                       RingPolymerState, SamplerConfig, ThermoParams,
-                       build_centroid_force_table, cmd_kubo_correlator, draw_momenta, harmonic,
+                       SamplerConfig, ThermoParams, build_centroid_force_table, cmd_kubo_correlator, draw_momenta, harmonic,
                        mildly_anharmonic, quartic, ring_hamiltonian, rpmd_trajectory,
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
 from pimd_kubo.errors import GridEscape, GridTooCoarse, NonErgodicWarning
 from pimd_kubo.model import grad_fn
 from pimd_kubo.ringpoly import POSITION, normal_mode_transform
-from pimd_kubo.sampler import _node_seed
 
 
-def _random_state(n, seed=0, scale=1.0):
+def _random_ring(n, seed=0, scale=1.0):
+    """(x, p) bead arrays of one ring, both drawn from N(0, scale^2)."""
     rng = np.random.default_rng(seed)
-    return RingPolymerState(scale * rng.standard_normal(n), scale * rng.standard_normal(n))
+    return scale * rng.standard_normal(n), scale * rng.standard_normal(n)
 
 
 def _classical(q0, p0, model, cfg):
     """(times, q, p) of one bead on V: RPMD at N = 1, where beta is inert."""
-    times, rec = rpmd_trajectory(RingPolymerState([q0], [p0]), model, ThermoParams(1.0, 1),
+    times, rec = rpmd_trajectory(np.array([q0]), np.array([p0]), model, ThermoParams(1.0, 1),
                                  cfg, [OBS_Q, OBS_P])
     return times, rec["q"], rec["p"]
 
@@ -42,11 +40,11 @@ def _centroid_on_table(q0, p0, table, mass, cfg):
 def test_free_ring_polymer_ballistic_centroid():
     # the rotation alone (zero gradient): the zero mode drifts exactly
     th = ThermoParams(1.0, 8)
-    st = _random_state(8, seed=1)
-    q0, p0 = st.positions.mean(), st.momenta.mean()
+    x, p = _random_ring(8, seed=1)
+    q0, p0 = x.mean(), p.mean()
     dt = 0.05
-    rec, _, pf = propagate_batch(st.positions[None, :], st.momenta[None, :], np.zeros_like,
-                                 1.0, th, dt, 200, [OBS_Q, OBS_P])
+    rec, _, pf = propagate_batch(x[None, :], p[None, :], np.zeros_like, 1.0, th, dt, 200,
+                                 [OBS_Q, OBS_P])
     k = np.arange(201)
     assert np.abs(rec[0, :, 0] - (q0 + p0 * k * dt)).max() <= 1e-12
     assert np.abs(rec[1, :, 0] - p0).max() <= 1e-12
@@ -110,21 +108,20 @@ def test_classical_quartic_energy():
 
 def test_reversibility(harmonic_model):
     th = ThermoParams(2.0, 12)
-    st = _random_state(12, seed=3)
+    x0, p0 = _random_ring(12, seed=3)
     grad, mass = grad_fn(harmonic_model), harmonic_model.mass
-    _, x, p = propagate_batch(st.positions[None, :], st.momenta[None, :], grad, mass, th, 0.01,
-                              100, [])
+    _, x, p = propagate_batch(x0[None, :], p0[None, :], grad, mass, th, 0.01, 100, [])
     _, x, p = propagate_batch(x, -p, grad, mass, th, 0.01, 100, [])
-    assert np.abs(x[0] - st.positions).max() <= 1e-10
-    assert np.abs(-p[0] - st.momenta).max() <= 1e-10
+    assert np.abs(x[0] - x0).max() <= 1e-10
+    assert np.abs(-p[0] - p0).max() <= 1e-10
 
 
 def test_centroid_closed_form(harmonic_model):
     th = ThermoParams(1.0, 16)
-    st = _random_state(16, seed=4)
+    x, p = _random_ring(16, seed=4)
     cfg = IntegratorConfig(dt=1e-4, n_steps=10000)
-    times, rec = rpmd_trajectory(st, harmonic_model, th, cfg, [OBS_Q])
-    q0, p0 = st.positions.mean(), st.momenta.mean()
+    times, rec = rpmd_trajectory(x, p, harmonic_model, th, cfg, [OBS_Q])
+    q0, p0 = x.mean(), p.mean()
     ref = q0 * np.cos(times) + p0 * np.sin(times)
     assert np.abs(rec["q"] - ref).max() <= 1e-8
 
@@ -134,9 +131,9 @@ def test_breathing_vs_ode_oracle(harmonic_model):
     # centroid series against a high-order ODE integration of the full system
     th = ThermoParams(1.0, 8)
     a = 0.9
-    st = RingPolymerState(np.full(8, a), np.zeros(8))
+    x0, p0 = np.full(8, a), np.zeros(8)
     cfg = IntegratorConfig(dt=0.002, n_steps=2000)
-    times, rec = rpmd_trajectory(st, harmonic_model, th, cfg, [OBS_Q2])
+    times, rec = rpmd_trajectory(x0, p0, harmonic_model, th, cfg, [OBS_Q2])
 
     w2 = (2.0 * th.omega_n * np.sin(np.pi * np.arange(8) / 8)) ** 2
 
@@ -146,7 +143,7 @@ def test_breathing_vs_ode_oracle(harmonic_model):
         spring = normal_mode_transform(w2 * a_modes, "inverse")
         return np.concatenate([p, -x - spring])
 
-    sol = solve_ivp(rhs, (0.0, times[-1]), np.concatenate([st.positions, st.momenta]),
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.concatenate([x0, p0]),
                     t_eval=times, rtol=1e-11, atol=1e-12, method="DOP853")
     ref = (sol.y[:8] ** 2).mean(axis=0)
     assert np.abs(rec["q2"] - ref).max() <= 1e-6
@@ -159,15 +156,15 @@ def test_breathing_vs_ode_oracle(harmonic_model):
 def test_hamiltonian_conservation_and_dt_scaling():
     model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
     th = ThermoParams(1.0, 12)
-    st = _random_state(12, seed=5, scale=0.7)
-    h0 = ring_hamiltonian(st, model, th)
+    x0, p0 = _random_ring(12, seed=5, scale=0.7)
+    h0 = ring_hamiltonian(x0, p0, model, th)
 
     def max_drift(dt, n_steps):
-        x, p = st.positions[None, :], st.momenta[None, :]
+        x, p = x0[None, :], p0[None, :]
         drift = 0.0
         for _ in range(n_steps):
             _, x, p = propagate_batch(x, p, grad_fn(model), model.mass, th, dt, 1, [])
-            drift = max(drift, abs(ring_hamiltonian(RingPolymerState(x[0], p[0]), model, th) - h0))
+            drift = max(drift, abs(ring_hamiltonian(x[0], p[0], model, th) - h0))
         return drift
 
     d1 = max_drift(0.02, 500)
@@ -178,14 +175,31 @@ def test_hamiltonian_conservation_and_dt_scaling():
 
 def test_long_time_conservation(harmonic_model):
     th = ThermoParams(1.0, 16)
-    st = _random_state(16, seed=6)
-    h0 = ring_hamiltonian(st, harmonic_model, th)
-    x = st.positions[None, :].copy()
-    p = st.momenta[None, :].copy()
-    _, xf, pf = propagate_batch(x, p, grad_fn(harmonic_model), harmonic_model.mass, th, 0.005,
-                                20000, [])
-    hf = ring_hamiltonian(RingPolymerState(xf[0], pf[0]), harmonic_model, th)
+    x, p = _random_ring(16, seed=6)
+    h0 = ring_hamiltonian(x, p, harmonic_model, th)
+    _, xf, pf = propagate_batch(x[None, :], p[None, :], grad_fn(harmonic_model),
+                                harmonic_model.mass, th, 0.005, 20000, [])
+    hf = ring_hamiltonian(xf[0], pf[0], harmonic_model, th)
     assert abs(hf - h0) / abs(h0) <= 1e-5
+
+
+def test_ring_hamiltonian_is_per_ring_over_a_batch():
+    # a (k, N) batch gives its k one-ring values, so the drift of a batch of
+    # trajectories is one call, and it matches propagating each ring alone
+    model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
+    th = ThermoParams(1.0, 12)
+    x0, p0 = 0.7 * np.random.default_rng(9).standard_normal((2, 5, 12))
+    grad = grad_fn(model)
+    h0 = ring_hamiltonian(x0, p0, model, th)
+    assert h0.shape == (5,)
+    alone = [ring_hamiltonian(x, p, model, th) for x, p in zip(x0, p0)]
+    assert h0 == pytest.approx(alone, rel=1e-14)
+    _, xf, pf = propagate_batch(x0, p0, grad, model.mass, th, 0.02, 50, [])
+    drift = ring_hamiltonian(xf, pf, model, th) - h0
+    for x, p, h, d in zip(x0, p0, alone, drift):
+        _, x1, p1 = propagate_batch(x[None, :], p[None, :], grad, model.mass, th, 0.02, 50, [])
+        assert ring_hamiltonian(x1[0], p1[0], model, th) - h == pytest.approx(d, abs=1e-12)
+    assert 0.0 < np.abs(drift).max() < 1e-3 * np.abs(h0).min()
 
 
 def _reference_propagation(x, p, model, thermo, dt, n_steps, record):
@@ -254,7 +268,7 @@ def test_momentum_convention_centroid_distributions():
 def test_integrator_accuracy_guard(harmonic_model):
     th, coarse = ThermoParams(1.0, 4), IntegratorConfig(dt=0.6, n_steps=10)
     with pytest.raises(GridTooCoarse):
-        rpmd_trajectory(_random_state(4, seed=7), harmonic_model, th, coarse, [OBS_Q])
+        rpmd_trajectory(*_random_ring(4, seed=7), harmonic_model, th, coarse, [OBS_Q])
     with pytest.raises(GridTooCoarse):
         cmd_kubo_correlator(harmonic_model, th, _linear_table(), SamplerConfig(64, seed=1),
                             coarse, OBS_Q, OBS_Q)
@@ -339,7 +353,8 @@ def test_force_table_antisymmetry():
 
 def test_force_table_grid_schedule(monkeypatch):
     # two walker groups per node (2048 + 152 walkers), so the six
-    # (node, walker group) jobs have both group sizes
+    # (node, walker group) jobs have both group sizes; node i's rows depend
+    # only on (seed, i, grid[i]): moving every other node leaves them alone
     model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
     th = ThermoParams(2.0, 3)
     cfg = SamplerConfig(n_samples=2200, seed=41, burn_in=20, decorrelation_stride=1,
@@ -349,10 +364,11 @@ def test_force_table_grid_schedule(monkeypatch):
     ens = sample_ring_positions_constrained(model, th, cfg, grid)
     assert ens.shape == (3, 2200, 3)
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
-    for i, q_c in enumerate(grid):
-        node_cfg = dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i))
-        alone = sample_ring_positions_constrained(model, th, node_cfg, q_c)
-        assert ens[i].tobytes() == alone.tobytes()
+    for i in range(len(grid)):
+        moved = np.where(np.arange(len(grid)) == i, grid, grid + 0.7)
+        other = sample_ring_positions_constrained(model, th, cfg, moved)
+        assert other[i].tobytes() == ens[i].tobytes()
+        assert not np.array_equal(np.delete(other, i, axis=0), np.delete(ens, i, axis=0))
 
     def table(threads):
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
@@ -379,9 +395,9 @@ def test_force_table_samples_once_on_calling_thread(monkeypatch):
     cfg = SamplerConfig(n_samples=64, seed=4, burn_in=8, decorrelation_stride=1)
     build_centroid_force_table(harmonic(), ThermoParams(1.0, 4), cfg, np.linspace(-1.0, 1.0, 5))
     assert threads == [threading.current_thread()]
-    with pytest.raises(ValueError):
-        sample_ring_positions_constrained(harmonic(), ThermoParams(1.0, 4), cfg,
-                                          np.zeros((2, 2)))
+    for q_c in (0.5, np.zeros((2, 2))):  # one input form: a 1-D grid of nodes
+        with pytest.raises(ValueError, match="1-D grid"):
+            sample_ring_positions_constrained(harmonic(), ThermoParams(1.0, 4), cfg, q_c)
 
 
 def test_force_table_single_bead_grid():

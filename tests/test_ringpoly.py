@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
-from pimd_kubo import (OBS_P, OBS_Q, Observable, RingPolymerState, ThermoParams,
-                       free_rp_frequencies, harmonic, log_ring_density,
-                       normal_mode_transform, spring_energy)
+from pimd_kubo import (OBS_P, OBS_Q, Observable, ThermoParams, free_rp_frequencies, harmonic,
+                       log_ring_density, normal_mode_transform, spring_energy)
 from pimd_kubo.ringpoly import normal_mode_matrix
-
-
-def _state(x, p=None):
-    x = np.asarray(x, dtype=float)
-    return RingPolymerState(x, np.zeros_like(x) if p is None else np.asarray(p, float))
 
 
 def _centroid(obs, x, p=None):
     """obs.centroid of one ring given as bead lists (momenta zero when omitted)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = np.zeros_like(x) if p is None else np.atleast_2d(np.asarray(p, dtype=float))
-    return float(obs.centroid(x, p)[0])
+    x = np.asarray(x, dtype=float)
+    return float(obs.centroid(x, np.zeros_like(x) if p is None else np.asarray(p, float)))
 
 
 def test_centroid_position():
@@ -59,21 +52,21 @@ def test_cyclic_permutation_invariance():
     x, p = rng.normal(size=(2, 8))
     th = ThermoParams(1.3, 8)
     m = harmonic(1.1, 0.9)
-    base = (_centroid(OBS_Q, x, p), _centroid(OBS_P, x, p), spring_energy(_state(x, p), th, m))
+    base = (_centroid(OBS_Q, x, p), _centroid(OBS_P, x, p), spring_energy(x, m, th))
     for shift in range(1, 8):
         xs, ps = np.roll(x, shift), np.roll(p, shift)
         assert _centroid(OBS_Q, xs, ps) == pytest.approx(base[0], abs=1e-14)
         assert _centroid(OBS_P, xs, ps) == pytest.approx(base[1], abs=1e-14)
-        assert spring_energy(_state(xs, ps), th, m) == pytest.approx(base[2], rel=1e-13)
+        assert spring_energy(xs, m, th) == pytest.approx(base[2], rel=1e-13)
 
 
 def test_spring_energy_examples():
     m = harmonic(1.0, 1.0)
     th = ThermoParams(1.0, 2)
-    assert spring_energy(_state([0.0, 1.0]), th, m) == pytest.approx(4.0)
+    assert spring_energy(np.array([0.0, 1.0]), m, th) == pytest.approx(4.0)
     th8 = ThermoParams(0.7, 8)
-    assert spring_energy(_state([2.5] * 8), th8, m) == 0.0
-    assert spring_energy(_state([3.0]), ThermoParams(1.0, 1), m) == 0.0
+    assert spring_energy(np.full(8, 2.5), m, th8) == 0.0
+    assert spring_energy(np.array([3.0]), m, ThermoParams(1.0, 1)) == 0.0
 
 
 def test_spring_energy_translation_invariance():
@@ -81,13 +74,13 @@ def test_spring_energy_translation_invariance():
     x = rng.normal(size=16)
     th = ThermoParams(2.0, 16)
     m = harmonic(1.4, 1.0)
-    e0 = spring_energy(_state(x), th, m)
-    assert spring_energy(_state(x + 5.3), th, m) == pytest.approx(e0, rel=1e-12)
+    e0 = spring_energy(x, m, th)
+    assert spring_energy(x + 5.3, m, th) == pytest.approx(e0, rel=1e-12)
 
 
 def test_log_ring_density_single_bead():
     m = harmonic(1.0, 1.0)
-    val = log_ring_density(np.array([0.0]), ThermoParams(1.0, 1), m)
+    val = log_ring_density(np.array([0.0]), m, ThermoParams(1.0, 1))
     assert val == pytest.approx(0.5 * np.log(1.0 / (2.0 * np.pi)), abs=1e-12)
     assert val == pytest.approx(-0.9189385332046727 / 1.0, abs=1e-5)
 
@@ -96,7 +89,7 @@ def test_log_ring_density_spring_exponent():
     # free-ring exponent for N=2, x=(0,1): -(mN/2 beta hbar^2) * 2 bonds = -2
     m = harmonic(1.0, 1.0)
     th = ThermoParams(1.0, 2)
-    with_v = log_ring_density(np.array([0.0, 1.0]), th, m)
+    with_v = log_ring_density(np.array([0.0, 1.0]), m, th)
     pref = 0.5 * 2 * np.log(2.0 / (2.0 * np.pi))
     pot = (1.0 / 2.0) * (0.0 + 0.5)
     assert with_v - pref + pot == pytest.approx(-2.0, abs=1e-12)
@@ -112,10 +105,10 @@ def test_log_ring_density_decomposition():
     for _ in range(5):
         x = rng.normal(size=6)
         xp = rng.normal(size=6)
-        lhs = log_ring_density(x, th, m) - log_ring_density(xp, th, m)
+        lhs = log_ring_density(x, m, th) - log_ring_density(xp, m, th)
         def parts(y):
             return (-(th.beta / 6) * potential_eval(m, y).sum()
-                    - (th.beta / 6) * spring_energy(_state(y), th, m))
+                    - (th.beta / 6) * spring_energy(y, m, th))
         assert lhs == pytest.approx(parts(x) - parts(xp), abs=1e-12)
 
 
@@ -172,9 +165,3 @@ def test_free_rp_frequency_symmetry():
     for k in range(1, 15):
         assert w[k] == pytest.approx(w[15 - k], rel=1e-14)
 
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        RingPolymerState(np.array([1.0, np.nan]), np.zeros(2))
-    with pytest.raises(ValueError):
-        RingPolymerState(np.zeros(3), np.zeros(2))

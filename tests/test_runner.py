@@ -395,26 +395,47 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("spectrum", "method = rpmd\nwindow = hamming\n"),
-    ("rpmd", "momentum_convention = midpoint\n"),
-    ("cmd", "a = q2\n"),
-    ("compare", "method = classical\n"),
-], ids=["window", "momentum_convention", "cmd_nonlinear_a", "method"])
-def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command, extra):
+@pytest.mark.parametrize("command, edit, extra", [
+    ("spectrum", {}, "method = rpmd\nwindow = hamming\n"),
+    ("rpmd", {}, "momentum_convention = midpoint\n"),
+    ("cmd", {}, "a = q2\n"),
+    ("compare", {}, "method = classical\n"),
+    ("cmd", {"n_samples = 768": "n_samples = 16"}, ""),
+    ("static", {"n_samples = 768": "n_samples = 64"}, "blocks = 64\n"),
+    ("static", {}, "blocks = 0\n"),
+    ("static", {}, "blocks = 1\n"),
+    ("static", {}, "blocks = -3\n"),
+    ("cmd", {}, "table_nodes = 1\n"),
+    ("cmd", {}, "table_min = 2.0\ntable_max = 2.0\n"),
+    ("compare", {"n_retained = 32": "n_retained = 0"}, ""),
+    ("compare", {"n_retained = 32": "n_retained = 641"}, ""),
+    ("convergence", {}, "n_values = 8, 0\n"),
+    ("convergence", {}, "n_values =\n"),
+    ("rpmd", {}, "a = poly:1,x\n"),
+], ids=["window", "momentum_convention", "cmd_nonlinear_a", "method", "cmd_n_samples",
+        "static_n_samples_below_blocks", "blocks_0", "blocks_1", "blocks_negative",
+        "table_nodes_1", "table_min_not_below_max", "n_retained_0", "n_retained_above_n_points",
+        "n_values_zero", "n_values_empty", "poly_bad_coefficient"])
+def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command, edit,
+                                               extra):
+    # a value the run cannot use is a config fault, found before any sampler
+    # or oracle runs
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        raise AssertionError("sampler called")
+        raise AssertionError("sampler or oracle called")
 
     for target in ("pimd_kubo.estimators.sample_ring_positions",
                    "pimd_kubo.runner.sample_ring_positions",
-                   "pimd_kubo.dynamics.sample_ring_positions_constrained"):
+                   "pimd_kubo.dynamics.sample_ring_positions_constrained",
+                   "pimd_kubo.runner.diagonalize"):
         monkeypatch.setattr(target, counted)
     out = tmp_path / "bad"
     text = SMALL_COMPARE.format(out=out).replace("command = compare", f"command = {command}")
     text = text.replace("a = q\n", "") + extra
+    for old, new in edit.items():
+        text = text.replace(old, new)
     path = tmp_path / "bad.ini"
     path.write_text(text)
     assert main([str(path), "--quiet"]) == 2
@@ -445,6 +466,18 @@ def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys, co
     assert "configuration error" in err and "dt * omega" in err
     assert calls == []
     assert not out.exists()
+
+
+def test_poly_label_matches_builtin(tmp_path):
+    # poly:c0,c1,... is sum_k c_k q^k; numpy's polyval forms 0 + (0 + 1 q) q,
+    # which is q q bit for bit, so the run equals a = q2 byte for byte
+    results = []
+    for a in ("q2", "poly:0,0,1"):
+        out = tmp_path / a.replace(":", "_").replace(",", "_")
+        text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = rpmd")
+        assert run(parse_config(text.replace("a = q\n", f"a = {a}\n"))) == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
 
 
 def test_output_dir_flag_overrides_config(tmp_path):

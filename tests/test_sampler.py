@@ -50,14 +50,15 @@ def test_centroid_distribution(harmonic_model):
 
 def test_constrained_centroid_pinned(harmonic_model):
     th = ThermoParams(1.0, 16)
-    for q_c in (0.0, 0.7, -1.3):
-        ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(500, seed=5), q_c)
-        assert np.abs(ens.mean(axis=1) - q_c).max() <= 1e-12
+    grid = np.array([0.0, 0.7, -1.3])
+    ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(500, seed=5), grid)
+    for q_c, node in zip(grid, ens):
+        assert np.abs(node.mean(axis=1) - q_c).max() <= 1e-12
 
 
 def test_constrained_symmetry(harmonic_model):
     th = ThermoParams(1.0, 16)
-    ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(20000, seed=6), 0.0)
+    ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(20000, seed=6), [0.0])[0]
     x1 = ens[:, 0]
     skew = stats.skew(x1)
     se = np.sqrt(6.0 / len(x1))  # SE of skewness for near-normal samples
@@ -67,7 +68,7 @@ def test_constrained_symmetry(harmonic_model):
 def test_constrained_mean_force(harmonic_model):
     # harmonic centroid potential is the bare well: <-V'> = -m w^2 q_c exactly
     th = ThermoParams(1.0, 32)
-    ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(2000, seed=7), 0.7)
+    ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(2000, seed=7), [0.7])[0]
     force = -grad_fn(harmonic_model)(ens).mean(axis=1)
     assert abs(force.mean() + 0.7) <= 1e-12
 
@@ -82,7 +83,7 @@ def test_detailed_balance_two_bead_histogram(harmonic_model):
     rng = np.random.default_rng(0)
     for _ in range(4):
         a, b = rng.normal(size=(2, 2))
-        lhs = log_ring_density(a, th, harmonic_model) - log_ring_density(b, th, harmonic_model)
+        lhs = log_ring_density(a, harmonic_model, th) - log_ring_density(b, harmonic_model, th)
         rhs = -0.5 * a @ prec @ a + 0.5 * b @ prec @ b
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -210,7 +211,7 @@ def test_seed_reproducibility_and_worker_independence(harmonic_model, monkeypatc
     def sampled(threads, *q_c):
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
         if q_c:
-            return sample_ring_positions_constrained(harmonic_model, th, cfg, *q_c)
+            return sample_ring_positions_constrained(harmonic_model, th, cfg, q_c)
         return sample_ring_positions(harmonic_model, th, cfg)
 
     assert np.array_equal(sampled("1"), sampled("4"))
@@ -335,7 +336,7 @@ def test_constrained_kernel_matches_reference(model, n):
         return -grad(x).mean(axis=1)
 
     for q_c in (0.4, -1.3):
-        vals = force(sample_ring_positions_constrained(model, th, cfg, q_c))
+        vals = force(sample_ring_positions_constrained(model, th, cfg, [q_c])[0])
         mean, se = vals.mean(), block_standard_error(vals, 64)
         if model.kind == "harmonic":
             assert abs(mean + q_c) <= 1e-12
@@ -465,7 +466,7 @@ def test_streams_are_prefix_stable(constrained):
         cfg = SamplerConfig(n_samples=walkers * rounds, seed=37, burn_in=40,
                             decorrelation_stride=3, n_walkers=walkers)
         if constrained:
-            ens = sample_ring_positions_constrained(model, th, cfg, 0.4)
+            ens = sample_ring_positions_constrained(model, th, cfg, [0.4])[0]
         else:
             ens = sample_ring_positions(model, th, cfg)
         return ens.reshape(walkers, rounds, th.n_beads)  # walker-major rows
