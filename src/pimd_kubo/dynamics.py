@@ -9,9 +9,12 @@ only drift, so the centroid decouples from the springs identically.  The
 step keeps the modes as the real FFT half spectrum of the beads and never
 packs them into the orthonormal layout of ringpoly.normal_mode_matrix.
 
-RPMD is the N-bead ring polymer on the bare potential (at N = 1, classical
-dynamics).  CMD is the one-bead ring polymer on the centroid mean
-force (CentroidForceTable.gradient): at N = 1 the rotation is the drift
+The propagator takes the force as force(q, out), writing -dV/dq into a
+buffer it holds for the whole run, and forms one kick product, dt/2 times
+the force spectrum, per force evaluation.  RPMD is the N-bead ring polymer
+on the bare potential (model.force_fn; at N = 1, classical dynamics).
+CMD is the one-bead ring polymer on the centroid mean force
+(CentroidForceTable.force_at): at N = 1 the rotation is the drift
 q + p dt/m, so the step is velocity Verlet.  The table joins its nodes by
 a natural cubic spline built in numpy: one solve of the tridiagonal system
 for the second derivatives, then a cubic per interval, evaluated by one
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridEscape, GridTooCoarse
-from .model import OMEGA_KINDS, grad_fn, potential_eval
+from .model import OMEGA_KINDS, force_fn, potential_eval
 from .ringpoly import POSITION, free_rp_frequencies, spring_energy
 from .sampler import sample_ring_positions_constrained
 from ._stats import block_standard_error
@@ -58,38 +61,42 @@ def _rotation_factors(thermo, mass, dt):
     return np.cos(w * dt), sin_over, mass * w * sin
 
 
-def propagate_batch(x, p, grad, mass, thermo, dt, n_steps, record):
+def propagate_batch(x, p, force, mass, thermo, dt, n_steps, record):
     """Evolve (n_traj, N) arrays, recording centroid observables every step.
 
-    grad maps the (n_traj, N) positions to a new array of dV/dq, and mass is
-    the bead mass.  record is a list of Observable; returns (recorded
-    (n_obs, n_steps+1, n_traj), final positions, final momenta).  x and p
-    are left untouched.
+    force(q, out) writes the force -dV/dq at the (n_traj, N) positions q
+    into out and returns it (model.force_fn, CentroidForceTable.force_at);
+    mass is the bead mass.  record is a list of Observable; returns
+    (recorded (n_obs, n_steps+1, n_traj), final positions, final momenta).
+    x and p are left untouched.
     Positions, momenta and force are held as np.fft.rfft half spectra.  The
     free-ring normal modes are their real and imaginary parts up to a fixed
     scale per mode, and both parts of wavenumber k rotate at w_k, so the
-    rotation runs in place on the float64 views of the spectra, with the
-    factors of k <= N/2 repeated for each (re, im) pair, in the operation
-    order of a*cos + b*sin/(m w) and b*cos - a*m w sin.  The centroid
-    momentum is b_0 / N, and positions come back by one irfft per step.
+    rotation runs in place on the float64 views of the spectra, in the
+    operation order of a*cos + b*sin/(m w) and b*cos - a*m w sin.  The
+    factors of k <= N/2, repeated for each (re, im) pair, are tiled once to
+    the (n_traj, 2(N//2 + 1)) shape of the views, so each product is one
+    contiguous loop.  Each force spectrum is scaled by dt/2 in place once
+    and serves both half kicks that use it; between the first of them and
+    the next force, its buffer holds b*sin/(m w).  The centroid momentum is
+    b_0 / N, and positions come back by one irfft per step.
     """
     n = thermo.n_beads
-    cosw, sin_over, msin = (np.repeat(f[: n // 2 + 1], 2)
-                            for f in _rotation_factors(thermo, mass, dt))
-    half = 0.5 * dt
-
     x_cur = np.array(x, dtype=float)
     a_ft = np.fft.rfft(x_cur)
     b_ft = np.fft.rfft(p)
     f_ft = np.empty_like(a_ft)
     a, b, f = a_ft.view(float), b_ft.view(float), f_ft.view(float)
+    cosw, sin_over, msin = (np.broadcast_to(np.repeat(w[: n // 2 + 1], 2), a.shape).copy()
+                            for w in _rotation_factors(thermo, mass, dt))
+    half = 0.5 * dt
+    force_q = np.empty_like(x_cur)
     a_msin = np.empty_like(a)
-    scratch = np.empty_like(a)
 
-    def force():
-        g = grad(x_cur)
-        np.negative(g, out=g)
-        np.fft.rfft(g, out=f_ft)
+    def kick():
+        """f <- dt/2 times the force spectrum at x_cur."""
+        np.fft.rfft(force(x_cur, force_q), out=f_ft)
+        np.multiply(f, half, out=f)
 
     out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
 
@@ -100,18 +107,18 @@ def propagate_batch(x, p, grad, mass, thermo, dt, n_steps, record):
             else:
                 np.divide(b[:, 0], n, out=out[i, step])
 
-    force()
+    kick()
     snapshot(0)
     for step in range(1, n_steps + 1):
-        b += np.multiply(f, half, out=scratch)
+        b += f
         np.multiply(a, msin, out=a_msin)
         a *= cosw
-        a += np.multiply(b, sin_over, out=scratch)
+        a += np.multiply(b, sin_over, out=f)  # f is free until the next kick()
         b *= cosw
         b -= a_msin
         np.fft.irfft(a_ft, n=n, out=x_cur)
-        force()
-        b += np.multiply(f, half, out=scratch)
+        kick()
+        b += f
         snapshot(step)
     return out, x_cur, np.fft.irfft(b_ft, n=n)
 
@@ -122,7 +129,7 @@ def rpmd_trajectory(x, p, model, thermo, cfg, record):
     Returns (times, {label: series}) with series of length n_steps + 1.
     """
     check_accuracy(cfg, model)
-    out, _, _ = propagate_batch(x[None, :], p[None, :], grad_fn(model), model.mass, thermo,
+    out, _, _ = propagate_batch(x[None, :], p[None, :], force_fn(model), model.mass, thermo,
                                 cfg.dt, cfg.n_steps, record)
     return cfg.times(), {obs.label: out[i, :, 0] for i, obs in enumerate(record)}
 
@@ -137,9 +144,9 @@ def ring_hamiltonian(x, p, model, thermo):
 # ----------------------------------------------------------------------
 # CMD: the centroid force table
 
-def _horner(coef, i, t):
+def _horner(coef, i, t, out=None):
     """sum_j coef[j, i] t^(deg - j): row j of coef holds power deg - j, column i one interval."""
-    out = coef[0].take(i)
+    out = coef[0].take(i, out=out)
     for row in coef[1:]:
         out *= t
         out += row.take(i)
@@ -192,12 +199,9 @@ class CentroidForceTable:
         i = np.searchsorted(self.grid[1:-1], q, side="right")
         return i, q - self.grid.take(i)
 
-    def force_at(self, q):
-        return _horner(self._cubic, *self._interval(q))
-
-    def gradient(self, q):
-        """Slope of the centroid potential, -force_at(q); raises GridEscape off the grid."""
-        return -self.force_at(q)
+    def force_at(self, q, out=None):
+        """Spline force at q, into out when given; raises GridEscape off the grid."""
+        return _horner(self._cubic, *self._interval(q), out=out)
 
 
 def build_centroid_force_table(model, thermo, cfg, grid):
@@ -210,8 +214,9 @@ def build_centroid_force_table(model, thermo, cfg, grid):
     sampler.resolve_workers() threads; the table is the same at any thread
     count.
     """
-    grad = grad_fn(model)
+    force = force_fn(model)
     ens = sample_ring_positions_constrained(model, thermo, cfg, grid)
-    vals = [-grad(node).mean(axis=1) for node in ens]
+    buf = np.empty_like(ens[0])
+    vals = [force(node, buf).mean(axis=1) for node in ens]
     return CentroidForceTable(grid, [v.mean() for v in vals],
                               [block_standard_error(v) for v in vals])

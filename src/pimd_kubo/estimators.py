@@ -19,7 +19,7 @@ from . import _streams
 from ._stats import N_BLOCKS, RowAccumulator
 from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
-from .model import ThermoParams, grad_fn
+from .model import ThermoParams, force_fn
 from .ringpoly import OBS_P, OBS_Q, free_rp_frequencies
 from .sampler import draw_momenta, map_in_order, resolve_workers, sample_ring_positions
 from .series import CorrelationSeries
@@ -34,12 +34,12 @@ def _chunks(n):
     return [(lo, min(lo + _TRAJ_CHUNK, n)) for lo in range(0, n, _TRAJ_CHUNK)]
 
 
-def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs):
+def _correlator_from_ic(x0, p0, force, mass, thermo, integrator_cfg, a_obs, b_obs):
     """(mean, block standard error) of A0(0) * B0(t) over the trajectories.
 
     x0 and p0 are (n_traj, N) bead arrays, propagated by propagate_batch on
-    the gradient grad.  Chunks of trajectories propagate on
-    resolve_workers() threads; their products are added to one
+    force(q, out), which writes -dV/dq into out.  Chunks of trajectories
+    propagate on resolve_workers() threads; their products are added to one
     RowAccumulator in trajectory order in this thread.  One-bead chunks
     (N = 1, as in CMD) propagate on this thread: their step spends its time
     in the interpreter, so worker threads gain nothing, and the threads'
@@ -51,7 +51,7 @@ def _correlator_from_ic(x0, p0, grad, mass, thermo, integrator_cfg, a_obs, b_obs
 
     def job(span):
         lo, hi = span
-        rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], grad, mass, thermo,
+        rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], force, mass, thermo,
                                     integrator_cfg.dt, integrator_cfg.n_steps, [b_obs])
         prod = rec[0].T
         prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
@@ -98,7 +98,7 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
     else:
         _check_request(sampler_cfg, integrator_cfg, model)
     x0, p0 = initial
-    values, errors = _correlator_from_ic(x0, p0, grad_fn(model), model.mass, thermo,
+    values, errors = _correlator_from_ic(x0, p0, force_fn(model), model.mass, thermo,
                                          integrator_cfg, a_obs, b_obs)
     return CorrelationSeries(integrator_cfg.times(), values, errors)
 
@@ -109,7 +109,7 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     A must be linear (the position centroid q or the momentum); centroid
     positions are the centroids of an unconstrained ring ensemble, centroid
     momenta are exact Gaussians of variance m/beta.  The centroids propagate
-    as one-bead ring polymers on table.gradient, on this thread.
+    as one-bead ring polymers on table.force_at, on this thread.
     """
     if a_obs not in CMD_OBSERVABLES:
         raise UnsupportedObservable("centroid dynamics is defined for linear A only (q or p)")
@@ -119,7 +119,7 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
     gen = _streams.stream(sampler_cfg.seed, _streams.CMD_MOMENTA, 0)
     pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
     centroid = ThermoParams(thermo.beta, 1, thermo.hbar)
-    values, errors = _correlator_from_ic(qc0[:, None], pc0[:, None], table.gradient,
+    values, errors = _correlator_from_ic(qc0[:, None], pc0[:, None], table.force_at,
                                          model.mass, centroid, integrator_cfg, a_obs, b_obs)
     return CorrelationSeries(integrator_cfg.times(), values, errors)
 

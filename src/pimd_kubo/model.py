@@ -140,15 +140,36 @@ def potential_fn(model):
     return pot
 
 
-def grad_fn(model):
-    """dV/dq as an unchecked closure over arrays, in Horner form."""
+def force_fn(model):
+    """-dV/dq as an unchecked closure force(q, out) over arrays; returns out.
+
+    The force of the propagation loop and the force table: like
+    potential_fn, every Horner step is one ufunc writing into out, and out
+    must not share memory with q.  The coefficients are the negated ones of
+    V' = (4 v4 q q + 3 v3 q + 2 v2) q, applied in that order, so the result
+    is the negated V' bit for bit (rounding is sign-symmetric).  A term
+    with a zero coefficient is left out, as it adds only a signed zero for
+    finite q; the cubic term of a well with v3 != 0 needs a second array.
+    """
     v2, v3, v4 = model.poly_coefficients()
+    c2, c3, c4 = -2.0 * v2, -3.0 * v3, -4.0 * v4
+    mul, add = np.multiply, np.add
     if v3 == 0.0 and v4 == 0.0:
-        return lambda q: 2.0 * v2 * q
-    if v2 == 0.0 and v3 == 0.0:
-        # pure quartic: the dropped terms only add +0.0 to 4 v4 q^2 >= 0
-        return lambda q: 4.0 * v4 * q * q * q
-    return lambda q: (4.0 * v4 * q * q + 3.0 * v3 * q + 2.0 * v2) * q
+        def force(q, out):  # c2 q
+            return mul(c2, q, out=out)
+    elif v3 == 0.0 and v2 == 0.0:
+        def force(q, out):  # c4 q q q
+            return mul(mul(mul(c4, q, out=out), q, out=out), q, out=out)
+    elif v3 == 0.0:
+        def force(q, out):  # (c4 q q + c2) q
+            f = add(mul(mul(c4, q, out=out), q, out=out), c2, out=out)
+            return mul(f, q, out=out)
+    else:
+        def force(q, out):  # (c4 q q + c3 q + c2) q
+            f = add(mul(mul(c4, q, out=out), q, out=out), mul(c3, q), out=out)
+            return mul(add(f, c2, out=out), q, out=out)
+
+    return force
 
 
 def potential_eval(model, q):

@@ -274,8 +274,10 @@ def _check_run_values(command, full, given):
         raise ConfigError("blocks must be >= 2", key="blocks")
     if "sampler" in needed and full["sampler"]["n_samples"] < 2 * blocks:
         raise ConfigError(f"n_samples must be >= 2 * blocks = {2 * blocks}", key="n_samples")
-    if "oracle" in needed and not 1 <= full["oracle"]["n_retained"] <= full["oracle"]["n_points"]:
-        raise ConfigError("n_retained must be in [1, n_points]", key="n_retained")
+    if "oracle" in needed:
+        grid, n_retained = RunConfig(full).grid()  # a bad grid exits 2 here, before any run
+        if not 1 <= n_retained <= grid.n_points:
+            raise ConfigError("n_retained must be in [1, n_points]", key="n_retained")
     if command == "convergence" and not (run["n_values"] and min(run["n_values"]) >= 1):
         raise ConfigError("n_values must list one or more bead counts >= 1", key="n_values")
 

@@ -74,7 +74,7 @@ from pimd_kubo import (GridSpec, IntegratorConfig, OBS_Q, OBS_Q2, SamplerConfig,
                        mean_square_position, mildly_anharmonic, rpmd_initial_conditions,
                        rpmd_kubo_correlator, sample_ring_positions, thermal_average)
 from pimd_kubo.dynamics import propagate_batch
-from pimd_kubo.model import grad_fn
+from pimd_kubo.model import force_fn
 from pimd_kubo.oracle import kubo_weights, position_matrix
 from pimd_kubo.sampler import draw_momenta
 
@@ -264,7 +264,7 @@ def test_criterion_06_caq_cross_validation():
     traj = {}
     for conv in ("bead", "bond_midpoint"):
         p0 = draw_momenta(th, HARMONIC, scfg, conv)
-        rec, _, _ = propagate_batch(x0.copy(), p0, grad_fn(HARMONIC), HARMONIC.mass, th,
+        rec, _, _ = propagate_batch(x0.copy(), p0, force_fn(HARMONIC), HARMONIC.mass, th,
                                     icfg.dt, icfg.n_steps, [OBS_Q])
         traj[conv] = rec[0]
     pvals = [stats.ks_2samp(traj["bead"][i], traj["bond_midpoint"][i]).pvalue

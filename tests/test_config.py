@@ -73,13 +73,18 @@ def _value(draw, section, key, command, method):
 # keys that parse_config checks where the command uses them: (uses(command,
 # method), values inside the accepted range).  Each range keeps clear of the
 # others' bounds: blocks <= 512 <= n_samples / 2, n_retained <= 64 <= n_points,
-# table_min <= 0 < table_max, whichever of each pair is left at its default.
+# table_min <= 0 < table_max, q_min <= 0 < q_max, whichever of each pair is
+# left at its default.
 _USED_RANGES = {
     ("sampler", "n_samples"): (lambda c, m: "sampler" in _COMMANDS[c][0],
                                st.integers(1024, 10**9)),
     ("run", "blocks"): (lambda c, m: c in _BLOCKED, st.integers(2, 512)),
     ("oracle", "n_points"): (lambda c, m: "oracle" in _COMMANDS[c][0], st.integers(64, 10**9)),
     ("oracle", "n_retained"): (lambda c, m: "oracle" in _COMMANDS[c][0], st.integers(1, 64)),
+    ("oracle", "q_min"): (lambda c, m: "oracle" in _COMMANDS[c][0],
+                          st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+    ("oracle", "q_max"): (lambda c, m: "oracle" in _COMMANDS[c][0],
+                          st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
     ("run", "table_nodes"): (lambda c, m: m == "cmd", st.integers(2, 10**9)),
     ("run", "table_min"): (lambda c, m: m == "cmd",
                            st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),

@@ -13,7 +13,7 @@ from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
 from pimd_kubo.errors import GridEscape, GridTooCoarse, NonErgodicWarning
-from pimd_kubo.model import grad_fn
+from pimd_kubo.model import force_fn
 from pimd_kubo.ringpoly import POSITION, normal_mode_transform
 
 
@@ -31,19 +31,24 @@ def _classical(q0, p0, model, cfg):
 
 
 def _centroid_on_table(q0, p0, table, mass, cfg):
-    """(q, p) of one bead on table.gradient: the CMD centroid trajectory."""
-    rec, _, _ = propagate_batch(np.array([[q0]]), np.array([[p0]]), table.gradient, mass,
+    """(q, p) of one bead on table.force_at: the CMD centroid trajectory."""
+    rec, _, _ = propagate_batch(np.array([[q0]]), np.array([[p0]]), table.force_at, mass,
                                 ThermoParams(1.0, 1), cfg.dt, cfg.n_steps, [OBS_Q, OBS_P])
     return rec[0, :, 0], rec[1, :, 0]
 
 
+def _zero_force(q, out):
+    out.fill(0.0)
+    return out
+
+
 def test_free_ring_polymer_ballistic_centroid():
-    # the rotation alone (zero gradient): the zero mode drifts exactly
+    # the rotation alone (zero force): the zero mode drifts exactly
     th = ThermoParams(1.0, 8)
     x, p = _random_ring(8, seed=1)
     q0, p0 = x.mean(), p.mean()
     dt = 0.05
-    rec, _, pf = propagate_batch(x[None, :], p[None, :], np.zeros_like, 1.0, th, dt, 200,
+    rec, _, pf = propagate_batch(x[None, :], p[None, :], _zero_force, 1.0, th, dt, 200,
                                  [OBS_Q, OBS_P])
     k = np.arange(201)
     assert np.abs(rec[0, :, 0] - (q0 + p0 * k * dt)).max() <= 1e-12
@@ -82,12 +87,12 @@ def test_classical_matches_rpmd_n1_bitwise(harmonic_model):
     # at N = 1 the RPMD step is velocity Verlet on V, bit for bit at unit mass
     cfg = IntegratorConfig(dt=0.01, n_steps=500)
     _, q, p = _classical(0.7, -0.3, harmonic_model, cfg)
-    grad = grad_fn(harmonic_model)
+    force = force_fn(harmonic_model)
     qv, pv = np.array([0.7]), np.array([-0.3])
     for step in range(1, cfg.n_steps + 1):
-        pv = pv - 0.5 * cfg.dt * grad(qv)
+        pv = pv + 0.5 * cfg.dt * force(qv, np.empty(1))
         qv = qv + cfg.dt * pv
-        pv = pv - 0.5 * cfg.dt * grad(qv)
+        pv = pv + 0.5 * cfg.dt * force(qv, np.empty(1))
         assert q[step] == qv[0] and p[step] == pv[0], step
 
 
@@ -109,9 +114,9 @@ def test_classical_quartic_energy():
 def test_reversibility(harmonic_model):
     th = ThermoParams(2.0, 12)
     x0, p0 = _random_ring(12, seed=3)
-    grad, mass = grad_fn(harmonic_model), harmonic_model.mass
-    _, x, p = propagate_batch(x0[None, :], p0[None, :], grad, mass, th, 0.01, 100, [])
-    _, x, p = propagate_batch(x, -p, grad, mass, th, 0.01, 100, [])
+    force, mass = force_fn(harmonic_model), harmonic_model.mass
+    _, x, p = propagate_batch(x0[None, :], p0[None, :], force, mass, th, 0.01, 100, [])
+    _, x, p = propagate_batch(x, -p, force, mass, th, 0.01, 100, [])
     assert np.abs(x[0] - x0).max() <= 1e-10
     assert np.abs(-p[0] - p0).max() <= 1e-10
 
@@ -163,7 +168,7 @@ def test_hamiltonian_conservation_and_dt_scaling():
         x, p = x0[None, :], p0[None, :]
         drift = 0.0
         for _ in range(n_steps):
-            _, x, p = propagate_batch(x, p, grad_fn(model), model.mass, th, dt, 1, [])
+            _, x, p = propagate_batch(x, p, force_fn(model), model.mass, th, dt, 1, [])
             drift = max(drift, abs(ring_hamiltonian(x[0], p[0], model, th) - h0))
         return drift
 
@@ -177,7 +182,7 @@ def test_long_time_conservation(harmonic_model):
     th = ThermoParams(1.0, 16)
     x, p = _random_ring(16, seed=6)
     h0 = ring_hamiltonian(x, p, harmonic_model, th)
-    _, xf, pf = propagate_batch(x[None, :], p[None, :], grad_fn(harmonic_model),
+    _, xf, pf = propagate_batch(x[None, :], p[None, :], force_fn(harmonic_model),
                                 harmonic_model.mass, th, 0.005, 20000, [])
     hf = ring_hamiltonian(xf[0], pf[0], harmonic_model, th)
     assert abs(hf - h0) / abs(h0) <= 1e-5
@@ -189,27 +194,27 @@ def test_ring_hamiltonian_is_per_ring_over_a_batch():
     model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
     th = ThermoParams(1.0, 12)
     x0, p0 = 0.7 * np.random.default_rng(9).standard_normal((2, 5, 12))
-    grad = grad_fn(model)
+    force = force_fn(model)
     h0 = ring_hamiltonian(x0, p0, model, th)
     assert h0.shape == (5,)
     alone = [ring_hamiltonian(x, p, model, th) for x, p in zip(x0, p0)]
     assert h0 == pytest.approx(alone, rel=1e-14)
-    _, xf, pf = propagate_batch(x0, p0, grad, model.mass, th, 0.02, 50, [])
+    _, xf, pf = propagate_batch(x0, p0, force, model.mass, th, 0.02, 50, [])
     drift = ring_hamiltonian(xf, pf, model, th) - h0
     for x, p, h, d in zip(x0, p0, alone, drift):
-        _, x1, p1 = propagate_batch(x[None, :], p[None, :], grad, model.mass, th, 0.02, 50, [])
+        _, x1, p1 = propagate_batch(x[None, :], p[None, :], force, model.mass, th, 0.02, 50, [])
         assert ring_hamiltonian(x1[0], p1[0], model, th) - h == pytest.approx(d, abs=1e-12)
     assert 0.0 < np.abs(drift).max() < 1e-3 * np.abs(h0).min()
 
 
 def _reference_propagation(x, p, model, thermo, dt, n_steps, record):
     """Kick-rotate-kick with a fresh array for every product (no buffers)."""
-    grad = grad_fn(model)
+    force = force_fn(model)
     cosw, sin_over, msin = _rotation_factors(thermo, model.mass, dt)
     a = normal_mode_transform(x, "forward")
     b = normal_mode_transform(p, "forward")
     x_cur = x.copy()
-    f_nm = normal_mode_transform(-grad(x_cur), "forward")
+    f_nm = normal_mode_transform(force(x_cur, np.empty_like(x_cur)), "forward")
 
     def observe():
         return [obs.f(x_cur).mean(axis=1) if obs.kind == POSITION
@@ -220,7 +225,7 @@ def _reference_propagation(x, p, model, thermo, dt, n_steps, record):
         b = b + 0.5 * dt * f_nm
         a, b = a * cosw + b * sin_over, b * cosw - a * msin
         x_cur = normal_mode_transform(a, "inverse")
-        f_nm = normal_mode_transform(-grad(x_cur), "forward")
+        f_nm = normal_mode_transform(force(x_cur, np.empty_like(x_cur)), "forward")
         b = b + 0.5 * dt * f_nm
         rec.append(observe())
     return np.array(rec).transpose(1, 0, 2), x_cur, normal_mode_transform(b, "inverse")
@@ -237,11 +242,95 @@ def test_propagate_batch_matches_reference_step(n):
     p = np.sqrt(n / th.beta) * rng.standard_normal((17, n))
     x_in, p_in = x.copy(), p.copy()
     record = [OBS_Q2, OBS_P]
-    rec, xf, pf = propagate_batch(x, p, grad_fn(model), model.mass, th, 0.05, 40, record)
+    rec, xf, pf = propagate_batch(x, p, force_fn(model), model.mass, th, 0.05, 40, record)
     ref_rec, ref_x, ref_p = _reference_propagation(x, p, model, th, 0.05, 40, record)
     assert np.array_equal(x, x_in) and np.array_equal(p, p_in)
     for got, want in ((rec[0], ref_rec[0]), (rec[1], ref_rec[1]), (xf, ref_x), (pf, ref_p)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _grad_kernel(x, p, grad, mass, thermo, dt, n_steps, record):
+    """The step on the gradient: grad(q) returns a new array of dV/dq, which
+    is negated, each half kick forms its own dt/2 product, and the (N+2,)
+    rotation factors broadcast over the rows.  Frozen as the reference for
+    the bits of propagate_batch."""
+    n = thermo.n_beads
+    cosw, sin_over, msin = (np.repeat(f[: n // 2 + 1], 2)
+                            for f in _rotation_factors(thermo, mass, dt))
+    half = 0.5 * dt
+    x_cur = np.array(x, dtype=float)
+    a_ft = np.fft.rfft(x_cur)
+    b_ft = np.fft.rfft(p)
+    f_ft = np.empty_like(a_ft)
+    a, b, f = a_ft.view(float), b_ft.view(float), f_ft.view(float)
+    a_msin = np.empty_like(a)
+    scratch = np.empty_like(a)
+
+    def force():
+        g = grad(x_cur)
+        np.negative(g, out=g)
+        np.fft.rfft(g, out=f_ft)
+
+    out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
+
+    def snapshot(step):
+        for i, obs in enumerate(record):
+            if obs.kind == POSITION:
+                np.mean(obs.f(x_cur), axis=1, out=out[i, step])
+            else:
+                np.divide(b[:, 0], n, out=out[i, step])
+
+    force()
+    snapshot(0)
+    for step in range(1, n_steps + 1):
+        b += np.multiply(f, half, out=scratch)
+        np.multiply(a, msin, out=a_msin)
+        a *= cosw
+        a += np.multiply(b, sin_over, out=scratch)
+        b *= cosw
+        b -= a_msin
+        np.fft.irfft(a_ft, n=n, out=x_cur)
+        force()
+        b += np.multiply(f, half, out=scratch)
+        snapshot(step)
+    return out, x_cur, np.fft.irfft(b_ft, n=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 128])
+@pytest.mark.parametrize("model", [harmonic(1.3, 0.7),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.1),
+                                   quartic(1.0, mass=1.4)],
+                         ids=["harmonic", "anharmonic_c3_0", "anharmonic_c3", "quartic"])
+def test_propagate_batch_keeps_the_bits_of_the_gradient_kernel(model, n):
+    # the in-place force, one kick product per force and the tiled rotation
+    # factors change no bit of any record or final state (test_model checks
+    # that the force is the negated gradient bit for bit)
+    th = ThermoParams(2.0, n)
+    rng = np.random.default_rng(70 + n)
+    x = 0.6 * rng.standard_normal((17, n))
+    x[0, 0], x[1, 0] = 0.0, -0.0
+    p = np.sqrt(model.mass * n / th.beta) * rng.standard_normal((17, n))
+    record = [OBS_Q, OBS_Q2, OBS_P]
+    got = propagate_batch(x, p, force_fn(model), model.mass, th, 0.05, 40, record)
+    force = force_fn(model)
+    want = _grad_kernel(x, p, lambda q: -force(q, np.empty_like(q)), model.mass, th, 0.05, 40,
+                        record)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_one_bead_table_path_keeps_the_bits_of_the_gradient_kernel():
+    # CMD: centroids on the spline force, written into the step's buffer
+    grid = np.linspace(-3.0, 3.0, 13)
+    table = CentroidForceTable(grid, -grid - 0.2 * grid**3, np.zeros(13))
+    rng = np.random.default_rng(71)
+    q0, p0 = rng.uniform(-1.0, 1.0, (17, 1)), rng.standard_normal((17, 1))
+    args = (1.3, ThermoParams(1.0, 1), 0.05, 60, [OBS_Q, OBS_P])
+    got = propagate_batch(q0, p0, table.force_at, *args)
+    want = _grad_kernel(q0, p0, lambda q: -table.force_at(q), *args)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_momentum_convention_centroid_distributions():
@@ -255,7 +344,7 @@ def test_momentum_convention_centroid_distributions():
     series = {}
     for conv in ("bead", "bond_midpoint"):
         p0 = draw_momenta(th, model, scfg, conv)
-        rec, xf, pf = propagate_batch(x0.copy(), p0, grad_fn(model), model.mass, th, cfg.dt,
+        rec, xf, pf = propagate_batch(x0.copy(), p0, force_fn(model), model.mass, th, cfg.dt,
                                       cfg.n_steps, [OBS_Q])
         series[conv] = rec[0]
     for idx in marks:
@@ -319,7 +408,9 @@ def test_force_table_matches_natural_cubic_spline(nodes):
     q = np.concatenate([grid, rng.uniform(grid[0], grid[-1], 500)])
     ref = spline(q)
     np.testing.assert_allclose(table.force_at(q), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-    np.testing.assert_array_equal(table.gradient(q), -table.force_at(q))
+    buf = np.full_like(q, np.nan)
+    assert table.force_at(q, buf) is buf
+    assert buf.tobytes() == table.force_at(q).tobytes()
     assert table.force_at(grid[1]) == pytest.approx(force[1], rel=1e-14)
 
 
@@ -378,8 +469,9 @@ def test_force_table_grid_schedule(monkeypatch):
     for t in tables[1:]:
         assert t.force.tobytes() == tables[0].force.tobytes()
         assert t.std_errors.tobytes() == tables[0].std_errors.tobytes()
-    grad = grad_fn(model)
-    assert tables[0].force.tolist() == [float((-grad(e).mean(axis=1)).mean()) for e in ens]
+    force = force_fn(model)
+    assert tables[0].force.tolist() == [float(force(e, np.empty_like(e)).mean(axis=1).mean())
+                                        for e in ens]
 
 
 def test_force_table_samples_once_on_calling_thread(monkeypatch):

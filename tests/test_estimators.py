@@ -14,7 +14,7 @@ from pimd_kubo import _streams
 from pimd_kubo._stats import RowAccumulator
 from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.estimators import _correlator_from_ic
-from pimd_kubo.model import grad_fn
+from pimd_kubo.model import force_fn
 from pimd_kubo.ringpoly import POSITION
 
 
@@ -73,9 +73,9 @@ def test_rpmd_time_reversal(harmonic_model):
     icfg = IntegratorConfig(dt=0.05, n_steps=100)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
     p0 = draw_momenta(th, harmonic_model, scfg, "bead")
-    grad, mass = grad_fn(harmonic_model), harmonic_model.mass
-    fwd, fe = _correlator_from_ic(x0, p0, grad, mass, th, icfg, OBS_Q, OBS_Q)
-    bwd, be = _correlator_from_ic(x0, -p0, grad, mass, th, icfg, OBS_Q, OBS_Q)
+    force, mass = force_fn(harmonic_model), harmonic_model.mass
+    fwd, fe = _correlator_from_ic(x0, p0, force, mass, th, icfg, OBS_Q, OBS_Q)
+    bwd, be = _correlator_from_ic(x0, -p0, force, mass, th, icfg, OBS_Q, OBS_Q)
     dev = np.abs(fwd - bwd) / np.maximum(np.hypot(fe, be), 1e-12)
     assert dev.max() <= 3.0
 
@@ -113,16 +113,16 @@ def test_one_bead_correlator_propagates_on_calling_thread(harmonic_model, monkey
     icfg = IntegratorConfig(dt=0.05, n_steps=2)
     threads = {"rpmd": set(), "cmd": set()}
 
-    def spy(method, grad):
-        def traced(x):
+    def spy(method, force):
+        def traced(x, out):
             threads[method].add(threading.get_ident())
-            return grad(x)
+            return force(x, out)
         return traced
 
-    monkeypatch.setattr("pimd_kubo.estimators.grad_fn", lambda m: spy("rpmd", grad_fn(m)))
+    monkeypatch.setattr("pimd_kubo.estimators.force_fn", lambda m: spy("rpmd", force_fn(m)))
     rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q)
     table = _linear_table()
-    table.gradient = spy("cmd", table.gradient)
+    table.force_at = spy("cmd", table.force_at)
     cmd_kubo_correlator(harmonic_model, th, table, scfg, icfg, OBS_Q, OBS_Q)
     assert threads["cmd"] == {threading.get_ident()}
     assert threads["rpmd"] and threading.get_ident() not in threads["rpmd"]
@@ -174,7 +174,7 @@ def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch):
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     tracemalloc.start()
     try:
-        _correlator_from_ic(x0, p0, grad_fn(harmonic_model), harmonic_model.mass, th, icfg,
+        _correlator_from_ic(x0, p0, force_fn(harmonic_model), harmonic_model.mass, th, icfg,
                             OBS_Q, OBS_Q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -287,7 +287,7 @@ def test_cmd_trajectory_matches_velocity_verlet_reference(mass):
     # one centroid, propagated as the one-bead ring polymer on the table
     table = _cubic_table()
     cfg = IntegratorConfig(dt=0.05, n_steps=400)
-    rec, _, _ = propagate_batch(np.array([[0.9]]), np.array([[-0.4]]), table.gradient, mass,
+    rec, _, _ = propagate_batch(np.array([[0.9]]), np.array([[-0.4]]), table.force_at, mass,
                                 ThermoParams(1.0, 1), cfg.dt, cfg.n_steps, [OBS_Q, OBS_P])
     qs, ps = _cmd_propagate_reference(0.9, -0.4, table, mass, cfg.dt, cfg.n_steps)
     assert _close(rec[0, :, 0], qs, mass) and _close(rec[1, :, 0], ps, mass)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pimd_kubo import harmonic, mildly_anharmonic, potential_eval, quartic
-from pimd_kubo.model import PotentialModel, ThermoParams, grad_fn, potential_fn
+from pimd_kubo.model import PotentialModel, ThermoParams, force_fn, potential_fn
 
 
 def test_harmonic_value():
@@ -18,20 +18,26 @@ def test_mildly_anharmonic_value():
     assert potential_eval(m, 1.0) == pytest.approx(0.61, abs=1e-15)
 
 
+def _force(model, q):
+    """force_fn(model) at q, into a fresh array."""
+    q = np.asarray(q, dtype=float)
+    return force_fn(model)(q, np.empty_like(q))
+
+
 def test_grad_harmonic():
-    assert grad_fn(harmonic(1.0, 2.0))(1.0) == 4.0
+    assert _force(harmonic(1.0, 2.0), 1.0) == -4.0
 
 
 def test_grad_even_at_origin():
     for m in (harmonic(), mildly_anharmonic(c3=0.0, c4=0.3), quartic(2.0)):
-        assert grad_fn(m)(0.0) == 0.0
+        assert _force(m, 0.0) == 0.0
 
 
 def test_grad_quartic_finite_difference():
     m = quartic(2.0)
     h = 1e-5
     fd = (potential_eval(m, 1.0 + h) - potential_eval(m, 1.0 - h)) / (2 * h)
-    g = grad_fn(m)(1.0)
+    g = -_force(m, 1.0)
     assert g == pytest.approx(2.0, rel=1e-9)
     assert g == pytest.approx(fd, rel=1e-8)
 
@@ -47,7 +53,7 @@ def test_grad_matches_finite_difference_grid(model):
     q = np.linspace(-5.0, 5.0, 101)
     h = 1e-5
     fd = (potential_eval(model, q + h) - potential_eval(model, q - h)) / (2 * h)
-    g = grad_fn(model)(q)
+    g = -_force(model, q)
     scale = np.maximum(np.abs(g), 1.0)
     assert np.all(np.abs(g - fd) / scale <= 1e-8)
 
@@ -79,6 +85,35 @@ def test_potential_out_form_is_bit_identical(model):
     assert buf.tobytes() == potential_fn(model)(q).tobytes()
     # without out, the result keeps the layout of q (mixed layouts are slow)
     assert potential_fn(model)(q.T).flags.f_contiguous
+
+
+def _grad_reference(model):
+    """dV/dq formed as (4 v4 q q + 3 v3 q + 2 v2) q, with the harmonic and the
+    pure quartic well's own shorter forms."""
+    v2, v3, v4 = model.poly_coefficients()
+    if v3 == 0.0 and v4 == 0.0:
+        return lambda q: 2.0 * v2 * q
+    if v2 == 0.0 and v3 == 0.0:
+        return lambda q: 4.0 * v4 * q * q * q
+    return lambda q: (4.0 * v4 * q * q + 3.0 * v3 * q + 2.0 * v2) * q
+
+
+@pytest.mark.parametrize("model", [
+    harmonic(1.3, 0.7),
+    mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1),
+    mildly_anharmonic(1.0, 1.0, c3=-0.2, c4=0.05),
+    mildly_anharmonic(1.0, 1.0, c3=0.0, c4=0.05),
+    quartic(4.0, mass=2.0),
+])
+def test_force_is_the_negated_gradient_bit_for_bit(model):
+    # the propagator's force in the out= form is -(dV/dq) of every bit,
+    # signed zeros included
+    q = np.random.default_rng(7).normal(scale=3.0, size=(33, 16))
+    q[0, :3] = 0.0, -0.0, -1e-200
+    q[1] = -np.abs(q[1])
+    buf = np.full_like(q, np.nan)
+    assert force_fn(model)(q, buf) is buf
+    assert buf.tobytes() == (-_grad_reference(model)(q)).tobytes()
 
 
 def test_bounded_below():

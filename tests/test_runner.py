@@ -444,6 +444,31 @@ def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", [{"n_points = 640": "n_points = 32"},
+                                  {"q_min = -12.0": "q_min = 12.0"}],
+                         ids=["n_points_32", "q_min_not_below_q_max"])
+def test_bad_oracle_grid_exits_2_before_sampling(tmp_path, monkeypatch, capsys, edit):
+    # the [oracle] grid is built at parse time, so compare fails before the
+    # method run that precedes the oracle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("initial conditions drawn")
+
+    monkeypatch.setattr("pimd_kubo.runner.rpmd_initial_conditions", counted)
+    out = tmp_path / "grid"
+    text = SMALL_COMPARE.format(out=out)
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    path = tmp_path / "grid.ini"
+    path.write_text(text)
+    assert main([str(path), "--quiet"]) == 2
+    assert "invalid oracle grid" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rpmd", "cmd"])
 def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command):
     # dt * omega = 0.6 breaks the integrator's accuracy bound: a fault of the

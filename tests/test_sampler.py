@@ -12,7 +12,7 @@ from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, block_
                        sample_ring_positions, sample_ring_positions_constrained)
 from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
-from pimd_kubo.model import grad_fn, potential_fn
+from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
 from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _reference,
                               _run_group)
@@ -69,7 +69,7 @@ def test_constrained_mean_force(harmonic_model):
     # harmonic centroid potential is the bare well: <-V'> = -m w^2 q_c exactly
     th = ThermoParams(1.0, 32)
     ens = sample_ring_positions_constrained(harmonic_model, th, _cfg(2000, seed=7), [0.7])[0]
-    force = -grad_fn(harmonic_model)(ens).mean(axis=1)
+    force = force_fn(harmonic_model)(ens, np.empty_like(ens)).mean(axis=1)
     assert abs(force.mean() + 0.7) <= 1e-12
 
 
@@ -330,10 +330,10 @@ def test_constrained_kernel_matches_reference(model, n):
     # 18 comparisons)
     th = ThermoParams(2.0, n)
     cfg = SamplerConfig(n_samples=8192, seed=23, burn_in=64, decorrelation_stride=2)
-    grad = grad_fn(model)
+    bead_force = force_fn(model)
 
     def force(x):
-        return -grad(x).mean(axis=1)
+        return bead_force(x, np.empty_like(x)).mean(axis=1)
 
     for q_c in (0.4, -1.3):
         vals = force(sample_ring_positions_constrained(model, th, cfg, [q_c])[0])
