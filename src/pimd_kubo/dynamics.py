@@ -79,7 +79,8 @@ def propagate_batch(x, p, force, mass, thermo, dt, n_steps, record):
     contiguous loop.  Each force spectrum is scaled by dt/2 in place once
     and serves both half kicks that use it; between the first of them and
     the next force, its buffer holds b*sin/(m w).  The centroid momentum is
-    b_0 / N, and positions come back by one irfft per step.
+    b_0 / N, and positions come back by one irfft per step.  A position
+    observable is evaluated into one (n_traj, N) buffer held for the call.
     """
     n = thermo.n_beads
     x_cur = np.array(x, dtype=float)
@@ -99,11 +100,12 @@ def propagate_batch(x, p, force, mass, thermo, dt, n_steps, record):
         np.multiply(f, half, out=f)
 
     out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
+    obs_q = np.empty_like(x_cur)
 
     def snapshot(step):
         for i, obs in enumerate(record):
             if obs.kind == POSITION:
-                np.mean(obs.f(x_cur), axis=1, out=out[i, step])
+                np.mean(obs.f(x_cur, obs_q), axis=1, out=out[i, step])
             else:
                 np.divide(b[:, 0], n, out=out[i, step])
 

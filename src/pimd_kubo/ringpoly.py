@@ -26,7 +26,11 @@ MOMENTUM = "momentum"
 
 @dataclass(frozen=True)
 class Observable:
-    """A position-function observable f(q) or the momentum observable."""
+    """A position-function observable f(q) or the momentum observable.
+
+    f(q, out=None) returns f at the bead array q.  It writes its values into
+    out, an array of q's shape, when given, unless f(q) is q itself.
+    """
 
     kind: str
     label: str
@@ -51,9 +55,9 @@ class Observable:
         return momenta.mean(axis=-1)
 
 
-OBS_Q = Observable.position(lambda q: q, "q")
-OBS_Q2 = Observable.position(lambda q: q * q, "q2")
-OBS_Q3 = Observable.position(lambda q: q**3, "q3")
+OBS_Q = Observable.position(lambda q, out=None: q, "q")
+OBS_Q2 = Observable.position(lambda q, out=None: np.multiply(q, q, out=out), "q2")
+OBS_Q3 = Observable.position(lambda q, out=None: np.power(q, 3, out=out), "q3")
 OBS_P = Observable.momentum()
 
 
@@ -65,8 +69,14 @@ def observable_from_label(label):
     if label.startswith("poly:"):
         coeffs = np.array([float(c) for c in label[5:].split(",")], dtype=float)
 
-        def poly(q, _c=coeffs):
-            return np.polynomial.polynomial.polyval(q, _c)
+        def poly(q, out=None, _c=coeffs):
+            # Horner in the operation order of np.polynomial.polynomial.polyval
+            out = np.multiply(q, 0.0, out=out)
+            out += _c[-1]
+            for c in _c[-2::-1]:
+                out *= q
+                out += c
+            return out
 
         return Observable.position(poly, label)
     raise ValueError(f"unknown observable label {label!r}")

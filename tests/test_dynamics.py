@@ -14,7 +14,7 @@ from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
 from pimd_kubo.errors import GridEscape, GridTooCoarse, NonErgodicWarning
 from pimd_kubo.model import force_fn
-from pimd_kubo.ringpoly import POSITION, normal_mode_transform
+from pimd_kubo.ringpoly import POSITION, normal_mode_transform, observable_from_label
 
 
 def _random_ring(n, seed=0, scale=1.0):
@@ -249,11 +249,20 @@ def test_propagate_batch_matches_reference_step(n):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _allocating_f(obs):
+    """The form of a position observable that returns a new array each call."""
+    if obs.label.startswith("poly:"):
+        coeffs = np.array([float(c) for c in obs.label[5:].split(",")])
+        return lambda q: np.polynomial.polynomial.polyval(q, coeffs)
+    return {"q": lambda q: q, "q2": lambda q: q * q, "q3": lambda q: q**3}[obs.label]
+
+
 def _grad_kernel(x, p, grad, mass, thermo, dt, n_steps, record):
     """The step on the gradient: grad(q) returns a new array of dV/dq, which
-    is negated, each half kick forms its own dt/2 product, and the (N+2,)
-    rotation factors broadcast over the rows.  Frozen as the reference for
-    the bits of propagate_batch."""
+    is negated, each half kick forms its own dt/2 product, the (N+2,)
+    rotation factors broadcast over the rows, and each position observable
+    allocates its values.  Frozen as the reference for the bits of
+    propagate_batch."""
     n = thermo.n_beads
     cosw, sin_over, msin = (np.repeat(f[: n // 2 + 1], 2)
                             for f in _rotation_factors(thermo, mass, dt))
@@ -272,11 +281,12 @@ def _grad_kernel(x, p, grad, mass, thermo, dt, n_steps, record):
         np.fft.rfft(g, out=f_ft)
 
     out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
+    fs = [_allocating_f(obs) if obs.kind == POSITION else None for obs in record]
 
     def snapshot(step):
-        for i, obs in enumerate(record):
-            if obs.kind == POSITION:
-                np.mean(obs.f(x_cur), axis=1, out=out[i, step])
+        for i, f in enumerate(fs):
+            if f is not None:
+                np.mean(f(x_cur), axis=1, out=out[i, step])
             else:
                 np.divide(b[:, 0], n, out=out[i, step])
 
@@ -303,15 +313,17 @@ def _grad_kernel(x, p, grad, mass, thermo, dt, n_steps, record):
                                    quartic(1.0, mass=1.4)],
                          ids=["harmonic", "anharmonic_c3_0", "anharmonic_c3", "quartic"])
 def test_propagate_batch_keeps_the_bits_of_the_gradient_kernel(model, n):
-    # the in-place force, one kick product per force and the tiled rotation
-    # factors change no bit of any record or final state (test_model checks
-    # that the force is the negated gradient bit for bit)
+    # the in-place force, one kick product per force, the tiled rotation
+    # factors and the observables' held buffer change no bit of any record
+    # or final state (test_model checks that the force is the negated
+    # gradient bit for bit)
     th = ThermoParams(2.0, n)
     rng = np.random.default_rng(70 + n)
     x = 0.6 * rng.standard_normal((17, n))
     x[0, 0], x[1, 0] = 0.0, -0.0
     p = np.sqrt(model.mass * n / th.beta) * rng.standard_normal((17, n))
-    record = [OBS_Q, OBS_Q2, OBS_P]
+    record = [OBS_Q, OBS_Q2, OBS_P, observable_from_label("q3"),
+              observable_from_label("poly:0.3,-1.2,0.7,2.5")]
     got = propagate_batch(x, p, force_fn(model), model.mass, th, 0.05, 40, record)
     force = force_fn(model)
     want = _grad_kernel(x, p, lambda q: -force(q, np.empty_like(q)), model.mass, th, 0.05, 40,

@@ -68,7 +68,7 @@ def test_parse_minimal_defaults(tmp_path):
     assert cfg.command == "static"
     assert cfg.sections["thermo"]["hbar"] == 1.0
     assert cfg.sections["sampler"]["burn_in"] == 64
-    assert cfg.sections["sampler"]["n_walkers"] == 1024
+    assert cfg.sections["sampler"]["n_walkers"] == 128
     assert cfg.sections["run"]["blocks"] == 16
     model = cfg.model()
     assert model.kind == "harmonic" and model.mass == 1.0

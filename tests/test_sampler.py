@@ -474,3 +474,23 @@ def test_streams_are_prefix_stable(constrained):
     short, long = rows(10), rows(25)
     for w in range(walkers):
         assert short[w].tobytes() == long[w, :10].tobytes()
+
+
+def test_error_bars_are_honest_at_the_default_layout():
+    # 16 one-node calls at the cmd-compare tail node q_c = 4 (c4 = 0.05,
+    # beta = 4, N = 16, 2048 samples, the default walkers, burn-in and
+    # stride).  If the 16-block SE covers burn-in and autocorrelation,
+    # 15 var(node means) / mean(SE^2) is chi^2 with 15 degrees of freedom;
+    # the band is its 0.5 % and 99.5 % quantiles, fixed from the
+    # distribution, not from any run.
+    model = mildly_anharmonic(1.0, 1.0, c4=0.05)
+    th = ThermoParams(4.0, 16)
+    force = force_fn(model)
+    means, se2 = [], []
+    for seed in range(1, 17):
+        ens = sample_ring_positions_constrained(model, th, SamplerConfig(2048, seed), [4.0])[0]
+        vals = force(ens, np.empty_like(ens)).mean(axis=1)
+        means.append(vals.mean())
+        se2.append(block_standard_error(vals) ** 2)
+    ratio = 15.0 * np.var(means, ddof=1) / np.mean(se2)
+    assert stats.chi2.ppf(0.005, 15) <= ratio <= stats.chi2.ppf(0.995, 15)
