@@ -212,9 +212,9 @@ def build_centroid_force_table(model, thermo, cfg, grid):
     One sampler call covers the whole grid: node i samples the ring with its
     centroid pinned at grid[i], from the streams keyed by the node seed
     sampler._node_seed(cfg.seed, i), so its force and error depend only on
-    (cfg, i, grid[i]).  The sampler runs the (node, walker group) pairs on
-    sampler.resolve_workers() threads; the table is the same at any thread
-    count.
+    (cfg, i, grid[i]).  The sampler advances stacks of nodes, one walker
+    group at a time, on sampler.resolve_workers() threads; the table is the
+    same at any stacking and thread count.
     """
     force = force_fn(model)
     ens = sample_ring_positions_constrained(model, thermo, cfg, grid)

@@ -46,7 +46,7 @@ class UnsupportedObservable(TypeError):
 
 
 class ConfigError(ValueError):
-    """Run-configuration parse or validation error, with source position."""
+    """Run-configuration error (config file or PIMD_KUBO_THREADS), with source position."""
 
     def __init__(self, message, line=None, key=None):
         self.line = line

@@ -32,12 +32,14 @@ method rpmd, cmd or oracle.  ``blocks`` sets the error blocks of static and
 convergence; the other commands have fixed blocks and reject the key.
 
 Every run also writes meta.json, which records the process's peak resident
-set size (peak_rss_mb) among other things.  All files of a run are written
-to a temporary directory beside output_dir and moved in once every writer
-has finished, so a failing run adds no file to output_dir.
+set size (peak_rss_mb) and its thread count (threads) among other things.
+All files of a run are written to a temporary directory beside output_dir
+and moved in once every writer has finished, so a failing run adds no file
+to output_dir.
 
 Exit codes: 0 success, 2 configuration error (a well the sampler cannot
-serve, or a time step too coarse for the well, included), 3 runtime error.
+serve, a time step too coarse for the well, or a PIMD_KUBO_THREADS that is
+not a positive integer, included), 3 runtime error.
 """
 
 import argparse
@@ -61,7 +63,7 @@ from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
 from .ringpoly import MOMENTUM, OBS_P, OBS_Q, observable_from_label
 from .sampler import (MOMENTUM_CONVENTIONS, SamplerConfig, draw_momenta, estimate_static_average,
-                      mean_square_position, sample_ring_positions)
+                      mean_square_position, resolve_workers, sample_ring_positions)
 from .series import CorrelationSeries
 
 # section -> key -> (converter, default); _REQUIRED means the key must appear
@@ -428,6 +430,7 @@ def run(config):
     """Execute a parsed RunConfig; returns the exit status."""
     t_start = time.time()
     try:
+        threads = resolve_workers()  # a bad PIMD_KUBO_THREADS exits 2 here, before any sampler
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             stats = {}
@@ -447,6 +450,7 @@ def run(config):
                 "numpy_version": np.__version__,
                 "wall_time_s": round(time.time() - t_start, 3),
                 "peak_rss_mb": _peak_rss_mb(),
+                "threads": threads,
                 "warnings": [str(w.message) for w in wlist],
                 "artifacts": sorted(name for name, _ in artifacts),
                 "stats": stats,

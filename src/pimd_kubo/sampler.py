@@ -32,11 +32,16 @@ All randomness comes from counter-based streams keyed by (seed, purpose,
 walker group); node i of a constrained grid uses the seed
 _node_seed(seed, i), so its rows do not depend on the other nodes.  A
 walker group's stream gives the first state's normals, then, per
-proposal, the proposal's normals followed by one uniform per walker.  So
-the output is a pure function of (config, seed) however the (node, walker
-group) jobs are scheduled across threads, and a longer run reproduces
-every row of a shorter one.  The acceptance-rate warning is decided per
-node, in the calling thread.
+proposal, the proposal's normals followed by one uniform per walker.  A
+constrained call's nodes share each proposal's numpy dispatch: a job
+advances one walker group of a stack of nodes as one array, drawing
+node by node from each node's streams and running every other step once
+over the stack.  Each row still goes through the same elementwise ufuncs,
+row-wise irfft and row sum as alone, so the stacking changes no bit.  So
+the output is a pure function of (config, seed) however the nodes are
+stacked and the jobs scheduled across threads, and a longer run
+reproduces every row of a shorter one.  The acceptance-rate warning is
+decided per node, in the calling thread.
 
 A node's walkers each make burn_in proposals and then emit one row every
 decorrelation_stride proposals, so a call costs
@@ -48,9 +53,11 @@ one walker sit 4 proposals apart and acceptance is at least 0.82 at the
 benchmark points, so a walker's rows are nearly independent; and rows are
 walker-major, so each of the N_BLOCKS error blocks holds whole walker
 chains and the block standard error still covers what autocorrelation is
-left.  Below 128 walkers the fixed numpy cost of each lockstep proposal
-outweighs the burn-in saved, so the default is a constant and not derived
-from n_samples.
+left.  Below about 128 rows in a stack the fixed numpy cost of each
+lockstep proposal outweighs the burn-in saved.  A free call is a stack of
+one node, so there the rows are its walkers; a constrained call stacks
+its nodes' walkers, and only the draws keep a fixed cost per node.  The
+default is a constant and not derived from n_samples.
 """
 
 import math
@@ -64,11 +71,11 @@ import numpy as np
 
 from . import _streams
 from ._stats import N_BLOCKS, block_standard_error
-from .errors import NonErgodicWarning, UnsupportedModel
+from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
 from .model import potential_fn
 from .ringpoly import free_rp_frequencies
 
-_GROUP = 2048            # walkers per vectorized group (fixed; not tied to thread count)
+_GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
 _CENTROID_NODES = 201    # Gauss-Legendre nodes of the conditional centroid integral
 _CENTROID_CHUNK = 65536  # samples whose centroid integrals are formed at once
 
@@ -102,11 +109,16 @@ class SamplerConfig:
 
 
 def resolve_workers():
-    """Thread count: PIMD_KUBO_THREADS, else the cpu count."""
+    """Thread count: PIMD_KUBO_THREADS, else the cpu count.
+
+    A set value that is not a positive integer raises ConfigError.
+    """
     env = os.environ.get("PIMD_KUBO_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ConfigError(f"PIMD_KUBO_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _layout(cfg):
@@ -119,9 +131,10 @@ def _layout(cfg):
 def map_in_order(fn, items, consume, workers):
     """Call consume(fn(item)) for every item, in item order, in this thread.
 
-    fn runs on `workers` threads (on this one when workers is 1).  An item
-    is submitted only once the oldest result is consumed and dropped, so at
-    most `workers` results are alive at once.
+    fn runs on `workers` threads (on this one when workers is 1).  items is
+    iterated in this thread, and an item is taken only while fewer than
+    `workers` are in flight (the oldest result is consumed and dropped
+    first), so at most `workers` items and results are alive at once.
     """
     if workers <= 1:
         for item in items:
@@ -130,9 +143,9 @@ def map_in_order(fn, items, consume, workers):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for item in items:
+            pending.append(pool.submit(fn, item))
             if len(pending) == workers:
                 consume(pending.popleft().result())
-            pending.append(pool.submit(fn, item))
         while pending:
             consume(pending.popleft().result())
 
@@ -191,94 +204,123 @@ def _reference(model, thermo, q_c):
     return c, kappa_at(c)
 
 
-def _run_group(model, thermo, cfg, seed, q_c, reference, g_index, g_size, rounds, out):
-    """Independence Metropolis for walker group g_index of one node.
+def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
+    """Independence Metropolis for walker group g_index of a stack of nodes, as a job.
 
-    q_c is None for the free ensemble, else the pinned centroid, and
-    reference is the node's (c, kappa) from _reference.  Fills the group's
-    walker-major rows of out (walker w, round r -> row w * rounds + r) and
-    returns (accepted, attempted) proposals after burn-in.
+    stack lists the nodes' (seed, q_c, reference): q_c is None for the free
+    ensemble, else the pinned centroid, and reference is the node's
+    (c, kappa) from _reference.  Each node draws from its own streams, but
+    every other step of a proposal is one ufunc over the stack's
+    (nodes, g_size, N) walker array, with c, kappa and the mode scales
+    broadcast per node.  out is the stack's (nodes, walkers, rounds, N)
+    view of its walker-major rows; the group fills walkers
+    g_index * _GROUP onwards.
+
+    Allocates the job's buffers and returns run(), which samples and returns
+    each node's accepted proposals after burn-in (an array) and the
+    proposals each node attempted.  The buffers are allocated by the thread
+    that builds the job, so a job run on a worker thread does not leave
+    them resident in that thread's malloc arena, where no later allocation
+    of the calling thread could reuse them.
     """
     n = thermo.n_beads
-    pinned = q_c is not None
-    c, kappa = reference
+    pinned = stack[0][1] is not None
+    c, kappa = np.array([reference for _, _, reference in stack]).T[..., None, None]
     half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
     pot = potential_fn(model)
-    gen = _streams.stream(seed, _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS,
-                          g_index)
+    gens = [_streams.stream(seed, _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS,
+                            g_index) for seed, _, _ in stack]
+    shape = (len(stack), g_size)
     # x - c = irfft(spec): the (re, im) parts of wavenumber k are modes of
     # variance sigma_k^2 = N / (beta (m w_k^2 + kappa)) times N / 2 (N for
     # k = 0 and N/2), and columns 2..N of the float view hold every part of
     # the internal modes (the imaginary parts of k = 0 and N/2 stay 0)
-    spec = np.zeros((g_size, n // 2 + 1), dtype=complex)
+    spec = np.zeros(shape + (n // 2 + 1,), dtype=complex)
     parts = spec.view(float)
     k = np.arange(2, n + 1) // 2
     sigma = np.sqrt(n / (thermo.beta * (model.mass * free_rp_frequencies(thermo)[k] ** 2 + kappa)))
     scale = sigma * np.sqrt(np.where(2 * k == n, n, 0.5 * n))
-    z = np.empty((g_size, n - pinned))  # mode 0 first when it is drawn
-    u, d = np.empty(g_size), np.empty(g_size)
-    y, v, t = (np.empty((g_size, n)) for _ in range(3))
+    if not pinned:
+        scale_0 = n / np.sqrt(thermo.beta * kappa[..., 0])
+    z = np.empty(shape + (n - pinned,))  # mode 0 first when it is drawn
+    u, d = np.empty(shape), np.empty(shape)
+    y, v = np.empty(shape + (n,)), np.empty(shape + (n,))
+    x, phi = np.empty(shape + (n,)), np.empty(shape)
+    x_new, phi_new = np.empty_like(x), np.empty_like(phi)
+    acc = np.empty(shape, dtype=bool)
+    accepted = np.zeros(shape, dtype=np.int64)  # per walker
+    rows = out[:, g_index * _GROUP:g_index * _GROUP + g_size]
+    rounds = out.shape[2]
 
     def propose(x, phi):
         # x = c + y,  phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
-        gen.standard_normal(out=z)
-        np.multiply(z[:, 1 - pinned:], scale, out=parts[:, 2:n + 1])
+        for gen, z_node in zip(gens, z):
+            gen.standard_normal(out=z_node)
+        np.multiply(z[..., 1 - pinned:], scale, out=parts[..., 2:n + 1])
         if not pinned:
-            np.multiply(z[:, 0], n / math.sqrt(thermo.beta * kappa), out=parts[:, 0])
+            np.multiply(z[..., 0], scale_0, out=parts[..., 0])
         np.fft.irfft(spec, n=n, out=y)
         np.add(y, c, out=x)
-        pot(x, out=v)
-        np.subtract(v, np.multiply(np.multiply(half_kappa, y, out=t), y, out=t), out=v)
-        np.multiply(v.sum(axis=1), beta_n, out=phi)
+        np.multiply(np.multiply(half_kappa, y, out=v), y, out=y)  # y holds the spring term now
+        np.subtract(pot(x, out=v), y, out=v)
+        np.multiply(np.sum(v, axis=-1, out=phi), beta_n, out=phi)
 
-    x, phi = np.empty((g_size, n)), np.empty(g_size)
-    x_new, phi_new = np.empty_like(x), np.empty_like(phi)
-    acc = np.empty(g_size, dtype=bool)
-    propose(x, phi)
-    accepted, emitted = 0, 0
-    start = g_index * _GROUP * rounds
-    for step in range(1, cfg.burn_in + rounds * cfg.decorrelation_stride + 1):
-        propose(x_new, phi_new)
-        gen.random(out=u)
-        # acc = u < exp(min(phi - phi_new, 0))
-        np.exp(np.minimum(np.subtract(phi, phi_new, out=d), 0.0, out=d), out=d)
-        np.less(u, d, out=acc)
-        np.copyto(x, x_new, where=acc[:, None])
-        np.copyto(phi, phi_new, where=acc)
-        after = step - cfg.burn_in
-        if after > 0:
-            accepted += int(np.count_nonzero(acc))
-            if after % cfg.decorrelation_stride == 0:
-                out[start + emitted:start + g_size * rounds:rounds] = x
-                emitted += 1
-    return accepted, g_size * rounds * cfg.decorrelation_stride
+    def run():
+        propose(x, phi)
+        emitted = 0
+        for step in range(1, cfg.burn_in + rounds * cfg.decorrelation_stride + 1):
+            propose(x_new, phi_new)
+            for gen, u_node in zip(gens, u):
+                gen.random(out=u_node)
+            # acc = u < exp(min(phi - phi_new, 0))
+            np.exp(np.minimum(np.subtract(phi, phi_new, out=d), 0.0, out=d), out=d)
+            np.less(u, d, out=acc)
+            np.copyto(x, x_new, where=acc[..., None])
+            np.copyto(phi, phi_new, where=acc)
+            after = step - cfg.burn_in
+            if after > 0:
+                np.add(accepted, acc, out=accepted)
+                if after % cfg.decorrelation_stride == 0:
+                    rows[:, :, emitted] = x
+                    emitted += 1
+        return accepted.sum(axis=1), g_size * rounds * cfg.decorrelation_stride
+
+    return run
 
 
 def _sample(model, thermo, cfg, nodes):
-    """Run _run_group on every (node, walker group) on resolve_workers() threads.
+    """Run a _run_group job for every (walker group, stack of nodes) on resolve_workers() threads.
 
     nodes lists (seed, q_c) pairs (q_c None for the free ensemble); each
-    node's reference is solved once, here, for all its walker groups.  Warns
-    once for each node whose acceptance rate after burn-in falls below 0.05.
-    Returns shape (len(nodes), n_samples, N).
+    node's reference is solved once, here, for all its walker groups.  For
+    each walker group the nodes are split into contiguous, near-equal
+    stacks of at most _GROUP rows, and into at least as many stacks as
+    threads while there are nodes to spare; a free call is one stack of
+    one node.  Warns once for each node whose acceptance rate after burn-in
+    falls below 0.05.  Returns shape (len(nodes), n_samples, N).
     """
     v2, v3, v4 = model.poly_coefficients()
     if 9.0 * v3 * v3 > 32.0 * v2 * v4:
         raise UnsupportedModel("V has a second minimum (9 v3^2 > 32 v2 v4)")
     walkers, rounds, groups = _layout(cfg)
     out = np.empty((len(nodes), walkers * rounds, thermo.n_beads))
-    references = [_reference(model, thermo, q_c) for _, q_c in nodes]
-    jobs = [(i, g, size) for i in range(len(nodes)) for g, size in groups]
+    rows = out.reshape(len(nodes), walkers, rounds, thermo.n_beads)
+    nodes = [(seed, q_c, _reference(model, thermo, q_c)) for seed, q_c in nodes]
+    threads = resolve_workers()
+    jobs = []
+    for g, size in groups:
+        stacks = max(-(-len(nodes) // (_GROUP // size)), min(threads, len(nodes)))
+        jobs += [(g, size, s * len(nodes) // stacks, (s + 1) * len(nodes) // stacks)
+                 for s in range(stacks)]
     counts = []
-
-    def job(spec):
-        i, g, size = spec
-        seed, q_c = nodes[i]
-        return _run_group(model, thermo, cfg, seed, q_c, references[i], g, size, rounds, out[i])
-
-    map_in_order(job, jobs, counts.append, resolve_workers())
-    for i in range(len(nodes)):
-        acc, att = np.sum(counts[i * len(groups):(i + 1) * len(groups)], axis=0)
+    runs = (_run_group(model, thermo, cfg, nodes[lo:hi], g, size, rows[lo:hi])
+            for g, size, lo, hi in jobs)
+    map_in_order(lambda run: run(), runs, counts.append, threads)
+    accepted, attempted = (np.zeros(len(nodes), dtype=np.int64) for _ in range(2))
+    for (_, _, lo, hi), (acc, att) in zip(jobs, counts):
+        accepted[lo:hi] += acc
+        attempted[lo:hi] += att
+    for acc, att in zip(accepted, attempted):
         if att > 0 and acc / att < 0.05:
             warnings.warn(NonErgodicWarning(
                 f"post-burn-in acceptance rate {acc / att:.3f} below 0.05"))

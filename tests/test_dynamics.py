@@ -455,8 +455,8 @@ def test_force_table_antisymmetry():
 
 
 def test_force_table_grid_schedule(monkeypatch):
-    # two walker groups per node (2048 + 152 walkers), so the six
-    # (node, walker group) jobs have both group sizes; node i's rows depend
+    # two walker groups per node (2048 + 152 walkers), so the jobs have both
+    # group sizes and the 152-walker group stacks nodes; node i's rows depend
     # only on (seed, i, grid[i]): moving every other node leaves them alone
     model = mildly_anharmonic(1.0, 1.0, c3=0.2, c4=0.1)
     th = ThermoParams(2.0, 3)

@@ -581,9 +581,25 @@ def test_failing_writer_adds_no_file(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["new", "old"]  # no staging directory left
 
 
-def test_meta_records_peak_rss(tmp_path):
+def test_meta_records_peak_rss(tmp_path, monkeypatch):
     out = tmp_path / "out"
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "3")
     assert run(parse_config(MINIMAL_STATIC.format(out=out))) == 0
     meta = json.loads((out / "meta.json").read_text())
     assert meta["peak_rss_mb"] > 0
     assert "peak_rss_mb" not in meta["stats"]
+    assert meta["threads"] == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+def test_bad_thread_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys, value):
+    calls = []
+    monkeypatch.setattr("pimd_kubo.runner.sample_ring_positions",
+                        lambda *args: calls.append(args))
+    monkeypatch.setenv("PIMD_KUBO_THREADS", value)
+    out = tmp_path / "out"
+    assert run(parse_config(MINIMAL_STATIC.format(out=out))) == 2
+    assert (f"configuration error: PIMD_KUBO_THREADS must be a positive integer, got {value!r}"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -14,8 +15,8 @@ from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _reference,
-                              _run_group)
+from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _node_seed,
+                              _reference, _run_group)
 
 
 def _cfg(n, seed=1, **kw):
@@ -244,10 +245,47 @@ def _run_kernel(model, thermo, cfg, q_c=None):
     """(rows, accepted, attempted) of _run_group over every walker group of cfg."""
     walkers, rounds, groups = _layout(cfg)
     out = np.full((walkers * rounds, thermo.n_beads), np.nan)
-    reference = _reference(model, thermo, q_c)
-    counts = [_run_group(model, thermo, cfg, cfg.seed, q_c, reference, g, size, rounds, out)
+    stack = [(cfg.seed, q_c, _reference(model, thermo, q_c))]
+    counts = [_run_group(model, thermo, cfg, stack, g, size,
+                         out.reshape(1, walkers, rounds, thermo.n_beads))()
               for g, size in groups]
-    return out[: cfg.n_samples], sum(c[0] for c in counts), sum(c[1] for c in counts)
+    return out[: cfg.n_samples], sum(c[0][0] for c in counts), sum(c[1] for c in counts)
+
+
+@pytest.mark.parametrize("walkers, nodes", [(96, 7), (_GROUP + 64, 5)],
+                         ids=["one-group", "two-groups"])
+def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
+    # a stack shares every ufunc of a proposal but draws from each node's own
+    # streams, so each node's rows and (accepted, attempted) counts equal a
+    # one-node kernel call with that node's seed, at any stacking
+    model, th = mildly_anharmonic(c4=0.05), ThermoParams(4.0, 16)
+    grid = np.linspace(-3.0, 3.0, nodes)
+    cfg = SamplerConfig(n_samples=2 * walkers, seed=41, burn_in=6, decorrelation_stride=2,
+                        n_walkers=walkers)
+    singles = [_run_kernel(model, th, dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i)), q)
+               for i, q in enumerate(grid)]
+    jobs = []  # (seeds of the stack, accepted per node, attempted per node) of each job
+
+    def recorded(model, thermo, cfg, stack, g_index, g_size, out):
+        run = _run_group(model, thermo, cfg, stack, g_index, g_size, out)
+
+        def counted():
+            accepted, attempted = run()
+            jobs.append(([seed for seed, _, _ in stack], accepted, attempted))
+            return accepted, attempted
+        return counted
+
+    monkeypatch.setattr("pimd_kubo.sampler._run_group", recorded)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        jobs.clear()
+        ens = sample_ring_positions_constrained(model, th, cfg, grid)
+        assert max(len(seeds) for seeds, _, _ in jobs) > 1  # some nodes were stacked
+        for i, (rows, accepted, attempted) in enumerate(singles):
+            assert ens[i].tobytes() == rows.tobytes()
+            seed = _node_seed(cfg.seed, i)
+            mine = [(acc[seeds.index(seed)], att) for seeds, acc, att in jobs if seed in seeds]
+            assert tuple(map(sum, zip(*mine))) == (accepted, attempted)
 
 
 def test_reference_solved_once_per_node(monkeypatch):
