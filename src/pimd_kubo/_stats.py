@@ -1,10 +1,28 @@
-"""Blocked error bars shared by samplers and correlator estimators."""
+"""Blocked error bars and the row-chunk budget shared by samplers and estimators."""
 
 import numpy as np
 
 from .errors import InsufficientSamples
 
 N_BLOCKS = 16  # error blocks of every blocked mean unless a run sets [run] blocks
+# Most elements of one temporary in a per-row reduction of an ensemble: 2**18
+# float64s, 2 MB.  That is small beside an ensemble worth chunking (131072
+# rings of 64 beads are 64 MB) and near the size of a core's cache, yet a
+# chunk still holds over a thousand rows of up to 201 elements, so the numpy
+# dispatch per chunk stays negligible.  It is a constant and not a setting:
+# every reduction it chunks is row-wise, so it changes no bit of any result,
+# only the memory a run holds.
+CHUNK_ELEMENTS = 2**18
+
+
+def row_chunks(n_rows, row_size):
+    """Slices covering n_rows rows in order, each of at most CHUNK_ELEMENTS elements.
+
+    row_size is the element count of one row; a row larger than the budget
+    gets a slice of its own.
+    """
+    step = max(1, CHUNK_ELEMENTS // row_size)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def _block_edges(n, n_blocks):

@@ -16,7 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
 from .model import HARMONIC, potential_eval
-from .ringpoly import MOMENTUM
+from .ringpoly import MOMENTUM, bond_midpoints
 from .sampler import draw_momenta, sample_ring_positions
 from .series import CorrelationSeries
 from ._stats import RowAccumulator
@@ -253,8 +253,7 @@ def harmonic_swarm_trace(x, p, t, f, model, thermo):
     n = x.size
     w, m = model.omega, model.mass
     s, c = math.sin(w * t), math.cos(w * t)
-    p_mid = 0.5 * (p + np.roll(p, -1))
-    centers = x * c + p_mid * s / (m * w)
+    centers = x * c + bond_midpoints(p) * s / (m * w)
     if s == 0.0:
         return float(np.mean(f(centers)))
     sigma = math.sqrt(thermo.beta * thermo.hbar**2 * s**2 / (4.0 * m * n))
@@ -278,7 +277,7 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg):
     p = draw_momenta(thermo, model, cfg, "bead")
     a0 = a_obs.centroid(x, p)
     qc = x.mean(axis=1)
-    pc_mid = (0.5 * (p + np.roll(p, -1, axis=1))).mean(axis=1)
+    pc_mid = bond_midpoints(p, out=p).mean(axis=1)  # p is not read again
     w, m = model.omega, model.mass
     cos_t, sin_t = np.cos(w * times)[None, :], np.sin(w * times)[None, :]
     v0 = pc_mid / (m * w)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._stats import CHUNK_ELEMENTS, row_chunks
 from .model import potential_eval
 
 POSITION = "position"
@@ -49,10 +50,21 @@ class Observable:
         return cls(MOMENTUM, "p")
 
     def centroid(self, positions, momenta):
-        """Centroid value per ring of (..., N) bead arrays: the bead mean of f(x), or of p."""
-        if self.kind == POSITION:
+        """Centroid value per ring of (..., N) bead arrays: the bead mean of f(x), or of p.
+
+        f is evaluated on chunks of rings along the first axis, each of at
+        most _stats.CHUNK_ELEMENTS beads, so no temporary of the input's
+        size is formed.  Each ring's mean reduces its own beads alone, so
+        the values equal f(positions).mean(axis=-1) bit for bit.
+        """
+        if self.kind == MOMENTUM:
+            return momenta.mean(axis=-1)
+        if positions.ndim < 2 or positions.size <= CHUNK_ELEMENTS:
             return self.f(positions).mean(axis=-1)
-        return momenta.mean(axis=-1)
+        out = np.empty(positions.shape[:-1])
+        for rows in row_chunks(len(positions), positions[0].size):
+            out[rows] = self.f(positions[rows]).mean(axis=-1)
+        return out
 
 
 OBS_Q = Observable.position(lambda q, out=None: q, "q")
@@ -80,6 +92,16 @@ def observable_from_label(label):
 
         return Observable.position(poly, label)
     raise ValueError(f"unknown observable label {label!r}")
+
+
+def bond_midpoints(p, out=None):
+    """Cyclic bond-midpoint momenta (p_k + p_{k+1}) / 2 of (..., N) bead arrays.
+
+    Written into out when given, which may be p itself; one rolled copy of
+    p is the only temporary.
+    """
+    out = np.add(p, np.roll(p, -1, axis=-1), out=out)
+    return np.multiply(out, 0.5, out=out)
 
 
 # ----------------------------------------------------------------------

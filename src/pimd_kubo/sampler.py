@@ -70,14 +70,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _streams
-from ._stats import N_BLOCKS, block_standard_error
+from ._stats import N_BLOCKS, block_standard_error, row_chunks
 from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
 from .model import potential_fn
-from .ringpoly import free_rp_frequencies
+from .ringpoly import bond_midpoints, free_rp_frequencies
 
 _GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
 _CENTROID_NODES = 201    # Gauss-Legendre nodes of the conditional centroid integral
-_CENTROID_CHUNK = 65536  # samples whose centroid integrals are formed at once
 
 MOMENTUM_CONVENTIONS = ("bead", "bond_midpoint")
 
@@ -360,7 +359,7 @@ def draw_momenta(thermo, model, cfg, convention="bead"):
     gen = _streams.stream(cfg.seed, _streams.MOMENTA, 0)
     p = sigma * gen.standard_normal((cfg.n_samples, thermo.n_beads))
     if convention == "bond_midpoint":
-        p = 0.5 * (p + np.roll(p, -1, axis=1))
+        bond_midpoints(p, out=p)
     return p
 
 
@@ -387,11 +386,18 @@ def mean_square_position(ensemble, model, thermo, blocks=N_BLOCKS):
     stays unbiased by the law of total expectation.  The plain estimator is
     estimate_static_average(OBS_Q2, ensemble), the sample mean of
     OBS_Q2.centroid over the rows.
+
+    The rows are taken in chunks of at most _stats.CHUNK_ELEMENTS elements,
+    so the displacements u and their power sums never span the ensemble;
+    every step is row-wise, so the per-row values, and the result, do not
+    depend on the chunking.
     """
     x = np.asarray(ensemble, dtype=float)
-    qc = x.mean(axis=1)
-    u = x - qc[:, None]
-    vals = _conditional_centroid_m2(model, thermo, u) + (u * u).mean(axis=1)
+    vals = np.empty(len(x))
+    for rows in row_chunks(len(x), x.shape[1]):
+        xs = x[rows]
+        u = xs - xs.mean(axis=1)[:, None]
+        vals[rows] = _conditional_centroid_m2(model, thermo, u) + (u * u).mean(axis=1)
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
@@ -400,33 +406,36 @@ def _conditional_centroid_m2(model, thermo, u):
 
     The conditional density of the centroid c given u is
     exp(-(beta/N) sum_k V(c + u_k)); the exponent is a quartic polynomial
-    in c with coefficients built from power sums of u.
+    in c with coefficients built from power sums of u.  The integral is a
+    _CENTROID_NODES-point Gauss-Legendre sum on a span widened per row;
+    rows go through it in chunks of _stats.CHUNK_ELEMENTS // _CENTROID_NODES,
+    so each (rows, nodes) temporary stays within the budget.  The span loop
+    widens only the rows that still need it, so each row's value does not
+    depend on the others in its chunk.
     """
     v2, v3, v4 = model.poly_coefficients()
     n = u.shape[-1]
     beta_n = thermo.beta / n
-    s2 = (u * u).sum(axis=-1)
     if v3 == 0.0 and v4 == 0.0:
         # Gaussian conditional: exponent beta_n * v2 * n * c^2 = (beta m w^2 / 2) c^2
         var = 1.0 / (2.0 * beta_n * v2 * n)
         return np.full(u.shape[0], var)
-    s3 = (u**3).sum(axis=-1)
+    t, wq = np.polynomial.legendre.leggauss(_CENTROID_NODES)
     b4 = v4 * n
     b3 = v3 * n
-    b2 = v2 * n + 6.0 * v4 * s2
-    b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
-
-    t, wq = np.polynomial.legendre.leggauss(_CENTROID_NODES)
     out = np.empty(u.shape[0])
-    for lo in range(0, u.shape[0], _CENTROID_CHUNK):
-        hi = min(lo + _CENTROID_CHUNK, u.shape[0])
-        bb1, bb2 = b1[lo:hi], b2[lo:hi]
+    for rows in row_chunks(u.shape[0], _CENTROID_NODES):
+        uu = u[rows]
+        s2 = (uu * uu).sum(axis=-1)
+        s3 = (uu**3).sum(axis=-1)
+        b2 = v2 * n + 6.0 * v4 * s2
+        b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
 
         def expo(c):
-            return beta_n * (((b4 * c + b3) * c + bb2) * c + bb1) * c
+            return beta_n * (((b4 * c + b3) * c + b2) * c + b1) * c
 
         # start from the tighter of the quadratic/quartic half-widths, then widen
-        span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * bb2, 1e-300)),
+        span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * b2, 1e-300)),
                           (40.0 / (beta_n * b4)) ** 0.25)
         span = np.minimum(span, 1e6)
         for _ in range(80):
@@ -436,8 +445,12 @@ def _conditional_centroid_m2(model, thermo, u):
                 break
             span[grow] *= 1.3
         c = span[:, None] * t[None, :]
-        e = beta_n * ((((b4 * c + b3) * c + bb2[:, None]) * c + bb1[:, None]) * c)
+        e = beta_n * ((((b4 * c + b3) * c + b2[:, None]) * c + b1[:, None]) * c)
         e -= e.min(axis=1, keepdims=True)
-        wgt = wq[None, :] * np.exp(-e)
-        out[lo:hi] = (c * c * wgt).sum(axis=1) / wgt.sum(axis=1)
+        # weights wq exp(-e) and moments c^2 wgt, formed in place in e and c
+        wgt = np.exp(np.negative(e, out=e), out=e)
+        wgt *= wq
+        c *= c
+        c *= wgt
+        out[rows] = c.sum(axis=1) / wgt.sum(axis=1)
     return out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,16 @@ def harmonic_eig(harmonic_model):
 @pytest.fixture(scope="session")
 def harmonic_eig_small(harmonic_model):
     return diagonalize(harmonic_model, GridSpec(-10.0, 10.0, 512), 10)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the traced peak of heap bytes while fn(*args) runs, numpy's included."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

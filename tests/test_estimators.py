@@ -1,6 +1,5 @@
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +161,7 @@ def test_row_accumulator_checks_row_count():
         acc.add(np.ones((2, 2)))
 
 
-def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch):
+def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch, traced_peak):
     # the products A0 * B(t) are reduced chunk by chunk: the traced peak stays
     # well below one n_traj x (n_steps + 1) array, which the full reduction held
     th = ThermoParams(1.0, 4)
@@ -172,13 +171,8 @@ def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch):
     p0 = draw_momenta(th, harmonic_model, scfg, "bead")
     full = 4096 * (icfg.n_steps + 1) * 8
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
-    tracemalloc.start()
-    try:
-        _correlator_from_ic(x0, p0, force_fn(harmonic_model), harmonic_model.mass, th, icfg,
-                            OBS_Q, OBS_Q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(_correlator_from_ic, x0, p0, force_fn(harmonic_model),
+                       harmonic_model.mass, th, icfg, OBS_Q, OBS_Q)
     assert peak < 0.75 * full
 
 

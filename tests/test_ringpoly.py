@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from pimd_kubo import (OBS_P, OBS_Q, Observable, ThermoParams, free_rp_frequencies, harmonic,
-                       log_ring_density, normal_mode_transform, spring_energy)
-from pimd_kubo.ringpoly import normal_mode_matrix
+from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, OBS_Q3, Observable, ThermoParams,
+                       free_rp_frequencies, harmonic, log_ring_density, normal_mode_transform,
+                       observable_from_label, spring_energy)
+from pimd_kubo._stats import CHUNK_ELEMENTS
+from pimd_kubo.ringpoly import bond_midpoints, normal_mode_matrix
 
 
 def _centroid(obs, x, p=None):
@@ -45,6 +47,44 @@ def test_bond_midpoint_resummation():
     p = rng.normal(size=12)
     mid = 0.5 * (p + np.roll(p, -1))
     assert mid.mean() == pytest.approx(p.mean(), abs=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (CHUNK_ELEMENTS // 16, 16),
+                                   (5 * CHUNK_ELEMENTS // 32, 16), (5, 8192, 16),
+                                   (3, CHUNK_ELEMENTS + 1)],
+                         ids=["one_row", "budget", "2.5_budgets", "batch_3d", "row_over_budget"])
+@pytest.mark.parametrize("obs", [OBS_Q, OBS_Q2, OBS_Q3, observable_from_label("poly:0.3,-1.2,0.7"),
+                                 Observable.position(lambda q: q * q, "q*q")],
+                         ids=["q", "q2", "q3", "poly", "plain_lambda"])
+def test_chunked_centroid_equals_full_mean(obs, shape):
+    # rows go through f in chunks of the element budget; every ring's value
+    # keeps the bits of the bead mean over the whole array at once
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=shape)
+    x.reshape(-1, shape[-1])[0] = -0.0
+    got = obs.centroid(x, None)
+    want = obs.f(x).mean(axis=-1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_centroid_holds_chunk_temporaries_only(traced_peak):
+    # the q2 values of a (65536, 32) ensemble, 16 MB, are never formed at
+    # once: the traced peak stays within the output plus two chunk
+    # temporaries (f of a chunk and its bead mean)
+    x = np.random.default_rng(13).normal(size=(65536, 32))
+    peak = traced_peak(OBS_Q2.centroid, x, None)
+    assert peak < 65536 * 8 + 2 * 8 * CHUNK_ELEMENTS
+
+
+def test_bond_midpoints_in_place_keeps_the_bits():
+    rng = np.random.default_rng(14)
+    p = rng.normal(size=(33, 7))
+    p[0, 0] = -0.0
+    want = 0.5 * (p + np.roll(p, -1, axis=1))
+    assert bond_midpoints(p).tobytes() == want.tobytes()
+    assert bond_midpoints(p, out=p) is p
+    assert p.tobytes() == want.tobytes()
 
 
 def test_cyclic_permutation_invariance():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from pimd_kubo._stats import CHUNK_ELEMENTS
 from pimd_kubo.errors import ConfigError
 from pimd_kubo.runner import main, parse_config, run
 from pimd_kubo.sampler import sample_ring_positions
@@ -589,6 +590,19 @@ def test_meta_records_peak_rss(tmp_path, monkeypatch):
     assert meta["peak_rss_mb"] > 0
     assert "peak_rss_mb" not in meta["stats"]
     assert meta["threads"] == 3
+
+
+def test_static_run_holds_one_ensemble(tmp_path, monkeypatch, traced_peak):
+    # a 16 MB static ensemble (32768 x 64): its q2 values are never formed
+    # at once, so the traced peak stays within the ensemble, the per-row
+    # values and two chunk temporaries (f of a chunk and its bead mean)
+    text = MINIMAL_STATIC.replace("n_beads = 8", "n_beads = 64").replace(
+        "n_samples = 640", "n_samples = 32768")
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
+    ensemble = 32768 * 64 * 8
+    peak = traced_peak(run, parse_config(text.format(out=tmp_path / "out")))
+    assert (tmp_path / "out" / "results.csv").exists()
+    assert peak < ensemble + 32768 * 8 + 2 * 8 * CHUNK_ELEMENTS
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +14,9 @@ from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo.sampler import (_GROUP, _conditional_centroid_m2, _layout, _node_seed,
-                              _reference, _run_group)
+from pimd_kubo._stats import CHUNK_ELEMENTS
+from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _conditional_centroid_m2, _layout,
+                              _node_seed, _reference, _run_group)
 
 
 def _cfg(n, seed=1, **kw):
@@ -156,6 +156,84 @@ def test_conditional_estimator_anharmonic():
     m2, s2 = mean_square_position(ens, model, th)
     assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2)
     assert s2 < s1
+
+
+def _unchunked_mean_square_position(ensemble, model, thermo, blocks=16):
+    """mean_square_position with the ensemble's u, u.u and u^3 sums formed
+    whole and the quadrature in 65536-row chunks; returns (mean, se) and the
+    per-row conditional moments.
+    Frozen as the reference for the bits of the chunked estimator."""
+    x = np.asarray(ensemble, dtype=float)
+    qc = x.mean(axis=1)
+    u = x - qc[:, None]
+    v2, v3, v4 = model.poly_coefficients()
+    n = u.shape[-1]
+    beta_n = thermo.beta / n
+    s2 = (u * u).sum(axis=-1)
+    if v3 == 0.0 and v4 == 0.0:
+        cond = np.full(u.shape[0], 1.0 / (2.0 * beta_n * v2 * n))
+    else:
+        s3 = (u**3).sum(axis=-1)
+        b4, b3 = v4 * n, v3 * n
+        b2 = v2 * n + 6.0 * v4 * s2
+        b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
+        t, wq = np.polynomial.legendre.leggauss(_CENTROID_NODES)
+        cond = np.empty(u.shape[0])
+        for lo in range(0, u.shape[0], 65536):
+            hi = min(lo + 65536, u.shape[0])
+            bb1, bb2 = b1[lo:hi], b2[lo:hi]
+
+            def expo(c):
+                return beta_n * (((b4 * c + b3) * c + bb2) * c + bb1) * c
+
+            span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * bb2, 1e-300)),
+                              (40.0 / (beta_n * b4)) ** 0.25)
+            span = np.minimum(span, 1e6)
+            for _ in range(80):
+                low = np.minimum(expo(span), expo(-span))
+                grow = low < 40.0
+                if not grow.any():
+                    break
+                span[grow] *= 1.3
+            c = span[:, None] * t[None, :]
+            e = beta_n * ((((b4 * c + b3) * c + bb2[:, None]) * c + bb1[:, None]) * c)
+            e -= e.min(axis=1, keepdims=True)
+            wgt = wq[None, :] * np.exp(-e)
+            cond[lo:hi] = (c * c * wgt).sum(axis=1) / wgt.sum(axis=1)
+    vals = cond + (u * u).mean(axis=1)
+    return float(vals.mean()), float(block_standard_error(vals, blocks)), cond
+
+
+@pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.05),
+                                   quartic(1.0)],
+                         ids=["harmonic", "anharmonic_c3", "quartic"])
+def test_chunked_mean_square_position_keeps_the_bits(model):
+    # 2.5 chunks of rows; rows of widely spread size make the quadrature
+    # span grow a different number of times per row within one chunk
+    n = 16
+    th = ThermoParams(4.0, n)
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(5 * CHUNK_ELEMENTS // (2 * n), n))
+    x *= np.exp(rng.normal(size=(len(x), 1)))
+    x[0] = -0.0
+    mean, se, cond = _unchunked_mean_square_position(x, model, th)
+    got = mean_square_position(x, model, th)
+    assert np.array(got).tobytes() == np.array([mean, se]).tobytes()
+    u = x - x.mean(axis=1)[:, None]
+    assert _conditional_centroid_m2(model, th, u).tobytes() == cond.tobytes()
+
+
+def test_mean_square_position_holds_chunk_temporaries_only(traced_peak):
+    # 201 quadrature nodes for all 65536 rows at once would be 100 MB per
+    # temporary; the traced peak stays within the per-row values plus six
+    # chunk temporaries: u and u.u of a row chunk, and in the quadrature the
+    # nodes c, the exponent e and the two broadcast steps that build e
+    th = ThermoParams(4.0, 16)
+    x = np.random.default_rng(42).normal(size=(65536, 16))
+    model = mildly_anharmonic(1.0, 1.0, c4=0.05)
+    peak = traced_peak(mean_square_position, x, model, th)
+    assert peak < 65536 * 8 + 6 * 8 * CHUNK_ELEMENTS
 
 
 def test_momentum_variance(harmonic_model):
@@ -472,7 +550,7 @@ def test_second_minimum_is_rejected():
         sample_ring_positions_constrained(model, th, cfg, [0.0, 2.0])
 
 
-def test_free_sampler_holds_one_sweep_of_draws(harmonic_model, monkeypatch):
+def test_free_sampler_holds_one_sweep_of_draws(harmonic_model, monkeypatch, traced_peak):
     # one walker group of 2048 at N = 8: the normals and uniforms come one
     # proposal at a time, so the sampler holds far less than 64 proposals'
     # worth of draws (the bound counts N + 1 of them per walker and proposal)
@@ -482,12 +560,7 @@ def test_free_sampler_holds_one_sweep_of_draws(harmonic_model, monkeypatch):
     output = cfg.n_samples * th.n_beads * 8
     block = 64 * (th.n_beads + 1) * _GROUP * 8
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
-    tracemalloc.start()
-    try:
-        sample_ring_positions(harmonic_model, th, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(sample_ring_positions, harmonic_model, th, cfg)
     assert peak < output + block / 4
 
 
