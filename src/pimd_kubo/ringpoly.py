@@ -13,12 +13,13 @@ real and imaginary parts are the same modes up to a scale per mode (see
 dynamics.propagate_batch).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ._stats import CHUNK_ELEMENTS, row_chunks
+from ._stats import row_chunks
 from .model import potential_eval
 
 POSITION = "position"
@@ -59,10 +60,10 @@ class Observable:
         """
         if self.kind == MOMENTUM:
             return momenta.mean(axis=-1)
-        if positions.ndim < 2 or positions.size <= CHUNK_ELEMENTS:
+        if positions.ndim < 2:
             return self.f(positions).mean(axis=-1)
         out = np.empty(positions.shape[:-1])
-        for rows in row_chunks(len(positions), positions[0].size):
+        for rows in row_chunks(len(positions), math.prod(positions.shape[1:])):
             out[rows] = self.f(positions[rows]).mean(axis=-1)
         return out
 

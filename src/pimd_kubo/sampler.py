@@ -66,6 +66,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -388,17 +389,24 @@ def mean_square_position(ensemble, model, thermo, blocks=N_BLOCKS):
     OBS_Q2.centroid over the rows.
 
     The rows are taken in chunks of at most _stats.CHUNK_ELEMENTS elements,
-    so the displacements u and their power sums never span the ensemble;
-    every step is row-wise, so the per-row values, and the result, do not
-    depend on the chunking.
+    counting a row as the larger of its N beads and the _CENTROID_NODES
+    quadrature nodes, so neither u nor the quadrature's (rows, nodes)
+    temporaries span the ensemble.  Every step is row-wise, so the per-row
+    values, and the result, do not depend on the chunking.
     """
     x = np.asarray(ensemble, dtype=float)
     vals = np.empty(len(x))
-    for rows in row_chunks(len(x), x.shape[1]):
+    for rows in row_chunks(len(x), max(x.shape[1], _CENTROID_NODES)):
         xs = x[rows]
         u = xs - xs.mean(axis=1)[:, None]
         vals[rows] = _conditional_centroid_m2(model, thermo, u) + (u * u).mean(axis=1)
     return float(vals.mean()), float(block_standard_error(vals, blocks))
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    """Gauss-Legendre nodes and weights on [-1, 1], formed once, not per row chunk."""
+    return np.polynomial.legendre.leggauss(_CENTROID_NODES)
 
 
 def _conditional_centroid_m2(model, thermo, u):
@@ -407,11 +415,10 @@ def _conditional_centroid_m2(model, thermo, u):
     The conditional density of the centroid c given u is
     exp(-(beta/N) sum_k V(c + u_k)); the exponent is a quartic polynomial
     in c with coefficients built from power sums of u.  The integral is a
-    _CENTROID_NODES-point Gauss-Legendre sum on a span widened per row;
-    rows go through it in chunks of _stats.CHUNK_ELEMENTS // _CENTROID_NODES,
-    so each (rows, nodes) temporary stays within the budget.  The span loop
-    widens only the rows that still need it, so each row's value does not
-    depend on the others in its chunk.
+    _CENTROID_NODES-point Gauss-Legendre sum on a span widened per row, so
+    its temporaries have (rows of u, _CENTROID_NODES) elements: the caller
+    bounds them by the rows it passes.  The span loop widens only the rows
+    that still need it, so each row's value does not depend on the others.
     """
     v2, v3, v4 = model.poly_coefficients()
     n = u.shape[-1]
@@ -420,37 +427,30 @@ def _conditional_centroid_m2(model, thermo, u):
         # Gaussian conditional: exponent beta_n * v2 * n * c^2 = (beta m w^2 / 2) c^2
         var = 1.0 / (2.0 * beta_n * v2 * n)
         return np.full(u.shape[0], var)
-    t, wq = np.polynomial.legendre.leggauss(_CENTROID_NODES)
+    s2 = (u * u).sum(axis=-1)
+    s3 = (u**3).sum(axis=-1)
     b4 = v4 * n
     b3 = v3 * n
-    out = np.empty(u.shape[0])
-    for rows in row_chunks(u.shape[0], _CENTROID_NODES):
-        uu = u[rows]
-        s2 = (uu * uu).sum(axis=-1)
-        s3 = (uu**3).sum(axis=-1)
-        b2 = v2 * n + 6.0 * v4 * s2
-        b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
+    b2 = v2 * n + 6.0 * v4 * s2
+    b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
 
-        def expo(c):
-            return beta_n * (((b4 * c + b3) * c + b2) * c + b1) * c
+    t, wq = _legendre_rule()
 
-        # start from the tighter of the quadratic/quartic half-widths, then widen
-        span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * b2, 1e-300)),
-                          (40.0 / (beta_n * b4)) ** 0.25)
-        span = np.minimum(span, 1e6)
-        for _ in range(80):
-            low = np.minimum(expo(span), expo(-span))
-            grow = low < 40.0
-            if not grow.any():
-                break
-            span[grow] *= 1.3
-        c = span[:, None] * t[None, :]
-        e = beta_n * ((((b4 * c + b3) * c + b2[:, None]) * c + b1[:, None]) * c)
-        e -= e.min(axis=1, keepdims=True)
-        # weights wq exp(-e) and moments c^2 wgt, formed in place in e and c
-        wgt = np.exp(np.negative(e, out=e), out=e)
-        wgt *= wq
-        c *= c
-        c *= wgt
-        out[rows] = c.sum(axis=1) / wgt.sum(axis=1)
-    return out
+    def expo(c):
+        return beta_n * (((b4 * c + b3) * c + b2) * c + b1) * c
+
+    # start from the tighter of the quadratic/quartic half-widths, then widen
+    span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * b2, 1e-300)),
+                      (40.0 / (beta_n * b4)) ** 0.25)
+    span = np.minimum(span, 1e6)
+    for _ in range(80):
+        low = np.minimum(expo(span), expo(-span))
+        grow = low < 40.0
+        if not grow.any():
+            break
+        span[grow] *= 1.3
+    c = span[:, None] * t[None, :]
+    e = beta_n * ((((b4 * c + b3) * c + b2[:, None]) * c + b1[:, None]) * c)
+    e -= e.min(axis=1, keepdims=True)
+    wgt = wq[None, :] * np.exp(-e)
+    return (c * c * wgt).sum(axis=1) / wgt.sum(axis=1)

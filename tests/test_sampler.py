@@ -14,7 +14,7 @@ from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
-from pimd_kubo._stats import CHUNK_ELEMENTS
+from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
 from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _conditional_centroid_m2, _layout,
                               _node_seed, _reference, _run_group)
 
@@ -220,8 +220,11 @@ def test_chunked_mean_square_position_keeps_the_bits(model):
     mean, se, cond = _unchunked_mean_square_position(x, model, th)
     got = mean_square_position(x, model, th)
     assert np.array(got).tobytes() == np.array([mean, se]).tobytes()
+    # each row's conditional moment does not depend on the rows beside it
     u = x - x.mean(axis=1)[:, None]
-    assert _conditional_centroid_m2(model, th, u).tobytes() == cond.tobytes()
+    got_cond = np.concatenate([_conditional_centroid_m2(model, th, u[rows])
+                               for rows in row_chunks(len(u), _CENTROID_NODES)])
+    assert got_cond.tobytes() == cond.tobytes()
 
 
 def test_mean_square_position_holds_chunk_temporaries_only(traced_peak):
