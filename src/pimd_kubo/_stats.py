@@ -18,10 +18,10 @@ CHUNK_ELEMENTS = 2**18
 def row_chunks(n_rows, row_size):
     """Slices covering n_rows rows in order, each of at most CHUNK_ELEMENTS elements.
 
-    row_size is the element count of one row; a row larger than the budget
-    gets a slice of its own.
+    row_size is the element count of one row (an empty row counts as one);
+    a row larger than the budget gets a slice of its own.
     """
-    step = max(1, CHUNK_ELEMENTS // row_size)
+    step = max(1, CHUNK_ELEMENTS // max(row_size, 1))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 

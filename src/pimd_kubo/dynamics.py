@@ -38,8 +38,8 @@ class IntegratorConfig:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be > 0")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and > 0")
         if self.n_steps < 1:
             raise ValueError("n_steps must be > 0")
 
@@ -210,11 +210,13 @@ def build_centroid_force_table(model, thermo, cfg, grid):
     """Constrained-ensemble mean force -<(1/N) sum_k V'(x_k)> on each node of the 1-D grid.
 
     One sampler call covers the whole grid: node i samples the ring with its
-    centroid pinned at grid[i], from the streams keyed by the node seed
-    sampler._node_seed(cfg.seed, i), so its force and error depend only on
-    (cfg, i, grid[i]).  The sampler advances stacks of nodes, one walker
-    group at a time, on sampler.resolve_workers() threads; the table is the
-    same at any stacking and thread count.
+    centroid pinned at grid[i], from the run seed's streams at node index i,
+    so its force and error depend only on (cfg, i, grid[i]).  The sampler
+    advances stacks of nodes, one walker group at a time, on
+    sampler.resolve_workers() threads; the table is the same at any
+    stacking and thread count.  The table's streams are not those of the
+    free rings that CMD's trajectories start from, which RPMD and the CAQ
+    reference share at the same seed.
     """
     force = force_fn(model)
     ens = sample_ring_positions_constrained(model, thermo, cfg, grid)

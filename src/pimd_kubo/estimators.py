@@ -5,17 +5,18 @@ microcanonical trajectory per sample; origin averaging along a single long
 trajectory is deliberately avoided because RPMD trajectories do not resample
 the thermal ensemble.  RPMD and CMD share one correlator: RPMD runs N-bead
 ring polymers on the bare potential, CMD one-bead ones (the centroids) on
-the mean force of a CentroidForceTable.  The products A0(0) * B(t) of every
-Monte Carlo correlator are streamed in trajectory order into running sums
-(_stats.RowAccumulator), so results are identical for any work
-partitioning and no n_traj x n_times product array is held.
+the mean force of a CentroidForceTable.  At one seed RPMD, CMD and the
+harmonic CAQ reference (oracle.harmonic_caq_reference) share their initial
+rings: CMD starts from the centroids of the rings of
+rpmd_initial_conditions, so the methods' comparisons are paired draws.
+The products A0(0) * B(t) of every Monte Carlo correlator are streamed in
+trajectory order into running sums (_stats.RowAccumulator), so results
+are identical for any work partitioning and no n_traj x n_times product
+array is held.
 """
-
-import math
 
 import numpy as np
 
-from . import _streams
 from ._stats import N_BLOCKS, RowAccumulator
 from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
@@ -106,21 +107,20 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
 def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs, b_obs):
     """Kubo-transformed correlator from centroid dynamics on a force table.
 
-    A must be linear (the position centroid q or the momentum); centroid
-    positions are the centroids of an unconstrained ring ensemble, centroid
-    momenta are exact Gaussians of variance m/beta.  The centroids propagate
-    as one-bead ring polymers on table.force_at, on this thread.
+    A must be linear (the position centroid q or the momentum).  The initial
+    centroids (q_c, p_c) are the bead means of the rings of
+    rpmd_initial_conditions at the same seed, whose bead momenta have
+    variance m N / beta, so p_c is an exact Gaussian of variance m/beta.
+    The centroids propagate as one-bead ring polymers on table.force_at, on
+    this thread.
     """
     if a_obs not in CMD_OBSERVABLES:
         raise UnsupportedObservable("centroid dynamics is defined for linear A only (q or p)")
-    _check_request(sampler_cfg, integrator_cfg, model)
-    x0 = sample_ring_positions(model, thermo, sampler_cfg)
-    qc0 = x0.mean(axis=1)
-    gen = _streams.stream(sampler_cfg.seed, _streams.CMD_MOMENTA, 0)
-    pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
+    x0, p0 = rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg)
     centroid = ThermoParams(thermo.beta, 1, thermo.hbar)
-    values, errors = _correlator_from_ic(qc0[:, None], pc0[:, None], table.force_at,
-                                         model.mass, centroid, integrator_cfg, a_obs, b_obs)
+    values, errors = _correlator_from_ic(x0.mean(axis=1)[:, None], p0.mean(axis=1)[:, None],
+                                         table.force_at, model.mass, centroid, integrator_cfg,
+                                         a_obs, b_obs)
     return CorrelationSeries(integrator_cfg.times(), values, errors)
 
 

@@ -19,11 +19,10 @@ from .model import HARMONIC, potential_eval
 from .ringpoly import MOMENTUM, bond_midpoints
 from .sampler import draw_momenta, sample_ring_positions
 from .series import CorrelationSeries
-from ._stats import RowAccumulator
+from ._stats import RowAccumulator, row_chunks
 
 _DEGENERATE_CUT = 1e-10
 _BOUNDARY_TOL = 1e-8
-_ROW_CHUNK = 1024  # trajectories whose A0 * q_c(t) rows are formed at once
 _SWARM_TOL = 1e-8  # largest |I_32 - I_64| the swarm trace accepts per bead
 # probabilists' Gauss-Hermite rules (weight exp(-z^2 / 2)) of the swarm trace,
 # exact for polynomials of degree < 2n: (nodes, weights / sqrt(2 pi)) per order
@@ -37,8 +36,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not self.q_min < self.q_max:
-            raise ValueError("q_min must be < q_max")
+        if not -np.inf < self.q_min < self.q_max < np.inf:
+            raise ValueError("q_min must be < q_max, both finite")
         if self.n_points < 64:
             raise ValueError("n_points must be >= 64")
 
@@ -268,8 +267,10 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg):
     """Monte Carlo closed-form reference for C_Aq(t) in a harmonic well.
 
     Positions are sampled from R(x), bead momenta from the Maxwell
-    distribution; the position centroid then evolves classically from the
-    bond-midpoint momenta and is correlated against A0 at time zero.
+    distribution: the rings that RPMD and CMD start from at the same seed.
+    The position centroid then evolves classically from the bond-midpoint
+    momenta and is correlated against A0 at time zero, row chunk by row
+    chunk (_stats.row_chunks).
     """
     _require_harmonic(model)
     times = np.asarray(times, dtype=float)
@@ -282,8 +283,7 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg):
     cos_t, sin_t = np.cos(w * times)[None, :], np.sin(w * times)[None, :]
     v0 = pc_mid / (m * w)
     acc = RowAccumulator(len(a0))
-    for lo in range(0, len(a0), _ROW_CHUNK):
-        rows = slice(lo, lo + _ROW_CHUNK)
+    for rows in row_chunks(len(a0), times.size):
         x0_t = qc[rows, None] * cos_t + v0[rows, None] * sin_t
         acc.add(a0[rows, None] * x0_t)
     vals, errs = acc.result()

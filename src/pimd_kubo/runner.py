@@ -386,15 +386,14 @@ def _spectrum(config, stats):
 
 def _convergence(config, stats):
     run = config.sections["run"]
-    model = config.model()
-    base_thermo = config.thermo()
+    model, base_thermo, scfg = config.model(), config.thermo(), config.sampler()
     grid, n_retained = config.grid()
     eig = diagonalize(model, grid, n_retained, hbar=base_thermo.hbar)
     exact = thermal_average(eig, lambda q: q * q, base_thermo.beta)
     rows_n, rows_v, rows_e = [], [], []
     for n_beads in run["n_values"]:
         thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)
-        ens = sample_ring_positions(model, thermo, config.sampler())
+        ens = sample_ring_positions(model, thermo, scfg)
         mean, se = mean_square_position(ens, model, thermo, blocks=run["blocks"])
         rows_n.append(float(n_beads))
         rows_v.append(mean)

@@ -28,9 +28,11 @@ UnsupportedModel: rings that reach into both minima carry weight that the
 proposals miss.
 
 Ensembles are generated as many independent walkers advanced in lockstep.
-All randomness comes from counter-based streams keyed by (seed, purpose,
-walker group); node i of a constrained grid uses the seed
-_node_seed(seed, i), so its rows do not depend on the other nodes.  A
+All randomness comes from the run seed's counter-based streams, one per
+node and walker group (_streams holds the key layout; a free call is
+node 0), so a node's rows do not depend on the other nodes.  A free call
+and draw_momenta give the initial rings that RPMD, CMD (as their
+centroids) and the harmonic CAQ reference all start from at one seed.  A
 walker group's stream gives the first state's normals, then, per
 proposal, the proposal's normals followed by one uniform per walker.  A
 constrained call's nodes share each proposal's numpy dispatch: a job
@@ -98,6 +100,8 @@ class SamplerConfig:
     n_walkers: int = 128
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2^64)")
         if self.n_samples < 1:
             raise ValueError("n_samples must be > 0")
         if self.burn_in < 0:
@@ -148,11 +152,6 @@ def map_in_order(fn, items, consume, workers):
                 consume(pending.popleft().result())
         while pending:
             consume(pending.popleft().result())
-
-
-def _node_seed(seed, index):
-    """Seed of grid node `index` of a constrained grid call (stream key part)."""
-    return (int(seed) * 1000003 + 7919 * (index + 1)) % (2**63)
 
 
 def _reference(model, thermo, q_c):
@@ -207,7 +206,8 @@ def _reference(model, thermo, q_c):
 def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
     """Independence Metropolis for walker group g_index of a stack of nodes, as a job.
 
-    stack lists the nodes' (seed, q_c, reference): q_c is None for the free
+    stack lists the nodes' (index, q_c, reference): index is the node's
+    place in its grid (0 for the free ensemble), q_c is None for the free
     ensemble, else the pinned centroid, and reference is the node's
     (c, kappa) from _reference.  Each node draws from its own streams, but
     every other step of a proposal is one ufunc over the stack's
@@ -228,8 +228,8 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
     c, kappa = np.array([reference for _, _, reference in stack]).T[..., None, None]
     half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
     pot = potential_fn(model)
-    gens = [_streams.stream(seed, _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS,
-                            g_index) for seed, _, _ in stack]
+    purpose = _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS
+    gens = [_streams.stream(cfg.seed, purpose, node << 24 | g_index) for node, _, _ in stack]
     shape = (len(stack), g_size)
     # x - c = irfft(spec): the (re, im) parts of wavenumber k are modes of
     # variance sigma_k^2 = N / (beta (m w_k^2 + kappa)) times N / 2 (N for
@@ -291,7 +291,7 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
 def _sample(model, thermo, cfg, nodes):
     """Run a _run_group job for every (walker group, stack of nodes) on resolve_workers() threads.
 
-    nodes lists (seed, q_c) pairs (q_c None for the free ensemble); each
+    nodes lists the q_c of each node (None for the free ensemble); each
     node's reference is solved once, here, for all its walker groups.  For
     each walker group the nodes are split into contiguous, near-equal
     stacks of at most _GROUP rows, and into at least as many stacks as
@@ -305,7 +305,7 @@ def _sample(model, thermo, cfg, nodes):
     walkers, rounds, groups = _layout(cfg)
     out = np.empty((len(nodes), walkers * rounds, thermo.n_beads))
     rows = out.reshape(len(nodes), walkers, rounds, thermo.n_beads)
-    nodes = [(seed, q_c, _reference(model, thermo, q_c)) for seed, q_c in nodes]
+    nodes = [(i, q_c, _reference(model, thermo, q_c)) for i, q_c in enumerate(nodes)]
     threads = resolve_workers()
     jobs = []
     for g, size in groups:
@@ -329,20 +329,19 @@ def _sample(model, thermo, cfg, nodes):
 
 def sample_ring_positions(model, thermo, cfg):
     """Decorrelated configurations targeting R(x), shape (n_samples, N)."""
-    return _sample(model, thermo, cfg, [(cfg.seed, None)])[0]
+    return _sample(model, thermo, cfg, [None])[0]
 
 
 def sample_ring_positions_constrained(model, thermo, cfg, q_c):
     """Configurations with the position centroid pinned at each node of the 1-D grid q_c.
 
-    Returns shape (nodes, n_samples, N).  Node i samples from the streams of
-    _node_seed(cfg.seed, i), so its rows depend only on (cfg, i, q_c[i]).
+    Returns shape (nodes, n_samples, N).  Node i samples from the run seed's
+    streams at node index i, so its rows depend only on (cfg, i, q_c[i]).
     """
     grid = np.asarray(q_c, dtype=float)
     if grid.ndim != 1:
         raise ValueError("q_c must be a 1-D grid of centroids")
-    nodes = [(_node_seed(cfg.seed, i), float(q)) for i, q in enumerate(grid)]
-    return _sample(model, thermo, cfg, nodes)
+    return _sample(model, thermo, cfg, [float(q) for q in grid])
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import math
 import threading
 
 import numpy as np
@@ -9,10 +8,9 @@ from pimd_kubo import (CentroidForceTable, CorrelationSeries, IntegratorConfig, 
                        cmd_kubo_correlator, draw_momenta, exact_kubo_correlator, harmonic,
                        rpmd_kubo_correlator, sample_ring_positions, spectrum)
 from pimd_kubo.errors import GridEscape, InsufficientSamples, UnsupportedObservable
-from pimd_kubo import _streams
 from pimd_kubo._stats import RowAccumulator
 from pimd_kubo.dynamics import propagate_batch
-from pimd_kubo.estimators import _correlator_from_ic
+from pimd_kubo.estimators import _correlator_from_ic, rpmd_initial_conditions
 from pimd_kubo.model import force_fn
 from pimd_kubo.ringpoly import POSITION
 
@@ -236,9 +234,8 @@ def _cmd_propagate_reference(q, p, table, mass, dt, n_steps):
 
 def _cmd_correlator_reference(model, thermo, table, scfg, icfg, a_obs, b_obs):
     """(values, std_errors) of the CMD correlator from _cmd_propagate_reference."""
-    qc0 = sample_ring_positions(model, thermo, scfg).mean(axis=1)
-    gen = _streams.stream(scfg.seed, _streams.CMD_MOMENTA, 0)
-    pc0 = math.sqrt(model.mass / thermo.beta) * gen.standard_normal(qc0.size)
+    x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg)
+    qc0, pc0 = x0.mean(axis=1), p0.mean(axis=1)
     qs, ps = _cmd_propagate_reference(qc0, pc0, table, model.mass, icfg.dt, icfg.n_steps)
     a0 = qc0 if a_obs.kind == POSITION else pc0
     b_t = b_obs.f(qs) if b_obs.kind == POSITION else ps
@@ -274,6 +271,26 @@ def test_cmd_correlator_matches_velocity_verlet_reference(mass, monkeypatch):
         values, errors = _cmd_correlator_reference(model, th, table, scfg, icfg, a_obs, b_obs)
         assert _close(got.values, values, mass), (a_obs.label, b_obs.label)
         assert _close(got.std_errors, errors, mass), (a_obs.label, b_obs.label)
+
+
+def test_cmd_starts_from_the_centroids_of_the_rpmd_rings(harmonic_model, monkeypatch):
+    # CMD and RPMD share their initial rings at one seed: the centroid state
+    # CMD propagates is the bead mean of rpmd_initial_conditions
+    th = ThermoParams(1.0, 8)
+    scfg = _scfg(256, seed=67)
+    icfg = IntegratorConfig(dt=0.05, n_steps=4)
+    starts = []
+
+    def recorded(x0, p0, *args):
+        starts.append((x0.copy(), p0.copy()))
+        return _correlator_from_ic(x0, p0, *args)
+
+    monkeypatch.setattr("pimd_kubo.estimators._correlator_from_ic", recorded)
+    cmd_kubo_correlator(harmonic_model, th, _linear_table(), scfg, icfg, OBS_Q, OBS_Q)
+    x0, p0 = rpmd_initial_conditions(harmonic_model, th, scfg, icfg)
+    (qc0, pc0), = starts
+    assert qc0.tobytes() == x0.mean(axis=1)[:, None].tobytes()
+    assert pc0.tobytes() == p0.mean(axis=1)[:, None].tobytes()
 
 
 @pytest.mark.parametrize("mass", [1.0, 1.7])

@@ -272,8 +272,10 @@ n_steps = 20
 command = cmd
 seed = 3
 output_dir = {out}
-table_min = -2.0
-table_max = 2.0
+# over 8 thermal widths of the centroid (1 / sqrt(beta m w^2) = 0.71) on
+# each side, so no centroid escapes the table at any seed
+table_min = -6.0
+table_max = 6.0
 table_nodes = 9
 ''')
 status = runner.run(config)

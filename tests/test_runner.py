@@ -413,10 +413,15 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     ("convergence", {}, "n_values = 8, 0\n"),
     ("convergence", {}, "n_values =\n"),
     ("rpmd", {}, "a = poly:1,x\n"),
+    ("cmd", {"seed = 12": "seed = -1"}, ""),
+    ("convergence", {"seed = 12": "seed = 18446744073709551616"}, ""),
+    ("rpmd", {"kind = harmonic\nmass = 1.0\nomega = 1.0": "kind = quartic\na4 = 1.0",
+              "dt = 0.05": "dt = inf"}, ""),
 ], ids=["window", "momentum_convention", "cmd_nonlinear_a", "method", "cmd_n_samples",
         "static_n_samples_below_blocks", "blocks_0", "blocks_1", "blocks_negative",
         "table_nodes_1", "table_min_not_below_max", "n_retained_0", "n_retained_above_n_points",
-        "n_values_zero", "n_values_empty", "poly_bad_coefficient"])
+        "n_values_zero", "n_values_empty", "poly_bad_coefficient", "cmd_seed_negative",
+        "convergence_seed_2_64", "quartic_dt_inf"])
 def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command, edit,
                                                extra):
     # a value the run cannot use is a config fault, found before any sampler
@@ -446,8 +451,9 @@ def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, co
 
 
 @pytest.mark.parametrize("edit", [{"n_points = 640": "n_points = 32"},
-                                  {"q_min = -12.0": "q_min = 12.0"}],
-                         ids=["n_points_32", "q_min_not_below_q_max"])
+                                  {"q_min = -12.0": "q_min = 12.0"},
+                                  {"q_max = 12.0": "q_max = inf"}],
+                         ids=["n_points_32", "q_min_not_below_q_max", "q_max_inf"])
 def test_bad_oracle_grid_exits_2_before_sampling(tmp_path, monkeypatch, capsys, edit):
     # the [oracle] grid is built at parse time, so compare fails before the
     # method run that precedes the oracle

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -16,7 +15,7 @@ from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
 from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
 from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _conditional_centroid_m2, _layout,
-                              _node_seed, _reference, _run_group)
+                              _reference, _run_group)
 
 
 def _cfg(n, seed=1, **kw):
@@ -322,11 +321,11 @@ def test_sampler_config_validation():
         SamplerConfig(n_samples=10, seed=1, move_scale=0.5)
 
 
-def _run_kernel(model, thermo, cfg, q_c=None):
-    """(rows, accepted, attempted) of _run_group over every walker group of cfg."""
+def _run_kernel(model, thermo, cfg, q_c=None, node=0):
+    """(rows, accepted, attempted) of _run_group over every walker group of cfg, for one node."""
     walkers, rounds, groups = _layout(cfg)
     out = np.full((walkers * rounds, thermo.n_beads), np.nan)
-    stack = [(cfg.seed, q_c, _reference(model, thermo, q_c))]
+    stack = [(node, q_c, _reference(model, thermo, q_c))]
     counts = [_run_group(model, thermo, cfg, stack, g, size,
                          out.reshape(1, walkers, rounds, thermo.n_beads))()
               for g, size in groups]
@@ -338,21 +337,20 @@ def _run_kernel(model, thermo, cfg, q_c=None):
 def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
     # a stack shares every ufunc of a proposal but draws from each node's own
     # streams, so each node's rows and (accepted, attempted) counts equal a
-    # one-node kernel call with that node's seed, at any stacking
+    # one-node kernel call with that node's index, at any stacking
     model, th = mildly_anharmonic(c4=0.05), ThermoParams(4.0, 16)
     grid = np.linspace(-3.0, 3.0, nodes)
     cfg = SamplerConfig(n_samples=2 * walkers, seed=41, burn_in=6, decorrelation_stride=2,
                         n_walkers=walkers)
-    singles = [_run_kernel(model, th, dataclasses.replace(cfg, seed=_node_seed(cfg.seed, i)), q)
-               for i, q in enumerate(grid)]
-    jobs = []  # (seeds of the stack, accepted per node, attempted per node) of each job
+    singles = [_run_kernel(model, th, cfg, q, node=i) for i, q in enumerate(grid)]
+    jobs = []  # (node indices of the stack, accepted per node, attempted per node) of each job
 
     def recorded(model, thermo, cfg, stack, g_index, g_size, out):
         run = _run_group(model, thermo, cfg, stack, g_index, g_size, out)
 
         def counted():
             accepted, attempted = run()
-            jobs.append(([seed for seed, _, _ in stack], accepted, attempted))
+            jobs.append(([node for node, _, _ in stack], accepted, attempted))
             return accepted, attempted
         return counted
 
@@ -361,11 +359,10 @@ def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
         jobs.clear()
         ens = sample_ring_positions_constrained(model, th, cfg, grid)
-        assert max(len(seeds) for seeds, _, _ in jobs) > 1  # some nodes were stacked
+        assert max(len(stacked) for stacked, _, _ in jobs) > 1  # some nodes were stacked
         for i, (rows, accepted, attempted) in enumerate(singles):
             assert ens[i].tobytes() == rows.tobytes()
-            seed = _node_seed(cfg.seed, i)
-            mine = [(acc[seeds.index(seed)], att) for seeds, acc, att in jobs if seed in seeds]
+            mine = [(acc[stacked.index(i)], att) for stacked, acc, att in jobs if i in stacked]
             assert tuple(map(sum, zip(*mine))) == (accepted, attempted)
 
 
