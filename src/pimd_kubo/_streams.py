@@ -20,7 +20,7 @@ POSITIONS_CONSTRAINED = 2
 MOMENTA = 3
 
 
-def stream(seed, purpose, index=0):
+def stream(seed, purpose, index):
     """Generator for the (seed, purpose, index) stream; seed is in [0, 2^64)."""
     key = np.array([seed, purpose << 48 | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -28,7 +28,6 @@ from .series import CorrelationSeries
 _TRAJ_CHUNK = 1024  # trajectories per propagation chunk (fixed; not tied to threads)
 
 CMD_OBSERVABLES = (OBS_Q, OBS_P)  # the linear A that centroid dynamics admits
-WINDOWS = ("none", "hann")  # spectrum tapers
 
 
 def _chunks(n):
@@ -69,23 +68,21 @@ def _check_request(sampler_cfg, integrator_cfg, model):
     check_accuracy(integrator_cfg, model)
 
 
-def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
-                            momentum_convention="bead"):
+def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg):
     """Initial (positions, momenta) of the RPMD correlator, each (n_samples, N).
 
-    Positions are sampled from the ring density, momenta from the Maxwell
-    distribution (bead or bond-midpoint convention).  The trajectory count
-    and the time step are checked first, so a bad request fails before the
-    sampler runs.
+    Positions are sampled from the ring density, bead momenta from the
+    Maxwell distribution.  The trajectory count and the time step are
+    checked first, so a bad request fails before the sampler runs.
     """
     _check_request(sampler_cfg, integrator_cfg, model)
     x0 = sample_ring_positions(model, thermo, sampler_cfg)
-    p0 = draw_momenta(thermo, model, sampler_cfg, momentum_convention)
+    p0 = draw_momenta(thermo, model, sampler_cfg)
     return x0, p0
 
 
 def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_obs,
-                         momentum_convention="bead", initial=None):
+                         initial=None):
     """Kubo-transformed correlator from RPMD trajectories.
 
     The estimator is the ensemble mean of A0(0) * B0(t) with blocked errors,
@@ -94,8 +91,7 @@ def rpmd_kubo_correlator(model, thermo, sampler_cfg, integrator_cfg, a_obs, b_ob
     are not modified.
     """
     if initial is None:
-        initial = rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg,
-                                          momentum_convention)
+        initial = rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg)
     else:
         _check_request(sampler_cfg, integrator_cfg, model)
     x0, p0 = initial
@@ -127,21 +123,19 @@ def cmd_kubo_correlator(model, thermo, table, sampler_cfg, integrator_cfg, a_obs
 # ----------------------------------------------------------------------
 # spectra
 
-def spectrum(series, window="none"):
-    """Cosine transform of the even-extended series; returns (omega, |F|).
+def spectrum(series):
+    """Cosine transform of the Hann-tapered, even-extended series; returns (omega, |F|).
 
-    window="hann" tapers the series to zero at the last time before the even
-    extension; intensities are reported as magnitudes, so they are >= 0.
+    The Hann taper cos^2(pi t / (2 t_max)) takes the series to zero at its
+    last time t_max before the even extension; intensities are reported as
+    magnitudes, so they are >= 0.
     """
-    if window not in WINDOWS:
-        raise ValueError("window must be 'none' or 'hann'")
     v = series.values.copy()
     n = v.size
     if n < 2:
         raise ValueError("series too short for a spectrum")
     dt = series.dt
-    if window == "hann":
-        v *= np.cos(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
+    v *= np.cos(0.5 * np.pi * np.arange(n) / (n - 1)) ** 2
     ext = np.concatenate([v, v[-2:0:-1]])
     amp = np.abs(np.fft.rfft(ext)) * dt
     omega = 2.0 * np.pi * np.fft.rfftfreq(ext.size, d=dt)
@@ -167,8 +161,8 @@ def band_peaks(series, reference, thermo, ks, detrend=False):
     """
     if detrend:
         series, reference = _detrended(series), _detrended(reference)
-    om, inten = spectrum(series, window="hann")
-    _, inten_ref = spectrum(reference, window="hann")
+    om, inten = spectrum(series)
+    _, inten_ref = spectrum(reference)
     w_free = free_rp_frequencies(thermo)
     bands = []
     for k in ks:

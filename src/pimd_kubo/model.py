@@ -117,25 +117,23 @@ def potential_fn(model):
     its input, so a non-finite q gives a non-finite V.  Every Horner step
     is one ufunc writing into out (when None, a new float array in the
     memory layout of q), so a call allocates at most its result, and the
-    operation order, and so every bit, is the same either way.
+    operation order, and so every bit, is the same either way.  The steps
+    run ((v4 q + v3) q + v2) q q from the leading nonzero coefficient, and
+    a zero coefficient's add is left out, as it adds only a signed zero.
     """
     v2, v3, v4 = model.poly_coefficients()
+    coeffs = (v4, v3, v2)
+    lead, *rest = coeffs[next(i for i, c in enumerate(coeffs) if c != 0.0):]
     mul, add = np.multiply, np.add
-    if v3 == 0.0 and v4 == 0.0:
-        def horner(q, out):  # v2 q q
-            return mul(mul(v2, q, out=out), q, out=out)
-    elif v3 == 0.0:
-        def horner(q, out):  # (v2 + v4 q q) q q
-            v = add(v2, mul(mul(v4, q, out=out), q, out=out), out=out)
-            return mul(mul(v, q, out=out), q, out=out)
-    else:
-        def horner(q, out):  # ((v4 q + v3) q + v2) q q
-            v = add(mul(v4, q, out=out), v3, out=out)
-            v = add(mul(v, q, out=out), v2, out=out)
-            return mul(mul(v, q, out=out), q, out=out)
 
     def pot(q, out=None):
-        return horner(q, np.empty_like(q, dtype=float) if out is None else out)
+        out = np.empty_like(q, dtype=float) if out is None else out
+        v = lead
+        for c in rest:
+            v = mul(v, q, out=out)
+            if c != 0.0:
+                v = add(v, c, out=out)
+        return mul(mul(v, q, out=out), q, out=out)
 
     return pot
 

@@ -163,11 +163,9 @@ def _spectral_sum(eig, beta, times, pair_weights):
     g = pair_weights(boltz).ravel()
     de = (es[None, :] - es[:, None]).ravel() / eig.hbar
     vals = np.empty(times.size, dtype=complex)
-    chunk = 512
-    for lo in range(0, times.size, chunk):
-        hi = min(lo + chunk, times.size)
-        phase = 1j * np.outer(times[lo:hi], de)
-        vals[lo:hi] = np.exp(phase, out=phase) @ g  # in place: one (chunk, M^2) array
+    for rows in row_chunks(times.size, 2 * de.size):  # a complex element is two floats
+        phase = 1j * np.outer(times[rows], de)
+        vals[rows] = np.exp(phase, out=phase) @ g  # in place: one (chunk, M^2) array
     return vals
 
 
@@ -275,7 +273,7 @@ def harmonic_caq_reference(model, thermo, a_obs, times, cfg):
     _require_harmonic(model)
     times = np.asarray(times, dtype=float)
     x = sample_ring_positions(model, thermo, cfg)
-    p = draw_momenta(thermo, model, cfg, "bead")
+    p = draw_momenta(thermo, model, cfg)
     a0 = a_obs.centroid(x, p)
     qc = x.mean(axis=1)
     pc_mid = bond_midpoints(p, out=p).mean(axis=1)  # p is not read again

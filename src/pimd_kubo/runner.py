@@ -28,8 +28,9 @@ sections it needs:
 
 (* with dump_ensemble / dump_trajectory = true.)  compare runs ``method``
 rpmd or cmd against the oracle; spectrum transforms the correlator of
-method rpmd, cmd or oracle.  ``blocks`` sets the error blocks of static and
-convergence; the other commands have fixed blocks and reject the key.
+method rpmd, cmd or oracle under a Hann taper (estimators.spectrum).
+``blocks`` sets the error blocks of static and convergence; the other
+commands have fixed blocks and reject the key.
 
 Every run also writes meta.json, which records the process's peak resident
 set size (peak_rss_mb) and its thread count (threads) among other things.
@@ -57,13 +58,13 @@ from . import __version__, io
 from ._stats import N_BLOCKS
 from .dynamics import IntegratorConfig, build_centroid_force_table, check_accuracy, rpmd_trajectory
 from .errors import ConfigError, GridTooCoarse, UnsupportedModel
-from .estimators import (CMD_OBSERVABLES, WINDOWS, cmd_kubo_correlator, rpmd_initial_conditions,
+from .estimators import (CMD_OBSERVABLES, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
 from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
 from .ringpoly import MOMENTUM, OBS_P, OBS_Q, observable_from_label
-from .sampler import (MOMENTUM_CONVENTIONS, SamplerConfig, draw_momenta, estimate_static_average,
-                      mean_square_position, resolve_workers, sample_ring_positions)
+from .sampler import (SamplerConfig, draw_momenta, estimate_static_average, mean_square_position,
+                      resolve_workers, sample_ring_positions)
 from .series import CorrelationSeries
 
 # section -> key -> (converter, default); _REQUIRED means the key must appear
@@ -104,9 +105,7 @@ _SCHEMA = {
         "output_dir": (str, _REQUIRED),
         "a": (str, "q"),
         "b": (str, "q"),
-        "momentum_convention": (str, "bead"),
         "method": (str, "rpmd"),
-        "window": (str, "hann"),
         "n_values": (_to_int_list, [8, 16]),
         "table_min": (float, -4.0),
         "table_max": (float, 4.0),
@@ -245,7 +244,8 @@ def _check_run_values(command, full, given):
     """Reject values that would fail only after sampling, or do nothing.
 
     full holds every key of every section, given only the [run] keys the
-    config text sets.  Each key is checked only where the command uses it.
+    config text sets.  Each key is checked only where the command uses it,
+    and the dataclass of each section the command needs is built here.
     """
     run, needed = full["run"], _COMMANDS[command][0]
     if "blocks" in given and command not in _BLOCKED:
@@ -255,11 +255,6 @@ def _check_run_values(command, full, given):
     if command in _METHODS and method not in _METHODS[command]:
         raise ConfigError(f"method for command {command!r} must be one of "
                           f"{_METHODS[command]}, got {method!r}")
-    if run["window"] not in WINDOWS:
-        raise ConfigError(f"window must be one of {WINDOWS}, got {run['window']!r}")
-    if run["momentum_convention"] not in MOMENTUM_CONVENTIONS:
-        raise ConfigError(f"momentum_convention must be one of {MOMENTUM_CONVENTIONS}, "
-                          f"got {run['momentum_convention']!r}")
     if method == "cmd":
         try:
             linear = observable_from_label(run["a"]) in CMD_OBSERVABLES
@@ -276,8 +271,12 @@ def _check_run_values(command, full, given):
         raise ConfigError("blocks must be >= 2", key="blocks")
     if "sampler" in needed and full["sampler"]["n_samples"] < 2 * blocks:
         raise ConfigError(f"n_samples must be >= 2 * blocks = {2 * blocks}", key="n_samples")
+    config = RunConfig(full)  # a bad section exits 2 here, before any run
+    for name in ("model", "thermo", "sampler", "integrator"):
+        if name in needed:
+            getattr(config, name)()
     if "oracle" in needed:
-        grid, n_retained = RunConfig(full).grid()  # a bad grid exits 2 here, before any run
+        grid, n_retained = config.grid()
         if not 1 <= n_retained <= grid.n_points:
             raise ConfigError("n_retained must be in [1, n_points]", key="n_retained")
     if command == "convergence" and not (run["n_values"] and min(run["n_values"]) >= 1):
@@ -317,9 +316,8 @@ def _method_series(config, method):
         extra = [("force_table.csv", lambda p: io.write_table_csv(
             p, ["q_c", "force", "std_error"], [table.grid, table.force, table.std_errors]))]
     else:
-        x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg, run["momentum_convention"])
-        series = rpmd_kubo_correlator(model, thermo, scfg, icfg, a_obs, b_obs,
-                                      run["momentum_convention"], initial=(x0, p0))
+        x0, p0 = rpmd_initial_conditions(model, thermo, scfg, icfg)
+        series = rpmd_kubo_correlator(model, thermo, scfg, icfg, a_obs, b_obs, initial=(x0, p0))
         extra = []
         if own and run["dump_trajectory"]:
             extra = [("trajectory.csv",
@@ -375,9 +373,8 @@ def _compare(config, stats):
 
 
 def _spectrum(config, stats):
-    run = config.sections["run"]
-    series, _ = _method_series(config, run["method"])
-    omega, intensity = spectrum(series, run["window"])
+    series, _ = _method_series(config, config.sections["run"]["method"])
+    omega, intensity = spectrum(series)
     # the t column of results.csv holds the angular frequency
     spec_series = CorrelationSeries(omega, intensity, np.zeros_like(intensity))
     return [("correlator.csv", lambda p: io.write_series_csv(p, series)),

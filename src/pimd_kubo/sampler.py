@@ -76,12 +76,10 @@ from . import _streams
 from ._stats import N_BLOCKS, block_standard_error, row_chunks
 from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
 from .model import potential_fn
-from .ringpoly import bond_midpoints, free_rp_frequencies
+from .ringpoly import free_rp_frequencies
 
 _GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
 _CENTROID_NODES = 201    # Gauss-Legendre nodes of the conditional centroid integral
-
-MOMENTUM_CONVENTIONS = ("bead", "bond_midpoint")
 
 
 @dataclass(frozen=True)
@@ -347,20 +345,11 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c):
 # ----------------------------------------------------------------------
 # momentum draws (exact Gaussians, never MCMC)
 
-def draw_momenta(thermo, model, cfg, convention="bead"):
-    """i.i.d. bead momenta with variance m N / beta, shape (n_samples, N).
-
-    convention="bond_midpoint" applies the cyclic midpoint map
-    (p_k + p_{k+1})/2 to a bead draw; the centroid is unchanged.
-    """
-    if convention not in MOMENTUM_CONVENTIONS:
-        raise ValueError("convention must be 'bead' or 'bond_midpoint'")
+def draw_momenta(thermo, model, cfg):
+    """i.i.d. bead momenta with variance m N / beta, shape (n_samples, N)."""
     sigma = math.sqrt(model.mass * thermo.n_beads / thermo.beta)
     gen = _streams.stream(cfg.seed, _streams.MOMENTA, 0)
-    p = sigma * gen.standard_normal((cfg.n_samples, thermo.n_beads))
-    if convention == "bond_midpoint":
-        bond_midpoints(p, out=p)
-    return p
+    return sigma * gen.standard_normal((cfg.n_samples, thermo.n_beads))
 
 
 # ----------------------------------------------------------------------

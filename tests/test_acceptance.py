@@ -76,6 +76,7 @@ from pimd_kubo import (GridSpec, IntegratorConfig, OBS_Q, OBS_Q2, SamplerConfig,
 from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.model import force_fn
 from pimd_kubo.oracle import kubo_weights, position_matrix
+from pimd_kubo.ringpoly import bond_midpoints
 from pimd_kubo.sampler import draw_momenta
 
 HARMONIC = harmonic(1.0, 1.0)
@@ -252,7 +253,7 @@ def test_criterion_06_caq_cross_validation():
     th = ThermoParams(1.0, 32)
     scfg = SamplerConfig(n_samples=8192, seed=6100, burn_in=256, decorrelation_stride=4)
     icfg = IntegratorConfig(dt=0.02, n_steps=500)
-    rpmd = rpmd_kubo_correlator(HARMONIC, th, scfg, icfg, OBS_Q, OBS_Q, "bead")
+    rpmd = rpmd_kubo_correlator(HARMONIC, th, scfg, icfg, OBS_Q, OBS_Q)
     ref = harmonic_caq_reference(HARMONIC, th, OBS_Q, rpmd.times, scfg)
     comb = np.maximum(np.hypot(rpmd.std_errors, ref.std_errors), 1e-300)
     dev = np.abs(rpmd.values - ref.values) / comb
@@ -262,8 +263,8 @@ def test_criterion_06_caq_cross_validation():
     x0 = sample_ring_positions(HARMONIC, th, scfg)
     marks = [int(round(t / icfg.dt)) for t in (1.0, 5.0, 10.0)]
     traj = {}
-    for conv in ("bead", "bond_midpoint"):
-        p0 = draw_momenta(th, HARMONIC, scfg, conv)
+    bead = draw_momenta(th, HARMONIC, scfg)
+    for conv, p0 in (("bead", bead), ("bond_midpoint", bond_midpoints(bead))):
         rec, _, _ = propagate_batch(x0.copy(), p0, force_fn(HARMONIC), HARMONIC.mass, th,
                                     icfg.dt, icfg.n_steps, [OBS_Q])
         traj[conv] = rec[0]

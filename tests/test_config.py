@@ -3,6 +3,7 @@
 Valid configurations are generated from the schema itself: every command
 with its sections, any subset of optional keys, sections and keys in any
 order and letter case, with comments, blank lines and stray whitespace.
+Each value is one that the section's dataclass accepts.
 """
 
 import json
@@ -15,11 +16,9 @@ from hypothesis import strategies as st
 
 from pimd_kubo import io
 from pimd_kubo.errors import ConfigError
-from pimd_kubo.estimators import WINDOWS
-from pimd_kubo.model import KIND_PARAMETERS
+from pimd_kubo.model import KIND_PARAMETERS, MILDLY_ANHARMONIC, QUARTIC
 from pimd_kubo.runner import (_BLOCKED, _COMMANDS, _METHODS, _REQUIRED, _SCHEMA, _to_bool,
                               _to_int_list, parse_config)
-from pimd_kubo.sampler import MOMENTUM_CONVENTIONS
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -46,15 +45,13 @@ def _value(draw, section, key, command, method):
     used = _USED_RANGES.get((section, key))
     if used is not None and used[0](command, method):
         return draw(used[1])
+    if (section, key) in _ACCEPTED:
+        return draw(_ACCEPTED[section, key])
     if section == "run":
         if key == "command":
             return command
         if key == "method":
             return method
-        if key == "window":
-            return draw(st.sampled_from(WINDOWS))
-        if key == "momentum_convention":
-            return draw(st.sampled_from(MOMENTUM_CONVENTIONS))
         if key in ("a", "b"):
             labels = ("q", "p") if method == "cmd" and key == "a" else ("q", "p", "q2", "q3")
             return draw(st.sampled_from(labels))
@@ -95,6 +92,28 @@ _USED_RANGES = {
 }
 
 
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_COUNT = st.integers(1, 10**9)
+# the values the config dataclasses accept, drawn where _USED_RANGES does not
+# apply; c4 > 0 admits any c3, and valid_configs sets c4 wherever it sets c3
+_ACCEPTED = {
+    ("model", "mass"): _POSITIVE,
+    ("model", "omega"): _POSITIVE,
+    ("model", "c4"): _POSITIVE,
+    ("model", "a4"): _POSITIVE,
+    ("thermo", "beta"): _POSITIVE,
+    ("thermo", "n_beads"): _COUNT,
+    ("thermo", "hbar"): _POSITIVE,
+    ("sampler", "n_samples"): _COUNT,
+    ("sampler", "burn_in"): st.integers(0, 10**9),
+    ("sampler", "decorrelation_stride"): _COUNT,
+    ("sampler", "n_walkers"): _COUNT,
+    ("integrator", "dt"): _POSITIVE,
+    ("integrator", "n_steps"): _COUNT,
+    ("run", "seed"): st.integers(0, 2**64 - 1),
+}
+
+
 @st.composite
 def valid_configs(draw):
     """(lines, given) where given maps section -> key -> the value written."""
@@ -109,6 +128,10 @@ def valid_configs(draw):
         if name == "model":
             kind = draw(st.sampled_from(sorted(KIND_PARAMETERS)))
             keys = {"kind"} | draw(st.sets(st.sampled_from(KIND_PARAMETERS[kind])))
+            if kind == QUARTIC:
+                keys.add("a4")  # the default a4 = 0 is no quartic well
+            if kind == MILDLY_ANHARMONIC and "c3" in keys:
+                keys.add("c4")  # c3 != 0 needs c4 > 0
         else:
             required = {k for k, (_, d) in _SCHEMA[name].items() if d is _REQUIRED}
             if name == "run" and command in _METHODS:
@@ -255,3 +278,18 @@ def test_blocks_rejected_where_ignored(command):
 @pytest.mark.parametrize("command", _BLOCKED)
 def test_blocks_accepted_where_used(command):
     assert parse_config(_minimal_text(command, ["blocks = 4"])).sections["run"]["blocks"] == 4
+
+
+@pytest.mark.parametrize("command", [c for c in sorted(_COMMANDS) if "sampler" in _COMMANDS[c][0]])
+@pytest.mark.parametrize("old, new", [
+    ("n_samples = 64", "n_samples = 64\nburn_in = -1"),
+    ("n_samples = 64", "n_samples = 64\ndecorrelation_stride = 0"),
+    ("n_samples = 64", "n_samples = 64\nn_walkers = 0"),
+    ("seed = 1", "seed = -1"),
+], ids=["burn_in_negative", "decorrelation_stride_0", "n_walkers_0", "seed_negative"])
+def test_bad_sampler_value_rejected_at_parse(command, old, new):
+    # SamplerConfig is built at parse time, like the [oracle] grid
+    text = _minimal_text(command)
+    assert old in text
+    with pytest.raises(ConfigError, match="invalid sampler"):
+        parse_config(text.replace(old, new))

@@ -14,7 +14,8 @@ from pimd_kubo import (CentroidForceTable, IntegratorConfig, OBS_P, OBS_Q, OBS_Q
 from pimd_kubo.dynamics import _rotation_factors, propagate_batch
 from pimd_kubo.errors import GridEscape, GridTooCoarse, NonErgodicWarning
 from pimd_kubo.model import force_fn
-from pimd_kubo.ringpoly import POSITION, normal_mode_transform, observable_from_label
+from pimd_kubo.ringpoly import (POSITION, bond_midpoints, normal_mode_transform,
+                               observable_from_label)
 
 
 def _random_ring(n, seed=0, scale=1.0):
@@ -354,8 +355,8 @@ def test_momentum_convention_centroid_distributions():
     cfg = IntegratorConfig(dt=0.02, n_steps=500)
     marks = [int(round(t / cfg.dt)) for t in (1.0, 5.0, 10.0)]
     series = {}
-    for conv in ("bead", "bond_midpoint"):
-        p0 = draw_momenta(th, model, scfg, conv)
+    bead = draw_momenta(th, model, scfg)
+    for conv, p0 in (("bead", bead), ("bond_midpoint", bond_midpoints(bead))):
         rec, xf, pf = propagate_batch(x0.copy(), p0, force_fn(model), model.mass, th, cfg.dt,
                                       cfg.n_steps, [OBS_Q])
         series[conv] = rec[0]

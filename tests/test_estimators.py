@@ -69,7 +69,7 @@ def test_rpmd_time_reversal(harmonic_model):
     scfg = _scfg(4096, seed=55)
     icfg = IntegratorConfig(dt=0.05, n_steps=100)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
-    p0 = draw_momenta(th, harmonic_model, scfg, "bead")
+    p0 = draw_momenta(th, harmonic_model, scfg)
     force, mass = force_fn(harmonic_model), harmonic_model.mass
     fwd, fe = _correlator_from_ic(x0, p0, force, mass, th, icfg, OBS_Q, OBS_Q)
     bwd, be = _correlator_from_ic(x0, -p0, force, mass, th, icfg, OBS_Q, OBS_Q)
@@ -166,7 +166,7 @@ def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch, traced_pe
     scfg = _scfg(4096, seed=60)
     icfg = IntegratorConfig(dt=0.05, n_steps=500)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
-    p0 = draw_momenta(th, harmonic_model, scfg, "bead")
+    p0 = draw_momenta(th, harmonic_model, scfg)
     full = 4096 * (icfg.n_steps + 1) * 8
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     peak = traced_peak(_correlator_from_ic, x0, p0, force_fn(harmonic_model),
@@ -327,7 +327,7 @@ def test_cmd_rejects_nonlinear_a(harmonic_model):
 def test_spectrum_single_peak():
     t = np.arange(0.0, 200.0001, 0.05)
     series = CorrelationSeries(t, np.cos(2.7 * t), np.zeros_like(t))
-    om, inten = spectrum(series, window="none")
+    om, inten = spectrum(series)
     assert abs(om[np.argmax(inten)] - 2.7) <= (om[1] - om[0])
 
 
@@ -341,7 +341,7 @@ def test_spectrum_zero_series():
 def test_spectrum_intensity_ratio():
     t = np.arange(0.0, 200.0001, 0.05)
     series = CorrelationSeries(t, np.cos(t) + 0.2 * np.cos(3.0 * t), np.zeros_like(t))
-    om, inten = spectrum(series, window="hann")
+    om, inten = spectrum(series)
     i1 = inten[np.argmin(np.abs(om - 1.0))]
     i3 = inten[np.argmin(np.abs(om - 3.0))]
     assert i1 / i3 == pytest.approx(5.0, rel=0.10)

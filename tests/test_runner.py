@@ -119,9 +119,8 @@ def test_parse_unknown_section():
 def test_parse_rejects_wrong_kind_keys():
     text = "[model]\nkind = harmonic\na4 = 2.0\n[thermo]\nbeta=1.0\nn_beads=4\n" \
            "[sampler]\nn_samples=64\n[run]\ncommand = static\nseed = 1\noutput_dir = x\n"
-    cfg = parse_config(text)
     with pytest.raises(ConfigError) as err:
-        cfg.model()
+        parse_config(text)
     assert "a4" in str(err.value)
 
 
@@ -149,8 +148,9 @@ def test_off_kind_model_key_at_default_and_meta_echo(tmp_path, capsys):
 
 def test_invalid_invariant_cited(tmp_path):
     text = MINIMAL_STATIC.format(out=tmp_path).replace("n_beads = 8", "n_beads = 0")
-    cfg = parse_config(text)
-    status = run(cfg)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    status = main([str(path), "--quiet"])
     assert status == 2
 
 
@@ -281,7 +281,7 @@ def test_no_writes_outside_output_dir(tmp_path, monkeypatch):
 def test_spectrum_command(tmp_path):
     out = tmp_path / "spec"
     text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = spectrum")
-    text += "method = oracle\nwindow = hann\n"
+    text += "method = oracle\n"
     cfg = parse_config(text)
     assert run(cfg) == 0
     data = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
@@ -316,7 +316,9 @@ def test_cubic_only_well_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
     text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = convergence")
     text = text.replace("kind = harmonic", "kind = mildly_anharmonic\nc3 = 0.1")
     text += "n_values = 4,8\n"
-    assert run(parse_config(text)) == 2
+    path = tmp_path / "cubic.ini"
+    path.write_text(text)
+    assert main([str(path), "--quiet"]) == 2
     assert "unbounded below" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
@@ -417,8 +419,8 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     ("convergence", {"seed = 12": "seed = 18446744073709551616"}, ""),
     ("rpmd", {"kind = harmonic\nmass = 1.0\nomega = 1.0": "kind = quartic\na4 = 1.0",
               "dt = 0.05": "dt = inf"}, ""),
-], ids=["window", "momentum_convention", "cmd_nonlinear_a", "method", "cmd_n_samples",
-        "static_n_samples_below_blocks", "blocks_0", "blocks_1", "blocks_negative",
+], ids=["unknown_key_window", "unknown_key_momentum_convention", "cmd_nonlinear_a", "method",
+        "cmd_n_samples", "static_n_samples_below_blocks", "blocks_0", "blocks_1", "blocks_negative",
         "table_nodes_1", "table_min_not_below_max", "n_retained_0", "n_retained_above_n_points",
         "n_values_zero", "n_values_empty", "poly_bad_coefficient", "cmd_seed_negative",
         "convergence_seed_2_64", "quartic_dt_inf"])

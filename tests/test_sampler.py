@@ -12,7 +12,7 @@ from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, block_
 from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import force_fn, potential_fn
-from pimd_kubo.ringpoly import free_rp_frequencies, normal_mode_matrix
+from pimd_kubo.ringpoly import bond_midpoints, free_rp_frequencies, normal_mode_matrix
 from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
 from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _conditional_centroid_m2, _layout,
                               _reference, _run_group)
@@ -241,14 +241,14 @@ def test_mean_square_position_holds_chunk_temporaries_only(traced_peak):
 def test_momentum_variance(harmonic_model):
     th = ThermoParams(1.0, 4)
     cfg = _cfg(100000, seed=12)
-    p = draw_momenta(th, harmonic_model, cfg, "bead")
+    p = draw_momenta(th, harmonic_model, cfg)
     var = p.var()
     assert abs(var - 4.0) <= 3.0 * np.sqrt(2.0 / p.size) * 4.0
 
 
 def test_centroid_momentum_variance(harmonic_model):
     th = ThermoParams(1.0, 4)
-    p = draw_momenta(th, harmonic_model, _cfg(100000, seed=13), "bead")
+    p = draw_momenta(th, harmonic_model, _cfg(100000, seed=13))
     pc = p.mean(axis=1)
     var = pc.var()
     assert abs(var - 1.0) <= 3.0 * np.sqrt(2.0 / pc.size) * 1.0
@@ -257,8 +257,8 @@ def test_centroid_momentum_variance(harmonic_model):
 def test_bond_midpoint_preserves_centroid(harmonic_model):
     th = ThermoParams(2.0, 8)
     cfg = _cfg(1000, seed=14)
-    bead = draw_momenta(th, harmonic_model, cfg, "bead")
-    mid = draw_momenta(th, harmonic_model, cfg, "bond_midpoint")
+    bead = draw_momenta(th, harmonic_model, cfg)
+    mid = bond_midpoints(bead)
     assert np.abs(bead.mean(axis=1) - mid.mean(axis=1)).max() <= 1e-12
     assert not np.allclose(bead, mid)
 
