@@ -18,7 +18,7 @@ CMD is the one-bead ring polymer on the centroid mean force
 q + p dt/m, so the step is velocity Verlet.  The table joins its nodes by
 a natural cubic spline built in numpy: one solve of the tridiagonal system
 for the second derivatives, then a cubic per interval, evaluated by one
-searchsorted and one Horner pass.
+searchsorted and one pass of model.horner on the gathered cubics.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridEscape, GridTooCoarse
-from .model import OMEGA_KINDS, force_fn, potential_eval
+from .model import OMEGA_KINDS, force_fn, horner, potential_eval, require_integers
 from .ringpoly import POSITION, free_rp_frequencies, spring_energy
 from .sampler import sample_ring_positions_constrained
 from ._stats import block_standard_error
@@ -40,6 +40,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and > 0")
+        require_integers(self, "n_steps")
         if self.n_steps < 1:
             raise ValueError("n_steps must be > 0")
 
@@ -146,15 +147,6 @@ def ring_hamiltonian(x, p, model, thermo):
 # ----------------------------------------------------------------------
 # CMD: the centroid force table
 
-def _horner(coef, i, t, out=None):
-    """sum_j coef[j, i] t^(deg - j): row j of coef holds power deg - j, column i one interval."""
-    out = coef[0].take(i, out=out)
-    for row in coef[1:]:
-        out *= t
-        out += row.take(i)
-    return out
-
-
 @dataclass
 class CentroidForceTable:
     """Mean constrained force on a centroid grid, joined by a natural cubic spline.
@@ -164,8 +156,8 @@ class CentroidForceTable:
         h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (s[i] - s[i-1])
     with h the node spacings and s the chord slopes, which on 2 nodes leaves
     the straight line.  __post_init__ turns M into the cubic of each interval
-    in t = q - grid[i]; a point is evaluated by one searchsorted and one
-    Horner pass.
+    in t = q - grid[i], highest power first; a point is evaluated by one
+    searchsorted and model.horner on its interval's cubic.
     """
 
     grid: np.ndarray
@@ -203,7 +195,8 @@ class CentroidForceTable:
 
     def force_at(self, q, out=None):
         """Spline force at q, into out when given; raises GridEscape off the grid."""
-        return _horner(self._cubic, *self._interval(q), out=out)
+        i, t = self._interval(q)
+        return horner(self._cubic.take(i, axis=1), t, out)
 
 
 def build_centroid_force_table(model, thermo, cfg, grid):

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+A ConfigError, GridTooCoarse and UnsupportedModel included, is what the
+runner maps to exit 2: a run that its configuration cannot serve.
+"""
 
 
 class InsufficientSamples(ValueError):
@@ -13,7 +17,21 @@ class NonErgodicWarning(UserWarning):
     """
 
 
-class UnsupportedModel(ValueError):
+class ConfigError(ValueError):
+    """Run-configuration error (config file or PIMD_KUBO_THREADS), with source position.
+
+    The runner exits 2 on it and on its subclasses.
+    """
+
+    def __init__(self, message, line=None, key=None):
+        self.line = line
+        self.key = key
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class UnsupportedModel(ConfigError):
     """The sampler's Gaussian reference cannot serve a well with two minima."""
 
 
@@ -21,7 +39,7 @@ class GridEscape(RuntimeError):
     """A centroid trajectory left the tabulated force range."""
 
 
-class GridTooCoarse(ValueError):
+class GridTooCoarse(ConfigError):
     """RPMD or CMD time step too coarse for the well's harmonic frequency (dt * omega >= 0.5)."""
 
 
@@ -45,12 +63,3 @@ class UnsupportedObservable(TypeError):
     """Observable kind not admissible for the requested operation."""
 
 
-class ConfigError(ValueError):
-    """Run-configuration error (config file or PIMD_KUBO_THREADS), with source position."""
-
-    def __init__(self, message, line=None, key=None):
-        self.line = line
-        self.key = key
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

@@ -5,10 +5,11 @@ microcanonical trajectory per sample; origin averaging along a single long
 trajectory is deliberately avoided because RPMD trajectories do not resample
 the thermal ensemble.  RPMD and CMD share one correlator: RPMD runs N-bead
 ring polymers on the bare potential, CMD one-bead ones (the centroids) on
-the mean force of a CentroidForceTable.  At one seed RPMD, CMD and the
-harmonic CAQ reference (oracle.harmonic_caq_reference) share their initial
-rings: CMD starts from the centroids of the rings of
-rpmd_initial_conditions, so the methods' comparisons are paired draws.
+the mean force of a CentroidForceTable.  At one seed RPMD and CMD share
+their initial rings: CMD starts from the centroids of the rings of
+rpmd_initial_conditions, which the harmonic CAQ reference
+(oracle.harmonic_caq_reference) takes too, so the methods' comparisons are
+paired draws.
 The products A0(0) * B(t) of every Monte Carlo correlator are streamed in
 trajectory order into running sums (_stats.RowAccumulator), so results
 are identical for any work partitioning and no n_traj x n_times product

@@ -14,10 +14,8 @@ def _fmt(x):
 
 
 def write_series_csv(path, series):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,value,std_error\n")
-        for t, v, e in zip(series.times, series.values, series.std_errors):
-            fh.write(f"{_fmt(t)},{_fmt(v)},{_fmt(e)}\n")
+    write_table_csv(path, ["t", "value", "std_error"],
+                    [series.times, series.values, series.std_errors])
 
 
 def write_table_csv(path, header, columns):

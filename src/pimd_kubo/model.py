@@ -5,10 +5,14 @@ a harmonic well (exactness statements), a mildly anharmonic well
 (cubic/quartic perturbations, spurious-peak studies) and a pure quartic
 well (strong nonlinearity).  Natural units throughout; hbar is carried
 as a parameter of the thermodynamic state.
+
+horner is the package's one polynomial evaluator: V and -V' here, the CMD
+force spline in dynamics and the poly: observable in ringpoly all run it.
 """
 
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -88,6 +92,13 @@ def quartic(a4, **fields):
     return PotentialModel(QUARTIC, a4=a4, **fields)
 
 
+def require_integers(config, *names):
+    """Raise ValueError unless each named field of config is an integer, a numpy one included."""
+    for name in names:
+        if not isinstance(getattr(config, name), Integral):
+            raise ValueError(f"{name} must be an integer, got {getattr(config, name)!r}")
+
+
 @dataclass(frozen=True)
 class ThermoParams:
     """Inverse temperature, bead count and Planck constant."""
@@ -99,7 +110,8 @@ class ThermoParams:
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and > 0")
-        if int(self.n_beads) != self.n_beads or self.n_beads < 1:
+        require_integers(self, "n_beads")
+        if self.n_beads < 1:
             raise ValueError("n_beads must be an integer >= 1")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be finite and > 0")
@@ -110,62 +122,72 @@ class ThermoParams:
         return self.n_beads / (self.beta * self.hbar)
 
 
-def potential_fn(model):
-    """V as an unchecked closure pot(q, out=None) over arrays, in Horner form.
+def horner(coeffs, q, out=None):
+    """sum_j coeffs[j] q^(d - j), d = len(coeffs) - 1 >= 1, by Horner's rule, into out.
 
-    The evaluator of the sampler and propagation loops: it does not check
-    its input, so a non-finite q gives a non-finite V.  Every Horner step
-    is one ufunc writing into out (when None, a new float array in the
-    memory layout of q), so a call allocates at most its result, and the
-    operation order, and so every bit, is the same either way.  The steps
-    run ((v4 q + v3) q + v2) q q from the leading nonzero coefficient, and
-    a zero coefficient's add is left out, as it adds only a signed zero.
+    The one polynomial evaluator of the package: V (potential_fn), -V'
+    (force_fn), the CMD force spline (dynamics.CentroidForceTable) and the
+    poly: observable (ringpoly.observable_from_label) all run it.  coeffs
+    run from the highest power down; each is a scalar or an array that
+    broadcasts against q.  Every step is one ufunc writing into out,
+        out = c_0 q,  out += c_1,  out *= q,  out += c_2,  ...,  out += c_d,
+    so a call allocates at most its result, and the operation order, and so
+    every bit, is the same whether out is given or not (when None, a new
+    float array in the memory layout of q).  A coefficient None marks a
+    step that multiplies without adding.  It is unchecked: a non-finite q
+    gives a non-finite value, and out must not share memory with q.
+    """
+    out = np.empty_like(q, dtype=float) if out is None else out
+    v = coeffs[0]
+    for c in coeffs[1:]:
+        v = np.multiply(v, q, out=out)
+        if c is not None:
+            v = np.add(v, c, out=out)
+    return v
+
+
+def _steps(coeffs):
+    """horner's coefficients from the leading nonzero one on, a later zero as None.
+
+    The add of a zero coefficient is left out: it could change only the sign
+    of a zero.
+    """
+    lead = next(i for i, c in enumerate(coeffs) if c != 0.0)
+    return [coeffs[lead]] + [None if c == 0.0 else c for c in coeffs[lead + 1:]]
+
+
+def potential_fn(model):
+    """V as an unchecked closure pot(q, out=None) over arrays: horner on (v4, v3, v2, 0, 0).
+
+    The evaluator of the sampler and propagation loops, so its steps run
+    ((v4 q + v3) q + v2) q q from the leading nonzero coefficient, with the
+    add of a zero coefficient left out.
     """
     v2, v3, v4 = model.poly_coefficients()
-    coeffs = (v4, v3, v2)
-    lead, *rest = coeffs[next(i for i, c in enumerate(coeffs) if c != 0.0):]
-    mul, add = np.multiply, np.add
-
-    def pot(q, out=None):
-        out = np.empty_like(q, dtype=float) if out is None else out
-        v = lead
-        for c in rest:
-            v = mul(v, q, out=out)
-            if c != 0.0:
-                v = add(v, c, out=out)
-        return mul(mul(v, q, out=out), q, out=out)
-
-    return pot
+    return partial(horner, _steps((v4, v3, v2, 0.0, 0.0)))
 
 
 def force_fn(model):
     """-dV/dq as an unchecked closure force(q, out) over arrays; returns out.
 
-    The force of the propagation loop and the force table: like
-    potential_fn, every Horner step is one ufunc writing into out, and out
-    must not share memory with q.  The coefficients are the negated ones of
-    V' = (4 v4 q q + 3 v3 q + 2 v2) q, applied in that order, so the result
-    is the negated V' bit for bit (rounding is sign-symmetric).  A term
-    with a zero coefficient is left out, as it adds only a signed zero for
-    finite q; the cubic term of a well with v3 != 0 needs a second array.
+    The force of the propagation loop and the force table, in the out= form
+    of horner, so out must not share memory with q.  Its coefficients are
+    the negated ones of V' = (4 v4 q q + 3 v3 q + 2 v2) q, and the result is
+    the negated V' bit for bit (rounding is sign-symmetric).  Without a
+    cubic term that is horner on (c4, 0, c2, 0), c_k = -k v_k, from the
+    leading nonzero coefficient.  With one, the sum is written out in that
+    order, which rounds otherwise than Horner's rule, and the term c3 q
+    needs a second array.
     """
     v2, v3, v4 = model.poly_coefficients()
     c2, c3, c4 = -2.0 * v2, -3.0 * v3, -4.0 * v4
+    if v3 == 0.0:
+        return partial(horner, _steps((c4, c3, c2, 0.0)))
     mul, add = np.multiply, np.add
-    if v3 == 0.0 and v4 == 0.0:
-        def force(q, out):  # c2 q
-            return mul(c2, q, out=out)
-    elif v3 == 0.0 and v2 == 0.0:
-        def force(q, out):  # c4 q q q
-            return mul(mul(mul(c4, q, out=out), q, out=out), q, out=out)
-    elif v3 == 0.0:
-        def force(q, out):  # (c4 q q + c2) q
-            f = add(mul(mul(c4, q, out=out), q, out=out), c2, out=out)
-            return mul(f, q, out=out)
-    else:
-        def force(q, out):  # (c4 q q + c3 q + c2) q
-            f = add(mul(mul(c4, q, out=out), q, out=out), mul(c3, q), out=out)
-            return mul(add(f, c2, out=out), q, out=out)
+
+    def force(q, out):  # (c4 q q + c3 q + c2) q
+        f = add(mul(mul(c4, q, out=out), q, out=out), mul(c3, q), out=out)
+        return mul(add(f, c2, out=out), q, out=out)
 
     return force
 

@@ -15,9 +15,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
-from .model import HARMONIC, potential_eval
+from .model import HARMONIC, potential_eval, require_integers
 from .ringpoly import MOMENTUM, bond_midpoints
-from .sampler import draw_momenta, sample_ring_positions
 from .series import CorrelationSeries
 from ._stats import RowAccumulator, row_chunks
 
@@ -38,6 +37,7 @@ class GridSpec:
     def __post_init__(self):
         if not -np.inf < self.q_min < self.q_max < np.inf:
             raise ValueError("q_min must be < q_max, both finite")
+        require_integers(self, "n_points")
         if self.n_points < 64:
             raise ValueError("n_points must be >= 64")
 
@@ -261,22 +261,21 @@ def harmonic_swarm_trace(x, p, t, f, model, thermo):
     return float(high.mean())
 
 
-def harmonic_caq_reference(model, thermo, a_obs, times, cfg):
+def harmonic_caq_reference(model, thermo, a_obs, times, x, p):
     """Monte Carlo closed-form reference for C_Aq(t) in a harmonic well.
 
-    Positions are sampled from R(x), bead momenta from the Maxwell
-    distribution: the rings that RPMD and CMD start from at the same seed.
-    The position centroid then evolves classically from the bond-midpoint
+    x and p are (n_rings, N) bead positions and momenta drawn from R(x) and
+    the Maxwell distribution, say the rings that RPMD and CMD start from at
+    one seed (estimators.rpmd_initial_conditions); they are left untouched.
+    The position centroid evolves classically from the bond-midpoint
     momenta and is correlated against A0 at time zero, row chunk by row
     chunk (_stats.row_chunks).
     """
     _require_harmonic(model)
     times = np.asarray(times, dtype=float)
-    x = sample_ring_positions(model, thermo, cfg)
-    p = draw_momenta(thermo, model, cfg)
     a0 = a_obs.centroid(x, p)
     qc = x.mean(axis=1)
-    pc_mid = bond_midpoints(p, out=p).mean(axis=1)  # p is not read again
+    pc_mid = bond_midpoints(p).mean(axis=1)
     w, m = model.omega, model.mass
     cos_t, sin_t = np.cos(w * times)[None, :], np.sin(w * times)[None, :]
     v0 = pc_mid / (m * w)

@@ -15,12 +15,12 @@ dynamics.propagate_batch).
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._stats import row_chunks
-from .model import potential_eval
+from .model import horner, potential_eval
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -80,18 +80,10 @@ def observable_from_label(label):
     if label in builtin:
         return builtin[label]
     if label.startswith("poly:"):
-        coeffs = np.array([float(c) for c in label[5:].split(",")], dtype=float)
-
-        def poly(q, out=None, _c=coeffs):
-            # Horner in the operation order of np.polynomial.polynomial.polyval
-            out = np.multiply(q, 0.0, out=out)
-            out += _c[-1]
-            for c in _c[-2::-1]:
-                out *= q
-                out += c
-            return out
-
-        return Observable.position(poly, label)
+        # model.horner on [0, c_d, ..., c_0]: the operation order of
+        # np.polynomial.polynomial.polyval, which starts from 0 q + c_d
+        coeffs = [0.0] + [float(c) for c in reversed(label[5:].split(","))]
+        return Observable.position(partial(horner, coeffs), label)
     raise ValueError(f"unknown observable label {label!r}")
 
 

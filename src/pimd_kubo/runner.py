@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__, io
 from ._stats import N_BLOCKS
 from .dynamics import IntegratorConfig, build_centroid_force_table, check_accuracy, rpmd_trajectory
-from .errors import ConfigError, GridTooCoarse, UnsupportedModel
+from .errors import ConfigError
 from .estimators import (CMD_OBSERVABLES, cmd_kubo_correlator, rpmd_initial_conditions,
                          rpmd_kubo_correlator, spectrum)
 from .model import PotentialModel, ThermoParams
@@ -454,7 +454,7 @@ def run(config):
             io.write_meta_json(os.path.join(staging, "meta.json"), meta)
             for name in os.listdir(staging):
                 os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
-    except (ConfigError, GridTooCoarse, UnsupportedModel) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures, writing included, map to exit code 3

@@ -75,7 +75,7 @@ import numpy as np
 from . import _streams
 from ._stats import N_BLOCKS, block_standard_error, row_chunks
 from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
-from .model import potential_fn
+from .model import potential_fn, require_integers
 from .ringpoly import free_rp_frequencies
 
 _GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
@@ -98,6 +98,7 @@ class SamplerConfig:
     n_walkers: int = 128
 
     def __post_init__(self):
+        require_integers(self, "n_samples", "seed", "burn_in", "decorrelation_stride", "n_walkers")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in [0, 2^64)")
         if self.n_samples < 1:

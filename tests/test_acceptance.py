@@ -254,16 +254,16 @@ def test_criterion_06_caq_cross_validation():
     scfg = SamplerConfig(n_samples=8192, seed=6100, burn_in=256, decorrelation_stride=4)
     icfg = IntegratorConfig(dt=0.02, n_steps=500)
     rpmd = rpmd_kubo_correlator(HARMONIC, th, scfg, icfg, OBS_Q, OBS_Q)
-    ref = harmonic_caq_reference(HARMONIC, th, OBS_Q, rpmd.times, scfg)
+    x0 = sample_ring_positions(HARMONIC, th, scfg)
+    bead = draw_momenta(th, HARMONIC, scfg)
+    ref = harmonic_caq_reference(HARMONIC, th, OBS_Q, rpmd.times, x0, bead)
     comb = np.maximum(np.hypot(rpmd.std_errors, ref.std_errors), 1e-300)
     dev = np.abs(rpmd.values - ref.values) / comb
     agree_ok = dev.max() <= 3.0
 
     # centroid-trajectory statistics must agree across momentum conventions
-    x0 = sample_ring_positions(HARMONIC, th, scfg)
     marks = [int(round(t / icfg.dt)) for t in (1.0, 5.0, 10.0)]
     traj = {}
-    bead = draw_momenta(th, HARMONIC, scfg)
     for conv, p0 in (("bead", bead), ("bond_midpoint", bond_midpoints(bead))):
         rec, _, _ = propagate_batch(x0.copy(), p0, force_fn(HARMONIC), HARMONIC.mass, th,
                                     icfg.dt, icfg.n_steps, [OBS_Q])

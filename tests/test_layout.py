@@ -12,7 +12,8 @@ programs it runs with python -c, and reads a parsed RunConfig's
 attributes and [section] keys, so those must exist too; so must every
 name the demos (demos/*.py), which no test runs, import.  The runtime
 needs numpy only: a run must not load scipy, which the tests use as a
-reference.
+reference.  The oracle, which judges the sampler, the dynamics and the
+estimators, imports none of them, even by way of another module.
 """
 
 import ast
@@ -60,6 +61,23 @@ def test_no_import_inside_function():
            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
            for inner in ast.walk(fn) if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert not bad, bad
+
+
+def test_oracle_imports_none_of_the_code_it_judges():
+    graph = {name[:-3]: {node.module or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.level
+                         for alias in node.names}
+             for name, tree in _trees()}
+    reached, todo = set(), ["oracle"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += graph.get(module, ())
+    # the walk must see the oracle's own imports, or the check proves nothing
+    assert {"model", "ringpoly", "series"} <= reached
+    judged = reached & {"sampler", "dynamics", "estimators", "runner"}
+    assert not judged, judged
 
 
 def _makes_randomness(node):

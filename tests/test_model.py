@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from pimd_kubo import harmonic, mildly_anharmonic, potential_eval, quartic
-from pimd_kubo.model import PotentialModel, ThermoParams, force_fn, potential_fn
+from pimd_kubo import (GridSpec, IntegratorConfig, SamplerConfig, harmonic, mildly_anharmonic,
+                       potential_eval, quartic)
+from pimd_kubo.model import PotentialModel, ThermoParams, force_fn, horner, potential_fn
+
+# q at which every Horner step meets a signed zero, an infinity, a nan or
+# an underflow, besides ordinary values
+Q_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-200, -1e-200, 1e200, -2.25, 0.75])
 
 
 def test_harmonic_value():
@@ -116,6 +121,45 @@ def test_force_is_the_negated_gradient_bit_for_bit(model):
     assert buf.tobytes() == (-_grad_reference(model)(q)).tobytes()
 
 
+@pytest.mark.parametrize("coeffs, by_hand", [
+    ([2.0, 3.0], lambda q: np.add(np.multiply(2.0, q), 3.0)),
+    ([0.0, -1.5, 0.25],
+     lambda q: np.add(np.multiply(np.add(np.multiply(0.0, q), -1.5), q), 0.25)),
+    ([2.0, None, 3.0, None],
+     lambda q: np.multiply(np.add(np.multiply(np.multiply(2.0, q), q), 3.0), q)),
+    ([-0.5, None, None], lambda q: np.multiply(np.multiply(-0.5, q), q)),
+], ids=["linear", "leading_zero", "multiply_only_steps", "all_multiply_only"])
+@pytest.mark.parametrize("q", [Q_EDGES, np.random.default_rng(9).normal(scale=3.0, size=(4, 7)),
+                               np.array(-0.0), np.array(np.nan)],
+                         ids=["edges", "random_2d", "0d_negative_zero", "0d_nan"])
+def test_horner_is_its_ufuncs_written_out(coeffs, by_hand, q):
+    # each step is one ufunc in the documented order, a None step only
+    # multiplies, and out changes no bit
+    out = np.full_like(q, 7.0)
+    with np.errstate(all="ignore"):
+        want = np.asarray(by_hand(q)).tobytes()
+        got = horner(coeffs, q)
+        assert horner(coeffs, q, out) is out
+    assert got.shape == q.shape and got.tobytes() == want
+    assert out.tobytes() == want
+
+
+def test_horner_takes_array_coefficients():
+    # one cubic per point, as the CMD force spline passes them; coefficients
+    # may also broadcast, one per row
+    rng = np.random.default_rng(10)
+    q = rng.normal(size=(3, len(Q_EDGES)))
+    q[0] = Q_EDGES
+    a, b, c, d = rng.normal(size=(4,) + q.shape)
+    b[1, :2] = 0.0, -0.0
+    rows = a[:, :1]
+    with np.errstate(all="ignore"):
+        want = np.add(np.multiply(np.add(np.multiply(np.add(np.multiply(a, q), b), q), c), q), d)
+        assert horner(np.stack([a, b, c, d]), q).tobytes() == want.tobytes()
+        want = np.add(np.multiply(np.multiply(rows, q), q), d)
+        assert horner([rows, None, d], q).tobytes() == want.tobytes()
+
+
 def test_bounded_below():
     # quartic-dominated wells grow at the sampling boundary used by the package
     for m in (quartic(0.5), mildly_anharmonic(c3=0.4, c4=0.2)):
@@ -167,6 +211,30 @@ def test_thermo_validation():
         ThermoParams(1.0, 0)
     with pytest.raises(ValueError):
         ThermoParams(1.0, 4, hbar=0.0)
+
+
+# a constructor taking one count or seed, and the field it sets
+COUNTS = [
+    (lambda n: ThermoParams(1.0, n), "n_beads"),
+    (lambda n: SamplerConfig(n, seed=1), "n_samples"),
+    (lambda n: SamplerConfig(64, seed=n), "seed"),
+    (lambda n: SamplerConfig(64, seed=1, burn_in=n), "burn_in"),
+    (lambda n: SamplerConfig(64, seed=1, decorrelation_stride=n), "decorrelation_stride"),
+    (lambda n: SamplerConfig(64, seed=1, n_walkers=n), "n_walkers"),
+    (lambda n: IntegratorConfig(0.05, n), "n_steps"),
+    (lambda n: GridSpec(-8.0, 8.0, n), "n_points"),
+]
+
+
+@pytest.mark.parametrize("make, field", COUNTS, ids=[field for _, field in COUNTS])
+def test_counts_and_seeds_must_be_integers(make, field):
+    # a non-integral count or seed is refused where it is set, not later in
+    # a run (a seed of 1.5 drew the streams of seed 1); numpy integers pass
+    for bad in (64.0, 64.5, np.float64(64.0), "64"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make(bad)
+    for good in (64, np.int64(64), np.uint16(64)):
+        assert getattr(make(good), field) == 64
 
 
 def test_omega_n():

@@ -4,9 +4,9 @@ from scipy.integrate import quad
 
 from pimd_kubo import (GridSpec, OBS_P, OBS_Q, OBS_Q2, Observable, SamplerConfig,
                        ThermoParams, diagonalize, discrete_kubo_correlator,
-                       discrete_kubo_transform, exact_kubo_correlator, harmonic,
+                       discrete_kubo_transform, draw_momenta, exact_kubo_correlator, harmonic,
                        harmonic_caq_reference, harmonic_swarm_trace, mildly_anharmonic,
-                       thermal_average)
+                       sample_ring_positions, thermal_average)
 from pimd_kubo.errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
 from pimd_kubo.oracle import kubo_weights, momentum_matrix, position_matrix
 
@@ -220,7 +220,9 @@ def test_caq_reference_matches_cos(harmonic_model):
     th = ThermoParams(1.0, 16)
     cfg = SamplerConfig(n_samples=4096, seed=17, burn_in=128, decorrelation_stride=2)
     times = np.linspace(0.0, 10.0, 101)
-    series = harmonic_caq_reference(harmonic_model, th, OBS_Q, times, cfg)
+    x = sample_ring_positions(harmonic_model, th, cfg)
+    p = draw_momenta(th, harmonic_model, cfg)
+    series = harmonic_caq_reference(harmonic_model, th, OBS_Q, times, x, p)
     dev = np.abs(series.values - np.cos(times)) / np.maximum(series.std_errors, 1e-12)
     assert dev.max() <= 3.0
     assert series.values[0] == pytest.approx(1.0, abs=3 * series.std_errors[0])

@@ -41,6 +41,36 @@ def test_observable_rejects_unknown_kind():
         Observable("spin", "s")
 
 
+def _frozen_poly(coeffs):
+    """The poly: observable's own Horner loop before it ran model.horner, frozen."""
+    _c = np.array(coeffs, dtype=float)
+
+    def poly(q, out=None):
+        out = np.multiply(q, 0.0, out=out)
+        out += _c[-1]
+        for c in _c[-2::-1]:
+            out *= q
+            out += c
+        return out
+
+    return poly
+
+
+@pytest.mark.parametrize("coeffs", ["0.3,-1.2,0.7", "0,0,1", "2.5", "-0.0", "1.5,0,-0.0,2,-0.25"])
+def test_poly_observable_keeps_its_loop_bits(coeffs):
+    f = observable_from_label(f"poly:{coeffs}").f
+    ref = _frozen_poly([float(c) for c in coeffs.split(",")])
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-200, -1e-200, 1e200, -3.5, 0.75])
+    rows = np.random.default_rng(12).normal(scale=2.0, size=(6, 8))
+    for q in (edges, rows, rows.T, np.array(-0.0)):
+        out = np.full_like(q, 7.0)
+        with np.errstate(all="ignore"):
+            want = np.asarray(ref(q)).tobytes()
+            assert f(q).tobytes() == want
+            assert f(q, out) is out
+        assert out.tobytes() == want
+
+
 def test_bond_midpoint_resummation():
     # (1/N) sum (p_k + p_{k+1})/2 telescopes to the plain centroid on a ring
     rng = np.random.default_rng(11)
