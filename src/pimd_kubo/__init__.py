@@ -14,8 +14,8 @@ from .estimators import (band_peaks, cmd_kubo_correlator, rpmd_initial_condition
 from .model import (PotentialModel, ThermoParams, harmonic, mildly_anharmonic, potential_eval,
                     quartic)
 from .oracle import (EigenSystem, GridSpec, diagonalize, discrete_kubo_correlator,
-                     discrete_kubo_transform, exact_kubo_correlator, harmonic_caq_reference,
-                     harmonic_swarm_trace, thermal_average)
+                     exact_kubo_correlator, harmonic_caq_reference, harmonic_swarm_trace,
+                     thermal_average)
 from .ringpoly import (OBS_P, OBS_Q, OBS_Q2, OBS_Q3, Observable, free_rp_frequencies,
                        log_ring_density, normal_mode_transform, observable_from_label,
                        spring_energy)

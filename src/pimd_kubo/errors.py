@@ -1,7 +1,12 @@
 """Exception and warning types shared across the package.
 
-A ConfigError, GridTooCoarse and UnsupportedModel included, is what the
-runner maps to exit 2: a run that its configuration cannot serve.
+A ConfigError is what the runner maps to exit 2: a run that its
+configuration cannot serve.  Its subclasses are a well the sampler cannot
+serve (UnsupportedModel), a time step too coarse for the well
+(GridTooCoarse) and an [oracle] grid that cannot represent the thermal
+states: one that leaks at its edges (BoundaryLeak), one too coarse for the
+highest retained state (GridUnresolved), or too few retained states
+(SpectralIncomplete).
 """
 
 
@@ -47,12 +52,16 @@ class QuadratureFailure(RuntimeError):
     """The swarm trace's Gauss-Hermite sums of orders 32 and 64 disagree beyond its tolerance."""
 
 
-class SpectralIncomplete(ValueError):
+class SpectralIncomplete(ConfigError):
     """Retained eigenbasis does not span the thermal density at this beta."""
 
 
-class BoundaryLeak(ValueError):
+class BoundaryLeak(ConfigError):
     """A retained eigenstate has non-negligible amplitude at the grid edge."""
+
+
+class GridUnresolved(ConfigError):
+    """The grid spacing does not resolve the de Broglie scale of the highest retained state."""
 
 
 class NonFiniteResult(ValueError):

@@ -71,6 +71,13 @@ class PotentialModel:
         if self.kind == QUARTIC:
             if not (np.isfinite(self.a4) and self.a4 > 0):
                 raise ValueError("a4 must be finite and > 0")
+        try:
+            coeffs = self.poly_coefficients()
+        except OverflowError:  # omega**2 past the float range
+            coeffs = (np.inf,)
+        if not (any(coeffs) and np.isfinite(coeffs).all()):  # say omega = 1e-200 or 1e200
+            raise ValueError("the coefficients of V under- or overflow at " + ", ".join(
+                f"{name} = {getattr(self, name)!r}" for name in KIND_PARAMETERS[self.kind]))
 
     def poly_coefficients(self):
         """Coefficients (v2, v3, v4) of V = v2 q^2 + v3 q^3 + v4 q^4."""

@@ -2,19 +2,24 @@
 
 The Hamiltonian is represented on a uniform position grid with a Fourier
 (periodic plane-wave) kinetic operator, which is exponentially accurate for
-states that vanish at the box edges.  Kubo-transformed correlators are then
-energy-basis double sums; the imaginary-time-discretized transform and the
-harmonic-well references (the Gaussian swarm trace and the classically
-evolved centroid) provide independent cross checks.
+states that vanish at the box edges.  A Kubo-transformed correlator is then
+one weighted pair sum in the energy basis,
+    C(t) = (1/Z) sum_nm w_nm A_nm B_mn exp(i (En - Em) t / hbar),
+whose weights w_nm average e^{-lam En} e^{-(beta - lam) Em} over the
+imaginary time lam in [0, beta].  Two rules give them: kubo_weights is the
+exact lam integral, discrete_kubo_weights its N-slice trapezoid rule, which
+is what an N-bead ring polymer sees.  The harmonic-well references (the
+Gaussian swarm trace and the classically evolved centroid) provide
+independent cross checks.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
+from .errors import BoundaryLeak, GridUnresolved, QuadratureFailure, SpectralIncomplete
 from .model import HARMONIC, potential_eval, require_integers
 from .ringpoly import MOMENTUM, bond_midpoints
 from .series import CorrelationSeries
@@ -23,9 +28,6 @@ from ._stats import RowAccumulator, row_chunks
 _DEGENERATE_CUT = 1e-10
 _BOUNDARY_TOL = 1e-8
 _SWARM_TOL = 1e-8  # largest |I_32 - I_64| the swarm trace accepts per bead
-# probabilists' Gauss-Hermite rules (weight exp(-z^2 / 2)) of the swarm trace,
-# exact for polynomials of degree < 2n: (nodes, weights / sqrt(2 pi)) per order
-_SWARM_RULES = [(z, w / math.sqrt(2.0 * math.pi)) for z, w in map(hermegauss, (32, 64))]
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,8 @@ def diagonalize(model, grid, n_retained, hbar=1.0):
         raise BoundaryLeak(f"retained eigenstate amplitude {edge:.2e} at the grid edge")
     e_max = float(energies[-1])
     if e_max > 0 and grid.dq > (np.pi / 4.0) * hbar / math.sqrt(2.0 * model.mass * e_max):
-        raise ValueError("grid spacing does not resolve the de Broglie scale of the highest retained state")
+        raise GridUnresolved(
+            "grid spacing does not resolve the de Broglie scale of the highest retained state")
     return EigenSystem(energies, states, grid, model.mass, hbar)
 
 
@@ -114,24 +117,30 @@ def observable_matrix(eig, obs):
     return position_matrix(eig, obs.f)
 
 
-def thermal_average(eig, f, beta):
-    """<f(q)> over the retained thermal density."""
-    es = eig.energies - eig.energies[0]
-    boltz = np.exp(-beta * es)
-    _check_complete(boltz)
-    diag = np.diag(position_matrix(eig, f))
-    return float((boltz * diag).sum() / boltz.sum())
+def _boltzmann(eig, beta):
+    """Thermal weights exp(-beta (E - E0)) of the retained states.
 
-
-def _check_complete(boltz):
+    Raises SpectralIncomplete when the highest retained state carries a
+    thermal weight of 1e-12 or more, so the basis misses the density.
+    """
+    boltz = np.exp(-beta * (eig.energies - eig.energies[0]))
     if boltz[-1] / boltz.sum() >= 1e-12:
         raise SpectralIncomplete(
             "highest retained state carries thermal weight >= 1e-12; retain more states")
+    return boltz
+
+
+def thermal_average(eig, f, beta):
+    """<f(q)> over the retained thermal density."""
+    boltz = _boltzmann(eig, beta)
+    diag = np.diag(position_matrix(eig, f))
+    return float((boltz * diag).sum() / boltz.sum())
 
 
 def kubo_weights(energies, beta):
     """Thermal weights (e^{-b En} - e^{-b Em}) / (b (Em - En)), shifted by E0.
 
+    The lam integral (1/b) int_0^b e^{-lam En} e^{-(b - lam) Em} dlam.
     Near-degenerate pairs use the series e^{-b En}(1 - x/2 + x^2/6 - x^3/24),
     x = b (Em - En), removing the 0/0 without branching on exact equality.
     Distant pairs factor out the smaller energy so every exponent is <= 0.
@@ -141,89 +150,70 @@ def kubo_weights(energies, beta):
     x = beta * de
     bn = np.exp(-beta * es)[:, None]
     near = np.abs(de) < _DEGENERATE_CUT * np.maximum(1.0, np.abs(es)[:, None])
-    absx = np.abs(x)
-    safe = np.where(near, 1.0, absx)
+    safe = np.where(near, 1.0, np.abs(x))
     bmin = np.exp(-beta * np.minimum(es[None, :], es[:, None]))
-    w = np.where(near,
-                 bn * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0),
-                 bmin * -np.expm1(-safe) / safe)
-    return w
+    return np.where(near,
+                    bn * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0),
+                    bmin * -np.expm1(-safe) / safe)
 
 
-def _spectral_sum(eig, beta, times, pair_weights):
-    """sum_nm G_nm exp(i (Em - En) t / hbar) at each time, complex.
+def discrete_kubo_weights(energies, beta, n_slices):
+    """The N-slice trapezoid rule of kubo_weights' lam integral, shifted by E0.
 
-    G = pair_weights(boltz) is built after the thermal weights
-    boltz = exp(-beta (E - E0)) pass the completeness check; element (n, m)
-    pairs with <m|B(t)|n> = B_mn e^{i(Em - En)t/hbar}.
-    """
-    es = eig.energies - eig.energies[0]
-    boltz = np.exp(-beta * es)
-    _check_complete(boltz)
-    g = pair_weights(boltz).ravel()
-    de = (es[None, :] - es[:, None]).ravel() / eig.hbar
-    vals = np.empty(times.size, dtype=complex)
-    for rows in row_chunks(times.size, 2 * de.size):  # a complex element is two floats
-        phase = 1j * np.outer(times[rows], de)
-        vals[rows] = np.exp(phase, out=phase) @ g  # in place: one (chunk, M^2) array
-    return vals
+    w_nm = (1/N) sum_{j=0}^{N} c_j e^{-lam_j En} e^{-(b - lam_j) Em},
+    lam_j = b j / N, c_0 = c_N = 1/2 and c_j = 1 otherwise: the weights of
+    the discretized transform
+        K = (1/2N)(A e^{-bH} + e^{-bH} A) + (1/N) sum_{j=1}^{N-1}
+            e^{-b j H / N} A e^{-b (1 - j/N) H},
+    formed as one product of two (N + 1, M) exponential tables.
 
-
-def exact_kubo_correlator(eig, a_obs, b_obs, beta, times):
-    """Spectral evaluation of the Kubo-transformed correlator C_AB(t).
-
-    C(t) = (1/Z) sum_nm w_nm A_nm B_mn exp(i (En - Em) t / hbar); the result
-    of a Hermitian pair is real and the imaginary residue is checked.
-    """
-    times = np.asarray(times, dtype=float)
-
-    def pair_weights(boltz):
-        a_mat = observable_matrix(eig, a_obs)
-        b_mat = observable_matrix(eig, b_obs)
-        return kubo_weights(eig.energies, beta) * a_mat * b_mat.T / boltz.sum()
-
-    vals = _spectral_sum(eig, beta, times, pair_weights)
-    residue = np.abs(vals.imag).max() if vals.size else 0.0
-    if residue >= 1e-10 * max(1.0, np.abs(vals.real).max()):
-        raise RuntimeError(f"imaginary residue {residue:.2e} of the spectral sum")
-    return CorrelationSeries(times, vals.real, np.zeros_like(times))
-
-
-def discrete_kubo_transform(eig, a_obs, beta, n_slices):
-    """Trapezoid-discretized Kubo transform of A in the retained eigenbasis.
-
-    K = (1/2N)(A e^{-bH} + e^{-bH} A) + (1/N) sum_{j=1}^{N-1}
-        e^{-b j H / N} A e^{-b (1 - j/N) H}
-
-    By Euler-Maclaurin, the correlator D_N built from K differs from the
-    exact Kubo correlator C at t = 0 by
+    By Euler-Maclaurin, the correlator D_N built from these weights differs
+    from the exact Kubo correlator C at t = 0 by
         D_N - C = (b / 12 N^2) <[[A, H], B]> + O(N^-4),
     where <[[A, H], B]> is hbar^2 / m for A = B = q and 4 hbar^2 <q^2> / m
     for A = B = q^2.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
-    e = eig.energies
-    a_mat = observable_matrix(eig, a_obs)
-    bn = np.exp(-beta * e)
-    k = 0.5 / n_slices * (a_mat * bn[None, :] + bn[:, None] * a_mat)
-    for j in range(1, n_slices):
-        lam = beta * j / n_slices
-        k = k + (np.exp(-lam * e)[:, None] * a_mat * np.exp(-(beta - lam) * e)[None, :]) / n_slices
-    return k
+    es = energies - energies[0]
+    lam = beta * np.arange(n_slices + 1) / n_slices
+    c = np.r_[0.5, np.ones(n_slices - 1), 0.5] / n_slices  # c_j / N
+    return (c[:, None] * np.exp(-np.outer(lam, es))).T @ np.exp(-np.outer(beta - lam, es))
+
+
+def _kubo_correlator(eig, a_obs, b_obs, beta, times, weights):
+    """C(t) = (1/Z) sum_nm w_nm A_nm B_mn exp(i (En - Em) t / hbar) for the pair weights w.
+
+    g = w * A * B^T / Z is formed once, from Z of the checked thermal
+    weights (_boltzmann); element (n, m) pairs with <m|B(t)|n> =
+    B_mn e^{i(Em - En)t/hbar}.  The times are walked in row chunks
+    (_stats.row_chunks).  The result of a Hermitian pair with symmetric
+    weights is real, and the imaginary residue is checked.
+    """
+    times = np.asarray(times, dtype=float)
+    z = _boltzmann(eig, beta).sum()
+    g = (weights * observable_matrix(eig, a_obs) * observable_matrix(eig, b_obs).T / z).ravel()
+    es = eig.energies - eig.energies[0]
+    de = (es[None, :] - es[:, None]).ravel() / eig.hbar
+    vals = np.empty(times.size, dtype=complex)
+    for rows in row_chunks(times.size, 2 * de.size):  # a complex element is two floats
+        phase = 1j * np.outer(times[rows], de)
+        vals[rows] = np.exp(phase, out=phase) @ g  # in place: one (chunk, M^2) array
+    residue = np.abs(vals.imag).max() if vals.size else 0.0
+    if residue >= 1e-10 * max(1.0, np.abs(vals.real).max()):
+        raise RuntimeError(f"imaginary residue {residue:.2e} of the spectral sum")
+    return CorrelationSeries(times, vals.real, np.zeros_like(times))
+
+
+def exact_kubo_correlator(eig, a_obs, b_obs, beta, times):
+    """Spectral evaluation of the Kubo-transformed correlator C_AB(t), weights kubo_weights."""
+    return _kubo_correlator(eig, a_obs, b_obs, beta, times, kubo_weights(eig.energies, beta))
 
 
 def discrete_kubo_correlator(eig, a_obs, b_obs, beta, n_slices, times):
-    """Pair the discretized transform with exact real-time evolution of B."""
-    times = np.asarray(times, dtype=float)
-
-    def pair_weights(_):
-        z = np.exp(-beta * eig.energies).sum()
-        k_mat = discrete_kubo_transform(eig, a_obs, beta, n_slices)
-        return k_mat * observable_matrix(eig, b_obs).T / z
-
-    vals = _spectral_sum(eig, beta, times, pair_weights)
-    return CorrelationSeries(times, vals.real, np.zeros_like(times))
+    """The N-slice correlator D_N(t): the pair sum with weights discrete_kubo_weights."""
+    return _kubo_correlator(eig, a_obs, b_obs, beta, times,
+                            discrete_kubo_weights(eig.energies, beta, n_slices))
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +222,17 @@ def discrete_kubo_correlator(eig, a_obs, b_obs, beta, n_slices, times):
 def _require_harmonic(model):
     if model.kind != HARMONIC:
         raise ValueError("this reference is defined for the harmonic model only")
+
+
+@lru_cache(maxsize=1)
+def _swarm_rules():
+    """Probabilists' Gauss-Hermite rules (weight exp(-z^2 / 2)) of orders 32 and 64.
+
+    Each is exact for polynomials of degree < 2n, as (nodes, weights /
+    sqrt(2 pi)); formed on first use, not at import.
+    """
+    return [(z, w / math.sqrt(2.0 * math.pi))
+            for z, w in map(np.polynomial.hermite_e.hermegauss, (32, 64))]
 
 
 def harmonic_swarm_trace(x, p, t, f, model, thermo):
@@ -254,7 +255,7 @@ def harmonic_swarm_trace(x, p, t, f, model, thermo):
     if s == 0.0:
         return float(np.mean(f(centers)))
     sigma = math.sqrt(thermo.beta * thermo.hbar**2 * s**2 / (4.0 * m * n))
-    low, high = (f(centers[:, None] + sigma * z) @ wz for z, wz in _SWARM_RULES)
+    low, high = (f(centers[:, None] + sigma * z) @ wz for z, wz in _swarm_rules())
     err = np.abs(low - high).max()
     if not err <= _SWARM_TOL:
         raise QuadratureFailure(f"quadrature error estimate {err:.2e} exceeds {_SWARM_TOL:.0e}")

@@ -39,8 +39,11 @@ and moved in once every writer has finished, so a failing run adds no file
 to output_dir.
 
 Exit codes: 0 success, 2 configuration error (a well the sampler cannot
-serve, a time step too coarse for the well, or a PIMD_KUBO_THREADS that is
-not a positive integer, included), 3 runtime error.
+serve, a time step too coarse for the well, a PIMD_KUBO_THREADS that is
+not a positive integer, and an [oracle] grid that leaks at its edges, is
+too coarse or retains too few states, included), 3 runtime error.  compare
+runs the oracle before its method, so a faulty grid exits 2 before any
+sampling.
 """
 
 import argparse
@@ -286,12 +289,13 @@ def _check_run_values(command, full, given):
 # ----------------------------------------------------------------------
 # command implementations: compute everything, return (filename, writer) pairs
 
-def _oracle_series(config, times):
+def _oracle_series(config):
+    """The exact correlator on the integrator's times."""
     model, thermo = config.model(), config.thermo()
     a_obs, b_obs = config.observables()
     grid, n_retained = config.grid()
     eig = diagonalize(model, grid, n_retained, hbar=thermo.hbar)
-    return exact_kubo_correlator(eig, a_obs, b_obs, thermo.beta, times)
+    return exact_kubo_correlator(eig, a_obs, b_obs, thermo.beta, config.integrator().times())
 
 
 def _method_series(config, method):
@@ -302,7 +306,7 @@ def _method_series(config, method):
     neither does.
     """
     if method == "oracle":
-        return _oracle_series(config, config.integrator().times()), []
+        return _oracle_series(config), []
     run = config.sections["run"]
     model, thermo = config.model(), config.thermo()
     scfg, icfg = config.sampler(), config.integrator()
@@ -359,8 +363,8 @@ def _correlator(config, stats):
 
 
 def _compare(config, stats):
+    oracle_series = _oracle_series(config)  # first: a grid fault exits 2 before any sampling
     series, _ = _method_series(config, config.sections["run"]["method"])
-    oracle_series = _oracle_series(config, series.times)
     diff = series.values - oracle_series.values
     combined = np.sqrt(series.std_errors**2 + oracle_series.std_errors**2)
     ratio = np.abs(diff) / np.maximum(combined, 1e-300)

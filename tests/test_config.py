@@ -93,14 +93,17 @@ _USED_RANGES = {
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# mass, omega and a4 within 1e+-100, so no coefficient of V (0.5 m omega^2,
+# a4 / 4) under- or overflows, which the model refuses
+_SCALE = st.floats(min_value=1e-100, max_value=1e100)
 _COUNT = st.integers(1, 10**9)
 # the values the config dataclasses accept, drawn where _USED_RANGES does not
 # apply; c4 > 0 admits any c3, and valid_configs sets c4 wherever it sets c3
 _ACCEPTED = {
-    ("model", "mass"): _POSITIVE,
-    ("model", "omega"): _POSITIVE,
+    ("model", "mass"): _SCALE,
+    ("model", "omega"): _SCALE,
     ("model", "c4"): _POSITIVE,
-    ("model", "a4"): _POSITIVE,
+    ("model", "a4"): _SCALE,
     ("thermo", "beta"): _POSITIVE,
     ("thermo", "n_beads"): _COUNT,
     ("thermo", "hbar"): _POSITIVE,

@@ -12,8 +12,10 @@ programs it runs with python -c, and reads a parsed RunConfig's
 attributes and [section] keys, so those must exist too; so must every
 name the demos (demos/*.py), which no test runs, import.  The runtime
 needs numpy only: a run must not load scipy, which the tests use as a
-reference.  The oracle, which judges the sampler, the dynamics and the
-estimators, imports none of them, even by way of another module.
+reference.  Importing the runner and parsing a config load no
+numpy.polynomial: quadrature rules are formed on first use.  The oracle,
+which judges the sampler, the dynamics and the estimators, imports none of
+them, even by way of another module.
 """
 
 import ast
@@ -310,3 +312,40 @@ def test_runtime_never_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[-2] == "0 []", (proc.stdout, proc.stderr)
     assert (tmp_path / "out" / "force_table.csv").is_file()
+
+
+NO_POLYNOMIAL = """
+import sys
+
+from pimd_kubo import runner
+
+runner.parse_config('''
+[model]
+kind = harmonic
+[thermo]
+beta = 1.0
+n_beads = 4
+[sampler]
+n_samples = 64
+[integrator]
+dt = 0.05
+n_steps = 20
+[oracle]
+[run]
+command = compare
+seed = 1
+output_dir = unused
+''')
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "polynomial"]))
+"""
+
+
+def test_import_and_parse_build_no_quadrature_rule():
+    # the swarm trace's Gauss-Hermite rules are formed on first use, so a CLI
+    # start does not load numpy.polynomial or build them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_POLYNOMIAL],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[]", (proc.stdout, proc.stderr)

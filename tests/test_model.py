@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,22 @@ def test_model_validation():
         PotentialModel("mildly_anharmonic", c3=0.1, c4=0.0)  # unbounded below
     with pytest.raises(ValueError):
         PotentialModel("unknown")
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: harmonic(1.0, 1e-200), "omega = 1e-200"),
+    (lambda: mildly_anharmonic(1.0, 1e-200), "omega = 1e-200"),  # c3 = c4 = 0
+    (lambda: quartic(5e-324), "a4 = 5e-324"),
+    (lambda: harmonic(1.0, 1e200), "omega = 1e+200"),
+    (lambda: harmonic(1e308, 2.0), "mass = 1e+308"),
+], ids=["harmonic", "mildly_anharmonic", "quartic", "omega_squared_overflows",
+        "coefficient_overflows"])
+def test_well_whose_coefficients_under_or_overflow_rejected(make, name):
+    # 0.5 m omega^2 or a4 / 4 rounds to 0 (V = 0 has no leading coefficient)
+    # or past the float range: the model refuses it and names the parameter
+    with pytest.raises(ValueError, match="the coefficients of V under- or overflow at .*"
+                       + re.escape(name)):
+        make()
 
 
 @pytest.mark.parametrize("kind, params, key, default", [

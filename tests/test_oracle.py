@@ -3,12 +3,15 @@ import pytest
 from scipy.integrate import quad
 
 from pimd_kubo import (GridSpec, OBS_P, OBS_Q, OBS_Q2, Observable, SamplerConfig,
-                       ThermoParams, diagonalize, discrete_kubo_correlator,
-                       discrete_kubo_transform, draw_momenta, exact_kubo_correlator, harmonic,
-                       harmonic_caq_reference, harmonic_swarm_trace, mildly_anharmonic,
-                       sample_ring_positions, thermal_average)
-from pimd_kubo.errors import BoundaryLeak, QuadratureFailure, SpectralIncomplete
-from pimd_kubo.oracle import kubo_weights, momentum_matrix, position_matrix
+                       ThermoParams, diagonalize, discrete_kubo_correlator, draw_momenta,
+                       exact_kubo_correlator, harmonic, harmonic_caq_reference,
+                       harmonic_swarm_trace, mildly_anharmonic, sample_ring_positions,
+                       thermal_average)
+from pimd_kubo._stats import row_chunks
+from pimd_kubo.errors import (BoundaryLeak, ConfigError, GridUnresolved, QuadratureFailure,
+                              SpectralIncomplete)
+from pimd_kubo.oracle import (discrete_kubo_weights, kubo_weights, momentum_matrix,
+                              observable_matrix, position_matrix)
 
 
 def test_harmonic_eigenvalues(harmonic_eig_small):
@@ -35,6 +38,14 @@ def test_orthonormality_and_residual(harmonic_eig_small):
 def test_boundary_leak_raised():
     with pytest.raises(BoundaryLeak):
         diagonalize(harmonic(1.0, 1.0), GridSpec(-4.0, 4.0, 128), 12)
+
+
+def test_unresolved_grid_raised():
+    # dq = 0.375 exceeds (pi / 4) hbar / sqrt(2 m E_max) = 0.297 for E_max = 3.5;
+    # a fault of the [oracle] grid, so a ConfigError
+    with pytest.raises(GridUnresolved, match="de Broglie") as info:
+        diagonalize(harmonic(1.0, 1.0), GridSpec(-12.0, 12.0, 64), 4)
+    assert isinstance(info.value, ConfigError)
 
 
 def test_anharmonic_gap_perturbation_theory():
@@ -72,6 +83,44 @@ def test_spectral_incomplete():
     eig = diagonalize(harmonic(1.0, 1.0), GridSpec(-10.0, 10.0, 512), 6)
     with pytest.raises(SpectralIncomplete):
         exact_kubo_correlator(eig, OBS_Q, OBS_Q, 1.0, np.array([0.0]))
+    with pytest.raises(SpectralIncomplete):
+        thermal_average(eig, lambda q: q * q, 1.0)
+
+
+@pytest.mark.parametrize("n_slices", [1, 8])
+def test_discrete_spectral_incomplete(n_slices):
+    # the N-slice correlator checks the basis as the exact one does
+    eig = diagonalize(harmonic(1.0, 1.0), GridSpec(-10.0, 10.0, 512), 6)
+    with pytest.raises(SpectralIncomplete):
+        discrete_kubo_correlator(eig, OBS_Q, OBS_Q, 1.0, n_slices, np.array([0.0]))
+
+
+def _callback_kubo_correlator(eig, a_obs, b_obs, beta, times):
+    """The exact correlator as the pair-weight callback path computed it, frozen."""
+    times = np.asarray(times, dtype=float)
+    es = eig.energies - eig.energies[0]
+    boltz = np.exp(-beta * es)
+    a_mat = observable_matrix(eig, a_obs)
+    b_mat = observable_matrix(eig, b_obs)
+    g = (kubo_weights(eig.energies, beta) * a_mat * b_mat.T / boltz.sum()).ravel()
+    de = (es[None, :] - es[:, None]).ravel() / eig.hbar
+    vals = np.empty(times.size, dtype=complex)
+    for rows in row_chunks(times.size, 2 * de.size):
+        phase = 1j * np.outer(times[rows], de)
+        vals[rows] = np.exp(phase, out=phase) @ g
+    return vals.real
+
+
+@pytest.mark.parametrize("a_obs, b_obs", [(OBS_Q, OBS_Q), (OBS_Q2, OBS_Q2), (OBS_P, OBS_Q)],
+                         ids=["q_q", "q2_q2", "p_q"])
+def test_exact_kubo_keeps_the_callback_bits(harmonic_eig, a_obs, b_obs):
+    # one pair sum for both correlators leaves every bit of the exact one
+    anharmonic = diagonalize(mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.01),
+                             GridSpec(-12.0, 12.0, 640), 32)
+    times = np.linspace(0.0, 30.0, 3001)
+    for eig, beta in ((harmonic_eig, 1.0), (anharmonic, 8.0)):
+        got = exact_kubo_correlator(eig, a_obs, b_obs, beta, times).values
+        assert got.tobytes() == _callback_kubo_correlator(eig, a_obs, b_obs, beta, times).tobytes()
 
 
 def test_exact_kubo_harmonic_cos(harmonic_eig):
@@ -131,11 +180,12 @@ def test_exact_kubo_qp_derivative_relation(harmonic_eig):
 
 
 def test_discrete_kubo_n1_is_symmetrized(harmonic_eig):
+    # one slice: the symmetrized Boltzmann factor (A e^{-bH} + e^{-bH} A) / 2, shifted by E0
     beta = 2.0
     e = harmonic_eig.energies
     a = position_matrix(harmonic_eig, lambda q: q * q)
-    k1 = discrete_kubo_transform(harmonic_eig, OBS_Q2, beta, 1)
-    b = np.exp(-beta * e)
+    k1 = discrete_kubo_weights(e, beta, 1) * a
+    b = np.exp(-beta * (e - e[0]))
     ref = 0.5 * (a * b[None, :] + b[:, None] * a)
     assert np.abs(k1 - ref).max() <= 1e-12
 
@@ -145,8 +195,18 @@ def test_discrete_kubo_diagonal(harmonic_eig):
     e = harmonic_eig.energies
     a = position_matrix(harmonic_eig, lambda q: q * q)
     for n_slices in (1, 3, 8):
-        k = discrete_kubo_transform(harmonic_eig, OBS_Q2, beta, n_slices)
-        assert np.abs(np.diag(k) - np.diag(a) * np.exp(-beta * e)).max() <= 1e-12
+        k = discrete_kubo_weights(e, beta, n_slices) * a
+        assert np.abs(np.diag(k) - np.diag(a) * np.exp(-beta * (e - e[0]))).max() <= 1e-12
+
+
+def test_discrete_kubo_weights_tend_to_kubo_weights(harmonic_eig):
+    # the trapezoid rule's error is O(1/N^2) where beta (Em - En) / N is small,
+    # so over the lowest 8 states (gaps up to 7, beta = 2)
+    beta = 2.0
+    e = harmonic_eig.energies[:8]
+    exact = kubo_weights(e, beta)
+    errs = {n: np.abs(discrete_kubo_weights(e, beta, n) - exact).max() for n in (8, 16)}
+    assert 3.5 <= errs[8] / errs[16] <= 4.5
 
 
 def test_discrete_kubo_convergence(harmonic_eig):

@@ -478,6 +478,51 @@ def test_bad_oracle_grid_exits_2_before_sampling(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["rpmd", "cmd"])
+@pytest.mark.parametrize("edit, message", [
+    ({"q_min = -12.0": "q_min = -3.0", "q_max = 12.0": "q_max = 3.0", "n_points = 640":
+      "n_points = 128"}, "at the grid edge"),
+    ({"n_retained = 32": "n_retained = 4"}, "retain more states"),
+    ({"n_points = 640": "n_points = 64", "n_retained = 32": "n_retained = 4"}, "de Broglie"),
+], ids=["leaking_grid", "too_few_states", "unresolved_grid"])
+def test_oracle_fault_exits_2_before_sampling(tmp_path, monkeypatch, capsys, edit, message,
+                                              method):
+    # compare runs the oracle first, so a grid that the built GridSpec accepts
+    # but that cannot hold the thermal states exits 2 before any draw
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("initial conditions drawn")
+
+    for target in ("pimd_kubo.runner.rpmd_initial_conditions",
+                   "pimd_kubo.runner.build_centroid_force_table"):
+        monkeypatch.setattr(target, counted)
+    out = tmp_path / "fault"
+    text = SMALL_COMPARE.format(out=out) + f"method = {method}\n"
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    path = tmp_path / "fault.ini"
+    path.write_text(text)
+    assert main([str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_underflowing_well_exits_2(tmp_path, capsys):
+    # every coefficient of V rounds to 0: a fault of [model], found at parse
+    out = tmp_path / "flat"
+    path = tmp_path / "flat.ini"
+    path.write_text(MINIMAL_STATIC.format(out=out).replace("kind = harmonic",
+                                                           "kind = harmonic\nomega = 1e-200"))
+    assert main([str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "omega = 1e-200" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["rpmd", "cmd"])
 def test_too_coarse_dt_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command):
     # dt * omega = 0.6 breaks the integrator's accuracy bound: a fault of the
