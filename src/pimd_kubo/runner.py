@@ -30,10 +30,17 @@ sections it needs:
 rpmd or cmd against the oracle; spectrum transforms the correlator of
 method rpmd, cmd or oracle under a Hann taper (estimators.spectrum).
 ``blocks`` sets the error blocks of static and convergence; the other
-commands have fixed blocks and reject the key.
+commands have fixed blocks and reject the key.  static with a = q2 runs
+the estimator of convergence, sampler.mean_square_position, which
+integrates the centroid out of each sampled ring: at the same rings its
+standard error is smaller than that of the bead mean of q^2, which earlier
+versions wrote, so those runs' results.csv changed.  Every other static
+observable is the bead mean (sampler.estimate_static_average).
 
 Every run also writes meta.json, which records the process's peak resident
-set size (peak_rss_mb) and its thread count (threads) among other things.
+set size (peak_rss_mb), its thread count (threads) and each distinct
+warning message once, with its count, in first-seen order (warnings), among
+other things.
 All files of a run are written to a temporary directory beside output_dir
 and moved in once every writer has finished, so a failing run adds no file
 to output_dir.
@@ -65,7 +72,7 @@ from .estimators import (CMD_OBSERVABLES, cmd_kubo_correlator, rpmd_initial_cond
                          rpmd_kubo_correlator, spectrum)
 from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
-from .ringpoly import MOMENTUM, OBS_P, OBS_Q, observable_from_label
+from .ringpoly import MOMENTUM, OBS_P, OBS_Q, OBS_Q2, observable_from_label
 from .sampler import (SamplerConfig, draw_momenta, estimate_static_average, mean_square_position,
                       resolve_workers, sample_ring_positions)
 from .series import CorrelationSeries
@@ -348,7 +355,10 @@ def _static(config, stats):
         ens = sample_ring_positions(model, thermo, scfg)
     if a_obs.kind == MOMENTUM:
         mom = draw_momenta(thermo, model, scfg)
-    mean, se = estimate_static_average(a_obs, ens, mom, run["blocks"])
+    if a_obs is OBS_Q2:  # the centroid integrated out, as in convergence
+        mean, se = mean_square_position(ens, model, thermo, run["blocks"])
+    else:
+        mean, se = estimate_static_average(a_obs, ens, mom, run["blocks"])
     stats["mean"], stats["std_error"] = mean, se
     series = CorrelationSeries([0.0], [mean], [se])
     artifacts = [("results.csv", lambda p: io.write_series_csv(p, series))]
@@ -435,6 +445,9 @@ def run(config):
             warnings.simplefilter("always")
             stats = {}
             artifacts = _COMMANDS[config.command][1](config, stats)
+        counts = {}  # message -> count, in first-seen order
+        for message in (str(w.message) for w in wlist):
+            counts[message] = counts.get(message, 0) + 1
         os.makedirs(config.output_dir, exist_ok=True)
         # the whole set is written beside output_dir first, so a failing
         # writer leaves no new file in output_dir
@@ -451,7 +464,7 @@ def run(config):
                 "wall_time_s": round(time.time() - t_start, 3),
                 "peak_rss_mb": _peak_rss_mb(),
                 "threads": threads,
-                "warnings": [str(w.message) for w in wlist],
+                "warnings": [{"message": m, "count": n} for m, n in counts.items()],
                 "artifacts": sorted(name for name, _ in artifacts),
                 "stats": stats,
             }

@@ -1,13 +1,16 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from pimd_kubo._stats import CHUNK_ELEMENTS
 from pimd_kubo.errors import ConfigError
-from pimd_kubo.runner import main, parse_config, run
-from pimd_kubo.sampler import sample_ring_positions
+from pimd_kubo.ringpoly import observable_from_label
+from pimd_kubo.runner import _COMMANDS, main, parse_config, run
+from pimd_kubo.sampler import (draw_momenta, estimate_static_average, mean_square_position,
+                               sample_ring_positions)
 
 MINIMAL_STATIC = """\
 [model]
@@ -611,6 +614,48 @@ def test_static_momentum_skips_position_sampler(tmp_path, monkeypatch):
     assert calls == [1]
     assert (tmp_path / "p" / "results.csv").read_bytes() == (dumped / "results.csv").read_bytes()
     assert (dumped / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "mildly_anharmonic\nc3 = 0.3\nc4 = 0.1"],
+                         ids=["harmonic", "c3"])
+@pytest.mark.parametrize("a", ["q2", "q", "q3", "poly:0.5,-1,0,2", "p"])
+def test_static_run_writes_its_estimator(tmp_path, kind, a):
+    # q2 integrates the centroid out of the seed's rings, as convergence
+    # does; every other label is the bead mean of its rows or momenta
+    out = tmp_path / "out"
+    config = parse_config(MINIMAL_STATIC.format(out=out).replace(
+        "kind = harmonic", f"kind = {kind}").replace("a = q2", f"a = {a}\nblocks = 8"))
+    assert run(config) == 0
+    model, thermo, scfg = config.model(), config.thermo(), config.sampler()
+    ens = sample_ring_positions(model, thermo, scfg)
+    if a == "q2":
+        want = mean_square_position(ens, model, thermo, 8)
+    else:
+        want = estimate_static_average(observable_from_label(a), ens,
+                                       draw_momenta(thermo, model, scfg), 8)
+    stats = json.loads((out / "meta.json").read_text())["stats"]
+    assert np.array([stats["mean"], stats["std_error"]]).tobytes() == np.array(want).tobytes()
+    assert (out / "results.csv").read_text().splitlines()[1] == f"0.0,{want[0]!r},{want[1]!r}"
+
+
+def test_meta_counts_each_warning_once(tmp_path, monkeypatch):
+    # each distinct message once, with its count, in first-seen order; the
+    # warnings draw nothing and change no byte of results.csv
+    assert run(parse_config(MINIMAL_STATIC.format(out=tmp_path / "quiet"))) == 0
+    sections, static = _COMMANDS["static"]
+
+    def warning_static(config, stats):
+        for message in ("first", "second", "first"):
+            warnings.warn(message)
+        return static(config, stats)
+
+    monkeypatch.setitem(_COMMANDS, "static", (sections, warning_static))
+    out = tmp_path / "warned"
+    assert run(parse_config(MINIMAL_STATIC.format(out=out))) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["warnings"] == [{"message": "first", "count": 2},
+                                {"message": "second", "count": 1}]
+    assert (out / "results.csv").read_bytes() == (tmp_path / "quiet" / "results.csv").read_bytes()
 
 
 def test_failing_writer_adds_no_file(tmp_path, monkeypatch, capsys):

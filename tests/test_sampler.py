@@ -129,6 +129,7 @@ def test_conditional_estimator_consistency(harmonic_model):
     m1, s1 = estimate_static_average(OBS_Q2, ens)
     m2, s2 = mean_square_position(ens, harmonic_model, th)
     assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2)
+    assert s2 < s1
 
 
 def test_conditional_quadrature_matches_gaussian_branch():
