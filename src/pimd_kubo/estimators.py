@@ -10,15 +10,18 @@ their initial rings: CMD starts from the centroids of the rings of
 rpmd_initial_conditions, which the harmonic CAQ reference
 (oracle.harmonic_caq_reference) takes too, so the methods' comparisons are
 paired draws.
-The products A0(0) * B(t) of every Monte Carlo correlator are streamed in
-trajectory order into running sums (_stats.RowAccumulator), so results
-are identical for any work partitioning and no n_traj x n_times product
-array is held.
+The trajectories propagate in chunks of a fixed number of bead values, so
+the chunks depend only on N and the trajectory count.  Each chunk
+propagates in time segments and folds the products A0(0) * B(t) of each
+segment, in trajectory order, into its own block sums
+(_stats.RowAccumulator.block_sums), which are added in chunk order.  So
+results are identical for any thread count, and no record longer than one
+segment is held.
 """
 
 import numpy as np
 
-from ._stats import N_BLOCKS, RowAccumulator
+from ._stats import N_BLOCKS, RowAccumulator, row_chunks
 from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
 from .model import ThermoParams, force_fn
@@ -26,13 +29,16 @@ from .ringpoly import OBS_P, OBS_Q, free_rp_frequencies
 from .sampler import draw_momenta, map_in_order, resolve_workers, sample_ring_positions
 from .series import CorrelationSeries
 
-_TRAJ_CHUNK = 1024  # trajectories per propagation chunk (fixed; not tied to threads)
+# Bead values per propagation chunk: 1024 rings at N = 32, 256 at N = 128 and
+# every centroid of a CMD run at N = 1.  A constant, not tied to threads.
+_CHUNK_BEADS = 2**15
 
 CMD_OBSERVABLES = (OBS_Q, OBS_P)  # the linear A that centroid dynamics admits
 
 
-def _chunks(n):
-    return [(lo, min(lo + _TRAJ_CHUNK, n)) for lo in range(0, n, _TRAJ_CHUNK)]
+def _chunks(n, n_beads):
+    size = max(1, _CHUNK_BEADS // n_beads)
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _correlator_from_ic(x0, p0, force, mass, thermo, integrator_cfg, a_obs, b_obs):
@@ -40,25 +46,35 @@ def _correlator_from_ic(x0, p0, force, mass, thermo, integrator_cfg, a_obs, b_ob
 
     x0 and p0 are (n_traj, N) bead arrays, propagated by propagate_batch on
     force(q, out), which writes -dV/dq into out.  Chunks of trajectories
-    propagate on resolve_workers() threads; their products are added to one
-    RowAccumulator in trajectory order in this thread.  One-bead chunks
-    (N = 1, as in CMD) propagate on this thread: their step spends its time
-    in the interpreter, so worker threads gain nothing, and the threads'
-    allocator arenas would keep freed records resident.
+    propagate on resolve_workers() threads, each in time segments of at most
+    _stats.CHUNK_ELEMENTS // rows steps; a segment restarts from the
+    (x, p) its predecessor returns, which at N = 1 continues the trajectory
+    bit for bit.  A chunk folds each segment's products into its block sums,
+    and this thread adds those in chunk order.  One-bead chunks (N = 1, as
+    in CMD) propagate on this thread: their step spends its time in the
+    interpreter, so worker threads gain nothing.
     """
     n = x0.shape[0]
+    n_steps = integrator_cfg.n_steps
     a0 = a_obs.centroid(x0, p0)
     acc = RowAccumulator(n)
 
     def job(span):
         lo, hi = span
-        rec, _, _ = propagate_batch(x0[lo:hi], p0[lo:hi], force, mass, thermo,
-                                    integrator_cfg.dt, integrator_cfg.n_steps, [b_obs])
-        prod = rec[0].T
-        prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
-        return prod
+        x, p = x0[lo:hi], p0[lo:hi]
+        sums = np.empty((N_BLOCKS + 1, n_steps + 1))
+        for seg in row_chunks(n_steps, hi - lo):
+            rec, x, p = propagate_batch(x, p, force, mass, thermo, integrator_cfg.dt,
+                                        seg.stop - seg.start, [b_obs])
+            new = 0 if seg.start == 0 else 1  # a later segment's row 0 ends the last one
+            prod = rec[0, new:].T
+            prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
+            sums[:, seg.start + new:seg.stop + 1] = acc.block_sums(prod, lo)
+            del rec, prod  # freed before the next segment's record is made
+        return sums, hi - lo
 
-    map_in_order(job, _chunks(n), acc.add, 1 if thermo.n_beads == 1 else resolve_workers())
+    map_in_order(job, _chunks(n, thermo.n_beads), lambda done: acc.add_sums(*done),
+                 1 if thermo.n_beads == 1 else resolve_workers())
     return acc.result()
 
 

@@ -128,8 +128,8 @@ _SCHEMA = {
 
 # the correlator commands that compare and spectrum run as their `method`
 _METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
-# the commands whose error bars take [run] blocks; the correlators use the
-# fixed N_BLOCKS of _stats.RowAccumulator
+# the commands whose error bars take [run] blocks; each correlator chunk folds
+# its products into the fixed N_BLOCKS block sums of _stats.RowAccumulator
 _BLOCKED = ("static", "convergence")
 
 

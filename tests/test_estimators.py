@@ -8,7 +8,7 @@ from pimd_kubo import (CentroidForceTable, CorrelationSeries, IntegratorConfig, 
                        cmd_kubo_correlator, draw_momenta, exact_kubo_correlator, harmonic,
                        rpmd_kubo_correlator, sample_ring_positions, spectrum)
 from pimd_kubo.errors import GridEscape, InsufficientSamples, UnsupportedObservable
-from pimd_kubo._stats import RowAccumulator
+from pimd_kubo._stats import N_BLOCKS, RowAccumulator
 from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.estimators import _correlator_from_ic, rpmd_initial_conditions
 from pimd_kubo.model import force_fn
@@ -86,7 +86,7 @@ def test_accumulation_partition_independent(harmonic_model, monkeypatch):
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
         return rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q)
 
-    def cmd(threads):  # three chunks of trajectories (1024, 1024, 452)
+    def cmd(threads):  # 2500 centroids: one chunk of trajectories
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
         return cmd_kubo_correlator(harmonic_model, th, _linear_table(), _scfg(2500, seed=56),
                                    icfg, OBS_Q, OBS_Q)
@@ -102,9 +102,46 @@ def test_accumulation_partition_independent(harmonic_model, monkeypatch):
         assert b.std_errors.tobytes() == cmds[0].std_errors.tobytes()
 
 
+def test_accumulation_thread_independent_across_chunk_and_segment_edges(harmonic_model,
+                                                                        monkeypatch):
+    # N = 64 gives chunks of 512 rings, (512, 512, 276) of 1300; the blocks
+    # 487-568 and 975-1056 straddle a chunk edge, and the two full chunks
+    # propagate 600 steps as a 512-step segment and an 88-step tail
+    th = ThermoParams(1.0, 64)
+    scfg = _scfg(1300, seed=68, burn_in=16)
+    icfg = IntegratorConfig(dt=0.05, n_steps=600)
+    x0 = sample_ring_positions(harmonic_model, th, scfg)
+    p0 = draw_momenta(th, harmonic_model, scfg)
+    args = (force_fn(harmonic_model), harmonic_model.mass, th, icfg, OBS_Q, OBS_Q2)
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        runs.append(_correlator_from_ic(x0, p0, *args))
+    for values, errors in runs[1:]:
+        assert values.tobytes() == runs[0][0].tobytes()
+        assert errors.tobytes() == runs[0][1].tobytes()
+
+
+@pytest.mark.parametrize("b_obs", [OBS_Q, OBS_P])
+def test_one_bead_segments_continue_the_trajectories_bit_for_bit(b_obs, monkeypatch):
+    # 2500 centroids are one chunk; a budget of three steps per segment cuts
+    # 19 steps into six segments and a one-step tail, whose single column
+    # is summed in row order too
+    th = ThermoParams(1.0, 1)
+    rng = np.random.default_rng(69)
+    x0, p0 = rng.standard_normal((2, 2500, 1))
+    args = (_cubic_table().force_at, 1.0, th, IntegratorConfig(dt=0.05, n_steps=19),
+            OBS_Q, b_obs)
+    whole = _correlator_from_ic(x0, p0, *args)
+    monkeypatch.setattr("pimd_kubo._stats.CHUNK_ELEMENTS", 3 * 2500)
+    cut = _correlator_from_ic(x0, p0, *args)
+    assert cut[0].tobytes() == whole[0].tobytes()
+    assert cut[1].tobytes() == whole[1].tobytes()
+
+
 def test_one_bead_correlator_propagates_on_calling_thread(harmonic_model, monkeypatch):
-    # at PIMD_KUBO_THREADS = 3, an N = 4 correlator of three 1024-trajectory
-    # chunks propagates on pool threads, a one-bead (CMD) one on this thread
+    # at PIMD_KUBO_THREADS = 3, an N = 4 correlator (one chunk of 2500 rings)
+    # propagates on a pool thread, a one-bead (CMD) one on this thread
     monkeypatch.setenv("PIMD_KUBO_THREADS", "3")
     th, scfg = ThermoParams(1.0, 4), _scfg(2500, seed=67, burn_in=8)
     icfg = IntegratorConfig(dt=0.05, n_steps=2)
@@ -172,6 +209,22 @@ def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch, traced_pe
     peak = traced_peak(_correlator_from_ic, x0, p0, force_fn(harmonic_model),
                        harmonic_model.mass, th, icfg, OBS_Q, OBS_Q)
     assert peak < 0.75 * full
+
+
+def test_correlator_peak_does_not_grow_with_steps(harmonic_model, monkeypatch, traced_peak):
+    # each chunk reduces its products in time segments, so the traced peak,
+    # during propagation, grows with n_steps only by the chunk's per-time
+    # sums: its total and N_BLOCKS block sums
+    th = ThermoParams(1.0, 4)
+    scfg = _scfg(4096, seed=70)
+    x0 = sample_ring_positions(harmonic_model, th, scfg)
+    p0 = draw_momenta(th, harmonic_model, scfg)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
+    peaks = {n_steps: traced_peak(_correlator_from_ic, x0, p0, force_fn(harmonic_model),
+                                  harmonic_model.mass, th,
+                                  IntegratorConfig(dt=0.05, n_steps=n_steps), OBS_Q, OBS_Q)
+             for n_steps in (500, 4000)}
+    assert peaks[4000] - peaks[500] <= (N_BLOCKS + 2) * 3500 * 8 + 2**20
 
 
 # ----------------------------------------------------------------------
