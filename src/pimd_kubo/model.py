@@ -7,7 +7,8 @@ well (strong nonlinearity).  Natural units throughout; hbar is carried
 as a parameter of the thermodynamic state.
 
 horner is the package's one polynomial evaluator: V and -V' here, the CMD
-force spline in dynamics and the poly: observable in ringpoly all run it.
+force spline in dynamics, every position observable in ringpoly and the
+conditional-centroid exponent in sampler all run it.
 """
 
 from dataclasses import dataclass, fields
@@ -130,21 +131,24 @@ class ThermoParams:
 
 
 def horner(coeffs, q, out=None):
-    """sum_j coeffs[j] q^(d - j), d = len(coeffs) - 1 >= 1, by Horner's rule, into out.
+    """sum_j coeffs[j] q^(d - j), d = len(coeffs) - 1, by Horner's rule, into out.
 
     The one polynomial evaluator of the package: V (potential_fn), -V'
-    (force_fn), the CMD force spline (dynamics.CentroidForceTable) and the
-    poly: observable (ringpoly.observable_from_label) all run it.  coeffs
-    run from the highest power down; each is a scalar or an array that
-    broadcasts against q.  Every step is one ufunc writing into out,
+    (force_fn), the CMD force spline (dynamics.CentroidForceTable), every
+    position observable (ringpoly.Observable.f: q, q2, q3 and poly:) and the
+    conditional-centroid exponent (sampler._conditional_centroid_m2) all
+    run it.  coeffs run from the highest power down; each is a scalar or an
+    array that broadcasts against q.  Every step is one ufunc writing into out,
         out = c_0 q,  out += c_1,  out *= q,  out += c_2,  ...,  out += c_d,
     so a call allocates at most its result, and the operation order, and so
     every bit, is the same whether out is given or not (when None, a new
     float array in the memory layout of q).  A coefficient None marks a
-    step that multiplies without adding.  It is unchecked: a non-finite q
-    gives a non-finite value, and out must not share memory with q.
+    step that multiplies without adding.  With d = 0 there is no step: the
+    value is coeffs[0] itself, and nothing is allocated or written.  It is
+    unchecked: a non-finite q gives a non-finite value, and out must not
+    share memory with q.
     """
-    out = np.empty_like(q, dtype=float) if out is None else out
+    out = np.empty_like(q, dtype=float) if out is None and len(coeffs) > 1 else out
     v = coeffs[0]
     for c in coeffs[1:]:
         v = np.multiply(v, q, out=out)

@@ -14,8 +14,8 @@ dynamics.propagate_batch).
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,23 +28,32 @@ MOMENTUM = "momentum"
 
 @dataclass(frozen=True)
 class Observable:
-    """A position-function observable f(q) or the momentum observable.
+    """A polynomial position observable f(q) or the momentum observable.
 
-    f(q, out=None) returns f at the bead array q.  It writes its values into
-    out, an array of q's shape, when given, unless f(q) is q itself.
+    A position observable holds its polynomial's coefficients as
+    model.horner takes them: a tuple from the highest power down, None for
+    a step that multiplies without adding.  f(q, out=None) is horner on
+    them at the bead array q, written into out (an array of q's shape)
+    when given.  A leading (1, None) is q itself, so horner starts from q:
+    the product 1 q would cost the RPMD step one pass over its beads.  So
+    f(q) is q for q, q q for q2 and (q q) q for q3.
     """
 
     kind: str
     label: str
-    f: object = field(default=None, compare=False)
+    coeffs: tuple = None
 
     def __post_init__(self):
         if self.kind not in (POSITION, MOMENTUM):
             raise ValueError(f"unknown observable kind {self.kind!r}")
 
     @classmethod
-    def position(cls, f, label):
-        return cls(POSITION, label, f)
+    def position(cls, coeffs, label):
+        return cls(POSITION, label, tuple(coeffs))
+
+    def f(self, q, out=None):
+        coeffs = (q,) + self.coeffs[2:] if self.coeffs[:2] == (1, None) else self.coeffs
+        return horner(coeffs, q, out)
 
     @classmethod
     def momentum(cls):
@@ -68,14 +77,18 @@ class Observable:
         return out
 
 
-OBS_Q = Observable.position(lambda q, out=None: q, "q")
-OBS_Q2 = Observable.position(lambda q, out=None: np.multiply(q, q, out=out), "q2")
-OBS_Q3 = Observable.position(lambda q, out=None: np.power(q, 3, out=out), "q3")
+OBS_Q = Observable.position((1, None), "q")
+OBS_Q2 = Observable.position((1, None, None), "q2")
+OBS_Q3 = Observable.position((1, None, None, None), "q3")
 OBS_P = Observable.momentum()
 
 
 def observable_from_label(label):
-    """Map a text label (q, p, q2, q3, poly:c0,c1,...) to an Observable."""
+    """Map a text label (q, p, q2, q3, poly:c0,c1,...) to an Observable.
+
+    The one place a label becomes coefficients.  Raises ValueError for an
+    unknown label or a poly: coefficient that is not a finite number.
+    """
     builtin = {"q": OBS_Q, "q2": OBS_Q2, "q3": OBS_Q3, "p": OBS_P}
     if label in builtin:
         return builtin[label]
@@ -83,7 +96,9 @@ def observable_from_label(label):
         # model.horner on [0, c_d, ..., c_0]: the operation order of
         # np.polynomial.polynomial.polyval, which starts from 0 q + c_d
         coeffs = [0.0] + [float(c) for c in reversed(label[5:].split(","))]
-        return Observable.position(partial(horner, coeffs), label)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"observable {label!r} has a non-finite coefficient")
+        return Observable.position(coeffs, label)
     raise ValueError(f"unknown observable label {label!r}")
 
 

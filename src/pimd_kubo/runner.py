@@ -265,12 +265,9 @@ def _check_run_values(command, full, given):
     if command in _METHODS and method not in _METHODS[command]:
         raise ConfigError(f"method for command {command!r} must be one of "
                           f"{_METHODS[command]}, got {method!r}")
+    config = RunConfig(full)
     if method == "cmd":
-        try:
-            linear = observable_from_label(run["a"]) in CMD_OBSERVABLES
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not linear:
+        if config.observables()[0] not in CMD_OBSERVABLES:
             allowed = tuple(obs.label for obs in CMD_OBSERVABLES)
             raise ConfigError(f"centroid dynamics needs a linear A, one of {allowed}, "
                               f"got {run['a']!r}")
@@ -281,10 +278,9 @@ def _check_run_values(command, full, given):
         raise ConfigError("blocks must be >= 2", key="blocks")
     if "sampler" in needed and full["sampler"]["n_samples"] < 2 * blocks:
         raise ConfigError(f"n_samples must be >= 2 * blocks = {2 * blocks}", key="n_samples")
-    config = RunConfig(full)  # a bad section exits 2 here, before any run
     for name in ("model", "thermo", "sampler", "integrator"):
         if name in needed:
-            getattr(config, name)()
+            getattr(config, name)()  # a bad section exits 2 here, before any run
     if "oracle" in needed:
         grid, n_retained = config.grid()
         if not 1 <= n_retained <= grid.n_points:
@@ -400,7 +396,7 @@ def _convergence(config, stats):
     model, base_thermo, scfg = config.model(), config.thermo(), config.sampler()
     grid, n_retained = config.grid()
     eig = diagonalize(model, grid, n_retained, hbar=base_thermo.hbar)
-    exact = thermal_average(eig, lambda q: q * q, base_thermo.beta)
+    exact = thermal_average(eig, OBS_Q2.f, base_thermo.beta)
     rows_n, rows_v, rows_e = [], [], []
     for n_beads in run["n_values"]:
         thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)

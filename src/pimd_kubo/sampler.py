@@ -75,7 +75,7 @@ import numpy as np
 from . import _streams
 from ._stats import N_BLOCKS, block_standard_error, row_chunks
 from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
-from .model import potential_fn, require_integers
+from .model import horner, potential_fn, require_integers
 from .ringpoly import free_rp_frequencies
 
 _GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
@@ -424,39 +424,33 @@ def _conditional_centroid_m2(model, thermo, u):
         # Gaussian conditional: exponent beta_n * v2 * n * c^2 = (beta m w^2 / 2) c^2
         var = 1.0 / (2.0 * beta_n * v2 * n)
         return np.full(u.shape[0], var)
-    s2 = (u * u).sum(axis=-1)
-    s3 = (u**3).sum(axis=-1)
-    b4 = v4 * n
-    b3 = v3 * n
+    # one column per row, so the coefficients broadcast against the span and the nodes
+    s2 = (u * u).sum(axis=-1, keepdims=True)
+    s3 = (u**3).sum(axis=-1, keepdims=True)
     b2 = v2 * n + 6.0 * v4 * s2
-    b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
+    # the exponent is beta_n c (((b4 c + b3) c + b2) c + b1); each coefficient
+    # is passed as it is, so the add of a zero b3 stays
+    cubic = [v4 * n, v3 * n, b2, 3.0 * v3 * s2 + 4.0 * v4 * s3]
 
     t, wq = _legendre_rule()
 
-    def expo(c):
-        return beta_n * (((b4 * c + b3) * c + b2) * c + b1) * c
-
-    # start from the tighter of the quadratic/quartic half-widths, then widen
+    # start from the tighter of the quadratic/quartic half-widths, then widen;
+    # at the span's ends the exponent rounds as (beta_n cubic) c
     span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * b2, 1e-300)),
-                      (40.0 / (beta_n * b4)) ** 0.25)
+                      (40.0 / (beta_n * cubic[0])) ** 0.25)
     span = np.minimum(span, 1e6)
     for _ in range(80):
-        low = np.minimum(expo(span), expo(-span))
+        low = np.minimum(horner(cubic, span) * beta_n * span,
+                         horner(cubic, -span) * beta_n * -span)
         grow = low < 40.0
         if not grow.any():
             break
         span[grow] *= 1.3
-    # the nodes c and the exponent e are the only (rows, nodes) arrays: each
-    # step writes into one of them, in the order of
-    # beta_n ((((b4 c + b3) c + b2) c + b1) c), then e becomes the weights
-    # wq exp(-(e - min e)) and c the products c^2 wgt
-    c = np.multiply(span[:, None], t)
-    e = np.multiply(c, b4)
-    e += b3
-    e *= c
-    e += b2[:, None]
-    e *= c
-    e += b1[:, None]
+    # the nodes c and the exponent e are the only (rows, nodes) arrays: e,
+    # rounded as (cubic c) beta_n, becomes the weights wq exp(-(e - min e))
+    # and c the products c^2 wgt
+    c = np.multiply(span, t)
+    e = horner(cubic, c)
     e *= c
     e *= beta_n
     e -= e.min(axis=1, keepdims=True)

@@ -255,7 +255,7 @@ def _allocating_f(obs):
     if obs.label.startswith("poly:"):
         coeffs = np.array([float(c) for c in obs.label[5:].split(",")])
         return lambda q: np.polynomial.polynomial.polyval(q, coeffs)
-    return {"q": lambda q: q, "q2": lambda q: q * q, "q3": lambda q: q**3}[obs.label]
+    return {"q": lambda q: q, "q2": lambda q: q * q, "q3": lambda q: q * q * q}[obs.label]
 
 
 def _grad_kernel(x, p, grad, mass, thermo, dt, n_steps, record):

@@ -164,7 +164,7 @@ def test_one_bead_correlator_propagates_on_calling_thread(harmonic_model, monkey
 
 @pytest.mark.parametrize("n", [1000, 2500])
 def test_row_accumulator_matches_full_reduction(n):
-    # n is no multiple of 16 or of the 1024-trajectory chunk; a -0.0 first
+    # n is no multiple of 16, and the adds below come in uneven sizes; a -0.0 first
     # row, and a column of -0.0 whose mean numpy gives as +0.0, show that
     # each sum starts at +0.0 as numpy's does
     rng = np.random.default_rng(n)

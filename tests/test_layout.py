@@ -15,7 +15,7 @@ needs numpy only: a run must not load scipy, which the tests use as a
 reference.  Importing the runner and parsing a config load no
 numpy.polynomial: quadrature rules are formed on first use.  The oracle,
 which judges the sampler, the dynamics and the estimators, imports none of
-them, even by way of another module.
+them, even by way of another module.  No module calls np.power.
 """
 
 import ast
@@ -80,6 +80,21 @@ def test_oracle_imports_none_of_the_code_it_judges():
     assert {"model", "ringpoly", "series"} <= reached
     judged = reached & {"sampler", "dynamics", "estimators", "runner"}
     assert not judged, judged
+
+
+def test_no_numpy_power_call():
+    """No module calls np.power: a power of a position is model.horner's products.
+
+    numpy's general pow took about 75 times as long as (q q) q on a
+    (1024, 32) array.  A ** operator is no call and this rule passes it: the
+    u**3 power sum of sampler._conditional_centroid_m2 stays, because a
+    product there would move the last bits of convergence's results, and
+    belongs to the one-static-estimator item of ROADMAP.md.
+    """
+    bad = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and "power" in (getattr(node.func, "attr", None),
+                                                         getattr(node.func, "id", None))]
+    assert not bad, bad
 
 
 def _makes_randomness(node):

@@ -160,6 +160,11 @@ def test_horner_takes_array_coefficients():
         assert horner(np.stack([a, b, c, d]), q).tobytes() == want.tobytes()
         want = np.add(np.multiply(np.multiply(rows, q), q), d)
         assert horner([rows, None, d], q).tobytes() == want.tobytes()
+        # q itself leads, as a position observable passes it; with no step
+        # the value is that coefficient, and out is not written
+        assert horner([q, None], q).tobytes() == np.multiply(q, q).tobytes()
+        out = np.full_like(q, 7.0)
+        assert horner([q], q, out) is q and (out == 7.0).all()
 
 
 def test_bounded_below():

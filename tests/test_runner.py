@@ -418,6 +418,8 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     ("convergence", {}, "n_values = 8, 0\n"),
     ("convergence", {}, "n_values =\n"),
     ("rpmd", {}, "a = poly:1,x\n"),
+    ("compare", {}, "a = poly:nan\n"),
+    ("rpmd", {}, "a = poly:1,inf\n"),
     ("cmd", {"seed = 12": "seed = -1"}, ""),
     ("convergence", {"seed = 12": "seed = 18446744073709551616"}, ""),
     ("rpmd", {"kind = harmonic\nmass = 1.0\nomega = 1.0": "kind = quartic\na4 = 1.0",
@@ -425,7 +427,8 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
 ], ids=["unknown_key_window", "unknown_key_momentum_convention", "cmd_nonlinear_a", "method",
         "cmd_n_samples", "static_n_samples_below_blocks", "blocks_0", "blocks_1", "blocks_negative",
         "table_nodes_1", "table_min_not_below_max", "n_retained_0", "n_retained_above_n_points",
-        "n_values_zero", "n_values_empty", "poly_bad_coefficient", "cmd_seed_negative",
+        "n_values_zero", "n_values_empty", "poly_bad_coefficient", "poly_nan_coefficient",
+        "poly_inf_coefficient", "cmd_seed_negative",
         "convergence_seed_2_64", "quartic_dt_inf"])
 def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command, edit,
                                                extra):

@@ -227,6 +227,18 @@ def test_chunked_mean_square_position_keeps_the_bits(model):
     assert got_cond.tobytes() == cond.tobytes()
 
 
+def test_conditional_span_ends_keep_their_rounding():
+    # a ring of -0.0 beads in a pure quartic starts its span on the
+    # exponent's 40 contour, where (beta_n cubic) c at the span's ends and
+    # the nodes' order (cubic c) beta_n round to opposite sides of 40
+    model, th = quartic(0.3), ThermoParams(20.0, 32)
+    x = np.random.default_rng(42).normal(size=(64, 32))
+    x[0] = -0.0
+    cond = _unchunked_mean_square_position(x, model, th)[2]
+    u = x - x.mean(axis=1)[:, None]
+    assert _conditional_centroid_m2(model, th, u).tobytes() == cond.tobytes()
+
+
 def test_mean_square_position_holds_chunk_temporaries_only(traced_peak):
     # 201 quadrature nodes for all 65536 rows at once would be 100 MB per
     # temporary; the traced peak stays within the per-row values plus six
