@@ -5,16 +5,16 @@ several bead counts and compares <q^2> against the exact thermal value from
 grid diagonalization.  The error falls off as 1/N^2; doubling the bead
 count divides it by about four.
 
-The centroid-conditioned estimator integrates the centroid coordinate out
-of every sampled configuration analytically, which removes the classical
-part of the variance and makes the tiny discretization errors resolvable
-with modest sample counts.
+The static estimator integrates the centroid coordinate out of every
+sampled configuration (analytically on the harmonic well), which removes
+the classical part of the variance and makes the tiny discretization
+errors resolvable with modest sample counts.
 """
 
 import numpy as np
 
-from pimd_kubo import (GridSpec, SamplerConfig, ThermoParams, diagonalize, harmonic,
-                       mean_square_position, sample_ring_positions, thermal_average)
+from pimd_kubo import (GridSpec, OBS_Q2, SamplerConfig, ThermoParams, diagonalize, harmonic,
+                       sample_ring_positions, static_average, thermal_average)
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
         cfg = SamplerConfig(n_samples=400_000, seed=100 + n_beads, burn_in=256,
                             decorrelation_stride=4, n_walkers=8192)
         ens = sample_ring_positions(model, thermo, cfg)
-        mean, se = mean_square_position(ens, model, thermo)
+        mean, se = static_average(OBS_Q2, ens, model, thermo)
         errors[n_beads] = abs(mean - exact)
         print(f"{n_beads:>4} {mean:>12.7f} {se:>10.1e} {mean - exact:>12.2e}")
 

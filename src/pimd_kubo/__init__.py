@@ -19,9 +19,8 @@ from .oracle import (EigenSystem, GridSpec, diagonalize, discrete_kubo_correlato
 from .ringpoly import (OBS_P, OBS_Q, OBS_Q2, OBS_Q3, Observable, free_rp_frequencies,
                        log_ring_density, normal_mode_transform, observable_from_label,
                        spring_energy)
-from .sampler import (SamplerConfig, draw_momenta, estimate_static_average,
-                      mean_square_position, sample_ring_positions,
-                      sample_ring_positions_constrained)
+from .sampler import (SamplerConfig, draw_momenta, sample_ring_positions,
+                      sample_ring_positions_constrained, static_average)
 from .series import CorrelationSeries
 
 __version__ = "0.1.0"

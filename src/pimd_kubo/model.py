@@ -8,7 +8,7 @@ as a parameter of the thermodynamic state.
 
 horner is the package's one polynomial evaluator: V and -V' here, the CMD
 force spline in dynamics, every position observable in ringpoly and the
-conditional-centroid exponent in sampler all run it.
+static estimator in sampler all run it.
 """
 
 from dataclasses import dataclass, fields
@@ -135,10 +135,11 @@ def horner(coeffs, q, out=None):
 
     The one polynomial evaluator of the package: V (potential_fn), -V'
     (force_fn), the CMD force spline (dynamics.CentroidForceTable), every
-    position observable (ringpoly.Observable.f: q, q2, q3 and poly:) and the
-    conditional-centroid exponent (sampler._conditional_centroid_m2) all
-    run it.  coeffs run from the highest power down; each is a scalar or an
-    array that broadcasts against q.  Every step is one ufunc writing into out,
+    position observable (ringpoly.Observable.f: q, q2, q3 and poly:), and
+    the conditional-centroid exponent and the bead mean of f at the
+    quadrature nodes (sampler.static_average) all run it.  coeffs run from
+    the highest power down; each is a scalar or an array that broadcasts
+    against q.  Every step is one ufunc writing into out,
         out = c_0 q,  out += c_1,  out *= q,  out += c_2,  ...,  out += c_d,
     so a call allocates at most its result, and the operation order, and so
     every bit, is the same whether out is given or not (when None, a new

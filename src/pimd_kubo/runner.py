@@ -30,12 +30,14 @@ sections it needs:
 rpmd or cmd against the oracle; spectrum transforms the correlator of
 method rpmd, cmd or oracle under a Hann taper (estimators.spectrum).
 ``blocks`` sets the error blocks of static and convergence; the other
-commands have fixed blocks and reject the key.  static with a = q2 runs
-the estimator of convergence, sampler.mean_square_position, which
-integrates the centroid out of each sampled ring: at the same rings its
-standard error is smaller than that of the bead mean of q^2, which earlier
-versions wrote, so those runs' results.csv changed.  Every other static
-observable is the bead mean (sampler.estimate_static_average).
+commands have fixed blocks and reject the key.  static and convergence
+run one estimator, sampler.static_average, which integrates the centroid
+out of each sampled ring for every position observable (q, q2, q3 and
+poly:) and takes the bead mean of the momentum draw for p.  At the same
+rings its standard error is smaller than that of the plain bead mean,
+which earlier versions wrote for static q, q3 and poly:, so those runs'
+results.csv changed.  The labels a and b are checked at parse time for
+every command, including those that ignore them.
 
 Every run also writes meta.json, which records the process's peak resident
 set size (peak_rss_mb), its thread count (threads) and each distinct
@@ -73,8 +75,8 @@ from .estimators import (CMD_OBSERVABLES, cmd_kubo_correlator, rpmd_initial_cond
 from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
 from .ringpoly import MOMENTUM, OBS_P, OBS_Q, OBS_Q2, observable_from_label
-from .sampler import (SamplerConfig, draw_momenta, estimate_static_average, mean_square_position,
-                      resolve_workers, sample_ring_positions)
+from .sampler import (SamplerConfig, draw_momenta, resolve_workers, sample_ring_positions,
+                      static_average)
 from .series import CorrelationSeries
 
 # section -> key -> (converter, default); _REQUIRED means the key must appear
@@ -266,8 +268,9 @@ def _check_run_values(command, full, given):
         raise ConfigError(f"method for command {command!r} must be one of "
                           f"{_METHODS[command]}, got {method!r}")
     config = RunConfig(full)
+    a_obs, _ = config.observables()  # a bad label exits 2 for every command
     if method == "cmd":
-        if config.observables()[0] not in CMD_OBSERVABLES:
+        if a_obs not in CMD_OBSERVABLES:
             allowed = tuple(obs.label for obs in CMD_OBSERVABLES)
             raise ConfigError(f"centroid dynamics needs a linear A, one of {allowed}, "
                               f"got {run['a']!r}")
@@ -345,16 +348,12 @@ def _static(config, stats):
     run = config.sections["run"]
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
     a_obs, _ = config.observables()
-    ens = mom = None
+    ens = None
     if a_obs.kind != MOMENTUM or run["dump_ensemble"]:
         # <p> needs only the exact momentum draw; the positions serve the dump
         ens = sample_ring_positions(model, thermo, scfg)
-    if a_obs.kind == MOMENTUM:
-        mom = draw_momenta(thermo, model, scfg)
-    if a_obs is OBS_Q2:  # the centroid integrated out, as in convergence
-        mean, se = mean_square_position(ens, model, thermo, run["blocks"])
-    else:
-        mean, se = estimate_static_average(a_obs, ens, mom, run["blocks"])
+    rows = draw_momenta(thermo, model, scfg) if a_obs.kind == MOMENTUM else ens
+    mean, se = static_average(a_obs, rows, model, thermo, run["blocks"])
     stats["mean"], stats["std_error"] = mean, se
     series = CorrelationSeries([0.0], [mean], [se])
     artifacts = [("results.csv", lambda p: io.write_series_csv(p, series))]
@@ -401,7 +400,7 @@ def _convergence(config, stats):
     for n_beads in run["n_values"]:
         thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)
         ens = sample_ring_positions(model, thermo, scfg)
-        mean, se = mean_square_position(ens, model, thermo, blocks=run["blocks"])
+        mean, se = static_average(OBS_Q2, ens, model, thermo, run["blocks"])
         rows_n.append(float(n_beads))
         rows_v.append(mean)
         rows_e.append(se)

@@ -76,10 +76,14 @@ from . import _streams
 from ._stats import N_BLOCKS, block_standard_error, row_chunks
 from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
 from .model import horner, potential_fn, require_integers
-from .ringpoly import free_rp_frequencies
+from .ringpoly import MOMENTUM, free_rp_frequencies
 
 _GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
-_CENTROID_NODES = 201    # Gauss-Legendre nodes of the conditional centroid integral
+# Gauss-Legendre nodes of the conditional centroid integral: against 201 nodes,
+# 96 moved no row's E[q_c^2 | u] by more than 9e-16 relative on six wells
+# (quartic, mildly anharmonic with c3 = 0.1 and c4 = 0.01 or 0.05, beta 1-8,
+# N 4-64) at under half the cost; 64 lost digits on the c3 wells (to 6.5e-11)
+_CENTROID_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -354,49 +358,43 @@ def draw_momenta(thermo, model, cfg):
 
 
 # ----------------------------------------------------------------------
-# static estimators
+# the static estimator
 
-def estimate_static_average(obs, positions=None, momenta=None, blocks=N_BLOCKS):
-    """Ensemble mean of a centroid observable with a block standard error.
+def static_average(obs, rows, model, thermo, blocks=N_BLOCKS):
+    """Ensemble mean of a centroid observable, one value per row, and its block standard error.
 
-    positions and momenta are (n_samples, N) bead arrays; obs reads the one
-    of its kind, and the other may be None.  This is the plain bead mean of
-    each row; for <q^2> the static and convergence commands run
-    mean_square_position instead, on the same rows.
-    """
-    vals = obs.centroid(positions, momenta)
-    return float(vals.mean()), float(block_standard_error(vals, blocks))
+    rows is an (n_samples, N) bead array: the sampled rings for a position
+    observable, the momentum draw for p, whose row value is its bead mean.
+    A ring's value integrates its centroid out: with x_j = q_c + u_j it is
+    E[(1/N) sum_j f(x_j) | u] under R(x), the bead mean of f averaged over
+    the centroid q_c given the ring's internal displacements u.  By the law
+    of total expectation the mean is unchanged, and the centroid's
+    variance, most of the total at small beta, leaves the Monte Carlo error.
+    For q^2 the SE^2 is about half the plain bead mean's for the harmonic
+    ring at beta = 8, N = 64, and hundreds to thousands of times smaller at
+    beta = 1.
 
-
-def mean_square_position(ensemble, model, thermo, blocks=N_BLOCKS):
-    """<(1/N) sum_k x_k^2> with exact centroid integration.
-
-    The centroid coordinate is integrated out analytically (or by quadrature
-    for anharmonic wells) for every sampled internal configuration; this
-    removes the dominant classical variance and leaves only the
-    internal-mode fluctuations in the Monte Carlo error.  The estimator
-    stays unbiased by the law of total expectation.  The plain estimator is
-    estimate_static_average(OBS_Q2, ensemble), the sample mean of
-    OBS_Q2.centroid over the rows; this one is the <q^2> of the static and
-    convergence commands.  At equal rows its SE^2 is about half the plain
-    one for the harmonic ring at beta = 8, N = 64, and hundreds to
-    thousands of times smaller at beta = 1, where the centroid carries most
-    of the variance.  The anharmonic quadrature costs a few ms per thousand
-    rows, so on a cheap small-N ring at large beta (quartic, beta = 8,
-    N = 4) the plain mean can give the smaller SE^2 per second of wall time.
+    The bead mean of f = sum_n a_n q^n (a_n from obs.coeffs) is the
+    polynomial g(q_c) = sum_k g_k q_c^k, g_k = sum_{n >= k} C(n, k) a_n P_(n-k),
+    with P_m the bead mean of u^m (P_0 = 1, P_1 = 0).  Given u, q_c has the
+    density exp(-(beta/N) sum_j V(q_c + u_j)), whose exponent is a quartic
+    in q_c with coefficients from the power sums of u.  On the harmonic
+    well it is a Gaussian of mean 0 and variance 1 / (2 beta_n v2 N), so the
+    value is sum_k g_k E[q_c^k] in closed form, and E[q_c | u] = 0 makes
+    static q exactly 0 with an SE of 0.  Elsewhere one _CENTROID_NODES-point
+    Gauss-Legendre sum on a span widened per row averages g, run by
+    model.horner at the nodes.
 
     The rows are taken in chunks of at most _stats.CHUNK_ELEMENTS elements,
-    counting a row as the larger of its N beads and the _CENTROID_NODES
-    quadrature nodes, so neither u nor the quadrature's (rows, nodes)
-    temporaries span the ensemble.  Every step is row-wise, so the per-row
-    values, and the result, do not depend on the chunking.
+    counting a row as its N beads plus the _CENTROID_NODES nodes, so no
+    temporary spans the ensemble and a chunk's bead temporaries stay in
+    cache: the harmonic q2 of 131072 rings of 64 beads took about 60 ms so,
+    and 100 ms with a row counted as max(N, nodes) elements (2-core
+    x86-64, 2 MB L2).  Every step is row-wise (the span loop widens only
+    the rows that still need it), so each row's value does not depend on
+    the others or on the chunking.
     """
-    x = np.asarray(ensemble, dtype=float)
-    vals = np.empty(len(x))
-    for rows in row_chunks(len(x), max(x.shape[1], _CENTROID_NODES)):
-        xs = x[rows]
-        u = xs - xs.mean(axis=1)[:, None]
-        vals[rows] = _conditional_centroid_m2(model, thermo, u) + (u * u).mean(axis=1)
+    vals = _static_values(obs, np.asarray(rows, dtype=float), model, thermo)
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
@@ -406,57 +404,61 @@ def _legendre_rule():
     return np.polynomial.legendre.leggauss(_CENTROID_NODES)
 
 
-def _conditional_centroid_m2(model, thermo, u):
-    """E[q_c^2 | internal displacements u] under R(x), per sample.
-
-    The conditional density of the centroid c given u is
-    exp(-(beta/N) sum_k V(c + u_k)); the exponent is a quartic polynomial
-    in c with coefficients built from power sums of u.  The integral is a
-    _CENTROID_NODES-point Gauss-Legendre sum on a span widened per row, so
-    its temporaries have (rows of u, _CENTROID_NODES) elements: the caller
-    bounds them by the rows it passes.  The span loop widens only the rows
-    that still need it, so each row's value does not depend on the others.
-    """
+def _static_values(obs, x, model, thermo):
+    """The value of each row of x that static_average averages."""
+    if obs.kind == MOMENTUM:
+        return obs.centroid(None, x)
+    a = [0.0 if c is None else c for c in reversed(obs.coeffs)]  # a[n] multiplies q^n
+    a = a[:max((n for n, c in enumerate(a) if c != 0.0), default=0) + 1]
     v2, v3, v4 = model.poly_coefficients()
-    n = u.shape[-1]
+    n = x.shape[-1]
     beta_n = thermo.beta / n
-    if v3 == 0.0 and v4 == 0.0:
-        # Gaussian conditional: exponent beta_n * v2 * n * c^2 = (beta m w^2 / 2) c^2
-        var = 1.0 / (2.0 * beta_n * v2 * n)
-        return np.full(u.shape[0], var)
-    # one column per row, so the coefficients broadcast against the span and the nodes
-    s2 = (u * u).sum(axis=-1, keepdims=True)
-    s3 = (u**3).sum(axis=-1, keepdims=True)
-    b2 = v2 * n + 6.0 * v4 * s2
-    # the exponent is beta_n c (((b4 c + b3) c + b2) c + b1); each coefficient
-    # is passed as it is, so the add of a zero b3 stays
-    cubic = [v4 * n, v3 * n, b2, 3.0 * v3 * s2 + 4.0 * v4 * s3]
-
-    t, wq = _legendre_rule()
-
-    # start from the tighter of the quadratic/quartic half-widths, then widen;
-    # at the span's ends the exponent rounds as (beta_n cubic) c
-    span = np.minimum(np.sqrt(40.0 / np.maximum(beta_n * b2, 1e-300)),
-                      (40.0 / (beta_n * cubic[0])) ** 0.25)
-    span = np.minimum(span, 1e6)
-    for _ in range(80):
-        low = np.minimum(horner(cubic, span) * beta_n * span,
-                         horner(cubic, -span) * beta_n * -span)
-        grow = low < 40.0
-        if not grow.any():
-            break
-        span[grow] *= 1.3
-    # the nodes c and the exponent e are the only (rows, nodes) arrays: e,
-    # rounded as (cubic c) beta_n, becomes the weights wq exp(-(e - min e))
-    # and c the products c^2 wgt
-    c = np.multiply(span, t)
-    e = horner(cubic, c)
-    e *= c
-    e *= beta_n
-    e -= e.min(axis=1, keepdims=True)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e *= wq
-    c *= c
-    c *= e
-    return c.sum(axis=1) / e.sum(axis=1)
+    gaussian = v3 == 0.0 and v4 == 0.0
+    vals = np.empty(len(x))
+    for rows in row_chunks(len(x), n + _CENTROID_NODES):
+        u = x[rows] - x[rows].mean(axis=1, keepdims=True)
+        # power sums s[m] of u as (rows, 1) columns, by running products, up to
+        # deg f and (off the harmonic well) the exponent's u^3; u and the
+        # product go before the next chunk's u or the quadrature's arrays
+        s, prod = {}, u
+        for m in range(2, max(len(a), 2 if gaussian else 4)):
+            prod = np.multiply(prod, u, out=None if m == 2 else prod)
+            s[m] = prod.sum(axis=1, keepdims=True)
+        del u, prod
+        g = [sum((math.comb(k + m, k) * a[k + m] * (s[m] / n)
+                  for m in range(2, len(a) - k) if a[k + m] != 0.0), a[k])
+             for k in range(len(a))]
+        if gaussian:
+            # exponent beta_n v2 (n c^2 + s2): E[c^k] = (k - 1)!! var^(k/2) for even k
+            var = 1.0 / (2.0 * beta_n * v2 * n)
+            value = sum((g[k] * (math.prod(range(k - 1, 0, -2)) * var ** (k // 2))
+                         for k in range(2, len(g), 2)), g[0])
+        else:
+            # the exponent is beta_n c (((b4 c + b3) c + b2) c + b1); each
+            # coefficient is passed as it is, so the add of a zero b3 stays
+            cubic = [v4 * n, v3 * n, v2 * n + 6.0 * v4 * s[2], 3.0 * v3 * s[2] + 4.0 * v4 * s[3]]
+            # start from the tighter of the quadratic/quartic half-widths, then
+            # widen; at the span's ends the exponent rounds as (beta_n cubic) c
+            span = np.minimum(np.minimum(np.sqrt(40.0 / np.maximum(beta_n * cubic[2], 1e-300)),
+                                         (40.0 / (beta_n * cubic[0])) ** 0.25), 1e6)
+            for _ in range(80):
+                low = np.minimum(horner(cubic, span) * beta_n * span,
+                                 horner(cubic, -span) * beta_n * -span)
+                grow = low < 40.0
+                if not grow.any():
+                    break
+                span[grow] *= 1.3
+            # the nodes c, the exponent e and g(c) are the only (rows, nodes)
+            # arrays: e, rounded as (cubic c) beta_n, becomes the weights
+            # wq exp(min e - e), then the products g(c) wgt
+            t, wq = _legendre_rule()
+            c = np.multiply(span, t)
+            e = horner(cubic + [None], c)
+            e *= beta_n
+            np.exp(np.subtract(e.min(axis=1, keepdims=True), e, out=e), out=e)
+            e *= wq
+            total = e.sum(axis=1, keepdims=True)
+            e *= horner(g[::-1], c)
+            value = e.sum(axis=1, keepdims=True) / total
+        vals[rows, None] = value
+    return vals

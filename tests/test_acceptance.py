@@ -71,8 +71,8 @@ from pimd_kubo import (GridSpec, IntegratorConfig, OBS_Q, OBS_Q2, SamplerConfig,
                        band_peaks, build_centroid_force_table, cmd_kubo_correlator,
                        diagonalize, discrete_kubo_correlator, exact_kubo_correlator,
                        harmonic, harmonic_caq_reference, harmonic_swarm_trace,
-                       mean_square_position, mildly_anharmonic, rpmd_initial_conditions,
-                       rpmd_kubo_correlator, sample_ring_positions, thermal_average)
+                       mildly_anharmonic, rpmd_initial_conditions, rpmd_kubo_correlator,
+                       sample_ring_positions, static_average, thermal_average)
 from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.model import force_fn
 from pimd_kubo.oracle import kubo_weights, position_matrix
@@ -101,7 +101,7 @@ def test_criterion_01_trotter_convergence(harmonic_eig):
             cfg = SamplerConfig(n_samples=per, seed=seed0 + s, burn_in=256,
                                 decorrelation_stride=4, n_walkers=8192)
             ens = sample_ring_positions(HARMONIC, th, cfg)
-            mu, se = mean_square_position(ens, HARMONIC, th)
+            mu, se = static_average(OBS_Q2, ens, HARMONIC, th)
             means.append(mu)
             errs.append(se)
         return float(np.mean(means)), float(np.sqrt(np.sum(np.square(errs))) / shards)

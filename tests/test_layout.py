@@ -86,10 +86,9 @@ def test_no_numpy_power_call():
     """No module calls np.power: a power of a position is model.horner's products.
 
     numpy's general pow took about 75 times as long as (q q) q on a
-    (1024, 32) array.  A ** operator is no call and this rule passes it: the
-    u**3 power sum of sampler._conditional_centroid_m2 stays, because a
-    product there would move the last bits of convergence's results, and
-    belongs to the one-static-estimator item of ROADMAP.md.
+    (1024, 32) array.  A ** operator is no call and this rule passes it;
+    sampler.static_average forms its power sums of u by running products
+    all the same.
     """
     bad = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
            if isinstance(node, ast.Call) and "power" in (getattr(node.func, "attr", None),

@@ -9,8 +9,7 @@ from pimd_kubo._stats import CHUNK_ELEMENTS
 from pimd_kubo.errors import ConfigError
 from pimd_kubo.ringpoly import observable_from_label
 from pimd_kubo.runner import _COMMANDS, main, parse_config, run
-from pimd_kubo.sampler import (draw_momenta, estimate_static_average, mean_square_position,
-                               sample_ring_positions)
+from pimd_kubo.sampler import draw_momenta, sample_ring_positions, static_average
 
 MINIMAL_STATIC = """\
 [model]
@@ -422,6 +421,8 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     ("rpmd", {}, "a = poly:1,inf\n"),
     ("cmd", {"seed = 12": "seed = -1"}, ""),
     ("convergence", {"seed = 12": "seed = 18446744073709551616"}, ""),
+    ("convergence", {}, "a = bogus\n"),
+    ("convergence", {"b = q\n": "b = poly:nan\n"}, ""),
     ("rpmd", {"kind = harmonic\nmass = 1.0\nomega = 1.0": "kind = quartic\na4 = 1.0",
               "dt = 0.05": "dt = inf"}, ""),
 ], ids=["unknown_key_window", "unknown_key_momentum_convention", "cmd_nonlinear_a", "method",
@@ -429,7 +430,7 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
         "table_nodes_1", "table_min_not_below_max", "n_retained_0", "n_retained_above_n_points",
         "n_values_zero", "n_values_empty", "poly_bad_coefficient", "poly_nan_coefficient",
         "poly_inf_coefficient", "cmd_seed_negative",
-        "convergence_seed_2_64", "quartic_dt_inf"])
+        "convergence_seed_2_64", "convergence_bad_a", "convergence_nan_b", "quartic_dt_inf"])
 def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, command, edit,
                                                extra):
     # a value the run cannot use is a config fault, found before any sampler
@@ -623,19 +624,16 @@ def test_static_momentum_skips_position_sampler(tmp_path, monkeypatch):
                          ids=["harmonic", "c3"])
 @pytest.mark.parametrize("a", ["q2", "q", "q3", "poly:0.5,-1,0,2", "p"])
 def test_static_run_writes_its_estimator(tmp_path, kind, a):
-    # q2 integrates the centroid out of the seed's rings, as convergence
-    # does; every other label is the bead mean of its rows or momenta
+    # every position label integrates the centroid out of the seed's rings,
+    # as convergence does for q2; p is the bead mean of the momentum draw
     out = tmp_path / "out"
     config = parse_config(MINIMAL_STATIC.format(out=out).replace(
         "kind = harmonic", f"kind = {kind}").replace("a = q2", f"a = {a}\nblocks = 8"))
     assert run(config) == 0
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
-    ens = sample_ring_positions(model, thermo, scfg)
-    if a == "q2":
-        want = mean_square_position(ens, model, thermo, 8)
-    else:
-        want = estimate_static_average(observable_from_label(a), ens,
-                                       draw_momenta(thermo, model, scfg), 8)
+    rows = draw_momenta(thermo, model, scfg) if a == "p" else sample_ring_positions(
+        model, thermo, scfg)
+    want = static_average(observable_from_label(a), rows, model, thermo, 8)
     stats = json.loads((out / "meta.json").read_text())["stats"]
     assert np.array([stats["mean"], stats["std_error"]]).tobytes() == np.array(want).tobytes()
     assert (out / "results.csv").read_text().splitlines()[1] == f"0.0,{want[0]!r},{want[1]!r}"

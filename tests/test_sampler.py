@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, SamplerConfig, ThermoParams, block_standard_error,
-                       draw_momenta, estimate_static_average, harmonic, log_ring_density,
-                       mean_square_position, mildly_anharmonic, quartic,
-                       sample_ring_positions, sample_ring_positions_constrained)
+from pimd_kubo import (OBS_P, OBS_Q, OBS_Q2, OBS_Q3, SamplerConfig, ThermoParams,
+                       block_standard_error, draw_momenta, harmonic, log_ring_density,
+                       mildly_anharmonic, observable_from_label, quartic, sample_ring_positions,
+                       sample_ring_positions_constrained, static_average)
 from pimd_kubo import GridSpec, diagonalize, exact_kubo_correlator
 from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, UnsupportedModel
 from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import bond_midpoints, free_rp_frequencies, normal_mode_matrix
 from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
-from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _conditional_centroid_m2, _layout,
-                              _reference, _run_group)
+from pimd_kubo import sampler
+from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _layout, _reference, _run_group,
+                              _static_values)
 
 
 def _cfg(n, seed=1, **kw):
@@ -28,7 +29,7 @@ def test_harmonic_q2_matches_grid_oracle(harmonic_model):
     # exact <q^2> = (hbar / 2 m w) coth(beta hbar w / 2) = 1.08198 at beta = 1
     th = ThermoParams(1.0, 32)
     ens = sample_ring_positions(harmonic_model, th, _cfg(30000, seed=2))
-    mean, se = estimate_static_average(OBS_Q2, ens)
+    mean, se = static_average(OBS_Q2, ens, harmonic_model, th)
     assert abs(mean - 1.08198) <= 3.0 * se + 1e-4  # finite-N bias ~1e-4 at N=32
 
 
@@ -116,35 +117,42 @@ def test_trotter_convergence_ratio(harmonic_model):
         th = ThermoParams(1.0, n_beads)
         cfg = _cfg(n, seed=40 + n_beads, burn_in=256, n_walkers=8192)
         ens = sample_ring_positions(harmonic_model, th, cfg)
-        mean, se = mean_square_position(ens, harmonic_model, th)
+        mean, se = static_average(OBS_Q2, ens, harmonic_model, th)
         errs[n_beads] = abs(mean - exact)
         assert se < 0.15 * errs[n_beads]
     assert 3.2 <= errs[4] / errs[8] <= 4.8
+
+
+LABELS = ["q", "q2", "q3", "poly:0.5,-1,0,2"]
+
+
+def _plain_bead_mean(obs, ens):
+    """The bead mean of f over each row, without the centroid integrated out."""
+    vals = obs.centroid(ens, None)
+    return float(vals.mean()), float(block_standard_error(vals))
 
 
 def test_conditional_estimator_consistency(harmonic_model):
     # conditioned and plain estimators agree within combined errors
     th = ThermoParams(1.0, 16)
     ens = sample_ring_positions(harmonic_model, th, _cfg(30000, seed=9))
-    m1, s1 = estimate_static_average(OBS_Q2, ens)
-    m2, s2 = mean_square_position(ens, harmonic_model, th)
-    assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2)
-    assert s2 < s1
+    for obs in map(observable_from_label, LABELS):
+        m1, s1 = _plain_bead_mean(obs, ens)
+        m2, s2 = static_average(obs, ens, harmonic_model, th)
+        assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2), obs.label
+        assert s2 < s1, obs.label
 
 
 def test_conditional_quadrature_matches_gaussian_branch():
-    # force the quadrature path with a vanishing cubic term and compare
-    from pimd_kubo import mildly_anharmonic
-
+    # force the quadrature path with a vanishing quartic term and compare
     th = ThermoParams(1.0, 8)
-    rng = np.random.default_rng(10)
-    u = rng.normal(size=(200, 8))
-    u -= u.mean(axis=1, keepdims=True)
+    x = np.random.default_rng(10).normal(size=(200, 8))
     harm = harmonic(1.0, 1.0)
     tiny = mildly_anharmonic(1.0, 1.0, c3=0.0, c4=1e-14)
-    g = _conditional_centroid_m2(harm, th, u)
-    q = _conditional_centroid_m2(tiny, th, u)
-    assert np.abs(g - q).max() <= 1e-8
+    for obs in map(observable_from_label, LABELS):
+        g = _static_values(obs, x, harm, th)
+        q = _static_values(obs, x, tiny, th)
+        assert np.abs(g - q).max() <= 1e-8, obs.label
 
 
 def test_conditional_estimator_anharmonic():
@@ -152,16 +160,65 @@ def test_conditional_estimator_anharmonic():
     model = quartic(1.0)
     th = ThermoParams(2.0, 8)
     ens = sample_ring_positions(model, th, _cfg(40000, seed=11))
-    m1, s1 = estimate_static_average(OBS_Q2, ens)
-    m2, s2 = mean_square_position(ens, model, th)
-    assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2)
-    assert s2 < s1
+    for obs in map(observable_from_label, LABELS):
+        m1, s1 = _plain_bead_mean(obs, ens)
+        m2, s2 = static_average(obs, ens, model, th)
+        assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2), obs.label
+        assert s2 < s1, obs.label
+
+
+def test_integrated_estimator_on_an_asymmetric_well():
+    # q, q2, q3 and poly: agree with the plain bead mean within 4 combined
+    # SE, and the SE of q and q3 falls
+    model, th = mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.01), ThermoParams(8.0, 32)
+    ens = sample_ring_positions(model, th, _cfg(16384, seed=1))
+    for obs in map(observable_from_label, LABELS):
+        m1, s1 = _plain_bead_mean(obs, ens)
+        m2, s2 = static_average(obs, ens, model, th)
+        assert abs(m1 - m2) <= 4.0 * np.hypot(s1, s2), obs.label
+        assert s2 < s1 or obs.label not in ("q", "q3"), obs.label
+
+
+# the six wells on which the Gauss-Legendre node count was chosen
+NODE_WELLS = [(quartic(1.0), 8.0, 4), (quartic(1.0), 8.0, 8), (quartic(1.0), 1.0, 32),
+              (mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.01), 1.0, 32),
+              (mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.01), 8.0, 32),
+              (mildly_anharmonic(1.0, 1.0, c4=0.05), 8.0, 64)]
+
+
+@pytest.mark.parametrize("model, beta, n", NODE_WELLS,
+                         ids=["quartic_b8_n4", "quartic_b8_n8", "quartic_b1_n32",
+                              "c3_b1_n32", "c3_b8_n32", "c4_b8_n64"])
+def test_doubling_the_centroid_nodes_moves_no_row(monkeypatch, model, beta, n):
+    # every row's q, q2 and q3 value is converged in the node count: twice
+    # the nodes move none by 1e-14 of the largest q2 value of the rows
+    th = ThermoParams(beta, n)
+    x = sample_ring_positions(model, th, _cfg(2048, seed=43))
+    got = [_static_values(obs, x, model, th) for obs in (OBS_Q, OBS_Q2, OBS_Q3)]
+    doubled = np.polynomial.legendre.leggauss(2 * _CENTROID_NODES)
+    monkeypatch.setattr(sampler, "_legendre_rule", lambda: doubled)
+    for obs, vals in zip((OBS_Q, OBS_Q2, OBS_Q3), got):
+        moved = np.abs(_static_values(obs, x, model, th) - vals)
+        assert moved.max() < 1e-14 * got[1].max(), obs.label
+
+
+@pytest.mark.parametrize("model", [harmonic(1.0, 1.0), quartic(1.0),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.01)],
+                         ids=["harmonic", "quartic", "c3"])
+def test_bead_mean_force_integrates_to_zero(model):
+    # by parts over the centroid's conditional density,
+    # E[(1/N) sum_j V'(x_j) | u] = 0 for every ring
+    v2, v3, v4 = model.poly_coefficients()
+    obs = observable_from_label(f"poly:0,{2.0 * v2!r},{3.0 * v3!r},{4.0 * v4!r}")
+    th = ThermoParams(4.0, 16)
+    x = sample_ring_positions(model, th, _cfg(2048, seed=44))
+    assert np.abs(_static_values(obs, x, model, th)).max() <= 1e-12
 
 
 def _unchunked_mean_square_position(ensemble, model, thermo, blocks=16):
-    """mean_square_position with the ensemble's u, u.u and u^3 sums formed
+    """static_average of q2 with the ensemble's u, u.u and u.u.u sums formed
     whole and the quadrature in 65536-row chunks; returns (mean, se) and the
-    per-row conditional moments.
+    per-row values E[c^2 + P_2 | u], P_2 the bead mean of u^2.
     Frozen as the reference for the bits of the chunked estimator."""
     x = np.asarray(ensemble, dtype=float)
     qc = x.mean(axis=1)
@@ -169,16 +226,17 @@ def _unchunked_mean_square_position(ensemble, model, thermo, blocks=16):
     v2, v3, v4 = model.poly_coefficients()
     n = u.shape[-1]
     beta_n = thermo.beta / n
-    s2 = (u * u).sum(axis=-1)
+    p2 = (u * u).mean(axis=1)
     if v3 == 0.0 and v4 == 0.0:
-        cond = np.full(u.shape[0], 1.0 / (2.0 * beta_n * v2 * n))
+        vals = p2 + 1.0 / (2.0 * beta_n * v2 * n)
     else:
-        s3 = (u**3).sum(axis=-1)
+        s2 = (u * u).sum(axis=-1)
+        s3 = (u * u * u).sum(axis=-1)
         b4, b3 = v4 * n, v3 * n
         b2 = v2 * n + 6.0 * v4 * s2
         b1 = 3.0 * v3 * s2 + 4.0 * v4 * s3
         t, wq = np.polynomial.legendre.leggauss(_CENTROID_NODES)
-        cond = np.empty(u.shape[0])
+        vals = np.empty(u.shape[0])
         for lo in range(0, u.shape[0], 65536):
             hi = min(lo + 65536, u.shape[0])
             bb1, bb2 = b1[lo:hi], b2[lo:hi]
@@ -199,9 +257,8 @@ def _unchunked_mean_square_position(ensemble, model, thermo, blocks=16):
             e = beta_n * ((((b4 * c + b3) * c + bb2[:, None]) * c + bb1[:, None]) * c)
             e -= e.min(axis=1, keepdims=True)
             wgt = wq[None, :] * np.exp(-e)
-            cond[lo:hi] = (c * c * wgt).sum(axis=1) / wgt.sum(axis=1)
-    vals = cond + (u * u).mean(axis=1)
-    return float(vals.mean()), float(block_standard_error(vals, blocks)), cond
+            vals[lo:hi] = ((c * c + p2[lo:hi, None]) * wgt).sum(axis=1) / wgt.sum(axis=1)
+    return float(vals.mean()), float(block_standard_error(vals, blocks)), vals
 
 
 @pytest.mark.parametrize("model", [harmonic(1.0, 1.0),
@@ -217,14 +274,13 @@ def test_chunked_mean_square_position_keeps_the_bits(model):
     x = rng.normal(size=(5 * CHUNK_ELEMENTS // (2 * n), n))
     x *= np.exp(rng.normal(size=(len(x), 1)))
     x[0] = -0.0
-    mean, se, cond = _unchunked_mean_square_position(x, model, th)
-    got = mean_square_position(x, model, th)
+    mean, se, vals = _unchunked_mean_square_position(x, model, th)
+    got = static_average(OBS_Q2, x, model, th)
     assert np.array(got).tobytes() == np.array([mean, se]).tobytes()
-    # each row's conditional moment does not depend on the rows beside it
-    u = x - x.mean(axis=1)[:, None]
-    got_cond = np.concatenate([_conditional_centroid_m2(model, th, u[rows])
-                               for rows in row_chunks(len(u), _CENTROID_NODES)])
-    assert got_cond.tobytes() == cond.tobytes()
+    # each row's value does not depend on the rows beside it
+    got_vals = np.concatenate([_static_values(OBS_Q2, x[rows], model, th)
+                               for rows in row_chunks(len(x), _CENTROID_NODES)])
+    assert got_vals.tobytes() == vals.tobytes()
 
 
 def test_conditional_span_ends_keep_their_rounding():
@@ -234,21 +290,21 @@ def test_conditional_span_ends_keep_their_rounding():
     model, th = quartic(0.3), ThermoParams(20.0, 32)
     x = np.random.default_rng(42).normal(size=(64, 32))
     x[0] = -0.0
-    cond = _unchunked_mean_square_position(x, model, th)[2]
-    u = x - x.mean(axis=1)[:, None]
-    assert _conditional_centroid_m2(model, th, u).tobytes() == cond.tobytes()
+    vals = _unchunked_mean_square_position(x, model, th)[2]
+    assert _static_values(OBS_Q2, x, model, th).tobytes() == vals.tobytes()
 
 
 def test_mean_square_position_holds_chunk_temporaries_only(traced_peak):
-    # 201 quadrature nodes for all 65536 rows at once would be 100 MB per
-    # temporary; the traced peak stays within the per-row values plus six
-    # chunk temporaries: u and u.u of a row chunk, and in the quadrature the
-    # nodes c, the exponent e and the two broadcast steps that build e
+    # the quadrature nodes for all 65536 rows at once would be 50 MB per
+    # temporary; the traced peak of q2 and of q3 stays within the per-row
+    # values plus six chunk temporaries: u and its running power product of
+    # a row chunk, and in the quadrature the nodes c, the exponent e and g(c)
     th = ThermoParams(4.0, 16)
     x = np.random.default_rng(42).normal(size=(65536, 16))
     model = mildly_anharmonic(1.0, 1.0, c4=0.05)
-    peak = traced_peak(mean_square_position, x, model, th)
-    assert peak < 65536 * 8 + 6 * 8 * CHUNK_ELEMENTS
+    for obs in (OBS_Q2, OBS_Q3):
+        peak = traced_peak(static_average, obs, x, model, th)
+        assert peak < 65536 * 8 + 6 * 8 * CHUNK_ELEMENTS, obs.label
 
 
 def test_momentum_variance(harmonic_model):
@@ -286,16 +342,16 @@ def test_draw_momenta_deterministic(harmonic_model):
 def test_static_average_symmetry(harmonic_model):
     th = ThermoParams(1.0, 8)
     ens = sample_ring_positions(harmonic_model, th, _cfg(20000, seed=16))
-    mean, se = estimate_static_average(OBS_Q, ens)
-    assert abs(mean) <= 3.0 * se
+    # E[q_c | u] = 0 on the harmonic well, so every ring's q is 0
+    assert static_average(OBS_Q, ens, harmonic_model, th) == (0.0, 0.0)
     p = draw_momenta(th, harmonic_model, _cfg(20000, seed=17))
-    pmean, pse = estimate_static_average(OBS_P, momenta=p)
+    pmean, pse = static_average(OBS_P, p, harmonic_model, th)
     assert abs(pmean) <= 3.0 * pse
 
 
 def test_static_average_insufficient():
     with pytest.raises(InsufficientSamples):
-        estimate_static_average(OBS_Q, np.zeros((8, 4)))
+        static_average(OBS_Q, np.zeros((8, 4)), harmonic(1.0, 1.0), ThermoParams(1.0, 4))
 
 
 def test_seed_reproducibility_and_worker_independence(harmonic_model, monkeypatch):
