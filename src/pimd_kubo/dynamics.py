@@ -209,11 +209,12 @@ def build_centroid_force_table(model, thermo, cfg, grid):
     sampler.resolve_workers() threads; the table is the same at any
     stacking and thread count.  The table's streams are not those of the
     free rings that CMD's trajectories start from, which RPMD and the CAQ
-    reference share at the same seed.
+    reference share at the same seed.  The sampler's jobs turn each batch
+    of rows into its bead-mean forces as they draw it (the call's value),
+    so the (nodes, n_samples, N) grid ensemble is never held.
     """
     force = force_fn(model)
-    ens = sample_ring_positions_constrained(model, thermo, cfg, grid)
-    buf = np.empty_like(ens[0])
-    vals = [force(node, buf).mean(axis=1) for node in ens]
+    vals = sample_ring_positions_constrained(
+        model, thermo, cfg, grid, lambda x: force(x, np.empty_like(x)).mean(axis=-1))
     return CentroidForceTable(grid, [v.mean() for v in vals],
                               [block_standard_error(v) for v in vals])

@@ -36,8 +36,11 @@ out of each sampled ring for every position observable (q, q2, q3 and
 poly:) and takes the bead mean of the momentum draw for p.  At the same
 rings its standard error is smaller than that of the plain bead mean,
 which earlier versions wrote for static q, q3 and poly:, so those runs'
-results.csv changed.  The labels a and b are checked at parse time for
-every command, including those that ignore them.
+results.csv changed.  Both reduce each row to its value as it is drawn
+(sampler.sample_static_average), so neither holds an ensemble; only a
+static run with dump_ensemble holds the rings, and it averages the rings
+it dumps to the same bytes.  The labels a and b are checked at parse time
+for every command, including those that ignore them.
 
 Every run also writes meta.json, which records the process's peak resident
 set size (peak_rss_mb), its thread count (threads) and each distinct
@@ -75,8 +78,8 @@ from .estimators import (CMD_OBSERVABLES, cmd_kubo_correlator, rpmd_initial_cond
 from .model import PotentialModel, ThermoParams
 from .oracle import GridSpec, diagonalize, exact_kubo_correlator, thermal_average
 from .ringpoly import MOMENTUM, OBS_P, OBS_Q, OBS_Q2, observable_from_label
-from .sampler import (SamplerConfig, draw_momenta, resolve_workers, sample_ring_positions,
-                      static_average)
+from .sampler import (SamplerConfig, resolve_workers, sample_ring_positions,
+                      sample_static_average, static_average)
 from .series import CorrelationSeries
 
 # section -> key -> (converter, default); _REQUIRED means the key must appear
@@ -348,12 +351,12 @@ def _static(config, stats):
     run = config.sections["run"]
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
     a_obs, _ = config.observables()
-    ens = None
-    if a_obs.kind != MOMENTUM or run["dump_ensemble"]:
-        # <p> needs only the exact momentum draw; the positions serve the dump
-        ens = sample_ring_positions(model, thermo, scfg)
-    rows = draw_momenta(thermo, model, scfg) if a_obs.kind == MOMENTUM else ens
-    mean, se = static_average(a_obs, rows, model, thermo, run["blocks"])
+    # only the dump holds the rings; <p> needs only the exact momentum draw
+    ens = sample_ring_positions(model, thermo, scfg) if run["dump_ensemble"] else None
+    if ens is None or a_obs.kind == MOMENTUM:
+        mean, se = sample_static_average(a_obs, model, thermo, scfg, run["blocks"])
+    else:
+        mean, se = static_average(a_obs, ens, model, thermo, run["blocks"])
     stats["mean"], stats["std_error"] = mean, se
     series = CorrelationSeries([0.0], [mean], [se])
     artifacts = [("results.csv", lambda p: io.write_series_csv(p, series))]
@@ -399,8 +402,7 @@ def _convergence(config, stats):
     rows_n, rows_v, rows_e = [], [], []
     for n_beads in run["n_values"]:
         thermo = ThermoParams(base_thermo.beta, n_beads, base_thermo.hbar)
-        ens = sample_ring_positions(model, thermo, scfg)
-        mean, se = static_average(OBS_Q2, ens, model, thermo, run["blocks"])
+        mean, se = sample_static_average(OBS_Q2, model, thermo, scfg, run["blocks"])
         rows_n.append(float(n_beads))
         rows_v.append(mean)
         rows_e.append(se)

@@ -45,6 +45,17 @@ stacked and the jobs scheduled across threads, and a longer run
 reproduces every row of a shorter one.  The acceptance-rate warning is
 decided per node, in the calling thread.
 
+A call returns its rows, or with a value function, a row-wise map of a
+(..., N) bead array to (...), the value of each row.  Then each job emits
+its rounds into a batch of whole rounds, at most _stats.CHUNK_ELEMENTS bead
+values (one round at least), and writes the values of each full batch in
+place of its rows, so the call holds the (nodes, n_samples) values and one
+batch per job, never the ensemble.  static and convergence
+(sample_static_average) and the CMD force table take values; the RPMD and
+CMD initial conditions and the static ensemble dump take rows.  A
+row-wise value does not depend on the batch, so the values equal those of
+the held rows bit for bit.
+
 A node's walkers each make burn_in proposals and then emit one row every
 decorrelation_stride proposals, so a call costs
 walkers x burn_in + n_samples x stride proposals per node (n_samples
@@ -206,7 +217,7 @@ def _reference(model, thermo, q_c):
     return c, kappa_at(c)
 
 
-def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
+def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
     """Independence Metropolis for walker group g_index of a stack of nodes, as a job.
 
     stack lists the nodes' (index, q_c, reference): index is the node's
@@ -216,15 +227,16 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
     every other step of a proposal is one ufunc over the stack's
     (nodes, g_size, N) walker array, with c, kappa and the mode scales
     broadcast per node.  out is the stack's (nodes, walkers, rounds, N)
-    view of its walker-major rows; the group fills walkers
-    g_index * _GROUP onwards.
+    view of its walker-major rows, or with a value function (the module
+    docstring), the (nodes, walkers, rounds) view of their values; the
+    group fills walkers g_index * _GROUP onwards.
 
     Allocates the job's buffers and returns run(), which samples and returns
     each node's accepted proposals after burn-in (an array) and the
-    proposals each node attempted.  The buffers are allocated by the thread
-    that builds the job, so a job run on a worker thread does not leave
-    them resident in that thread's malloc arena, where no later allocation
-    of the calling thread could reuse them.
+    proposals each node attempted.  The buffers, the batch included, are
+    allocated by the thread that builds the job, so a job run on a worker
+    thread does not leave them resident in that thread's malloc arena,
+    where no later allocation of the calling thread could reuse them.
     """
     n = thermo.n_beads
     pinned = stack[0][1] is not None
@@ -252,8 +264,12 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
     x_new, phi_new = np.empty_like(x), np.empty_like(phi)
     acc = np.empty(shape, dtype=bool)
     accepted = np.zeros(shape, dtype=np.int64)  # per walker
-    rows = out[:, g_index * _GROUP:g_index * _GROUP + g_size]
+    dest = out[:, g_index * _GROUP:g_index * _GROUP + g_size]
     rounds = out.shape[2]
+    # rows are emitted in place, or into the batch (row_chunks' first slice
+    # of the rounds is the most whole rounds that fit the budget)
+    batch = dest if value is None else np.empty(
+        shape + (row_chunks(rounds, x.size)[0].stop, n))
 
     def propose(x, phi):
         # x = c + y,  phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
@@ -284,14 +300,17 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out):
             if after > 0:
                 np.add(accepted, acc, out=accepted)
                 if after % cfg.decorrelation_stride == 0:
-                    rows[:, :, emitted] = x
+                    j = emitted % batch.shape[2]
+                    batch[:, :, j] = x
+                    if value is not None and (j + 1 == batch.shape[2] or emitted + 1 == rounds):
+                        dest[:, :, emitted - j:emitted + 1] = value(batch[:, :, :j + 1])
                     emitted += 1
         return accepted.sum(axis=1), g_size * rounds * cfg.decorrelation_stride
 
     return run
 
 
-def _sample(model, thermo, cfg, nodes):
+def _sample(model, thermo, cfg, nodes, value=None):
     """Run a _run_group job for every (walker group, stack of nodes) on resolve_workers() threads.
 
     nodes lists the q_c of each node (None for the free ensemble); each
@@ -300,14 +319,16 @@ def _sample(model, thermo, cfg, nodes):
     stacks of at most _GROUP rows, and into at least as many stacks as
     threads while there are nodes to spare; a free call is one stack of
     one node.  Warns once for each node whose acceptance rate after burn-in
-    falls below 0.05.  Returns shape (len(nodes), n_samples, N).
+    falls below 0.05.  Returns shape (len(nodes), n_samples, N), or with
+    value (see _run_group) the (len(nodes), n_samples) values of those rows.
     """
     v2, v3, v4 = model.poly_coefficients()
     if 9.0 * v3 * v3 > 32.0 * v2 * v4:
         raise UnsupportedModel("V has a second minimum (9 v3^2 > 32 v2 v4)")
     walkers, rounds, groups = _layout(cfg)
-    out = np.empty((len(nodes), walkers * rounds, thermo.n_beads))
-    rows = out.reshape(len(nodes), walkers, rounds, thermo.n_beads)
+    row = (thermo.n_beads,) if value is None else ()
+    out = np.empty((len(nodes), walkers * rounds) + row)
+    rows = out.reshape((len(nodes), walkers, rounds) + row)
     nodes = [(i, q_c, _reference(model, thermo, q_c)) for i, q_c in enumerate(nodes)]
     threads = resolve_workers()
     jobs = []
@@ -316,7 +337,7 @@ def _sample(model, thermo, cfg, nodes):
         jobs += [(g, size, s * len(nodes) // stacks, (s + 1) * len(nodes) // stacks)
                  for s in range(stacks)]
     counts = []
-    runs = (_run_group(model, thermo, cfg, nodes[lo:hi], g, size, rows[lo:hi])
+    runs = (_run_group(model, thermo, cfg, nodes[lo:hi], g, size, rows[lo:hi], value)
             for g, size, lo, hi in jobs)
     map_in_order(lambda run: run(), runs, counts.append, threads)
     accepted, attempted = (np.zeros(len(nodes), dtype=np.int64) for _ in range(2))
@@ -335,26 +356,50 @@ def sample_ring_positions(model, thermo, cfg):
     return _sample(model, thermo, cfg, [None])[0]
 
 
-def sample_ring_positions_constrained(model, thermo, cfg, q_c):
+def sample_ring_positions_constrained(model, thermo, cfg, q_c, value=None):
     """Configurations with the position centroid pinned at each node of the 1-D grid q_c.
 
     Returns shape (nodes, n_samples, N).  Node i samples from the run seed's
     streams at node index i, so its rows depend only on (cfg, i, q_c[i]).
+    With value, a row-wise map of a (..., N) bead array to (...), returns
+    the (nodes, n_samples) values of those rows instead, each row reduced
+    as it is drawn, so no ensemble is held.
     """
     grid = np.asarray(q_c, dtype=float)
     if grid.ndim != 1:
         raise ValueError("q_c must be a 1-D grid of centroids")
-    return _sample(model, thermo, cfg, [float(q) for q in grid])
+    return _sample(model, thermo, cfg, [float(q) for q in grid], value)
 
 
 # ----------------------------------------------------------------------
 # momentum draws (exact Gaussians, never MCMC)
 
-def draw_momenta(thermo, model, cfg):
-    """i.i.d. bead momenta with variance m N / beta, shape (n_samples, N)."""
+def _momentum_chunks(thermo, model, cfg):
+    """The bead momenta of draw_momenta as (rows, block) pairs, in row order.
+
+    rows is each slice of _stats.row_chunks over the n_samples rows, and
+    block those rows' momenta, in one buffer that the next block overwrites.
+    The blocks come from the one MOMENTA stream in turn; the stream's
+    normals do not depend on how many are drawn at once, so the blocks hold
+    the rows of one whole draw bit for bit.
+    """
     sigma = math.sqrt(model.mass * thermo.n_beads / thermo.beta)
     gen = _streams.stream(cfg.seed, _streams.MOMENTA, 0)
-    return sigma * gen.standard_normal((cfg.n_samples, thermo.n_beads))
+    chunks = row_chunks(cfg.n_samples, thermo.n_beads)
+    buf = np.empty((chunks[0].stop, thermo.n_beads))
+    for rows in chunks:
+        block = buf[:rows.stop - rows.start]
+        gen.standard_normal(out=block)
+        block *= sigma
+        yield rows, block
+
+
+def draw_momenta(thermo, model, cfg):
+    """i.i.d. bead momenta with variance m N / beta, shape (n_samples, N)."""
+    p = np.empty((cfg.n_samples, thermo.n_beads))
+    for rows, block in _momentum_chunks(thermo, model, cfg):
+        p[rows] = block
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -392,9 +437,35 @@ def static_average(obs, rows, model, thermo, blocks=N_BLOCKS):
     and 100 ms with a row counted as max(N, nodes) elements (2-core
     x86-64, 2 MB L2).  Every step is row-wise (the span loop widens only
     the rows that still need it), so each row's value does not depend on
-    the others or on the chunking.
+    the others or on the chunking.  sample_static_average runs the same
+    values on rows as they are drawn.
     """
-    vals = _static_values(obs, np.asarray(rows, dtype=float), model, thermo)
+    return _mean_and_error(_static_values(obs, np.asarray(rows, dtype=float), model, thermo),
+                           blocks)
+
+
+def sample_static_average(obs, model, thermo, cfg, blocks=N_BLOCKS):
+    """static_average of obs on the rows of sample_ring_positions, or of draw_momenta for p.
+
+    The rows are not held: each sampler job turns every batch of rows it
+    emits into their values (_sample's value), and the momenta are drawn in
+    the row chunks of draw_momenta and kept as bead means.  The values are
+    row-wise, so the result equals static_average of the held rows bit for
+    bit.
+    """
+    def value(x):
+        return _static_values(obs, x, model, thermo)
+
+    if obs.kind == MOMENTUM:
+        vals = np.empty(cfg.n_samples)
+        for rows, block in _momentum_chunks(thermo, model, cfg):
+            vals[rows] = value(block)
+    else:
+        vals = _sample(model, thermo, cfg, [None], value)[0]
+    return _mean_and_error(vals, blocks)
+
+
+def _mean_and_error(vals, blocks):
     return float(vals.mean()), float(block_standard_error(vals, blocks))
 
 
@@ -405,13 +476,14 @@ def _legendre_rule():
 
 
 def _static_values(obs, x, model, thermo):
-    """The value of each row of x that static_average averages."""
+    """The value that static_average averages of each ring of the (..., N) bead array x: (...)."""
     if obs.kind == MOMENTUM:
         return obs.centroid(None, x)
     a = [0.0 if c is None else c for c in reversed(obs.coeffs)]  # a[n] multiplies q^n
     a = a[:max((n for n, c in enumerate(a) if c != 0.0), default=0) + 1]
     v2, v3, v4 = model.poly_coefficients()
-    n = x.shape[-1]
+    shape, n = x.shape[:-1], x.shape[-1]
+    x = x.reshape(-1, n)
     beta_n = thermo.beta / n
     gaussian = v3 == 0.0 and v4 == 0.0
     vals = np.empty(len(x))
@@ -461,4 +533,4 @@ def _static_values(obs, x, model, thermo):
             e *= horner(g[::-1], c)
             value = e.sum(axis=1, keepdims=True) / total
         vals[rows, None] = value
-    return vals
+    return vals.reshape(shape)

@@ -487,6 +487,19 @@ def test_force_table_grid_schedule(monkeypatch):
                                         for e in ens]
 
 
+def test_force_table_holds_no_grid_ensemble(monkeypatch, traced_peak):
+    # 17 nodes of 8192 rings of 16 beads are a 17 MB grid ensemble; each job
+    # turns every batch of its rows into bead-mean forces, so the traced peak
+    # (about 7.6 MB: the 1 MB of values, two jobs' buffers, one batch of
+    # CHUNK_ELEMENTS bead values and its force) stays below the ensemble
+    model, th = mildly_anharmonic(1.0, 1.0, c4=0.05), ThermoParams(4.0, 16)
+    cfg = SamplerConfig(n_samples=8192, seed=5)
+    grid = np.linspace(-4.0, 4.0, 17)
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
+    peak = traced_peak(build_centroid_force_table, model, th, cfg, grid)
+    assert peak < len(grid) * cfg.n_samples * th.n_beads * 8
+
+
 def test_force_table_samples_once_on_calling_thread(monkeypatch):
     # tracers wrap this module attribute; their span stack is not thread-safe
     threads = []

@@ -313,7 +313,9 @@ def test_cubic_only_well_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
         calls.append(1)
         raise AssertionError("sampler called")
 
-    monkeypatch.setattr("pimd_kubo.runner.sample_ring_positions", counted)
+    for target in ("pimd_kubo.runner.sample_ring_positions",
+                   "pimd_kubo.runner.sample_static_average"):
+        monkeypatch.setattr(target, counted)
     out = tmp_path / "cubic"
     text = SMALL_COMPARE.format(out=out).replace("command = compare", "command = convergence")
     text = text.replace("kind = harmonic", "kind = mildly_anharmonic\nc3 = 0.1")
@@ -443,6 +445,7 @@ def test_bad_run_value_exits_2_before_sampling(tmp_path, monkeypatch, capsys, co
 
     for target in ("pimd_kubo.estimators.sample_ring_positions",
                    "pimd_kubo.runner.sample_ring_positions",
+                   "pimd_kubo.runner.sample_static_average",
                    "pimd_kubo.dynamics.sample_ring_positions_constrained",
                    "pimd_kubo.runner.diagonalize"):
         monkeypatch.setattr(target, counted)
@@ -620,6 +623,19 @@ def test_static_momentum_skips_position_sampler(tmp_path, monkeypatch):
     assert (dumped / "ensemble.csv").exists()
 
 
+@pytest.mark.parametrize("a", ["q2", "q3"])
+def test_static_dump_keeps_results(tmp_path, a):
+    # with the dump the estimator runs on the held rings, without it on the
+    # rows as they are drawn: the same values, so the same results.csv
+    text = MINIMAL_STATIC.replace("a = q2", f"a = {a}").replace(
+        "kind = harmonic", "kind = mildly_anharmonic\nc3 = 0.3\nc4 = 0.1")
+    assert run(parse_config(text.format(out=tmp_path / "plain"))) == 0
+    assert run(parse_config(text.format(out=tmp_path / "dump") + "dump_ensemble = true\n")) == 0
+    assert ((tmp_path / "plain" / "results.csv").read_bytes()
+            == (tmp_path / "dump" / "results.csv").read_bytes())
+    assert (tmp_path / "dump" / "ensemble.csv").exists()
+
+
 @pytest.mark.parametrize("kind", ["harmonic", "mildly_anharmonic\nc3 = 0.3\nc4 = 0.1"],
                          ids=["harmonic", "c3"])
 @pytest.mark.parametrize("a", ["q2", "q", "q3", "poly:0.5,-1,0,2", "p"])
@@ -691,24 +707,35 @@ def test_meta_records_peak_rss(tmp_path, monkeypatch):
     assert meta["threads"] == 3
 
 
-def test_static_run_holds_one_ensemble(tmp_path, monkeypatch, traced_peak):
-    # a 16 MB static ensemble (32768 x 64): its q2 values are never formed
-    # at once, so the traced peak stays within the ensemble, the per-row
-    # values and two chunk temporaries (f of a chunk and its bead mean)
+@pytest.mark.parametrize("case", ["q2", "p", "convergence"])
+def test_static_runs_hold_no_ensemble(tmp_path, monkeypatch, traced_peak, case):
+    # 32768 rings of 64 beads (16 MB) at one thread: each batch of sampled
+    # rows, or of drawn momenta, becomes its values at once, so the traced
+    # peak stays within the per-row values, the job's buffers (bounded by
+    # eight (walkers, N) arrays: x, x_new, the normals, y, v and the
+    # spectrum), one batch of CHUNK_ELEMENTS bead values and two chunk
+    # temporaries of the estimator (u and its power product); convergence's
+    # oracle grid is cut to 256 points so that it does not set the peak
     text = MINIMAL_STATIC.replace("n_beads = 8", "n_beads = 64").replace(
         "n_samples = 640", "n_samples = 32768")
+    if case == "convergence":
+        text = text.replace("command = static", "command = convergence").replace(
+            "[run]", "[oracle]\nn_points = 256\n\n[run]") + "n_values = 64\n"
+    else:
+        text = text.replace("a = q2", f"a = {case}")
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
-    ensemble = 32768 * 64 * 8
+    values, job = 32768 * 8, 8 * 128 * 64 * 8
     peak = traced_peak(run, parse_config(text.format(out=tmp_path / "out")))
     assert (tmp_path / "out" / "results.csv").exists()
-    assert peak < ensemble + 32768 * 8 + 2 * 8 * CHUNK_ELEMENTS
+    assert peak < values + job + 8 * CHUNK_ELEMENTS + 2 * 8 * CHUNK_ELEMENTS
 
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
 def test_bad_thread_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys, value):
     calls = []
-    monkeypatch.setattr("pimd_kubo.runner.sample_ring_positions",
-                        lambda *args: calls.append(args))
+    for target in ("pimd_kubo.runner.sample_ring_positions",
+                   "pimd_kubo.runner.sample_static_average"):
+        monkeypatch.setattr(target, lambda *args: calls.append(args))
     monkeypatch.setenv("PIMD_KUBO_THREADS", value)
     out = tmp_path / "out"
     assert run(parse_config(MINIMAL_STATIC.format(out=out))) == 2

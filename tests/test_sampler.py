@@ -14,9 +14,9 @@ from pimd_kubo.errors import InsufficientSamples, NonErgodicWarning, Unsupported
 from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import bond_midpoints, free_rp_frequencies, normal_mode_matrix
 from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
-from pimd_kubo import sampler
+from pimd_kubo import _streams, sampler
 from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _layout, _reference, _run_group,
-                              _static_values)
+                              _sample, _static_values, sample_static_average)
 
 
 def _cfg(n, seed=1, **kw):
@@ -215,6 +215,71 @@ def test_bead_mean_force_integrates_to_zero(model):
     assert np.abs(_static_values(obs, x, model, th)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("model", [harmonic(1.0, 1.0), quartic(1.0),
+                                   mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.01)],
+                         ids=["harmonic", "quartic", "c3"])
+def test_streamed_values_equal_values_of_held_rows(monkeypatch, model):
+    # two walker groups (2048 + 64): a batch of the first holds 8 of its 11
+    # rounds, so it ends in a partial batch, and the second takes all 11 in
+    # one; each row's value does not depend on the batch it was drawn in or
+    # on the threads, and the [:n_samples] cut drops the same rows
+    th = ThermoParams(4.0, 16)
+    walkers = _GROUP + 64
+    cfg = SamplerConfig(n_samples=11 * walkers - 5, seed=45, burn_in=4, decorrelation_stride=1,
+                        n_walkers=walkers)
+    assert CHUNK_ELEMENTS // (_GROUP * th.n_beads) == 8 and _layout(cfg)[1] == 11
+    x = sample_ring_positions(model, th, cfg)
+    labels = [OBS_Q, OBS_Q2, OBS_Q3, observable_from_label("poly:0.5,-1,0,2")]
+    held = [_static_values(obs, x, model, th) for obs in labels]
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        for obs, want in zip(labels, held):
+            got = _sample(model, th, cfg, [None], lambda r: _static_values(obs, r, model, th))[0]
+            assert got.tobytes() == want.tobytes(), (threads, obs.label)
+    for obs in labels:
+        assert (np.array(sample_static_average(obs, model, th, cfg)).tobytes()
+                == np.array(static_average(obs, x, model, th)).tobytes()), obs.label
+
+
+def test_streamed_constrained_values_equal_values_of_held_rows(monkeypatch):
+    # the force table's value on 17 nodes of 128 walkers: one thread stacks
+    # them as 8 + 9, whose batch holds 14 of the 16 rounds and then 2; three
+    # threads stack 5 + 6 + 6, whose batch holds all 16
+    model, th = mildly_anharmonic(1.0, 1.0, c4=0.05), ThermoParams(4.0, 16)
+    cfg = SamplerConfig(n_samples=2048, seed=46, burn_in=8)
+    grid = np.linspace(-3.0, 3.0, 17)
+    force = force_fn(model)
+
+    def value(x):
+        return force(x, np.empty_like(x)).mean(axis=-1)
+
+    want = value(sample_ring_positions_constrained(model, th, cfg, grid))
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        got = sample_ring_positions_constrained(model, th, cfg, grid, value)
+        assert got.shape == (17, 2048)
+        assert got.tobytes() == want.tobytes(), threads
+
+
+def test_momenta_drawn_in_chunks_equal_one_draw(harmonic_model):
+    # the stream's normals do not depend on how many are drawn at once, so
+    # draw_momenta, built from row chunks, is one whole draw, and static p
+    # keeps only each chunk's bead means
+    whole = _streams.stream(7, _streams.MOMENTA, 0).standard_normal((1000, 64))
+    gen = _streams.stream(7, _streams.MOMENTA, 0)
+    parts = [gen.standard_normal((m, 64)) for m in (1, 333, 2, 664)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    th = ThermoParams(2.0, 64)
+    cfg = _cfg(3 * CHUNK_ELEMENTS // 64 + 5, seed=7)
+    assert len(row_chunks(cfg.n_samples, th.n_beads)) == 4
+    p = draw_momenta(th, harmonic_model, cfg)
+    sigma = math.sqrt(harmonic_model.mass * th.n_beads / th.beta)
+    one = sigma * _streams.stream(7, _streams.MOMENTA, 0).standard_normal(p.shape)
+    assert p.tobytes() == one.tobytes()
+    assert (np.array(sample_static_average(OBS_P, harmonic_model, th, cfg)).tobytes()
+            == np.array(static_average(OBS_P, p, harmonic_model, th)).tobytes())
+
+
 def _unchunked_mean_square_position(ensemble, model, thermo, blocks=16):
     """static_average of q2 with the ensemble's u, u.u and u.u.u sums formed
     whole and the quadrature in 65536-row chunks; returns (mean, se) and the
@@ -396,7 +461,7 @@ def _run_kernel(model, thermo, cfg, q_c=None, node=0):
     out = np.full((walkers * rounds, thermo.n_beads), np.nan)
     stack = [(node, q_c, _reference(model, thermo, q_c))]
     counts = [_run_group(model, thermo, cfg, stack, g, size,
-                         out.reshape(1, walkers, rounds, thermo.n_beads))()
+                         out.reshape(1, walkers, rounds, thermo.n_beads), None)()
               for g, size in groups]
     return out[: cfg.n_samples], sum(c[0][0] for c in counts), sum(c[1] for c in counts)
 
@@ -414,8 +479,8 @@ def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
     singles = [_run_kernel(model, th, cfg, q, node=i) for i, q in enumerate(grid)]
     jobs = []  # (node indices of the stack, accepted per node, attempted per node) of each job
 
-    def recorded(model, thermo, cfg, stack, g_index, g_size, out):
-        run = _run_group(model, thermo, cfg, stack, g_index, g_size, out)
+    def recorded(model, thermo, cfg, stack, g_index, g_size, out, value):
+        run = _run_group(model, thermo, cfg, stack, g_index, g_size, out, value)
 
         def counted():
             accepted, attempted = run()
