@@ -27,6 +27,20 @@ adapted.  A well with a second minimum (9 v3^2 > 32 v2 v4) raises
 UnsupportedModel: rings that reach into both minima carry weight that the
 proposals miss.
 
+On the free ensemble of a well with v3 = v4 = 0 every proposal is
+accepted bit for bit, so the kernel takes an exact path that makes no test.  There c = 0.0 and
+kappa = 2 v2 exactly, so half_kappa = v2; x_j = y_j + 0.0 differs from y_j
+at most in the sign of a zero; and V(x_j) = (v2 x_j) x_j rounds to the
+value of the spring term (half_kappa y_j) y_j at every bead.  So Phi is
+0.0 for every proposal, u < exp(0) = 1 accepts it, and a walker's state is
+always its latest proposal.  (Only a V(x_j) that overflows, at a beta near
+the bottom of the float range, would make Phi NaN and the test reject.)
+The exact path still draws every proposal's normals and uniforms in stream
+order, but it forms a proposal (scale, irfft, + c) only when it is
+emitted, and it prices none.  A pinned harmonic node's Phi is constant
+only in exact arithmetic (sum_j y_j = 0 up to rounding), so pinned nodes
+and anharmonic wells keep the test.
+
 Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from the run seed's counter-based streams, one per
 node and walker group (_streams holds the key layout; a free call is
@@ -59,7 +73,8 @@ the held rows bit for bit.
 A node's walkers each make burn_in proposals and then emit one row every
 decorrelation_stride proposals, so a call costs
 walkers x burn_in + n_samples x stride proposals per node (n_samples
-rounded up to whole rounds of walkers).  With the defaults, a 2048-sample
+rounded up to whole rounds of walkers; on the exact path a proposal that
+is not emitted costs only its draws).  With the defaults, a 2048-sample
 node takes 41k proposals, of which 80 % are burn-in: 20 proposals per kept
 row, against 132 at 1024 walkers.  Fewer walkers are enough because rows of
 one walker sit 4 proposals apart and acceptance is at least 0.82 at the
@@ -231,6 +246,13 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
     docstring), the (nodes, walkers, rounds) view of their values; the
     group fills walkers g_index * _GROUP onwards.
 
+    On the exact path (a free stack with v3 = v4 = 0, where Phi rounds to
+    0.0; see the module docstring) run() draws each proposal's normals and
+    uniforms as the test would.  It forms only the emitted proposals,
+    straight into their rows or batch, and counts every post-burn-in
+    proposal as accepted.  The initial state and every proposal that is not
+    emitted are drawn and never formed.
+
     Allocates the job's buffers and returns run(), which samples and returns
     each node's accepted proposals after burn-in (an array) and the
     proposals each node attempted.  The buffers, the batch included, are
@@ -240,6 +262,8 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
     """
     n = thermo.n_beads
     pinned = stack[0][1] is not None
+    v2, v3, v4 = model.poly_coefficients()
+    exact = not pinned and v3 == 0.0 and v4 == 0.0  # every proposal is accepted
     c, kappa = np.array([reference for _, _, reference in stack]).T[..., None, None]
     half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
     pot = potential_fn(model)
@@ -263,48 +287,66 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
     x, phi = np.empty(shape + (n,)), np.empty(shape)
     x_new, phi_new = np.empty_like(x), np.empty_like(phi)
     acc = np.empty(shape, dtype=bool)
-    accepted = np.zeros(shape, dtype=np.int64)  # per walker
-    dest = out[:, g_index * _GROUP:g_index * _GROUP + g_size]
     rounds = out.shape[2]
+    # per walker; on the exact path every post-burn-in proposal, counted up front
+    accepted = np.full(shape, rounds * cfg.decorrelation_stride if exact else 0, dtype=np.int64)
+    dest = out[:, g_index * _GROUP:g_index * _GROUP + g_size]
     # rows are emitted in place, or into the batch (row_chunks' first slice
     # of the rounds is the most whole rounds that fit the budget)
     batch = dest if value is None else np.empty(
         shape + (row_chunks(rounds, x.size)[0].stop, n))
 
-    def propose(x, phi):
-        # x = c + y,  phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
+    def draw():
         for gen, z_node in zip(gens, z):
             gen.standard_normal(out=z_node)
+
+    def form(x):  # x = c + y
         np.multiply(z[..., 1 - pinned:], scale, out=parts[..., 2:n + 1])
         if not pinned:
             np.multiply(z[..., 0], scale_0, out=parts[..., 0])
         np.fft.irfft(spec, n=n, out=y)
         np.add(y, c, out=x)
+
+    def propose(x, phi):
+        # phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
+        draw()
+        form(x)
         np.multiply(np.multiply(half_kappa, y, out=v), y, out=y)  # y holds the spring term now
         np.subtract(pot(x, out=v), y, out=v)
         np.multiply(np.sum(v, axis=-1, out=phi), beta_n, out=phi)
 
     def run():
-        propose(x, phi)
+        if exact:
+            draw()
+        else:
+            propose(x, phi)
         emitted = 0
         for step in range(1, cfg.burn_in + rounds * cfg.decorrelation_stride + 1):
-            propose(x_new, phi_new)
+            after = step - cfg.burn_in
+            emit = after > 0 and after % cfg.decorrelation_stride == 0
+            j = emitted % batch.shape[2]
+            if exact:
+                draw()
+                if emit:
+                    form(batch[:, :, j])
+            else:
+                propose(x_new, phi_new)
             for gen, u_node in zip(gens, u):
                 gen.random(out=u_node)
-            # acc = u < exp(min(phi - phi_new, 0))
-            np.exp(np.minimum(np.subtract(phi, phi_new, out=d), 0.0, out=d), out=d)
-            np.less(u, d, out=acc)
-            np.copyto(x, x_new, where=acc[..., None])
-            np.copyto(phi, phi_new, where=acc)
-            after = step - cfg.burn_in
-            if after > 0:
-                np.add(accepted, acc, out=accepted)
-                if after % cfg.decorrelation_stride == 0:
-                    j = emitted % batch.shape[2]
+            if not exact:
+                # acc = u < exp(min(phi - phi_new, 0))
+                np.exp(np.minimum(np.subtract(phi, phi_new, out=d), 0.0, out=d), out=d)
+                np.less(u, d, out=acc)
+                np.copyto(x, x_new, where=acc[..., None])
+                np.copyto(phi, phi_new, where=acc)
+                if after > 0:
+                    np.add(accepted, acc, out=accepted)
+                if emit:
                     batch[:, :, j] = x
-                    if value is not None and (j + 1 == batch.shape[2] or emitted + 1 == rounds):
-                        dest[:, :, emitted - j:emitted + 1] = value(batch[:, :, :j + 1])
-                    emitted += 1
+            if emit:
+                if value is not None and (j + 1 == batch.shape[2] or emitted + 1 == rounds):
+                    dest[:, :, emitted - j:emitted + 1] = value(batch[:, :, :j + 1])
+                emitted += 1
         return accepted.sum(axis=1), g_size * rounds * cfg.decorrelation_stride
 
     return run

@@ -7,11 +7,11 @@ from pimd_kubo import (GridSpec, OBS_P, OBS_Q, OBS_Q2, Observable, SamplerConfig
                        exact_kubo_correlator, harmonic, harmonic_caq_reference,
                        harmonic_swarm_trace, mildly_anharmonic, sample_ring_positions,
                        thermal_average)
-from pimd_kubo._stats import row_chunks
+from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
 from pimd_kubo.errors import (BoundaryLeak, ConfigError, GridUnresolved, QuadratureFailure,
                               SpectralIncomplete)
-from pimd_kubo.oracle import (discrete_kubo_weights, kubo_weights, momentum_matrix,
-                              observable_matrix, position_matrix)
+from pimd_kubo.oracle import (_kinetic_matrix, discrete_kubo_weights, kubo_weights,
+                              momentum_matrix, observable_matrix, position_matrix)
 
 
 def test_harmonic_eigenvalues(harmonic_eig_small):
@@ -71,6 +71,30 @@ def test_anharmonic_gap_perturbation_theory():
     gap = eig.energies[1] - eig.energies[0]
     assert gap > 1.0
     assert gap == pytest.approx(pt2(1) - pt2(0), rel=0.05)
+
+
+def _one_shot_kinetic_matrix(grid, mass, hbar):
+    """The kinetic matrix from the transforms of the whole identity at once.
+    Frozen as the reference for the bits of the column-blocked build."""
+    n = grid.n_points
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dq)
+    t = np.fft.fft(np.eye(n), axis=0)
+    t *= (hbar**2 * k**2 / (2.0 * mass))[:, None]
+    t = np.fft.ifft(t, axis=0).real
+    return 0.5 * (t + t.T)
+
+
+@pytest.mark.parametrize("n, budget, blocks", [(64, CHUNK_ELEMENTS, 1), (1001, CHUNK_ELEMENTS, 4),
+                                              (97, 97 * 10, 10)],
+                         ids=["one-block", "odd-n", "ten-blocks"])
+def test_blocked_kinetic_matrix_keeps_the_bits(monkeypatch, n, budget, blocks):
+    # 1001 columns take blocks of 261 (the last of 218), 97 nine blocks of 10
+    # and one of 7; each column's transforms do not depend on its block
+    monkeypatch.setattr("pimd_kubo._stats.CHUNK_ELEMENTS", budget)
+    assert len(row_chunks(n, n)) == blocks
+    grid = GridSpec(-9.0, 11.0, n)
+    assert (_kinetic_matrix(grid, 1.7, 0.9).tobytes()
+            == _one_shot_kinetic_matrix(grid, 1.7, 0.9).tobytes())
 
 
 def test_thermal_average_q2(harmonic_eig):

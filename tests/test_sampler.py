@@ -500,6 +500,118 @@ def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
             assert tuple(map(sum, zip(*mine))) == (accepted, attempted)
 
 
+def _frozen_metropolis(model, thermo, cfg, q_c=None, node=0):
+    """(rows, accepted, attempted) of one node's independence Metropolis
+    chains, walker group by walker group, every proposal formed, priced and
+    tested, the initial state included.  Frozen, written out from the kernel
+    as it was before the harmonic free ensemble skipped the test, as the
+    reference for the bits of _run_group."""
+    n, pinned = thermo.n_beads, q_c is not None
+    walkers, rounds, groups = _layout(cfg)
+    c, kappa = _reference(model, thermo, q_c)
+    pot = potential_fn(model)
+    k = np.arange(2, n + 1) // 2
+    sigma = np.sqrt(n / (thermo.beta * (model.mass * free_rp_frequencies(thermo)[k] ** 2 + kappa)))
+    scale = sigma * np.sqrt(np.where(2 * k == n, n, 0.5 * n))
+    purpose = _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS
+    rows = np.empty((walkers, rounds, n))
+    accepted = attempted = 0
+    for g, size in groups:
+        gen = _streams.stream(cfg.seed, purpose, node << 24 | g)
+
+        def propose():
+            z = gen.standard_normal((size, n - pinned))
+            spec = np.zeros((size, n // 2 + 1), dtype=complex)
+            parts = spec.view(float)
+            parts[:, 2:n + 1] = z[:, 1 - pinned:] * scale
+            if not pinned:
+                parts[:, 0] = z[:, 0] * (n / np.sqrt(thermo.beta * kappa))
+            y = np.fft.irfft(spec, n=n)
+            x = y + c
+            return x, (pot(x) - (0.5 * kappa * y) * y).sum(axis=-1) * (thermo.beta / n)
+
+        x, phi = propose()
+        emitted = 0
+        for step in range(1, cfg.burn_in + rounds * cfg.decorrelation_stride + 1):
+            x_new, phi_new = propose()
+            acc = gen.random(size) < np.exp(np.minimum(phi - phi_new, 0.0))
+            x = np.where(acc[:, None], x_new, x)
+            phi = np.where(acc, phi_new, phi)
+            after = step - cfg.burn_in
+            if after > 0:
+                accepted += int(acc.sum())
+                attempted += size
+                if after % cfg.decorrelation_stride == 0:
+                    rows[g * _GROUP:g * _GROUP + size, emitted] = x
+                    emitted += 1
+    return rows.reshape(-1, n)[: cfg.n_samples], accepted, attempted
+
+
+def _counting_potential(monkeypatch):
+    """The number of potential evaluations the sampler has made, as a one-item list."""
+    calls = [0]
+
+    def counted(model):
+        pot = potential_fn(model)
+
+        def evaluate(q, out=None):
+            calls[0] += 1
+            return pot(q, out=out)
+        return evaluate
+
+    monkeypatch.setattr("pimd_kubo.sampler.potential_fn", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("burn_in", [0, 5, 80])
+@pytest.mark.parametrize("stride", [1, 4])
+def test_exact_path_keeps_the_metropolis_bits(monkeypatch, harmonic_model, n, burn_in, stride):
+    # on the harmonic free ensemble every proposal is accepted, so the kernel
+    # forms only the proposals it emits, prices none, and still draws every
+    # proposal's normals and uniforms: rows and counts equal the frozen
+    # Metropolis chain's; 37 walkers make 3 rounds of 100 samples
+    th = ThermoParams(8.0, n)
+    cfg = SamplerConfig(n_samples=100, seed=50 + n, burn_in=burn_in,
+                        decorrelation_stride=stride, n_walkers=37)
+    want, accepted, attempted = _frozen_metropolis(harmonic_model, th, cfg)
+    calls = _counting_potential(monkeypatch)
+    rows, got_accepted, got_attempted = _run_kernel(harmonic_model, th, cfg)
+    assert rows.tobytes() == want.tobytes()
+    assert (got_accepted, got_attempted) == (accepted, attempted) == (attempted, 111 * stride)
+    assert calls[0] == 0
+
+
+def test_exact_path_is_taken_only_by_the_harmonic_free_ensemble(monkeypatch):
+    # two walker groups (2048 + 37) of 3 rounds, n_samples no multiple of the
+    # walkers, through _sample at 1 and 2 threads: the harmonic free call takes
+    # the exact path; an anharmonic free call and a pinned harmonic grid price
+    # every proposal (one potential call each per proposal and group) and keep
+    # their Metropolis bits
+    th = ThermoParams(4.0, 3)
+    walkers = _GROUP + 37
+    cfg = SamplerConfig(n_samples=3 * walkers - 11, seed=52, burn_in=5, decorrelation_stride=2,
+                        n_walkers=walkers)
+    proposals = 2 * (1 + cfg.burn_in + 3 * cfg.decorrelation_stride)
+    harmonic_well, anharmonic = harmonic(1.0, 1.0), mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.05)
+    grid = [-0.7, 0.0, 1.3]
+    free = {model: _frozen_metropolis(model, th, cfg) for model in (harmonic_well, anharmonic)}
+    assert free[harmonic_well][1] == free[harmonic_well][2]
+    assert free[anharmonic][1] < free[anharmonic][2]
+    pinned = [_frozen_metropolis(harmonic_well, th, cfg, q, node=i)[0] for i, q in enumerate(grid)]
+    calls = _counting_potential(monkeypatch)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+        for model, calls_per_call in ((harmonic_well, 0), (anharmonic, proposals)):
+            calls[0] = 0
+            assert sample_ring_positions(model, th, cfg).tobytes() == free[model][0].tobytes()
+            assert calls[0] == calls_per_call
+        calls[0] = 0
+        ens = sample_ring_positions_constrained(harmonic_well, th, cfg, grid)
+        assert ens.tobytes() == np.stack(pinned).tobytes()
+        assert calls[0] >= proposals
+
+
 def test_reference_solved_once_per_node(monkeypatch):
     # (c, kappa) depends on the node alone: a free call on a cubic well, where
     # every solve bisects for c, solves once for its four walker groups, and
