@@ -12,16 +12,18 @@ rpmd_initial_conditions, which the harmonic CAQ reference
 paired draws.
 The trajectories propagate in chunks of a fixed number of bead values, so
 the chunks depend only on N and the trajectory count.  Each chunk
-propagates in time segments and folds the products A0(0) * B(t) of each
-segment, in trajectory order, into its own block sums
-(_stats.RowAccumulator.block_sums), which are added in chunk order.  So
-results are identical for any thread count, and no record longer than one
-segment is held.
+propagates in time segments and sums the products A0(0) * B(t) of each
+segment over each error block it reaches (_stats.block_sums); those sums
+are added in chunk order.  So results are identical for any thread count,
+and no record longer than one segment is held.  A block that straddles a
+chunk edge is summed as two partial sums, so _CHUNK_BEADS fixes the
+rounding; the mean is not numpy's full reduction of the products bit for
+bit, and is not meant to be.
 """
 
 import numpy as np
 
-from ._stats import N_BLOCKS, RowAccumulator, row_chunks
+from ._stats import N_BLOCKS, block_edges, block_sums, blocked_mean, row_chunks
 from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
 from .model import ThermoParams, force_fn
@@ -49,33 +51,41 @@ def _correlator_from_ic(x0, p0, force, mass, thermo, integrator_cfg, a_obs, b_ob
     propagate on resolve_workers() threads, each in time segments of at most
     _stats.CHUNK_ELEMENTS // rows steps; a segment restarts from the
     (x, p) its predecessor returns, which at N = 1 continues the trajectory
-    bit for bit.  A chunk folds each segment's products into its block sums,
-    and this thread adds those in chunk order.  One-bead chunks (N = 1, as
-    in CMD) propagate on this thread: their step spends its time in the
-    interpreter, so worker threads gain nothing.
+    bit for bit.  A chunk sums each segment's products over the error
+    blocks it reaches (_stats.block_sums), and this thread adds those sums
+    in chunk order, so the bits depend on _CHUNK_BEADS and not on the
+    thread count.  One-bead chunks (N = 1, as in CMD) propagate on this
+    thread: their step spends its time in the interpreter, so worker
+    threads gain nothing.
     """
     n = x0.shape[0]
     n_steps = integrator_cfg.n_steps
     a0 = a_obs.centroid(x0, p0)
-    acc = RowAccumulator(n)
+    edges = block_edges(n)
+    total = np.zeros((N_BLOCKS, n_steps + 1))
 
     def job(span):
         lo, hi = span
         x, p = x0[lo:hi], p0[lo:hi]
-        sums = np.empty((N_BLOCKS + 1, n_steps + 1))
+        sums = np.empty((N_BLOCKS, n_steps + 1))  # its first rows: the blocks the chunk reaches
         for seg in row_chunks(n_steps, hi - lo):
             rec, x, p = propagate_batch(x, p, force, mass, thermo, integrator_cfg.dt,
                                         seg.stop - seg.start, [b_obs])
             new = 0 if seg.start == 0 else 1  # a later segment's row 0 ends the last one
             prod = rec[0, new:].T
             prod *= a0[lo:hi, None]  # A0(0) * B0(t), formed in place
-            sums[:, seg.start + new:seg.stop + 1] = acc.block_sums(prod, lo)
+            b, part = block_sums(prod, lo, edges)
+            sums[:len(part), seg.start + new:seg.stop + 1] = part
             del rec, prod  # freed before the next segment's record is made
-        return sums, hi - lo
+        return b, sums[:len(part)]
 
-    map_in_order(job, _chunks(n, thermo.n_beads), lambda done: acc.add_sums(*done),
+    def add(done):
+        b, sums = done
+        total[b:b + len(sums)] += sums
+
+    map_in_order(job, _chunks(n, thermo.n_beads), add,
                  1 if thermo.n_beads == 1 else resolve_workers())
-    return acc.result()
+    return blocked_mean(total, edges)
 
 
 def _check_request(sampler_cfg, integrator_cfg, model):
@@ -94,7 +104,7 @@ def rpmd_initial_conditions(model, thermo, sampler_cfg, integrator_cfg):
     """
     _check_request(sampler_cfg, integrator_cfg, model)
     x0 = sample_ring_positions(model, thermo, sampler_cfg)
-    p0 = draw_momenta(thermo, model, sampler_cfg)
+    p0 = draw_momenta(model, thermo, sampler_cfg)
     return x0, p0
 
 

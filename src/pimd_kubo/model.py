@@ -183,25 +183,14 @@ def force_fn(model):
     """-dV/dq as an unchecked closure force(q, out) over arrays; returns out.
 
     The force of the propagation loop and the force table, in the out= form
-    of horner, so out must not share memory with q.  Its coefficients are
-    the negated ones of V' = (4 v4 q q + 3 v3 q + 2 v2) q, and the result is
-    the negated V' bit for bit (rounding is sign-symmetric).  Without a
-    cubic term that is horner on (c4, 0, c2, 0), c_k = -k v_k, from the
-    leading nonzero coefficient.  With one, the sum is written out in that
-    order, which rounds otherwise than Horner's rule, and the term c3 q
-    needs a second array.
+    of horner, so out must not share memory with q: horner on
+    (-4 v4, -3 v3, -2 v2, 0), the negated coefficients of
+    V' = ((4 v4 q + 3 v3) q + 2 v2) q, from the leading nonzero one.  The
+    result is the negated V' of that order bit for bit (rounding is
+    sign-symmetric).
     """
     v2, v3, v4 = model.poly_coefficients()
-    c2, c3, c4 = -2.0 * v2, -3.0 * v3, -4.0 * v4
-    if v3 == 0.0:
-        return partial(horner, _steps((c4, c3, c2, 0.0)))
-    mul, add = np.multiply, np.add
-
-    def force(q, out):  # (c4 q q + c3 q + c2) q
-        f = add(mul(mul(c4, q, out=out), q, out=out), mul(c3, q), out=out)
-        return mul(add(f, c2, out=out), q, out=out)
-
-    return force
+    return partial(horner, _steps((-4.0 * v4, -3.0 * v3, -2.0 * v2, 0.0)))
 
 
 def potential_eval(model, q):

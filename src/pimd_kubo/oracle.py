@@ -23,9 +23,8 @@ from .errors import BoundaryLeak, GridUnresolved, QuadratureFailure, SpectralInc
 from .model import HARMONIC, potential_eval, require_integers
 from .ringpoly import MOMENTUM, bond_midpoints
 from .series import CorrelationSeries
-from ._stats import RowAccumulator, row_chunks
+from ._stats import N_BLOCKS, block_edges, block_sums, blocked_mean, row_chunks
 
-_DEGENERATE_CUT = 1e-10
 _BOUNDARY_TOL = 1e-8
 _SWARM_TOL = 1e-8  # largest |I_32 - I_64| the swarm trace accepts per bead
 
@@ -158,21 +157,16 @@ def thermal_average(eig, f, beta):
 def kubo_weights(energies, beta):
     """Thermal weights (e^{-b En} - e^{-b Em}) / (b (Em - En)), shifted by E0.
 
-    The lam integral (1/b) int_0^b e^{-lam En} e^{-(b - lam) Em} dlam.
-    Near-degenerate pairs use the series e^{-b En}(1 - x/2 + x^2/6 - x^3/24),
-    x = b (Em - En), removing the 0/0 without branching on exact equality.
-    Distant pairs factor out the smaller energy so every exponent is <= 0.
+    The lam integral (1/b) int_0^b e^{-lam En} e^{-(b - lam) Em} dlam,
+    formed as e^{-b min(En, Em)} (1 - e^{-s}) / s with s = b |Em - En|, so
+    every exponent is <= 0; expm1 keeps 1 - e^{-s} accurate as s -> 0, and
+    a degenerate pair (s = 0) takes the limit e^{-b En}.
     """
     es = energies - energies[0]
-    de = es[None, :] - es[:, None]  # Em - En
-    x = beta * de
-    bn = np.exp(-beta * es)[:, None]
-    near = np.abs(de) < _DEGENERATE_CUT * np.maximum(1.0, np.abs(es)[:, None])
-    safe = np.where(near, 1.0, np.abs(x))
+    s = np.abs(beta * (es[None, :] - es[:, None]))
+    safe = np.where(s > 0, s, 1.0)
     bmin = np.exp(-beta * np.minimum(es[None, :], es[:, None]))
-    return np.where(near,
-                    bn * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0),
-                    bmin * -np.expm1(-safe) / safe)
+    return np.where(s > 0, bmin * -np.expm1(-safe) / safe, bmin)
 
 
 def discrete_kubo_weights(energies, beta, n_slices):
@@ -288,7 +282,8 @@ def harmonic_caq_reference(model, thermo, a_obs, times, x, p):
     one seed (estimators.rpmd_initial_conditions); they are left untouched.
     The position centroid evolves classically from the bond-midpoint
     momenta and is correlated against A0 at time zero, row chunk by row
-    chunk (_stats.row_chunks).
+    chunk (_stats.row_chunks), each chunk adding its sums over the error
+    blocks it reaches (_stats.block_sums).
     """
     _require_harmonic(model)
     times = np.asarray(times, dtype=float)
@@ -298,9 +293,11 @@ def harmonic_caq_reference(model, thermo, a_obs, times, x, p):
     w, m = model.omega, model.mass
     cos_t, sin_t = np.cos(w * times)[None, :], np.sin(w * times)[None, :]
     v0 = pc_mid / (m * w)
-    acc = RowAccumulator(len(a0))
+    edges = block_edges(len(a0))
+    total = np.zeros((N_BLOCKS, times.size))
     for rows in row_chunks(len(a0), times.size):
         x0_t = qc[rows, None] * cos_t + v0[rows, None] * sin_t
-        acc.add(a0[rows, None] * x0_t)
-    vals, errs = acc.result()
+        b, sums = block_sums(a0[rows, None] * x0_t, rows.start, edges)
+        total[b:b + len(sums)] += sums
+    vals, errs = blocked_mean(total, edges)
     return CorrelationSeries(times, vals, errs)

@@ -34,9 +34,8 @@ commands have fixed blocks and reject the key.  static and convergence
 run one estimator, sampler.static_average, which integrates the centroid
 out of each sampled ring for every position observable (q, q2, q3 and
 poly:) and takes the bead mean of the momentum draw for p.  At the same
-rings its standard error is smaller than that of the plain bead mean,
-which earlier versions wrote for static q, q3 and poly:, so those runs'
-results.csv changed.  Both reduce each row to its value as it is drawn
+rings its standard error is smaller than that of the plain bead mean.
+Both reduce each row to its value as it is drawn
 (sampler.sample_static_average), so neither holds an ensemble; only a
 static run with dump_ensemble holds the rings, and it averages the rings
 it dumps to the same bytes.  The labels a and b are checked at parse time
@@ -133,8 +132,10 @@ _SCHEMA = {
 
 # the correlator commands that compare and spectrum run as their `method`
 _METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
-# the commands whose error bars take [run] blocks; each correlator chunk folds
-# its products into the fixed N_BLOCKS block sums of _stats.RowAccumulator
+# the commands whose error bars take [run] blocks; a correlator's are the fixed
+# N_BLOCKS blocks, each chunk adding its sums over the blocks it reaches
+# (_stats.block_sums) in chunk order, so they do not depend on the thread count
+# but are not numpy's full reduction of the products bit for bit
 _BLOCKED = ("static", "convergence")
 
 

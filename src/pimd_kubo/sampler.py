@@ -76,12 +76,11 @@ walkers x burn_in + n_samples x stride proposals per node (n_samples
 rounded up to whole rounds of walkers; on the exact path a proposal that
 is not emitted costs only its draws).  With the defaults, a 2048-sample
 node takes 41k proposals, of which 80 % are burn-in: 20 proposals per kept
-row, against 132 at 1024 walkers.  Fewer walkers are enough because rows of
-one walker sit 4 proposals apart and acceptance is at least 0.82 at the
-benchmark points, so a walker's rows are nearly independent; and rows are
-walker-major, so each of the N_BLOCKS error blocks holds whole walker
-chains and the block standard error still covers what autocorrelation is
-left.  Below about 128 rows in a stack the fixed numpy cost of each
+row.  Few walkers are enough because rows of one walker sit 4 proposals
+apart and acceptance is at least 0.82 at the benchmark points, so a
+walker's rows are nearly independent; and rows are walker-major, so each
+of the N_BLOCKS error blocks holds whole walker chains and the block
+standard error still covers what autocorrelation is left.  Below about 128 rows in a stack the fixed numpy cost of each
 lockstep proposal outweighs the burn-in saved.  A free call is a stack of
 one node, so there the rows are its walkers; a constrained call stacks
 its nodes' walkers, and only the draws keep a fixed cost per node.  The
@@ -416,7 +415,7 @@ def sample_ring_positions_constrained(model, thermo, cfg, q_c, value=None):
 # ----------------------------------------------------------------------
 # momentum draws (exact Gaussians, never MCMC)
 
-def _momentum_chunks(thermo, model, cfg):
+def _momentum_chunks(model, thermo, cfg):
     """The bead momenta of draw_momenta as (rows, block) pairs, in row order.
 
     rows is each slice of _stats.row_chunks over the n_samples rows, and
@@ -436,10 +435,10 @@ def _momentum_chunks(thermo, model, cfg):
         yield rows, block
 
 
-def draw_momenta(thermo, model, cfg):
+def draw_momenta(model, thermo, cfg):
     """i.i.d. bead momenta with variance m N / beta, shape (n_samples, N)."""
     p = np.empty((cfg.n_samples, thermo.n_beads))
-    for rows, block in _momentum_chunks(thermo, model, cfg):
+    for rows, block in _momentum_chunks(model, thermo, cfg):
         p[rows] = block
     return p
 
@@ -500,7 +499,7 @@ def sample_static_average(obs, model, thermo, cfg, blocks=N_BLOCKS):
 
     if obs.kind == MOMENTUM:
         vals = np.empty(cfg.n_samples)
-        for rows, block in _momentum_chunks(thermo, model, cfg):
+        for rows, block in _momentum_chunks(model, thermo, cfg):
             vals[rows] = value(block)
     else:
         vals = _sample(model, thermo, cfg, [None], value)[0]

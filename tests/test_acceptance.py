@@ -255,7 +255,7 @@ def test_criterion_06_caq_cross_validation():
     icfg = IntegratorConfig(dt=0.02, n_steps=500)
     rpmd = rpmd_kubo_correlator(HARMONIC, th, scfg, icfg, OBS_Q, OBS_Q)
     x0 = sample_ring_positions(HARMONIC, th, scfg)
-    bead = draw_momenta(th, HARMONIC, scfg)
+    bead = draw_momenta(HARMONIC, th, scfg)
     ref = harmonic_caq_reference(HARMONIC, th, OBS_Q, rpmd.times, x0, bead)
     comb = np.maximum(np.hypot(rpmd.std_errors, ref.std_errors), 1e-300)
     dev = np.abs(rpmd.values - ref.values) / comb

@@ -355,7 +355,7 @@ def test_momentum_convention_centroid_distributions():
     cfg = IntegratorConfig(dt=0.02, n_steps=500)
     marks = [int(round(t / cfg.dt)) for t in (1.0, 5.0, 10.0)]
     series = {}
-    bead = draw_momenta(th, model, scfg)
+    bead = draw_momenta(model, th, scfg)
     for conv, p0 in (("bead", bead), ("bond_midpoint", bond_midpoints(bead))):
         rec, xf, pf = propagate_batch(x0.copy(), p0, force_fn(model), model.mass, th, cfg.dt,
                                       cfg.n_steps, [OBS_Q])

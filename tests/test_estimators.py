@@ -8,7 +8,7 @@ from pimd_kubo import (CentroidForceTable, CorrelationSeries, IntegratorConfig, 
                        cmd_kubo_correlator, draw_momenta, exact_kubo_correlator, harmonic,
                        rpmd_kubo_correlator, sample_ring_positions, spectrum)
 from pimd_kubo.errors import GridEscape, InsufficientSamples, UnsupportedObservable
-from pimd_kubo._stats import N_BLOCKS, RowAccumulator
+from pimd_kubo._stats import N_BLOCKS, block_edges, block_sums, blocked_mean
 from pimd_kubo.dynamics import propagate_batch
 from pimd_kubo.estimators import _correlator_from_ic, rpmd_initial_conditions
 from pimd_kubo.model import force_fn
@@ -69,7 +69,7 @@ def test_rpmd_time_reversal(harmonic_model):
     scfg = _scfg(4096, seed=55)
     icfg = IntegratorConfig(dt=0.05, n_steps=100)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
-    p0 = draw_momenta(th, harmonic_model, scfg)
+    p0 = draw_momenta(harmonic_model, th, scfg)
     force, mass = force_fn(harmonic_model), harmonic_model.mass
     fwd, fe = _correlator_from_ic(x0, p0, force, mass, th, icfg, OBS_Q, OBS_Q)
     bwd, be = _correlator_from_ic(x0, -p0, force, mass, th, icfg, OBS_Q, OBS_Q)
@@ -111,7 +111,7 @@ def test_accumulation_thread_independent_across_chunk_and_segment_edges(harmonic
     scfg = _scfg(1300, seed=68, burn_in=16)
     icfg = IntegratorConfig(dt=0.05, n_steps=600)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
-    p0 = draw_momenta(th, harmonic_model, scfg)
+    p0 = draw_momenta(harmonic_model, th, scfg)
     args = (force_fn(harmonic_model), harmonic_model.mass, th, icfg, OBS_Q, OBS_Q2)
     runs = []
     for threads in ("1", "2", "3"):
@@ -162,38 +162,35 @@ def test_one_bead_correlator_propagates_on_calling_thread(harmonic_model, monkey
     assert threads["rpmd"] and threading.get_ident() not in threads["rpmd"]
 
 
-@pytest.mark.parametrize("n", [1000, 2500])
-def test_row_accumulator_matches_full_reduction(n):
-    # n is no multiple of 16, and the adds below come in uneven sizes; a -0.0 first
-    # row, and a column of -0.0 whose mean numpy gives as +0.0, show that
-    # each sum starts at +0.0 as numpy's does
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, 7)) * np.exp(rng.uniform(-5.0, 5.0, (n, 1)))
-    x[0] = -0.0
-    x[:, 3] = -0.0
-    acc = RowAccumulator(n)
-    lo = 0
-    for size in (1, 1023, 300, 5, 1024, 9999):
-        acc.add(x[lo:lo + size])
-        lo = min(lo + size, n)
-    mean, se = acc.result()
-    assert mean.tobytes() == x.mean(axis=0).tobytes()
-    assert se.tobytes() == block_standard_error(x).tobytes()
-    # the same rows, strided as a propagation record's transpose
-    acc = RowAccumulator(n)
-    acc.add(np.asfortranarray(x))
-    assert acc.result()[0].tobytes() == mean.tobytes()
+@pytest.mark.parametrize("shape", [(1000,), (2500, 7)])
+def test_block_sums_of_pieces_equal_one_piece(shape):
+    # integer-valued rows sum exactly in any order, so block sums fed in uneven
+    # pieces, which start and end mid-block, equal those of one piece bit for bit
+    x = np.random.default_rng(shape[0]).integers(-1000, 1000, shape).astype(float)
+    edges = block_edges(shape[0])
+    b, whole = block_sums(x, 0, edges)
+    assert b == 0 and whole.shape == (N_BLOCKS,) + shape[1:]
+    total = np.zeros_like(whole)
+    cuts = np.unique(np.minimum(np.cumsum([0, 1, 37, 300, 5, 1024, 9999]), shape[0]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        b, sums = block_sums(x[lo:hi], lo, edges)
+        total[b:b + len(sums)] += sums
+    assert total.tobytes() == whole.tobytes()
 
 
-def test_row_accumulator_checks_row_count():
+@pytest.mark.parametrize("shape", [(1000,), (2500, 7)])
+def test_blocked_mean_matches_numpy(shape):
+    x = np.random.default_rng(shape[0]).standard_normal(shape) + 0.5
+    edges = block_edges(shape[0])
+    mean, se = blocked_mean(block_sums(x, 0, edges)[1], edges)
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(se, block_standard_error(x), rtol=1e-14)
+
+
+def test_block_edges_need_two_rows_per_block():
     with pytest.raises(InsufficientSamples):
-        RowAccumulator(31)
-    acc = RowAccumulator(40)
-    acc.add(np.ones((39, 2)))
-    with pytest.raises(ValueError):
-        acc.result()
-    with pytest.raises(ValueError):
-        acc.add(np.ones((2, 2)))
+        block_edges(2 * N_BLOCKS - 1)
+    assert block_edges(2 * N_BLOCKS)[-1] == 2 * N_BLOCKS
 
 
 def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch, traced_peak):
@@ -203,7 +200,7 @@ def test_rpmd_correlator_streams_products(harmonic_model, monkeypatch, traced_pe
     scfg = _scfg(4096, seed=60)
     icfg = IntegratorConfig(dt=0.05, n_steps=500)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
-    p0 = draw_momenta(th, harmonic_model, scfg)
+    p0 = draw_momenta(harmonic_model, th, scfg)
     full = 4096 * (icfg.n_steps + 1) * 8
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     peak = traced_peak(_correlator_from_ic, x0, p0, force_fn(harmonic_model),
@@ -218,7 +215,7 @@ def test_correlator_peak_does_not_grow_with_steps(harmonic_model, monkeypatch, t
     th = ThermoParams(1.0, 4)
     scfg = _scfg(4096, seed=70)
     x0 = sample_ring_positions(harmonic_model, th, scfg)
-    p0 = draw_momenta(th, harmonic_model, scfg)
+    p0 = draw_momenta(harmonic_model, th, scfg)
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
     peaks = {n_steps: traced_peak(_correlator_from_ic, x0, p0, force_fn(harmonic_model),
                                   harmonic_model.mass, th,
@@ -292,9 +289,8 @@ def _cmd_correlator_reference(model, thermo, table, scfg, icfg, a_obs, b_obs):
     qs, ps = _cmd_propagate_reference(qc0, pc0, table, model.mass, icfg.dt, icfg.n_steps)
     a0 = qc0 if a_obs.kind == POSITION else pc0
     b_t = b_obs.f(qs) if b_obs.kind == POSITION else ps
-    acc = RowAccumulator(qc0.size)
-    acc.add(a0[:, None] * b_t.T)  # A0(0) * B(t), in trajectory order
-    return acc.result()
+    edges = block_edges(qc0.size)
+    return blocked_mean(block_sums(a0[:, None] * b_t.T, 0, edges)[1], edges)  # A0(0) * B(t)
 
 
 def _cubic_table():

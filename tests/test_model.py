@@ -95,14 +95,14 @@ def test_potential_out_form_is_bit_identical(model):
 
 
 def _grad_reference(model):
-    """dV/dq formed as (4 v4 q q + 3 v3 q + 2 v2) q, with the harmonic and the
+    """dV/dq formed as ((4 v4 q + 3 v3) q + 2 v2) q, with the harmonic and the
     pure quartic well's own shorter forms."""
     v2, v3, v4 = model.poly_coefficients()
     if v3 == 0.0 and v4 == 0.0:
         return lambda q: 2.0 * v2 * q
     if v2 == 0.0 and v3 == 0.0:
         return lambda q: 4.0 * v4 * q * q * q
-    return lambda q: (4.0 * v4 * q * q + 3.0 * v3 * q + 2.0 * v2) * q
+    return lambda q: ((4.0 * v4 * q + 3.0 * v3) * q + 2.0 * v2) * q
 
 
 @pytest.mark.parametrize("model", [

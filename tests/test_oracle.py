@@ -305,7 +305,7 @@ def test_caq_reference_matches_cos(harmonic_model):
     cfg = SamplerConfig(n_samples=4096, seed=17, burn_in=128, decorrelation_stride=2)
     times = np.linspace(0.0, 10.0, 101)
     x = sample_ring_positions(harmonic_model, th, cfg)
-    p = draw_momenta(th, harmonic_model, cfg)
+    p = draw_momenta(harmonic_model, th, cfg)
     series = harmonic_caq_reference(harmonic_model, th, OBS_Q, times, x, p)
     dev = np.abs(series.values - np.cos(times)) / np.maximum(series.std_errors, 1e-12)
     assert dev.max() <= 3.0

@@ -647,7 +647,7 @@ def test_static_run_writes_its_estimator(tmp_path, kind, a):
         "kind = harmonic", f"kind = {kind}").replace("a = q2", f"a = {a}\nblocks = 8"))
     assert run(config) == 0
     model, thermo, scfg = config.model(), config.thermo(), config.sampler()
-    rows = draw_momenta(thermo, model, scfg) if a == "p" else sample_ring_positions(
+    rows = draw_momenta(model, thermo, scfg) if a == "p" else sample_ring_positions(
         model, thermo, scfg)
     want = static_average(observable_from_label(a), rows, model, thermo, 8)
     stats = json.loads((out / "meta.json").read_text())["stats"]

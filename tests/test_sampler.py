@@ -272,7 +272,7 @@ def test_momenta_drawn_in_chunks_equal_one_draw(harmonic_model):
     th = ThermoParams(2.0, 64)
     cfg = _cfg(3 * CHUNK_ELEMENTS // 64 + 5, seed=7)
     assert len(row_chunks(cfg.n_samples, th.n_beads)) == 4
-    p = draw_momenta(th, harmonic_model, cfg)
+    p = draw_momenta(harmonic_model, th, cfg)
     sigma = math.sqrt(harmonic_model.mass * th.n_beads / th.beta)
     one = sigma * _streams.stream(7, _streams.MOMENTA, 0).standard_normal(p.shape)
     assert p.tobytes() == one.tobytes()
@@ -375,14 +375,14 @@ def test_mean_square_position_holds_chunk_temporaries_only(traced_peak):
 def test_momentum_variance(harmonic_model):
     th = ThermoParams(1.0, 4)
     cfg = _cfg(100000, seed=12)
-    p = draw_momenta(th, harmonic_model, cfg)
+    p = draw_momenta(harmonic_model, th, cfg)
     var = p.var()
     assert abs(var - 4.0) <= 3.0 * np.sqrt(2.0 / p.size) * 4.0
 
 
 def test_centroid_momentum_variance(harmonic_model):
     th = ThermoParams(1.0, 4)
-    p = draw_momenta(th, harmonic_model, _cfg(100000, seed=13))
+    p = draw_momenta(harmonic_model, th, _cfg(100000, seed=13))
     pc = p.mean(axis=1)
     var = pc.var()
     assert abs(var - 1.0) <= 3.0 * np.sqrt(2.0 / pc.size) * 1.0
@@ -391,7 +391,7 @@ def test_centroid_momentum_variance(harmonic_model):
 def test_bond_midpoint_preserves_centroid(harmonic_model):
     th = ThermoParams(2.0, 8)
     cfg = _cfg(1000, seed=14)
-    bead = draw_momenta(th, harmonic_model, cfg)
+    bead = draw_momenta(harmonic_model, th, cfg)
     mid = bond_midpoints(bead)
     assert np.abs(bead.mean(axis=1) - mid.mean(axis=1)).max() <= 1e-12
     assert not np.allclose(bead, mid)
@@ -400,8 +400,8 @@ def test_bond_midpoint_preserves_centroid(harmonic_model):
 def test_draw_momenta_deterministic(harmonic_model):
     th = ThermoParams(1.0, 4)
     cfg = _cfg(100, seed=15)
-    assert np.array_equal(draw_momenta(th, harmonic_model, cfg),
-                          draw_momenta(th, harmonic_model, cfg))
+    assert np.array_equal(draw_momenta(harmonic_model, th, cfg),
+                          draw_momenta(harmonic_model, th, cfg))
 
 
 def test_static_average_symmetry(harmonic_model):
@@ -409,7 +409,7 @@ def test_static_average_symmetry(harmonic_model):
     ens = sample_ring_positions(harmonic_model, th, _cfg(20000, seed=16))
     # E[q_c | u] = 0 on the harmonic well, so every ring's q is 0
     assert static_average(OBS_Q, ens, harmonic_model, th) == (0.0, 0.0)
-    p = draw_momenta(th, harmonic_model, _cfg(20000, seed=17))
+    p = draw_momenta(harmonic_model, th, _cfg(20000, seed=17))
     pmean, pse = static_average(OBS_P, p, harmonic_model, th)
     assert abs(pmean) <= 3.0 * pse
 
