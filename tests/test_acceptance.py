@@ -44,20 +44,23 @@ specification:
   estimate is a cos(W t) + b sin(W t) with cos(W dt) = 1 - (w dt)^2 / 2,
   where a is the mean of q_c^2 and b that of dt q_c p_c / (m sin W dt)
   over the trajectories.  The criterion asserts (i) that the series equals
-  this fit within 1e-10 (measured 4.2e-13): the dynamics are exact; and
+  this fit within 1e-10 (measured 4.4e-13): the dynamics are exact; and
   (ii) that (a, b) matches (1 / (beta m w^2), 0) = (1, 0): chi^2 with 2
-  degrees of freedom on the covariance of 100 block means, each of 10
-  whole walker chains, below the Hotelling threshold 14.99 for a
-  covariance estimated from 100 blocks at false-alarm rate 1e-3.  Seed 2100
-  reads chi^2 = 8.62 (p = 0.017).  Points, sizes and dt are unchanged.
-  The size holds: over seeds 2100-2499 the p-values of (a, b) are uniform
-  (Kolmogorov-Smirnov p = 0.69; 4 of 400 below 0.01, 2 below 1e-3).
-  Checked on broken copies of the package at seeds 2100 and 2101: sampled
-  positions scaled to bias C(0) by -5 SE give chi^2 = 79.8 and 25.2 (the
-  old statistic 11.3 and 5.8); a +5 SE bias gives 5.2 and 21.7 (old 2.9
-  and 5.4); a centroid force 1 % too strong leaves the fit off by 3.8e-2
-  and 4.0e-2 (old 5.2 and 5.5).  So the new statistic fails wherever the
-  old one did, and not on the unbroken seed 2100.
+  degrees of freedom on the covariance of 100 block means, each of 100
+  independent rows (the harmonic sampler's rows are i.i.d.; a walker
+  holds 79 of them, so a block spans about 1.3 walkers), below the
+  Hotelling threshold 14.99 for a covariance estimated from 100 blocks at
+  false-alarm rate 1e-3.  Seed 2100 reads chi^2 = 0.79 (p = 0.68).
+  Points, sizes and dt are unchanged.  The size holds: over seeds
+  2100-2499 the p-values of (a, b) are uniform (Kolmogorov-Smirnov
+  p = 0.35; 8 of 400 below 0.01, 2 below 1e-3).
+  Checked, when the statistic was introduced and the rows were still
+  walker chains, on broken copies of the package at seeds 2100 and 2101:
+  sampled positions scaled to bias C(0) by -5 SE give chi^2 = 79.8 and
+  25.2 (the old statistic 11.3 and 5.8); a +5 SE bias gives 5.2 and 21.7
+  (old 2.9 and 5.4); a centroid force 1 % too strong leaves the fit off
+  by 3.8e-2 and 4.0e-2 (old 5.2 and 5.5).  So the new statistic fails
+  wherever the old one did, and not on the unbroken seed 2100.
 """
 
 import json
@@ -136,9 +139,9 @@ def test_criterion_02_rpmd_harmonic_linear_b():
     fit_err = np.abs(series.values - ab[0] * np.cos(steps * w_dt)
                      - ab[1] * np.sin(steps * w_dt)).max()
     # (a, b) against the exact (1 / (beta m w^2), 0): chi^2 with 2 degrees of
-    # freedom on the covariance of 100 block means, each of 10 whole walker
-    # chains; the threshold is Hotelling's, for a covariance estimated from
-    # the blocks, at false-alarm rate 1e-3
+    # freedom on the covariance of 100 block means, each of 100 i.i.d. rows;
+    # the threshold is Hotelling's, for a covariance estimated from the
+    # blocks, at false-alarm rate 1e-3
     blocks = 100
     d = ab - (1.0, 0.0)
     cov = np.cov(rows.reshape(blocks, -1, 2).mean(axis=1), rowvar=False) / blocks

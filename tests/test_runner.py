@@ -176,6 +176,21 @@ def test_static_run_writes_artifacts(tmp_path):
     assert 0.9 < val < 1.3
 
 
+def test_harmonic_static_ignores_burn_in_and_stride(tmp_path):
+    # a harmonic well's chain is i.i.d., so its walkers make no burn-in and no
+    # stride: the config's values leave results.csv unchanged
+    blobs = set()
+    for burn_in in (0, 300):
+        for stride in (1, 7):
+            out = tmp_path / f"b{burn_in}s{stride}"
+            text = MINIMAL_STATIC.format(out=out).replace(
+                "burn_in = 64", f"burn_in = {burn_in}").replace(
+                "decorrelation_stride = 2", f"decorrelation_stride = {stride}")
+            assert run(parse_config(text)) == 0
+            blobs.add((out / "results.csv").read_bytes())
+    assert len(blobs) == 1
+
+
 def test_malformed_config_exits_2_no_artifacts(tmp_path):
     out = tmp_path / "nothing"
     bad = MINIMAL_STATIC.format(out=out).replace("[model]\nkind = harmonic\n\n", "")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -502,10 +503,11 @@ def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
 
 def _frozen_metropolis(model, thermo, cfg, q_c=None, node=0):
     """(rows, accepted, attempted) of one node's independence Metropolis
-    chains, walker group by walker group, every proposal formed, priced and
-    tested, the initial state included.  Frozen, written out from the kernel
-    as it was before the harmonic free ensemble skipped the test, as the
-    reference for the bits of _run_group."""
+    chains at cfg's burn_in and stride, walker group by walker group, every
+    proposal formed, priced and tested, the initial state included.  Frozen,
+    written out apart from _run_group as the reference for its bits: the
+    sampler runs it at the config's burn_in and stride on an anharmonic
+    well, and at burn_in 0 and stride 1 on a harmonic one."""
     n, pinned = thermo.n_beads, q_c is not None
     walkers, rounds, groups = _layout(cfg)
     c, kappa = _reference(model, thermo, q_c)
@@ -567,49 +569,53 @@ def _counting_potential(monkeypatch):
 @pytest.mark.parametrize("burn_in", [0, 5, 80])
 @pytest.mark.parametrize("stride", [1, 4])
 def test_exact_path_keeps_the_metropolis_bits(monkeypatch, harmonic_model, n, burn_in, stride):
-    # on the harmonic free ensemble every proposal is accepted, so the kernel
-    # forms only the proposals it emits, prices none, and still draws every
-    # proposal's normals and uniforms: rows and counts equal the frozen
-    # Metropolis chain's; 37 walkers make 3 rounds of 100 samples
+    # a harmonic well's chain is exact, i.i.d. from its first state, so
+    # whatever the config's burn_in and stride, a free call and a pinned
+    # node are the frozen Metropolis chain at burn_in 0 and stride 1, bit for
+    # bit: one priced proposal per row after the first state; 37 walkers
+    # make 3 rounds of 100 samples
     th = ThermoParams(8.0, n)
     cfg = SamplerConfig(n_samples=100, seed=50 + n, burn_in=burn_in,
                         decorrelation_stride=stride, n_walkers=37)
-    want, accepted, attempted = _frozen_metropolis(harmonic_model, th, cfg)
+    iid = replace(cfg, burn_in=0, decorrelation_stride=1)
     calls = _counting_potential(monkeypatch)
-    rows, got_accepted, got_attempted = _run_kernel(harmonic_model, th, cfg)
-    assert rows.tobytes() == want.tobytes()
-    assert (got_accepted, got_attempted) == (accepted, attempted) == (attempted, 111 * stride)
-    assert calls[0] == 0
+    for q_c in (None, 0.6):
+        want = _frozen_metropolis(harmonic_model, th, iid, q_c)
+        calls[0] = 0
+        got = _run_kernel(harmonic_model, th, cfg, q_c)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert calls[0] == 1 + 3
+    assert want[2] == 111
 
 
-def test_exact_path_is_taken_only_by_the_harmonic_free_ensemble(monkeypatch):
+def test_burn_in_and_stride_apply_to_anharmonic_wells_only(monkeypatch):
     # two walker groups (2048 + 37) of 3 rounds, n_samples no multiple of the
-    # walkers, through _sample at 1 and 2 threads: the harmonic free call takes
-    # the exact path; an anharmonic free call and a pinned harmonic grid price
-    # every proposal (one potential call each per proposal and group) and keep
-    # their Metropolis bits
+    # walkers, through _sample at 1 and 2 threads: an anharmonic free call is
+    # the frozen chain at the config's burn_in and stride, with one potential
+    # call per proposal and group; a harmonic free call and a pinned harmonic
+    # grid are the frozen chain at burn_in 0 and stride 1
     th = ThermoParams(4.0, 3)
     walkers = _GROUP + 37
     cfg = SamplerConfig(n_samples=3 * walkers - 11, seed=52, burn_in=5, decorrelation_stride=2,
                         n_walkers=walkers)
-    proposals = 2 * (1 + cfg.burn_in + 3 * cfg.decorrelation_stride)
+    iid = replace(cfg, burn_in=0, decorrelation_stride=1)
     harmonic_well, anharmonic = harmonic(1.0, 1.0), mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.05)
     grid = [-0.7, 0.0, 1.3]
-    free = {model: _frozen_metropolis(model, th, cfg) for model in (harmonic_well, anharmonic)}
-    assert free[harmonic_well][1] == free[harmonic_well][2]
-    assert free[anharmonic][1] < free[anharmonic][2]
-    pinned = [_frozen_metropolis(harmonic_well, th, cfg, q, node=i)[0] for i, q in enumerate(grid)]
+    chain = _frozen_metropolis(anharmonic, th, cfg)
+    assert chain[1] < chain[2]  # the anharmonic chain rejects
+    free = {anharmonic: (chain[0], 2 * (1 + 5 + 3 * 2)),
+            harmonic_well: (_frozen_metropolis(harmonic_well, th, iid)[0], 2 * (1 + 3))}
+    pinned = [_frozen_metropolis(harmonic_well, th, iid, q, node=i)[0] for i, q in enumerate(grid)]
     calls = _counting_potential(monkeypatch)
     for threads in ("1", "2"):
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
-        for model, calls_per_call in ((harmonic_well, 0), (anharmonic, proposals)):
+        for model, (want, proposals) in free.items():
             calls[0] = 0
-            assert sample_ring_positions(model, th, cfg).tobytes() == free[model][0].tobytes()
-            assert calls[0] == calls_per_call
-        calls[0] = 0
+            assert sample_ring_positions(model, th, cfg).tobytes() == want.tobytes()
+            assert calls[0] == proposals
         ens = sample_ring_positions_constrained(harmonic_well, th, cfg, grid)
         assert ens.tobytes() == np.stack(pinned).tobytes()
-        assert calls[0] >= proposals
 
 
 def test_reference_solved_once_per_node(monkeypatch):
@@ -796,17 +802,18 @@ def test_second_minimum_is_rejected():
         sample_ring_positions_constrained(model, th, cfg, [0.0, 2.0])
 
 
-def test_free_sampler_holds_one_sweep_of_draws(harmonic_model, monkeypatch, traced_peak):
-    # one walker group of 2048 at N = 8: the normals and uniforms come one
-    # proposal at a time, so the sampler holds far less than 64 proposals'
-    # worth of draws (the bound counts N + 1 of them per walker and proposal)
+def test_free_sampler_holds_one_sweep_of_draws(monkeypatch, traced_peak):
+    # one walker group of 2048 at N = 8 on an anharmonic well, whose walkers
+    # make 80 proposals: the normals and uniforms come one proposal at a
+    # time, so the sampler holds far less than 64 proposals' worth of draws
+    # (the bound counts N + 1 of them per walker and proposal)
     th = ThermoParams(1.0, 8)
     cfg = SamplerConfig(n_samples=4 * _GROUP, seed=31, burn_in=64, decorrelation_stride=4,
                         n_walkers=_GROUP)
     output = cfg.n_samples * th.n_beads * 8
     block = 64 * (th.n_beads + 1) * _GROUP * 8
     monkeypatch.setenv("PIMD_KUBO_THREADS", "1")
-    peak = traced_peak(sample_ring_positions, harmonic_model, th, cfg)
+    peak = traced_peak(sample_ring_positions, mildly_anharmonic(c4=0.05), th, cfg)
     assert peak < output + block / 4
 
 
