@@ -2,85 +2,100 @@
 
 The target density is R(x) (see ringpoly.log_ring_density), or, for the
 CMD constrained ensemble, R(x) with the centroid pinned at each node q_c
-of a 1-D grid.  Both
-ensembles are sampled by one independence Metropolis kernel (the rho = 0
-case of preconditioned Crank-Nicolson; Cotter et al., Stat. Sci. 28, 424
-(2013)).  Every proposal is an exact draw from a Gaussian reference: the
-free ring polymer plus the harmonic well kappa (x_j - c)^2 / 2 on each
-bead.  In normal modes the reference is diagonal, mode k with variance
-N / (beta (m w_k^2 + kappa)).  For the free ensemble every mode is drawn;
-for a constrained node c = q_c, mode 0 stays pinned at sqrt(N) q_c, and
-only the internal modes are drawn.  A proposal is accepted with
-min(1, exp(-dPhi)), where Phi(x) = (beta/N) sum_j [V(x_j) - kappa (x_j - c)^2 / 2]
-is what the reference leaves out of the ring exponent.  Momentum marginals
-are exact Gaussians and are drawn directly.
+of a 1-D grid.  Every proposal is an exact draw from a Gaussian reference
+q: the free ring polymer plus the harmonic well kappa (x_j - c)^2 / 2 on
+each bead.  In normal modes the reference is diagonal, mode k with
+variance N / (beta (m w_k^2 + kappa)).  For the free ensemble every mode
+is drawn; for a constrained node c = q_c, mode 0 stays pinned at
+sqrt(N) q_c, and only the internal modes are drawn.  What the reference
+leaves out of the ring exponent is Phi(x) = (beta/N) sum_j g(x_j - c), with
+g(y) = V(c + y) - kappa y^2 / 2.  Momentum marginals are exact Gaussians
+and are drawn directly.
 
-c and kappa come from the model alone (_reference).  kappa is the
-self-consistent harmonic fixed point kappa = V''(c) + 12 v4 <u^2>_ref(kappa),
-u = x_j - c, clamped at 0 for the constrained ensemble, whose springs keep
-every internal mode proper.  The free ensemble's c minimises the
-Gibbs-Bogoliubov bound on the ring's free energy over this family of
-Gaussians (c = 0 for an even V).  Any c and kappa > 0 give a correct
-sampler; these make it accept often, and on the harmonic well (below)
-always, up to rounding.  No step size is adapted.  A well with a second
-minimum (9 v3^2 > 32 v2 v4) raises UnsupportedModel: rings that reach
-into both minima carry weight that the proposals miss.
+Each node takes one of two paths through one accept step, which keeps a
+proposal of Phi_new when u < exp(min(ref - Phi_new, 0)):
+- rejection (von Neumann).  Phi has a floor beta B known before any draw
+  (_reference: B = min g for a free ring, conv g(0) for a pinned one, whose
+  y_j sum to 0), and ref is beta B less a rounding margin (_MARGIN).  Each
+  proposal is then kept with probability exp(-(Phi - beta B)) <= 1, so
+  every kept proposal is an exact draw of the target, independent of every
+  other: no burn-in, no stride, no walker chains (the sup pi/q bound of
+  Mengersen & Tweedie, Ann. Stat. 24, 101 (1996)).  The acceptance is at
+  least Jensen's bound exp(-beta (E_q[g] - B)), a closed form in Gaussian
+  moments, and kappa is the one that maximises it, per node.
+- the fallback chain: independence Metropolis (the rho = 0 case of
+  preconditioned Crank-Nicolson; Cotter et al., Stat. Sci. 28, 424 (2013))
+  with ref the current state's Phi, at the self-consistent curvature
+  kappa_sc, with the config's burn_in, decorrelation_stride and n_walkers.
+A node takes the rejection path when its bound is at least
+_REJECTION_BOUND = 0.05: a chain at the default burn_in and stride pays 20
+proposals per kept row (below), and rejection pays 1/acceptance, at most
+1/bound, so from 0.05 up it is no dearer, and its rows are exact.  At the
+benchmark points every free ring and every cmd-compare node (bounds
+0.10-1) is a rejection node; the stiff quartic at |q_c| >= 1 (beta = 8,
+N = 32, bounds 0.048 and below) and rings deep in the quantum regime fall
+back.  On a harmonic well the reference is the target itself, free or
+pinned (kappa = 2 v2, bound 1), so every proposal is kept, up to the
+margin.  Any c and kappa > 0 give a correct sampler of either path; no step
+size is adapted.  A well with a second minimum (9 v3^2 > 32 v2 v4) raises
+UnsupportedModel: rings that reach into both minima carry weight that the
+proposals miss.
 
-On a harmonic well (v3 = v4 = 0) the reference is the target itself,
-free or pinned: c = 0 (q_c when pinned) and kappa = 2 v2, so Phi is
-constant (0 free, beta v2 q_c^2 pinned, where sum_j y_j = 0 holds up to
-rounding).  Then sup pi/q = 1 and the chain is i.i.d. from its first state
-(Mengersen & Tweedie, Ann. Stat. 24, 101 (1996)), so burn-in and stride
-would only discard exact draws: there a walker emits every proposal after
-its first state, whatever the config's burn_in and decorrelation_stride.
-A rejection, which only rounding can cause on a pinned node, repeats a
-state and keeps the chain stationary.
-
-Ensembles are generated as many independent walkers advanced in lockstep.
 All randomness comes from the run seed's counter-based streams, one per
-node and walker group (_streams holds the key layout; a free call is
-node 0), so a node's rows do not depend on the other nodes.  A free call
-and draw_momenta give the initial rings that RPMD, CMD (as their
-centroids) and the harmonic CAQ reference all start from at one seed.  A
-walker group's stream gives the first state's normals, then, per
-proposal, the proposal's normals followed by one uniform per walker.  A
-constrained call's nodes share each proposal's numpy dispatch: a job
-advances one walker group of a stack of nodes as one array, drawing
-node by node from each node's streams and running every other step once
-over the stack.  Each row still goes through the same elementwise ufuncs,
-row-wise irfft and row sum as alone, so the stacking changes no bit.  So
-the output is a pure function of (config, seed) however the nodes are
-stacked and the jobs scheduled across threads, and a longer run
-reproduces every row of a shorter one.  The acceptance-rate warning is
-decided per node, in the calling thread.
+node and group (_streams holds the key layout; a free call is node 0), so
+a node's rows do not depend on the other nodes.  A free call and
+draw_momenta give the initial rings that RPMD, CMD (as their centroids)
+and the harmonic CAQ reference all start from at one seed.  A group's
+stream gives, per round of proposals, the proposals' normals followed by
+one uniform per proposal; a chain's walker group first draws its first
+states' normals.  A constrained call's nodes share each proposal's numpy
+dispatch: a job advances a stack of nodes as one array, drawing node by
+node from each node's streams and running every other step once over the
+stack.  Each row still goes through the same elementwise ufuncs, row-wise
+irfft and row sum as alone, so the stacking changes no bit.  So the output
+is a pure function of (config, seed) however the nodes are stacked and the
+jobs scheduled across threads, and a longer run reproduces every row of a
+shorter one.  The acceptance-rate warning is decided per fallback node, in
+the calling thread, where a low rate means a sticking chain; on the
+rejection path a low rate costs time, not correctness, and its bound is
+known before sampling.
 
 A call returns its rows, or with a value function, a row-wise map of a
-(..., N) bead array to (...), the value of each row.  Then each job emits
-its rounds into a batch of whole rounds, at most _stats.CHUNK_ELEMENTS bead
-values (one round at least), and writes the values of each full batch in
-place of its rows, so the call holds the (nodes, n_samples) values and one
-batch per job, never the ensemble.  static and convergence
-(sample_static_average) and the CMD force table take values; the RPMD and
-CMD initial conditions and the static ensemble dump take rows.  A
-row-wise value does not depend on the batch, so the values equal those of
-the held rows bit for bit.
+(..., N) bead array to (...), the value of each row.  Then a rejection job
+forms the values of each round's kept rows as it keeps them, and a
+fallback job emits its rounds into a batch of whole rounds, at most
+_stats.CHUNK_ELEMENTS bead values (one round at least), and writes the
+values of each full batch in place of its rows; so the call holds the
+(nodes, n_samples) values and one round or batch per job, never the
+ensemble.  static and convergence (sample_static_average) and the CMD
+force table take values; the RPMD and CMD initial conditions and the
+static ensemble dump take rows.  A row-wise value does not depend on the
+rows beside it, so the values equal those of the held rows bit for bit.
 
-On an anharmonic well a node's walkers each make burn_in proposals and
-then emit one row every decorrelation_stride proposals, so a call costs
-walkers x burn_in + n_samples x stride proposals per node (n_samples
-rounded up to whole rounds of walkers); on a harmonic well it costs
-walkers + n_samples, one proposal per row.  With the defaults, a
-2048-sample anharmonic node takes 41k proposals, of which 80 % are
-burn-in: 20 proposals per kept row.  Few walkers are enough because rows
-of one walker sit 4 proposals apart and acceptance is at least 0.82 at the
-benchmark points, so a walker's rows are nearly independent; and rows are
-walker-major, so each of the N_BLOCKS error blocks holds whole walker
-chains and the block standard error still covers what autocorrelation is
-left.  Below about 128 rows in a stack the fixed numpy cost of each
-lockstep proposal outweighs the burn-in saved.  A free call is a stack of
-one node, so there the rows are its walkers; a constrained call stacks
-its nodes' walkers, and only the draws keep a fixed cost per node.  The
-default is a constant and not derived from n_samples.
+A rejection node fills groups of _QUOTA rows (the last takes the rest),
+each from its own stream, in rounds of _ROUND proposals, and keeps the
+accepted proposals in (round, walker) order until the group is full; its
+rows run group by group.  A row costs 1/acceptance proposals, plus the
+unkept rest of each group's last round: the 17-node cmd-compare force
+table (2048 rows a node, acceptance 0.15-0.98) makes about 108k
+proposals, 696k with the default chains, and the free rings of the four
+benchmark workloads make 1.0-3.5 proposals per row, 12-20 with chains.
+The round size and quota are constants, not derived from n_samples or the
+threads, so the rows are a pure function of (config, seed); two groups per
+2048 rows let a free call use two threads.  A stack holds at most
+_GROUP // _ROUND nodes, and a node that has filled its group leaves the
+stack, so it does not wait for the stack's slowest node.
+
+A fallback node's walkers each make burn_in proposals and then emit one
+row every decorrelation_stride proposals, so it costs walkers x burn_in +
+n_samples x stride proposals (n_samples rounded up to whole rounds of
+walkers): with the defaults, 41k for 2048 rows, of which 80 % are
+burn-in, 20 proposals per kept row.  Few walkers are enough because rows
+of one walker sit 4 proposals apart; and rows are walker-major, so each of
+the N_BLOCKS error blocks holds whole walker chains and the block standard
+error still covers what autocorrelation is left.  Below about 128 rows in
+a stack the fixed numpy cost of each lockstep proposal outweighs the
+burn-in saved.  The default is a constant and not derived from n_samples.
 """
 
 import math
@@ -90,6 +105,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -99,7 +115,15 @@ from .errors import ConfigError, NonErgodicWarning, UnsupportedModel
 from .model import horner, potential_fn, require_integers
 from .ringpoly import MOMENTUM, free_rp_frequencies
 
-_GROUP = 2048            # most walkers per group and rows per stack (fixed, not per thread)
+_GROUP = 2048            # most walkers per fallback group and rows per stack (not per thread)
+_ROUND = 512             # proposals per node and round of a rejection group
+_QUOTA = 1024            # rows per rejection group (fixed, not per thread)
+_REJECTION_BOUND = 0.05  # least acceptance bound of a rejection node (module docstring)
+# the rejection floor is beta B less _MARGIN (1 + |beta B|): far above the
+# rounding of Phi and of B (about 1e-15 of their terms), far below any
+# change of the acceptance (a factor exp(-margin))
+_MARGIN = 1e-9
+_KAPPA_STEPS = 32        # kappa search points per octave
 # Gauss-Legendre nodes of the conditional centroid integral: against 201 nodes,
 # 96 moved no row's E[q_c^2 | u] by more than 9e-16 relative on six wells
 # (quartic, mildly anharmonic with c3 = 0.1 and c4 = 0.01 or 0.05, beta 1-8,
@@ -109,12 +133,13 @@ _CENTROID_NODES = 96
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """burn_in and decorrelation_stride count proposals per walker, on anharmonic wells only.
+    """burn_in, decorrelation_stride and n_walkers govern fallback nodes only.
 
-    One anharmonic node costs n_walkers x burn_in + n_samples x
-    decorrelation_stride proposals (when n_walkers <= n_samples); a
-    harmonic well's chain is i.i.d., so it makes no burn-in and no stride.
-    The module docstring gives the reason for 128 walkers.
+    A node whose acceptance bound is at least 0.05 (the module docstring)
+    is sampled by rejection: it makes no burn-in and no stride, and its rows
+    do not depend on these keys.  One fallback node costs n_walkers x
+    burn_in + n_samples x decorrelation_stride proposals (when n_walkers <=
+    n_samples).  The module docstring gives the reason for 128 walkers.
     """
 
     n_samples: int
@@ -180,43 +205,73 @@ def map_in_order(fn, items, consume, workers):
 
 
 def _reference(model, thermo, q_c):
-    """(c, kappa) of the Gaussian reference for the node q_c (None: free).
+    """(c, kappa, B, bound, kappa_sc) of each node's Gaussian reference, as arrays over the nodes.
 
-    kappa(c) solves kappa = V''(c) + 12 v4 s2(kappa), s2 = <(x_j - c)^2>_ref
-    (clamped at 0 when pinned).  The free c zeroes the slope of the
-    Gibbs-Bogoliubov bound, V'(c) + V'''(c) s2 / 2, where it turns from - to +.
+    q_c is None for the free ensemble (one node) or a 1-D array of pinned
+    centroids.  With g(y) = V(c + y) - kappa y^2 / 2, Phi = (beta/N) sum_j
+    g(y_j), and B is a floor of Phi / beta known before any draw: min g for
+    a free ring, and for a pinned ring, whose y_j sum to 0, conv g(0), the
+    convex envelope of g at 0.  bound = exp(-beta (E_q[g] - B)) is Jensen's
+    lower bound on the acceptance E_q[exp(-(Phi - beta B))] of rejection
+    from the reference q; under q each y_j is normal with variance
+    s2 = <y_j^2>_ref = sum_k 1 / (beta (m w_k^2 + kappa)) over the drawn
+    modes, so E_q[g] = V(c) + (V''(c) - kappa) s2 / 2 + 3 v4 s2^2.
+
+    c is q_c when pinned.  The free c zeroes the slope of the
+    Gibbs-Bogoliubov bound, V'(c) + V'''(c) s2 / 2, where it turns from - to
+    +, with s2 taken at kappa_sc(c), the self-consistent fixed point
+    kappa_sc = V''(c) + 12 v4 s2(kappa_sc) (clamped at 0 when pinned, where
+    the springs keep every internal mode proper).  kappa is the point
+    2^(j / _KAPPA_STEPS) of the bracket [s / 64, 2 s], s = max(kappa_sc, 2 v2),
+    that maximises bound, searched for all nodes in one array; the
+    maximisers at the benchmark points lie at 0.4-0.9 kappa_sc.  A node
+    whose bound stays below _REJECTION_BOUND falls back to the Metropolis
+    chain, which samples with kappa_sc.  On a harmonic well (v4 = 0, so
+    v3 = 0) kappa = kappa_sc = 2 v2 makes g(y) = V(c) + V'(c) y affine:
+    B = V(c) (0 when free) and bound = 1, the most there is.
+
+    B is exact up to rounding.  g is the quartic v4 y^4 + b3 y^3 + b2 y^2 +
+    b1 y + b0; min g is g at the real roots of the cubic g'(y) = 0 (in
+    closed form, _quartic_min).  conv g(0) is max_lambda min_y (g - lambda y):
+    where g is convex at 0, lambda = g'(0) and it is g(0) = V(c); else the
+    maximising lambda is the slope of the bitangent, g - lambda y - r =
+    v4 (y - y1)^2 (y - y2)^2 with y1 + y2 = -b3 / (2 v4) and
+    y1 y2 = P = (b2 / v4 - (y1 + y2)^2) / 2, and it is the bitangent's value
+    r = V(c) - v4 P^2 at 0 when y1 < 0 < y2, that is when P < 0.
     """
     v2, v3, v4 = model.poly_coefficients()
+    beta = thermo.beta
     pinned = q_c is not None
     w2 = model.mass * free_rp_frequencies(thermo)[1 if pinned else 0:] ** 2
 
-    def s2(kappa):
-        return np.sum(1.0 / (thermo.beta * (w2 + kappa)))
+    def s2(kappa):  # np.sum's reduction, without its wrapper's cost in the bisections
+        return np.add.reduce(1.0 / (beta * (w2 + kappa[..., None])), axis=-1)
 
-    def kappa_at(c):
+    def kappa_sc(c):  # bisection of each node at once
         curv = 2.0 * v2 + 6.0 * v3 * c + 12.0 * v4 * c * c
         if v4 == 0.0:
-            return max(curv, 0.0)
+            return np.maximum(curv, 0.0)
 
         def excess(kappa):  # increasing in kappa; -inf at 0 when mode 0 is drawn
             return kappa - curv - 12.0 * v4 * s2(kappa)
 
-        if pinned and excess(0.0) >= 0.0:
-            return 0.0
-        lo, hi = 0.0, max(curv, 0.0) + 1.0
-        while excess(hi) < 0.0:
-            lo, hi = hi, 2.0 * hi
+        lo, hi = np.zeros_like(c), np.maximum(curv, 0.0) + 1.0
+        while (grow := excess(hi) < 0.0).any():
+            lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
-        return hi
+            low = excess(mid) < 0.0
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        return np.where(excess(np.zeros_like(c)) >= 0.0, 0.0, hi) if pinned else hi
 
     def slope(c):  # dF/dc / beta
         return (((4.0 * v4 * c + 3.0 * v3) * c + 2.0 * v2) * c
-                + (3.0 * v3 + 12.0 * v4 * c) * s2(kappa_at(c)))
+                + (3.0 * v3 + 12.0 * v4 * c) * s2(kappa_sc(np.array([c])))[0])
 
-    c = 0.0 if q_c is None else q_c
-    if not pinned and v3 != 0.0:
+    c = 0.0
+    if pinned:
+        c = np.asarray(q_c, dtype=float)
+    elif v3 != 0.0:
         lo, hi = -1.0, 1.0
         while slope(lo) >= 0.0:
             lo *= 2.0
@@ -225,42 +280,100 @@ def _reference(model, thermo, q_c):
         for _ in range(64):
             c = 0.5 * (lo + hi)
             lo, hi = (c, hi) if slope(c) < 0.0 else (lo, c)
-    return c, kappa_at(c)
+    c = np.atleast_1d(c)
+    chain = kappa_sc(c)
+    v_c = potential_fn(model)(c)
+    if v4 == 0.0:
+        return c, chain, v_c, np.ones_like(c), chain
+    # each node's bracket is a row of the one grid of points j, (nodes, points)
+    scale = np.maximum(chain, 2.0 * v2)
+    lo = np.ceil(_KAPPA_STEPS * np.log2(scale / 64.0))[:, None]
+    hi = np.floor(_KAPPA_STEPS * np.log2(2.0 * scale))[:, None]
+    j = np.arange(lo.min(), hi.max() + 1.0)
+    kappa = 2.0 ** (j / _KAPPA_STEPS)
+    s, col, v_c = s2(kappa), c[:, None], v_c[:, None]
+    b3 = 4.0 * v4 * col + v3
+    b2 = 0.5 * (2.0 * v2 + 6.0 * v3 * col + 12.0 * v4 * col * col - kappa)  # (V''(c) - kappa) / 2
+    mean_g = v_c + b2 * s + 3.0 * v4 * s * s
+    if pinned:
+        half = -0.5 * b3 / v4
+        floor = v_c - v4 * np.minimum(0.5 * (b2 / v4 - half * half), 0.0) ** 2
+    else:
+        floor = _quartic_min(v4, b3, b2, ((4.0 * v4 * col + 3.0 * v3) * col + 2.0 * v2) * col, v_c)
+    gap = np.where((j >= lo) & (j <= hi), mean_g - floor, np.inf)
+    best = np.argmin(gap, axis=1)
+    pick = np.arange(len(c)), best
+    return c, kappa[best], floor[pick], np.exp(-beta * gap[pick]), chain
 
 
-def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
-    """Independence Metropolis for walker group g_index of a stack of nodes, as a job.
+def _quartic_min(a, b, c, d, e):
+    """Least value of a y^4 + b y^3 + c y^2 + d y + e over real y (a > 0), elementwise.
 
-    stack lists the nodes' (index, q_c, reference): index is the node's
-    place in its grid (0 for the free ensemble), q_c is None for the free
-    ensemble, else the pinned centroid, and reference is the node's
-    (c, kappa) from _reference.  Each node draws from its own streams, but
-    every other step of a proposal is one ufunc over the stack's
-    (nodes, g_size, N) walker array, with c, kappa and the mode scales
-    broadcast per node.  out is the stack's (nodes, walkers, rounds, N)
-    view of its walker-major rows, or with a value function (the module
-    docstring), the (nodes, walkers, rounds) view of their values; the
-    group fills walkers g_index * _GROUP onwards.  burn_in and stride are
-    the config's on an anharmonic well and (0, 1) on a harmonic one, whose
-    chain is i.i.d. (the module docstring).
+    The value at each real root of the cubic 4 a y^3 + 3 b y^2 + 2 c y + d:
+    with y = t - b / (4 a) it is t^3 + p t + q = 0, whose one real root
+    (Cardano) or three (the trigonometric form) are closed forms.
+    """
+    shift = 0.25 * b / a
+    c1, d1 = 0.5 * c / a, 0.25 * d / a
+    p = c1 - 3.0 * shift * shift
+    q = (2.0 * shift * shift - c1) * shift + d1
+    disc = 0.25 * q * q + (p / 3.0) ** 3
+    root = np.sqrt(np.maximum(disc, 0.0))
+    one = np.cbrt(-0.5 * q + root) + np.cbrt(-0.5 * q - root)
+    neg = np.where(disc > 0.0, -1.0, np.minimum(p, -1e-300))  # p <= 0 wherever disc <= 0
+    angle = np.arccos(np.clip(1.5 * q / neg * np.sqrt(-3.0 / neg), -1.0, 1.0)) / 3.0
+    three = 2.0 * np.sqrt(-neg / 3.0)[..., None] * np.cos(
+        angle[..., None] - (2.0 * np.pi / 3.0) * np.arange(3))
+    y = np.where((disc > 0.0)[..., None], one[..., None], three) - shift[..., None]
+    return ((((a * y + b[..., None]) * y + c[..., None]) * y + d[..., None]) * y
+            + e[..., None]).min(axis=-1)
 
-    Allocates the job's buffers and returns run(), which samples and returns
-    each node's accepted proposals after burn-in (an array) and the
-    proposals each node attempted.  The buffers, the batch included, are
-    allocated by the thread that builds the job, so a job run on a worker
-    thread does not leave them resident in that thread's malloc arena,
-    where no later allocation of the calling thread could reuse them.
+
+def _run_group(model, thermo, cfg, stack, groups, value):
+    """The groups of a stack of nodes, as a job: by rejection or by the fallback chain.
+
+    stack lists the nodes' (index, q_c, c, kappa, floor): index is the
+    node's place in its grid (0 for the free ensemble), q_c is None for the
+    free ensemble, else the pinned centroid, c and kappa are the node's
+    reference (_reference), and floor is beta B less the rounding margin
+    on a rejection node, None on a fallback node; a stack's nodes share
+    their path.  groups lists (g, dest) pairs, run in turn: in group g each
+    node draws from its own stream (node, g), but every other step of a
+    proposal is one ufunc over the stack's (nodes, walkers, N) array, with
+    c, kappa and the mode scales broadcast per node.  The accept step is the
+    one Metropolis test: a proposal of Phi_new is accepted if
+    u < exp(min(ref - Phi_new, 0)), ref the floor on a rejection node and
+    the current state's Phi on a fallback node.
+
+    A rejection group proposes rounds of _ROUND walkers per node and emits
+    the accepted proposals in (round, walker) order until it has filled
+    dest, the stack's (nodes, quota) slice of rows (N beads each) or, with a
+    value function (the module docstring), of their values, formed from each
+    round's accepted rows; a node that has filled its quota leaves the
+    stack.  A fallback job has one group of walkers, which make cfg.burn_in
+    proposals each, then emit their states every cfg.decorrelation_stride
+    proposals into dest, the stack's (nodes, walkers, rounds) walker-major
+    view of its rows (or values, through a batch of whole rounds).
+
+    Allocates the job's buffers, shared by its groups, and returns run(),
+    which samples and returns each node's accepted and attempted proposals
+    (after burn-in).  The buffers, the batch included, are allocated by the
+    thread that builds the job, so a job run on a worker thread does not
+    leave them resident in that thread's malloc arena, where no later
+    allocation of the calling thread could reuse them.
     """
     n = thermo.n_beads
     pinned = stack[0][1] is not None
-    _, v3, v4 = model.poly_coefficients()
-    burn_in, stride = (0, 1) if v3 == v4 == 0.0 else (cfg.burn_in, cfg.decorrelation_stride)
-    c, kappa = np.array([reference for _, _, reference in stack]).T[..., None, None]
+    chain = stack[0][4] is None
+    c, kappa = np.array([node[2:4] for node in stack]).T[..., None, None]
     half_kappa, beta_n = 0.5 * kappa, thermo.beta / n
     pot = potential_fn(model)
     purpose = _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS
-    gens = [_streams.stream(cfg.seed, purpose, node << 24 | g_index) for node, _, _ in stack]
-    shape = (len(stack), g_size)
+
+    def streams(g):
+        return [_streams.stream(cfg.seed, purpose, node << 24 | g) for node, *_ in stack]
+
+    shape = (len(stack), groups[0][1].shape[1] if chain else _ROUND)
     # x - c = irfft(spec): the (re, im) parts of wavenumber k are modes of
     # variance sigma_k^2 = N / (beta (m w_k^2 + kappa)) times N / 2 (N for
     # k = 0 and N/2), and columns 2..N of the float view hold every part of
@@ -270,45 +383,88 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
     k = np.arange(2, n + 1) // 2
     sigma = np.sqrt(n / (thermo.beta * (model.mass * free_rp_frequencies(thermo)[k] ** 2 + kappa)))
     scale = sigma * np.sqrt(np.where(2 * k == n, n, 0.5 * n))
-    if not pinned:
-        scale_0 = n / np.sqrt(thermo.beta * kappa[..., 0])
+    # mode 0 is drawn for the free ensemble only, whose kappa is > 0
+    scale_0 = kappa[..., 0] if pinned else n / np.sqrt(thermo.beta * kappa[..., 0])
     z = np.empty(shape + (n - pinned,))  # mode 0 first when it is drawn
     u, d = np.empty(shape), np.empty(shape)
     y, v = np.empty(shape + (n,)), np.empty(shape + (n,))
     x, phi = np.empty(shape + (n,)), np.empty(shape)
-    x_new, phi_new = np.empty_like(x), np.empty_like(phi)
     acc = np.empty(shape, dtype=bool)
+
+    def propose(live, x, phi):
+        # into the first len(gens) slots, for the nodes of live; x = c + y,
+        # phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
+        gens, c, half_kappa, scale, scale_0 = live
+        m = len(gens)
+        z_, parts_, y_, v_ = z[:m], parts[:m], y[:m], v[:m]
+        for gen, z_node in zip(gens, z_):
+            gen.standard_normal(out=z_node)
+        np.multiply(z_[..., 1 - pinned:], scale, out=parts_[..., 2:n + 1])
+        if not pinned:
+            np.multiply(z_[..., 0], scale_0, out=parts_[..., 0])
+        np.fft.irfft(spec[:m], n=n, out=y_)
+        np.add(y_, c, out=x)
+        np.multiply(np.multiply(half_kappa, y_, out=v_), y_, out=y_)  # y holds the spring term now
+        np.subtract(pot(x, out=v_), y_, out=v_)
+        np.multiply(np.sum(v_, axis=-1, out=phi), beta_n, out=phi)
+
+    def accept(gens, ref, phi_new):
+        # acc = u < exp(min(ref - phi_new, 0)) in the first len(gens) slots
+        m = len(gens)
+        for gen, u_node in zip(gens, u[:m]):
+            gen.random(out=u_node)
+        np.exp(np.minimum(np.subtract(ref, phi_new, out=d[:m]), 0.0, out=d[:m]), out=d[:m])
+        np.less(u[:m], d[:m], out=acc[:m])
+
+    if not chain:
+        floor = np.array([node[4] for node in stack])[:, None]
+
+        def run():
+            accepted, rounds = (np.zeros(len(stack), dtype=np.int64) for _ in range(2))
+            for g, dest in groups:
+                gens, quota = streams(g), dest.shape[1]
+                filled = np.zeros(len(stack), dtype=np.int64)
+                sel = np.arange(len(stack))
+                while len(sel):
+                    m = len(sel)
+                    live = ([gens[i] for i in sel], c[sel], half_kappa[sel], scale[sel],
+                            scale_0[sel])
+                    propose(live, x[:m], phi[:m])
+                    accept(live[0], floor[sel], phi[:m])
+                    for slot, i in enumerate(sel):
+                        hits = np.flatnonzero(acc[slot])
+                        accepted[i] += len(hits)
+                        take = hits[:quota - filled[i]]
+                        rows = dest[i, filled[i]:filled[i] + len(take)]
+                        if value is None:
+                            np.take(x[slot], take, axis=0, out=rows)
+                        else:
+                            rows[...] = value(x[slot, take])
+                        filled[i] += len(take)
+                    rounds[sel] += 1
+                    sel = sel[filled[sel] < quota]
+            return accepted, rounds * _ROUND
+
+        return run
+
+    (g, dest), = groups
+    gens = streams(g)
+    live = (gens, c, half_kappa, scale, scale_0)
+    x_new, phi_new = np.empty_like(x), np.empty_like(phi)
     accepted = np.zeros(shape, dtype=np.int64)  # per walker
-    dest = out[:, g_index * _GROUP:g_index * _GROUP + g_size]
-    rounds = out.shape[2]
+    rounds = dest.shape[2]
+    burn_in, stride = cfg.burn_in, cfg.decorrelation_stride
     # rows are emitted in place, or into the batch (row_chunks' first slice
     # of the rounds is the most whole rounds that fit the budget)
     batch = dest if value is None else np.empty(
         shape + (row_chunks(rounds, x.size)[0].stop, n))
 
-    def propose(x, phi):
-        # x = c + y,  phi = beta_n sum_j (V(x_j) - (half_kappa y_j) y_j)
-        for gen, z_node in zip(gens, z):
-            gen.standard_normal(out=z_node)
-        np.multiply(z[..., 1 - pinned:], scale, out=parts[..., 2:n + 1])
-        if not pinned:
-            np.multiply(z[..., 0], scale_0, out=parts[..., 0])
-        np.fft.irfft(spec, n=n, out=y)
-        np.add(y, c, out=x)
-        np.multiply(np.multiply(half_kappa, y, out=v), y, out=y)  # y holds the spring term now
-        np.subtract(pot(x, out=v), y, out=v)
-        np.multiply(np.sum(v, axis=-1, out=phi), beta_n, out=phi)
-
     def run():
-        propose(x, phi)
+        propose(live, x, phi)
         emitted = 0
         for step in range(1, burn_in + rounds * stride + 1):
-            propose(x_new, phi_new)
-            for gen, u_node in zip(gens, u):
-                gen.random(out=u_node)
-            # acc = u < exp(min(phi - phi_new, 0))
-            np.exp(np.minimum(np.subtract(phi, phi_new, out=d), 0.0, out=d), out=d)
-            np.less(u, d, out=acc)
+            propose(live, x_new, phi_new)
+            accept(gens, phi, phi_new)
             np.copyto(x, x_new, where=acc[..., None])
             np.copyto(phi, phi_new, where=acc)
             after = step - burn_in
@@ -320,50 +476,79 @@ def _run_group(model, thermo, cfg, stack, g_index, g_size, out, value):
                     if value is not None and (j + 1 == batch.shape[2] or emitted + 1 == rounds):
                         dest[:, :, emitted - j:emitted + 1] = value(batch[:, :, :j + 1])
                     emitted += 1
-        return accepted.sum(axis=1), g_size * rounds * stride
+        return accepted.sum(axis=1), shape[1] * rounds * stride
 
     return run
 
 
 def _sample(model, thermo, cfg, nodes, value=None):
-    """Run a _run_group job for every (walker group, stack of nodes) on resolve_workers() threads.
+    """Run _run_group jobs, one per stack and share of groups, on resolve_workers() threads.
 
-    nodes lists the q_c of each node (None for the free ensemble); each
-    node's reference is solved once, here, for all its walker groups.  For
-    each walker group the nodes are split into contiguous, near-equal
-    stacks of at most _GROUP rows, and into at least as many stacks as
-    threads while there are nodes to spare; a free call is one stack of
-    one node.  Warns once for each node whose acceptance rate after burn-in
-    falls below 0.05.  Returns shape (len(nodes), n_samples, N), or with
-    value (see _run_group) the (len(nodes), n_samples) values of those rows.
+    nodes lists the q_c of each node (None for the free ensemble); their
+    references are solved here, at once (_reference).  A node whose bound is
+    at least _REJECTION_BOUND is sampled by rejection, in groups of _QUOTA
+    rows (the last takes the rest); any other node by the fallback chain, in
+    the walker groups of _layout(cfg).  Each run of consecutive nodes of one
+    path is split into contiguous, near-equal stacks of at most _GROUP
+    walkers, and into at least as many stacks as threads while there are
+    nodes to spare.  A fallback job is one stack and one walker group; a
+    rejection job runs one stack's groups in turn, split into contiguous
+    shares while there are fewer stacks than threads, so a free call, a
+    stack of one node, runs on every thread.  Warns once for each fallback
+    node whose acceptance rate after burn-in falls below 0.05.  Returns
+    shape (len(nodes), n_samples, N), or with value (see _run_group) the
+    (len(nodes), n_samples) values of those rows.
     """
     v2, v3, v4 = model.poly_coefficients()
     if 9.0 * v3 * v3 > 32.0 * v2 * v4:
         raise UnsupportedModel("V has a second minimum (9 v3^2 > 32 v2 v4)")
+    c, kappa, floor, bound, kappa_sc = _reference(model, thermo,
+                                                  None if nodes[0] is None else nodes)
+    floor = thermo.beta * floor
+    floor -= _MARGIN * (1.0 + np.abs(floor))
+    rejection = bound >= _REJECTION_BOUND
+    stack = [(i, q_c, c[i], kappa[i], floor[i]) if rejection[i]
+             else (i, q_c, c[i], kappa_sc[i], None) for i, q_c in enumerate(nodes)]
     walkers, rounds, groups = _layout(cfg)
+    n = cfg.n_samples
     row = (thermo.n_beads,) if value is None else ()
     out = np.empty((len(nodes), walkers * rounds) + row)
-    rows = out.reshape((len(nodes), walkers, rounds) + row)
-    nodes = [(i, q_c, _reference(model, thermo, q_c)) for i, q_c in enumerate(nodes)]
     threads = resolve_workers()
-    jobs = []
-    for g, size in groups:
-        stacks = max(-(-len(nodes) // (_GROUP // size)), min(threads, len(nodes)))
-        jobs += [(g, size, s * len(nodes) // stacks, (s + 1) * len(nodes) // stacks)
-                 for s in range(stacks)]
+
+    def stacks(k, size):
+        count = max(-(-k // (_GROUP // size)), min(threads, k))
+        return [slice(s * k // count, (s + 1) * k // count) for s in range(count)]
+
+    jobs, lo = [], 0
+    for path, run in groupby(rejection):
+        hi = lo + len(list(run))
+        if path:
+            quotas = [(g, out[lo:hi, start:start + _QUOTA])
+                      for g, start in enumerate(range(0, n, _QUOTA))]
+            cuts = stacks(hi - lo, _ROUND)
+            shares = max(1, min(len(quotas), threads // len(cuts)))
+            for s in cuts:
+                for t in range(shares):
+                    share = quotas[t * len(quotas) // shares:(t + 1) * len(quotas) // shares]
+                    jobs.append((lo + s.start, lo + s.stop, [(g, dest[s]) for g, dest in share]))
+        else:
+            chains = out[lo:hi].reshape((hi - lo, walkers, rounds) + row)
+            for g, size in groups:
+                dest = chains[:, g * _GROUP:g * _GROUP + size]
+                jobs += [(lo + s.start, lo + s.stop, [(g, dest[s])]) for s in stacks(hi - lo, size)]
+        lo = hi
     counts = []
-    runs = (_run_group(model, thermo, cfg, nodes[lo:hi], g, size, rows[lo:hi], value)
-            for g, size, lo, hi in jobs)
+    runs = (_run_group(model, thermo, cfg, stack[a:b], job, value) for a, b, job in jobs)
     map_in_order(lambda run: run(), runs, counts.append, threads)
     accepted, attempted = (np.zeros(len(nodes), dtype=np.int64) for _ in range(2))
-    for (_, _, lo, hi), (acc, att) in zip(jobs, counts):
-        accepted[lo:hi] += acc
-        attempted[lo:hi] += att
-    for acc, att in zip(accepted, attempted):
-        if att > 0 and acc / att < 0.05:
+    for (a, b, _), (acc, att) in zip(jobs, counts):
+        accepted[a:b] += acc
+        attempted[a:b] += att
+    for node, acc, att in zip(stack, accepted, attempted):
+        if node[4] is None and acc / att < 0.05:
             warnings.warn(NonErgodicWarning(
                 f"post-burn-in acceptance rate {acc / att:.3f} below 0.05"))
-    return out[:, : cfg.n_samples]
+    return out[:, :n]
 
 
 def sample_ring_positions(model, thermo, cfg):

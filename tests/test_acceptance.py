@@ -44,16 +44,18 @@ specification:
   estimate is a cos(W t) + b sin(W t) with cos(W dt) = 1 - (w dt)^2 / 2,
   where a is the mean of q_c^2 and b that of dt q_c p_c / (m sin W dt)
   over the trajectories.  The criterion asserts (i) that the series equals
-  this fit within 1e-10 (measured 4.4e-13): the dynamics are exact; and
+  this fit within 1e-10 (measured 4.3e-13): the dynamics are exact; and
   (ii) that (a, b) matches (1 / (beta m w^2), 0) = (1, 0): chi^2 with 2
   degrees of freedom on the covariance of 100 block means, each of 100
-  independent rows (the harmonic sampler's rows are i.i.d.; a walker
-  holds 79 of them, so a block spans about 1.3 walkers), below the
-  Hotelling threshold 14.99 for a covariance estimated from 100 blocks at
-  false-alarm rate 1e-3.  Seed 2100 reads chi^2 = 0.79 (p = 0.68).
+  independent rows (the harmonic sampler's rows are exact i.i.d. draws,
+  kept by rejection in groups of 1024 rows), below the Hotelling
+  threshold 14.99 for a covariance estimated from 100 blocks at
+  false-alarm rate 1e-3.  Seed 2100 reads chi^2 = 0.73 (p = 0.69).
   Points, sizes and dt are unchanged.  The size holds: over seeds
   2100-2499 the p-values of (a, b) are uniform (Kolmogorov-Smirnov
-  p = 0.35; 8 of 400 below 0.01, 2 below 1e-3).
+  p = 0.35; 8 of 400 below 0.01, 2 below 1e-3), measured on the earlier
+  i.i.d. rows of one harmonic proposal each, which have the same
+  distribution.
   Checked, when the statistic was introduced and the rows were still
   walker chains, on broken copies of the package at seeds 2100 and 2101:
   sampled positions scaled to bias C(0) by -5 SE give chi^2 = 79.8 and

@@ -16,8 +16,9 @@ from pimd_kubo.model import force_fn, potential_fn
 from pimd_kubo.ringpoly import bond_midpoints, free_rp_frequencies, normal_mode_matrix
 from pimd_kubo._stats import CHUNK_ELEMENTS, row_chunks
 from pimd_kubo import _streams, sampler
-from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _layout, _reference, _run_group,
-                              _sample, _static_values, sample_static_average)
+from pimd_kubo.sampler import (_CENTROID_NODES, _GROUP, _MARGIN, _REJECTION_BOUND, _layout,
+                              _reference, _run_group, _sample, _static_values,
+                              sample_static_average)
 
 
 def _cfg(n, seed=1, **kw):
@@ -456,61 +457,79 @@ def test_sampler_config_validation():
         SamplerConfig(n_samples=10, seed=1, move_scale=0.5)
 
 
-def _run_kernel(model, thermo, cfg, q_c=None, node=0):
-    """(rows, accepted, attempted) of _run_group over every walker group of cfg, for one node."""
-    walkers, rounds, groups = _layout(cfg)
-    out = np.full((walkers * rounds, thermo.n_beads), np.nan)
-    stack = [(node, q_c, _reference(model, thermo, q_c))]
-    counts = [_run_group(model, thermo, cfg, stack, g, size,
-                         out.reshape(1, walkers, rounds, thermo.n_beads), None)()
-              for g, size in groups]
-    return out[: cfg.n_samples], sum(c[0][0] for c in counts), sum(c[1] for c in counts)
+def _recording(monkeypatch):
+    """The (node indices, accepted, attempted) of every job the sampler runs, as a list."""
+    jobs = []
 
-
-@pytest.mark.parametrize("walkers, nodes", [(96, 7), (_GROUP + 64, 5)],
-                         ids=["one-group", "two-groups"])
-def test_stacked_nodes_equal_one_node_calls(monkeypatch, walkers, nodes):
-    # a stack shares every ufunc of a proposal but draws from each node's own
-    # streams, so each node's rows and (accepted, attempted) counts equal a
-    # one-node kernel call with that node's index, at any stacking
-    model, th = mildly_anharmonic(c4=0.05), ThermoParams(4.0, 16)
-    grid = np.linspace(-3.0, 3.0, nodes)
-    cfg = SamplerConfig(n_samples=2 * walkers, seed=41, burn_in=6, decorrelation_stride=2,
-                        n_walkers=walkers)
-    singles = [_run_kernel(model, th, cfg, q, node=i) for i, q in enumerate(grid)]
-    jobs = []  # (node indices of the stack, accepted per node, attempted per node) of each job
-
-    def recorded(model, thermo, cfg, stack, g_index, g_size, out, value):
-        run = _run_group(model, thermo, cfg, stack, g_index, g_size, out, value)
+    def recorded(model, thermo, cfg, stack, groups, value):
+        run = _run_group(model, thermo, cfg, stack, groups, value)
 
         def counted():
             accepted, attempted = run()
-            jobs.append(([node for node, _, _ in stack], accepted, attempted))
+            jobs.append(([node for node, *_ in stack], accepted,
+                         np.broadcast_to(attempted, len(stack))))
             return accepted, attempted
         return counted
 
     monkeypatch.setattr("pimd_kubo.sampler._run_group", recorded)
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
+    return jobs
+
+
+def _node_counts(jobs, nodes):
+    """Each node's (accepted, attempted) proposals, summed over the recorded jobs."""
+    counts = np.zeros((nodes, 2), dtype=np.int64)
+    for stacked, accepted, attempted in jobs:
+        counts[stacked] += np.stack([accepted, attempted], axis=1)
+    return counts
+
+
+@pytest.mark.parametrize("model, beta, n, walkers, grid", [
+    (mildly_anharmonic(c4=0.05), 4.0, 16, 96, np.linspace(-3.0, 3.0, 7)),
+    (mildly_anharmonic(c4=0.05), 4.0, 16, _GROUP + 64, np.linspace(-3.0, 3.0, 5)),
+    (quartic(1.0), 8.0, 32, _GROUP + 64, np.arange(4.0))],
+    ids=["one-group", "two-groups", "mixed"])
+def test_stacked_nodes_equal_one_node_calls(monkeypatch, model, beta, n, walkers, grid):
+    # a stack shares every ufunc of a proposal but draws from each node's own
+    # streams, so each node's rows and (accepted, attempted) counts equal
+    # those of a job of that node alone (as many threads as nodes), at any
+    # stacking and thread count.  The quartic grid mixes a rejection node
+    # (q_c = 0) with fallback chains (q_c = 1, 2, 3) in two walker groups
+    th = ThermoParams(beta, n)
+    cfg = SamplerConfig(n_samples=2 * walkers, seed=41, burn_in=6, decorrelation_stride=2,
+                        n_walkers=walkers)
+    jobs = _recording(monkeypatch)
+
+    def run(threads):
+        monkeypatch.setenv("PIMD_KUBO_THREADS", str(threads))
         jobs.clear()
         ens = sample_ring_positions_constrained(model, th, cfg, grid)
-        assert max(len(stacked) for stacked, _, _ in jobs) > 1  # some nodes were stacked
-        for i, (rows, accepted, attempted) in enumerate(singles):
-            assert ens[i].tobytes() == rows.tobytes()
-            mine = [(acc[stacked.index(i)], att) for stacked, acc, att in jobs if i in stacked]
-            assert tuple(map(sum, zip(*mine))) == (accepted, attempted)
+        return ens, _node_counts(jobs, len(grid)), max(len(stacked) for stacked, _, _ in jobs)
+
+    singles, single_counts, widest = run(len(grid))
+    assert widest == 1
+    rejection = list(_reference(model, th, grid)[3] >= _REJECTION_BOUND)
+    assert rejection == ([True, False, False, False] if model.kind == "quartic"
+                         else [True] * len(grid))
+    widths = []
+    for threads in (1, 2, 3):
+        ens, counts, widest = run(threads)
+        widths.append(widest)
+        assert ens.tobytes() == singles.tobytes(), threads
+        assert np.array_equal(counts, single_counts), threads
+    assert max(widths) > 1  # some nodes were stacked
 
 
 def _frozen_metropolis(model, thermo, cfg, q_c=None, node=0):
     """(rows, accepted, attempted) of one node's independence Metropolis
     chains at cfg's burn_in and stride, walker group by walker group, every
     proposal formed, priced and tested, the initial state included.  Frozen,
-    written out apart from _run_group as the reference for its bits: the
-    sampler runs it at the config's burn_in and stride on an anharmonic
-    well, and at burn_in 0 and stride 1 on a harmonic one."""
+    written out apart from _run_group as the reference for the bits of a
+    fallback node, one whose acceptance bound is below _REJECTION_BOUND;
+    it samples with _reference's kappa_sc."""
     n, pinned = thermo.n_beads, q_c is not None
     walkers, rounds, groups = _layout(cfg)
-    c, kappa = _reference(model, thermo, q_c)
+    ref = _reference(model, thermo, None if q_c is None else [q_c])
+    c, kappa = ref[0][0], ref[4][0]
     pot = potential_fn(model)
     k = np.arange(2, n + 1) // 2
     sigma = np.sqrt(n / (thermo.beta * (model.mass * free_rp_frequencies(thermo)[k] ** 2 + kappa)))
@@ -549,6 +568,46 @@ def _frozen_metropolis(model, thermo, cfg, q_c=None, node=0):
     return rows.reshape(-1, n)[: cfg.n_samples], accepted, attempted
 
 
+def _frozen_rejection(model, thermo, n_samples, seed, q_c=None, node=0):
+    """(rows, accepted, attempted) of one rejection node: groups of 1024 rows,
+    each from its own stream, which proposes rounds of 512 draws of the
+    reference (normals, then one uniform per draw) and keeps a draw of Phi
+    when u < exp(min(floor - Phi, 0)), floor = beta B less the margin, in
+    (round, walker) order until the group is full.  Frozen, written out
+    apart from _run_group as the reference for its bits; no config key
+    but n_samples and seed enters."""
+    n, pinned = thermo.n_beads, q_c is not None
+    ref = _reference(model, thermo, None if q_c is None else [q_c])
+    c, kappa, b, bound = (a[0] for a in ref[:4])
+    assert bound >= _REJECTION_BOUND
+    floor = thermo.beta * b - _MARGIN * (1.0 + abs(thermo.beta * b))
+    pot = potential_fn(model)
+    k = np.arange(2, n + 1) // 2
+    sigma = np.sqrt(n / (thermo.beta * (model.mass * free_rp_frequencies(thermo)[k] ** 2 + kappa)))
+    scale = sigma * np.sqrt(np.where(2 * k == n, n, 0.5 * n))
+    purpose = _streams.POSITIONS_CONSTRAINED if pinned else _streams.POSITIONS
+    rows, accepted, attempted = [], 0, 0
+    for g, start in enumerate(range(0, n_samples, 1024)):
+        gen = _streams.stream(seed, purpose, node << 24 | g)
+        kept = []
+        while len(kept) < min(1024, n_samples - start):
+            z = gen.standard_normal((512, n - pinned))
+            spec = np.zeros((512, n // 2 + 1), dtype=complex)
+            parts = spec.view(float)
+            parts[:, 2:n + 1] = z[:, 1 - pinned:] * scale
+            if not pinned:
+                parts[:, 0] = z[:, 0] * (n / np.sqrt(thermo.beta * kappa))
+            y = np.fft.irfft(spec, n=n)
+            x = y + c
+            phi = (pot(x) - (0.5 * kappa * y) * y).sum(axis=-1) * (thermo.beta / n)
+            acc = gen.random(512) < np.exp(np.minimum(floor - phi, 0.0))
+            kept += list(x[acc])
+            accepted += int(acc.sum())
+            attempted += 512
+        rows += kept[:min(1024, n_samples - start)]
+    return np.array(rows), accepted, attempted
+
+
 def _counting_potential(monkeypatch):
     """The number of potential evaluations the sampler has made, as a one-item list."""
     calls = [0]
@@ -569,59 +628,70 @@ def _counting_potential(monkeypatch):
 @pytest.mark.parametrize("burn_in", [0, 5, 80])
 @pytest.mark.parametrize("stride", [1, 4])
 def test_exact_path_keeps_the_metropolis_bits(monkeypatch, harmonic_model, n, burn_in, stride):
-    # a harmonic well's chain is exact, i.i.d. from its first state, so
-    # whatever the config's burn_in and stride, a free call and a pinned
-    # node are the frozen Metropolis chain at burn_in 0 and stride 1, bit for
-    # bit: one priced proposal per row after the first state; 37 walkers
-    # make 3 rounds of 100 samples
+    # the exact path is rejection from the reference, which on a harmonic
+    # well is the target (bound 1): whatever the config's burn_in, stride and
+    # walkers, a free call and a pinned node are the frozen rejection
+    # sampler bit for bit, every draw accepted, one priced round of 512
+    # draws for 100 rows (and one potential call for the reference's V(c))
     th = ThermoParams(8.0, n)
     cfg = SamplerConfig(n_samples=100, seed=50 + n, burn_in=burn_in,
                         decorrelation_stride=stride, n_walkers=37)
-    iid = replace(cfg, burn_in=0, decorrelation_stride=1)
     calls = _counting_potential(monkeypatch)
+    jobs = _recording(monkeypatch)
     for q_c in (None, 0.6):
-        want = _frozen_metropolis(harmonic_model, th, iid, q_c)
+        want = _frozen_rejection(harmonic_model, th, 100, cfg.seed, q_c)
         calls[0] = 0
-        got = _run_kernel(harmonic_model, th, cfg, q_c)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1:] == want[1:]
-        assert calls[0] == 1 + 3
-    assert want[2] == 111
+        jobs.clear()
+        if q_c is None:
+            got = sample_ring_positions(harmonic_model, th, cfg)
+        else:
+            got = sample_ring_positions_constrained(harmonic_model, th, cfg, [q_c])[0]
+        assert got.tobytes() == want[0].tobytes()
+        assert tuple(_node_counts(jobs, 1)[0]) == want[1:] == (512, 512)
+        assert calls[0] == 1 + 1
 
 
-def test_burn_in_and_stride_apply_to_anharmonic_wells_only(monkeypatch):
-    # two walker groups (2048 + 37) of 3 rounds, n_samples no multiple of the
-    # walkers, through _sample at 1 and 2 threads: an anharmonic free call is
-    # the frozen chain at the config's burn_in and stride, with one potential
-    # call per proposal and group; a harmonic free call and a pinned harmonic
-    # grid are the frozen chain at burn_in 0 and stride 1
-    th = ThermoParams(4.0, 3)
+def test_burn_in_and_stride_apply_to_fallback_nodes_only(monkeypatch):
+    # on the quartic at beta = 8, N = 32 the node q_c = 2 falls back to the
+    # chain, with the parent's kappa_sc, and the node q_c = 0 and an
+    # anharmonic free ring are rejection nodes.  Through _sample at 1 and 2
+    # threads, with two walker groups (2048 + 37) of 3 rounds: the fallback
+    # node is the frozen chain at the config's burn_in and stride, with one
+    # potential call per proposal and group (and one for the reference's
+    # V(c)), and the rejection nodes are
+    # the frozen rejection sampler, whatever burn_in, stride and walkers
+    model, th = quartic(1.0), ThermoParams(8.0, 32)
     walkers = _GROUP + 37
     cfg = SamplerConfig(n_samples=3 * walkers - 11, seed=52, burn_in=5, decorrelation_stride=2,
                         n_walkers=walkers)
-    iid = replace(cfg, burn_in=0, decorrelation_stride=1)
-    harmonic_well, anharmonic = harmonic(1.0, 1.0), mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.05)
-    grid = [-0.7, 0.0, 1.3]
-    chain = _frozen_metropolis(anharmonic, th, cfg)
-    assert chain[1] < chain[2]  # the anharmonic chain rejects
-    free = {anharmonic: (chain[0], 2 * (1 + 5 + 3 * 2)),
-            harmonic_well: (_frozen_metropolis(harmonic_well, th, iid)[0], 2 * (1 + 3))}
-    pinned = [_frozen_metropolis(harmonic_well, th, iid, q, node=i)[0] for i, q in enumerate(grid)]
+    other = replace(cfg, burn_in=0, decorrelation_stride=1, n_walkers=1)
+    ref = _reference(model, th, [0.0, 2.0])
+    assert list(ref[3] >= _REJECTION_BOUND) == [True, False]
+    assert ref[4][1].hex() == "0x1.8b87447dd45a0p+3"
+    chain = _frozen_metropolis(model, th, cfg, 2.0, node=1)
+    assert chain[1] < chain[2]  # the chain rejects
+    grid = np.stack([_frozen_rejection(model, th, cfg.n_samples, cfg.seed, 0.0)[0], chain[0]])
+    anharmonic, free_th = mildly_anharmonic(1.0, 1.0, c3=0.1, c4=0.05), ThermoParams(4.0, 3)
+    free = _frozen_rejection(anharmonic, free_th, cfg.n_samples, cfg.seed)[0]
     calls = _counting_potential(monkeypatch)
     for threads in ("1", "2"):
         monkeypatch.setenv("PIMD_KUBO_THREADS", threads)
-        for model, (want, proposals) in free.items():
-            calls[0] = 0
-            assert sample_ring_positions(model, th, cfg).tobytes() == want.tobytes()
-            assert calls[0] == proposals
-        ens = sample_ring_positions_constrained(harmonic_well, th, cfg, grid)
-        assert ens.tobytes() == np.stack(pinned).tobytes()
+        calls[0] = 0
+        got = sample_ring_positions_constrained(model, th, cfg, [2.0])
+        assert calls[0] == 1 + 2 * (1 + 5 + 3 * 2)
+        assert got[0].tobytes() == _frozen_metropolis(model, th, cfg, 2.0)[0].tobytes()
+        for c in (cfg, other):
+            assert sample_ring_positions_constrained(model, th, c, [0.0, 2.0])[0].tobytes() == \
+                grid[0].tobytes()
+            assert sample_ring_positions(anharmonic, free_th, c).tobytes() == free.tobytes()
+        assert sample_ring_positions_constrained(model, th, cfg, [0.0, 2.0]).tobytes() == \
+            grid.tobytes()
 
 
 def test_reference_solved_once_per_node(monkeypatch):
-    # (c, kappa) depends on the node alone: a free call on a cubic well, where
-    # every solve bisects for c, solves once for its four walker groups, and
-    # a constrained grid once per node
+    # (c, kappa, B, bound) depends on the node alone: a free call on a cubic
+    # well, where every solve bisects for c, solves once for its groups, and
+    # a constrained grid once for all its nodes
     calls = []
 
     def counted(model, thermo, q_c):
@@ -633,24 +703,29 @@ def test_reference_solved_once_per_node(monkeypatch):
     model, th = mildly_anharmonic(c3=0.1, c4=0.01), ThermoParams(8.0, 4)
     cfg = SamplerConfig(n_samples=4 * _GROUP, seed=3, burn_in=1, decorrelation_stride=1,
                         n_walkers=4 * _GROUP)
-    assert len(_layout(cfg)[2]) == 4
     sample_ring_positions(model, th, cfg)
     assert calls == [None]
     sample_ring_positions_constrained(model, th, cfg, [-0.5, 0.5])
-    assert calls == [None, -0.5, 0.5]
+    assert calls == [None, [-0.5, 0.5]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 64])
-def test_harmonic_reference_is_exact(harmonic_model, n):
+def test_harmonic_reference_is_exact(monkeypatch, harmonic_model, n):
     # the reference is the harmonic ring itself: every proposal is accepted,
     # rows are independent draws, and each normal mode's mean square is its
     # variance N / (beta (m w_k^2 + m w^2)) within 3 SE (sqrt(2 / rows) relative)
     th = ThermoParams(8.0, n)
     cfg = SamplerConfig(n_samples=4096, seed=n, burn_in=16, decorrelation_stride=1)
     var = n / (th.beta * (free_rp_frequencies(th) ** 2 + 1.0))
+    jobs = _recording(monkeypatch)
     for q_c in (None, 0.7):
-        ens, accepted, attempted = _run_kernel(harmonic_model, th, cfg, q_c)
-        assert accepted == attempted
+        jobs.clear()
+        if q_c is None:
+            ens = sample_ring_positions(harmonic_model, th, cfg)
+        else:
+            ens = sample_ring_positions_constrained(harmonic_model, th, cfg, [q_c])[0]
+        accepted, attempted = _node_counts(jobs, 1)[0]
+        assert accepted == attempted == 4096
         a = ens @ normal_mode_matrix(n)
         internal = (a[:, 1:] ** 2).mean(axis=0) / var[1:] - 1.0
         assert np.abs(internal).max() <= 3.0 * math.sqrt(2.0 / len(ens))
@@ -658,6 +733,19 @@ def test_harmonic_reference_is_exact(harmonic_model, n):
             assert abs((a[:, 0] ** 2).mean() / var[0] - 1.0) <= 3.0 * math.sqrt(2.0 / len(ens))
         else:
             assert np.abs(a[:, 0] - math.sqrt(n) * q_c).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q_c", [None, -1.3, 0.0, 0.8])
+def test_harmonic_reference_is_the_target(q_c):
+    # kappa = kappa_sc = 2 v2 makes g affine: B = 0 free or v2 q_c^2 pinned,
+    # and a bound of 1
+    model = harmonic(1.0, 1.3)
+    v2 = model.poly_coefficients()[0]
+    c, kappa, b, bound, kappa_sc = _reference(model, ThermoParams(8.0, 16),
+                                              None if q_c is None else [q_c])
+    assert kappa[0] == kappa_sc[0] == 2.0 * v2
+    assert b[0] == (0.0 if q_c is None else v2 * q_c * q_c)
+    assert bound[0] == 1.0
 
 
 def _importance_reference(model, thermo, q_c, f, draws=40000):
@@ -669,7 +757,7 @@ def _importance_reference(model, thermo, q_c, f, draws=40000):
     one.  Mode 0 is pinned at sqrt(N) q_c unless q_c is None.
     """
     n = thermo.n_beads
-    c, kappa = _reference(model, thermo, q_c)
+    c, kappa = (a[0] for a in _reference(model, thermo, None if q_c is None else [q_c])[:2])
     first = 0 if q_c is None else 1
     w2 = model.mass * free_rp_frequencies(thermo)[first:] ** 2
     sigma = np.sqrt(n / (thermo.beta * (w2 + kappa)))
@@ -803,10 +891,10 @@ def test_second_minimum_is_rejected():
 
 
 def test_free_sampler_holds_one_sweep_of_draws(monkeypatch, traced_peak):
-    # one walker group of 2048 at N = 8 on an anharmonic well, whose walkers
-    # make 80 proposals: the normals and uniforms come one proposal at a
-    # time, so the sampler holds far less than 64 proposals' worth of draws
-    # (the bound counts N + 1 of them per walker and proposal)
+    # 8192 rows at N = 8 on an anharmonic well, a rejection node: the
+    # normals and uniforms come one round of 512 proposals at a time, so the
+    # sampler holds far less than 64 proposals' worth of draws of 2048
+    # walkers (the bound counts N + 1 of them per walker and proposal)
     th = ThermoParams(1.0, 8)
     cfg = SamplerConfig(n_samples=4 * _GROUP, seed=31, burn_in=64, decorrelation_stride=4,
                         n_walkers=_GROUP)
@@ -817,27 +905,99 @@ def test_free_sampler_holds_one_sweep_of_draws(monkeypatch, traced_peak):
     assert peak < output + block / 4
 
 
-@pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
-def test_streams_are_prefix_stable(constrained):
-    # a longer run reproduces every row of a shorter one bit for bit; the
-    # runs end at proposals 70 and 115, so a layout that drew the normals of
-    # 64 proposals ahead would give proposals 65-70 different numbers in each
-    model = mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1)
-    th = ThermoParams(2.0, 5)
+@pytest.mark.parametrize("model, beta, n, q_c", [
+    (mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1), 2.0, 5, None),
+    (mildly_anharmonic(1.0, 1.0, c3=0.3, c4=0.1), 2.0, 5, 0.4),
+    (quartic(1.0), 8.0, 32, 2.0)], ids=["free", "constrained", "fallback"])
+def test_streams_are_prefix_stable(model, beta, n, q_c):
+    # a longer run reproduces every row of a shorter one bit for bit.  The
+    # rejection runs end inside their second and fourth quota groups, and
+    # the fallback chains (walker-major rows) at proposals 70 and 115, so a
+    # layout that drew the normals of 64 proposals ahead would give
+    # proposals 65-70 different numbers in each
+    th = ThermoParams(beta, n)
     walkers = 30
 
     def rows(rounds):
-        cfg = SamplerConfig(n_samples=walkers * rounds, seed=37, burn_in=40,
-                            decorrelation_stride=3, n_walkers=walkers)
-        if constrained:
-            ens = sample_ring_positions_constrained(model, th, cfg, [0.4])[0]
-        else:
-            ens = sample_ring_positions(model, th, cfg)
-        return ens.reshape(walkers, rounds, th.n_beads)  # walker-major rows
+        cfg = SamplerConfig(n_samples=walkers * rounds * (1 if q_c == 2.0 else 100), seed=37,
+                            burn_in=40, decorrelation_stride=3, n_walkers=walkers)
+        if q_c is None:
+            return sample_ring_positions(model, th, cfg)
+        return sample_ring_positions_constrained(model, th, cfg, [q_c])[0]
 
     short, long = rows(10), rows(25)
-    for w in range(walkers):
-        assert short[w].tobytes() == long[w, :10].tobytes()
+    if q_c == 2.0:
+        short, long = short.reshape(walkers, 10, n), long.reshape(walkers, 25, n)[:, :10]
+    else:
+        long = long[:len(short)]
+    assert short.tobytes() == long.tobytes()
+
+
+def test_rejection_rows_are_exact_and_independent():
+    # the quartic free ring at beta = 8, N = 32 is a rejection node: its rows
+    # are i.i.d. draws of the ring density from the first, so consecutive
+    # rows of a group have a lag-1 autocorrelation within 3 / sqrt(pairs) of
+    # 0 (centroid and bead mean of x^2), and bead <x^2> matches the
+    # transfer matrix within 3 SE
+    model, th = quartic(1.0), ThermoParams(8.0, 32)
+    assert _reference(model, th, None)[3][0] >= _REJECTION_BOUND
+    ens = sample_ring_positions(model, th, SamplerConfig(n_samples=8192, seed=61))
+    groups = ens.reshape(8, 1024, th.n_beads)
+    for f in (lambda x: x.mean(axis=-1), lambda x: (x * x).mean(axis=-1)):
+        vals = f(groups)
+        dev = vals - vals.mean()
+        r1 = (dev[:, 1:] * dev[:, :-1]).sum() / (dev * dev).sum()
+        assert abs(r1) <= 3.0 / math.sqrt(dev[:, 1:].size)
+    m2 = (ens * ens).mean(axis=1)
+    assert abs(m2.mean() - _transfer_matrix_moments(model, th)[1]) <= 3.0 * block_standard_error(m2)
+
+
+# the wells of the acceptance-bound table (ROADMAP item 18): free rings and
+# pinned nodes, fallback ones included
+FLOOR_WELLS = [(harmonic(1.0, 1.0), 8.0, 64, None), (mildly_anharmonic(c4=0.05), 8.0, 32, None),
+               (mildly_anharmonic(c4=0.05), 4.0, 16, None), (quartic(1.0), 8.0, 128, None),
+               (quartic(1.0), 8.0, 512, None), (quartic(1.0), 20.0, 128, None),
+               (quartic(1.0), 1.0, 32, None), (mildly_anharmonic(c4=0.05), 16.0, 64, None),
+               (mildly_anharmonic(c3=0.1, c4=0.01), 8.0, 32, None),
+               (mildly_anharmonic(c3=0.1, c4=0.01), 8.0, 128, None),
+               (mildly_anharmonic(c3=0.1, c4=0.01), 1.0, 32, None),
+               (mildly_anharmonic(c3=-0.5, c4=0.3), 8.0, 16, None),
+               (mildly_anharmonic(c4=0.05), 4.0, 16, [0.0, 1.0, 2.0, 3.0, 4.0]),
+               (quartic(1.0), 8.0, 32, [2.0, 3.0])]
+
+
+@pytest.mark.parametrize("model, beta, n, q_c", FLOOR_WELLS,
+                         ids=["harmonic_b8_n64", "c4_b8_n32", "c4_b4_n16", "quartic_b8_n128",
+                              "quartic_b8_n512", "quartic_b20_n128", "quartic_b1_n32",
+                              "c4_b16_n64", "c3_b8_n32", "c3_b8_n128", "c3_b1_n32",
+                              "c3neg_b8_n16", "c4_b4_n16_nodes", "quartic_b8_n32_nodes"])
+def test_rejection_floor_holds_on_every_proposal(model, beta, n, q_c):
+    # 20000 draws of each node's reference at the bound's kappa, formed
+    # apart from the sampler: Phi >= beta B - margin on every draw, and the
+    # mean of exp(-(Phi - beta B)), the acceptance, is at least Jensen's
+    # bound less 4 SE
+    th = ThermoParams(beta, n)
+    pinned = q_c is not None
+    pot = potential_fn(model)
+    rng = np.random.default_rng(62)
+    k = np.arange(2, n + 1) // 2
+    for c, kappa, b, bound, _ in zip(*_reference(model, th, q_c)):
+        sigma = np.sqrt(n / (beta * (model.mass * free_rp_frequencies(th)[k] ** 2 + kappa)))
+        scale = sigma * np.sqrt(np.where(2 * k == n, n, 0.5 * n))
+        gap = []
+        for rows in row_chunks(20000, n):
+            z = rng.standard_normal((rows.stop - rows.start, n))
+            spec = np.zeros((len(z), n // 2 + 1), dtype=complex)
+            spec.view(float)[:, 2:n + 1] = z[:, 1:] * scale
+            if not pinned:
+                spec.view(float)[:, 0] = z[:, 0] * (n / np.sqrt(beta * kappa))
+            y = np.fft.irfft(spec, n=n)
+            phi = (pot(c + y) - (0.5 * kappa * y) * y).sum(axis=-1) * (beta / n)
+            gap.append(phi - beta * b)
+        gap = np.concatenate(gap)
+        assert gap.min() >= -_MARGIN * (1.0 + abs(beta * b)), (q_c, gap.min())
+        w = np.exp(-gap)
+        assert w.mean() >= bound - 4.0 * w.std() / math.sqrt(len(w)), (q_c, w.mean(), bound)
 
 
 def test_error_bars_are_honest_at_the_default_layout():
