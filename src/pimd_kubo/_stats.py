@@ -47,7 +47,7 @@ def block_sums(rows, first, edges):
     larger set: adding each piece's sums into an (n_blocks, ...) array at
     b gives that set's block sums.  A block that two pieces share is summed
     as two partial sums, which rounds otherwise than one sum over the
-    block: the pieces fix the bits, not the threads that form them or the
+    block: the pieces fix the bits, not the workers that form them or the
     order in which they do, and the mean of pieces is numpy's full
     reduction only to rounding.
     """

@@ -81,7 +81,9 @@ def propagate_batch(x, p, force, mass, thermo, dt, n_steps, record):
     and serves both half kicks that use it; between the first of them and
     the next force, its buffer holds b*sin/(m w).  The centroid momentum is
     b_0 / N, and positions come back by one irfft per step.  A position
-    observable is evaluated into one (n_traj, N) buffer held for the call.
+    observable is evaluated into the force buffer, free once its spectrum
+    is formed, and summed over the beads; each record is divided by N once
+    per call, as np.mean divides its sum, so the bits are the bead means'.
     """
     n = thermo.n_beads
     x_cur = np.array(x, dtype=float)
@@ -101,14 +103,13 @@ def propagate_batch(x, p, force, mass, thermo, dt, n_steps, record):
         np.multiply(f, half, out=f)
 
     out = np.empty((len(record), n_steps + 1, x_cur.shape[0]))
-    obs_q = np.empty_like(x_cur)
 
-    def snapshot(step):
+    def snapshot(step):  # bead sums; out is divided by N at the end
         for i, obs in enumerate(record):
-            if obs.kind == POSITION:
-                np.mean(obs.f(x_cur, obs_q), axis=1, out=out[i, step])
+            if obs.kind == POSITION:  # force_q is free after kick()
+                np.add.reduce(obs.f(x_cur, force_q), axis=1, out=out[i, step])
             else:
-                np.divide(b[:, 0], n, out=out[i, step])
+                out[i, step] = b[:, 0]
 
     kick()
     snapshot(0)
@@ -123,6 +124,7 @@ def propagate_batch(x, p, force, mass, thermo, dt, n_steps, record):
         kick()
         b += f
         snapshot(step)
+    out /= n  # np.mean's division, so the centroids keep their bits
     return out, x_cur, np.fft.irfft(b_ft, n=n)
 
 

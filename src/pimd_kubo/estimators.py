@@ -14,11 +14,11 @@ The trajectories propagate in chunks of a fixed number of bead values, so
 the chunks depend only on N and the trajectory count.  Each chunk
 propagates in time segments and sums the products A0(0) * B(t) of each
 segment over each error block it reaches (_stats.block_sums); those sums
-are added in chunk order.  So results are identical for any thread count,
-and no record longer than one segment is held.  A block that straddles a
-chunk edge is summed as two partial sums, so _CHUNK_BEADS fixes the
-rounding; the mean is not numpy's full reduction of the products bit for
-bit, and is not meant to be.
+are added in chunk order.  So results are identical for any count of
+worker processes, and no record longer than one segment is held.  A block
+that straddles a chunk edge is summed as two partial sums, so _CHUNK_BEADS
+fixes the rounding; the mean is not numpy's full reduction of the
+products bit for bit, and is not meant to be.
 """
 
 import numpy as np
@@ -28,11 +28,11 @@ from .dynamics import check_accuracy, propagate_batch
 from .errors import InsufficientSamples, UnsupportedObservable
 from .model import ThermoParams, force_fn
 from .ringpoly import OBS_P, OBS_Q, free_rp_frequencies
-from .sampler import draw_momenta, map_in_order, resolve_workers, sample_ring_positions
+from .sampler import draw_momenta, map_in_processes, resolve_workers, sample_ring_positions
 from .series import CorrelationSeries
 
 # Bead values per propagation chunk: 1024 rings at N = 32, 256 at N = 128 and
-# every centroid of a CMD run at N = 1.  A constant, not tied to threads.
+# every centroid of a CMD run at N = 1.  A constant, not tied to the workers.
 _CHUNK_BEADS = 2**15
 
 CMD_OBSERVABLES = (OBS_Q, OBS_P)  # the linear A that centroid dynamics admits
@@ -48,15 +48,18 @@ def _correlator_from_ic(x0, p0, force, mass, thermo, integrator_cfg, a_obs, b_ob
 
     x0 and p0 are (n_traj, N) bead arrays, propagated by propagate_batch on
     force(q, out), which writes -dV/dq into out.  Chunks of trajectories
-    propagate on resolve_workers() threads, each in time segments of at most
-    _stats.CHUNK_ELEMENTS // rows steps; a segment restarts from the
-    (x, p) its predecessor returns, which at N = 1 continues the trajectory
-    bit for bit.  A chunk sums each segment's products over the error
-    blocks it reaches (_stats.block_sums), and this thread adds those sums
-    in chunk order, so the bits depend on _CHUNK_BEADS and not on the
-    thread count.  One-bead chunks (N = 1, as in CMD) propagate on this
-    thread: their step spends its time in the interpreter, so worker
-    threads gain nothing.
+    propagate in resolve_workers() worker processes (sampler.map_in_processes),
+    each in time segments of at most _stats.CHUNK_ELEMENTS // rows steps; a
+    segment restarts from the (x, p) its predecessor returns, which at
+    N = 1 continues the trajectory bit for bit.  A chunk sums each
+    segment's products over the error blocks it reaches
+    (_stats.block_sums), and this process adds those sums in chunk order,
+    so the bits depend on _CHUNK_BEADS and not on the worker count.  A step
+    makes some 18 numpy calls of 10-100 us each on a chunk, so worker
+    threads would contend for the interpreter lock; worker processes do
+    not.  One-bead chunks (N = 1, as in CMD) propagate on this thread:
+    a chunk holds 2^15 centroids, so a CMD run of fewer trajectories is
+    one chunk, with nothing to share out.
     """
     n = x0.shape[0]
     n_steps = integrator_cfg.n_steps
@@ -83,8 +86,8 @@ def _correlator_from_ic(x0, p0, force, mass, thermo, integrator_cfg, a_obs, b_ob
         b, sums = done
         total[b:b + len(sums)] += sums
 
-    map_in_order(job, _chunks(n, thermo.n_beads), add,
-                 1 if thermo.n_beads == 1 else resolve_workers())
+    map_in_processes(job, _chunks(n, thermo.n_beads), add,
+                     1 if thermo.n_beads == 1 else resolve_workers())
     return blocked_mean(total, edges)
 
 

@@ -3,7 +3,7 @@
 Runs are described by a flat key-value file with sections; flags are
 reserved for paths and verbosity.  Every artifact is a pure function of
 (config, seed): rerunning the config echoed in meta.json reproduces
-results.csv byte for byte at any thread count (PIMD_KUBO_THREADS).
+results.csv byte for byte at any worker count (PIMD_KUBO_THREADS).
 
 Config grammar.  A ``[name]`` line opens one of the sections model, thermo,
 sampler, integrator, oracle or run; each following ``key = value`` line sets
@@ -41,10 +41,12 @@ static run with dump_ensemble holds the rings, and it averages the rings
 it dumps to the same bytes.  The labels a and b are checked at parse time
 for every command, including those that ignore them.
 
-Every run also writes meta.json, which records the process's peak resident
-set size (peak_rss_mb), its thread count (threads) and each distinct
-warning message once, with its count, in first-seen order (warnings), among
-other things.
+Every run also writes meta.json, which records the peak resident set size
+(peak_rss_mb) of the process or of its largest worker process, whichever
+is larger, the worker count of PIMD_KUBO_THREADS (threads) and each
+distinct warning message once, with its count, in first-seen order
+(warnings), among other things.  A warning issued in a worker process is
+counted as if issued in the process itself.
 All files of a run are written to a temporary directory beside output_dir
 and moved in once every writer has finished, so a failing run adds no file
 to output_dir.
@@ -134,7 +136,7 @@ _SCHEMA = {
 _METHODS = {"compare": ("rpmd", "cmd"), "spectrum": ("rpmd", "cmd", "oracle")}
 # the commands whose error bars take [run] blocks; a correlator's are the fixed
 # N_BLOCKS blocks, each chunk adding its sums over the blocks it reaches
-# (_stats.block_sums) in chunk order, so they do not depend on the thread count
+# (_stats.block_sums) in chunk order, so they do not depend on the worker count
 # but are not numpy's full reduction of the products bit for bit
 _BLOCKED = ("static", "convergence")
 
@@ -429,8 +431,14 @@ _COMMANDS = {
 
 
 def _peak_rss_mb():
-    """Peak resident set size of this process so far, in MB (2^20 bytes)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """Peak resident set size of this process or of its largest worker process so far, in MB.
+
+    MB are 2^20 bytes.  RPMD correlators propagate in forked worker
+    processes (sampler.map_in_processes), whose peaks only RUSAGE_CHILDREN
+    sees.
+    """
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes there, KiB on Linux
 
 

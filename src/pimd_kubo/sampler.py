@@ -100,6 +100,8 @@ burn-in saved.  The default is a constant and not derived from n_samples.
 
 import math
 import os
+import pickle
+import signal
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -129,6 +131,8 @@ _KAPPA_STEPS = 32        # kappa search points per octave
 # (quartic, mildly anharmonic with c3 = 0.1 and c4 = 0.01 or 0.05, beta 1-8,
 # N 4-64) at under half the cost; 64 lost digits on the c3 wells (to 6.5e-11)
 _CENTROID_NODES = 96
+# os.fork's DeprecationWarning (Python >= 3.12) in a process with threads
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,7 @@ class SamplerConfig:
 
 
 def resolve_workers():
-    """Thread count: PIMD_KUBO_THREADS, else the cpu count.
+    """Worker count, of threads or worker processes: PIMD_KUBO_THREADS, else the cpu count.
 
     A set value that is not a positive integer raises ConfigError.
     """
@@ -202,6 +206,115 @@ def map_in_order(fn, items, consume, workers):
                 consume(pending.popleft().result())
         while pending:
             consume(pending.popleft().result())
+
+
+def map_in_processes(fn, items, consume, workers):
+    """map_in_order's contract, with fn run in forked worker processes.
+
+    consume(fn(item)) runs for every item, in item order, in this thread.
+    With workers <= 1, or one item, it runs inline and forks nothing.
+    Otherwise w = min(workers, len(items)) children are forked by os.fork,
+    and item i runs in child i mod w, which pickles each result into its
+    own pipe and blocks there until this process reads it; so at most w
+    results are in flight, beside what a pipe buffers (64 KiB on Linux).  A
+    child leaves by os._exit.  Fork, because jobs are closures over this
+    process's arrays: a ProcessPoolExecutor needs picklable callables and a
+    manager thread, and spawn or forkserver would import numpy again in
+    every worker.  So fn runs off the interpreter lock of this process,
+    which threads running many short numpy calls contend for.
+
+    A child records every warning fn issues, and this process re-issues
+    them by warnings.warn_explicit, under its own filters, before it
+    consumes that item: under an "always" filter (runner.run's), the counts
+    are those of an inline run.  An exception in fn is raised here with its
+    type and message (a RuntimeError with its repr if it does not pickle).
+    On any exception here, KeyboardInterrupt included, the children still
+    running are killed, and every child is reaped before the call ends.
+    From Python 3.12 os.fork warns DeprecationWarning in a process with
+    threads, which OpenBLAS's idle pool makes; that warning is ignored
+    around the fork because a child runs no BLAS routine, whose pool
+    threads the fork does not copy.
+    """
+    items = list(items)
+    w = min(workers, len(items))
+    if w <= 1:
+        for item in items:
+            consume(fn(item))
+        return
+    pids, pipes = [], []  # pipes[k]: the read end of child k's pipe
+    try:
+        for k in range(w):
+            read, write = os.pipe()
+            pipes.append(os.fdopen(read, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items[k::w], write, pipes)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        for i in range(len(items)):
+            try:
+                ok, value, caught = pickle.load(pipes[i % w])
+            except EOFError:
+                raise RuntimeError(f"worker process {pids[i % w]} ended without a result") from None
+            for category, message, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if not ok:
+                raise value
+            consume(value)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours even if it has ended
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, items, write, pipes):
+    """The body of a map_in_processes child: send each item's result into write, then _exit."""
+    try:
+        for pipe in pipes:
+            pipe.close()
+        with os.fdopen(write, "wb") as pipe:
+            for item in items:
+                ok, data = _forward(fn, item)
+                pipe.write(data)
+                pipe.flush()
+                if not ok:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _forward(fn, item):
+    """Pickled (ok, fn(item) or its exception, warnings) for map_in_processes.
+
+    Runs in a worker process.  Every warning fn issues is recorded as
+    (category, message, filename, lineno).  A result that does not pickle,
+    or an exception that does not survive a pickle round trip, is sent as a
+    RuntimeError with the repr of the pickling error or of the exception.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ok, value = True, fn(item)
+        except BaseException as exc:  # handed to the parent, which raises it
+            ok, value = False, exc
+    caught = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    try:
+        data = pickle.dumps((ok, value, caught))
+        if not ok:
+            pickle.loads(data)
+    except Exception as exc:
+        data = pickle.dumps((False, RuntimeError(repr(exc if ok else value)), caught))
+        ok = False
+    return ok, data
 
 
 def _reference(model, thermo, q_c):

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -139,27 +140,37 @@ def test_one_bead_segments_continue_the_trajectories_bit_for_bit(b_obs, monkeypa
     assert cut[1].tobytes() == whole[1].tobytes()
 
 
-def test_one_bead_correlator_propagates_on_calling_thread(harmonic_model, monkeypatch):
-    # at PIMD_KUBO_THREADS = 3, an N = 4 correlator (one chunk of 2500 rings)
-    # propagates on a pool thread, a one-bead (CMD) one on this thread
-    monkeypatch.setenv("PIMD_KUBO_THREADS", "3")
-    th, scfg = ThermoParams(1.0, 4), _scfg(2500, seed=67, burn_in=8)
+def test_rpmd_chunks_fork_workers_and_one_bead_chunks_run_here(harmonic_model, monkeypatch):
+    # at PIMD_KUBO_THREADS = 2, an N = 64 correlator of 1100 rings (chunks of
+    # 512, 512 and 76) forks two worker processes, and its force never runs
+    # in this one; a one-bead (CMD) correlator forks nothing and runs its
+    # force on this thread of this process
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
     icfg = IntegratorConfig(dt=0.05, n_steps=2)
-    threads = {"rpmd": set(), "cmd": set()}
+    forks, here = [], {"rpmd": set(), "cmd": set()}
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
 
     def spy(method, force):
         def traced(x, out):
-            threads[method].add(threading.get_ident())
+            here[method].add((os.getpid(), threading.get_ident()))
             return force(x, out)
         return traced
 
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr("pimd_kubo.estimators.force_fn", lambda m: spy("rpmd", force_fn(m)))
-    rpmd_kubo_correlator(harmonic_model, th, scfg, icfg, OBS_Q, OBS_Q)
+    rpmd_kubo_correlator(harmonic_model, ThermoParams(1.0, 64), _scfg(1100, seed=67, burn_in=8),
+                         icfg, OBS_Q, OBS_Q)
+    assert len(forks) == 2 and here["rpmd"] == set()
     table = _linear_table()
     table.force_at = spy("cmd", table.force_at)
-    cmd_kubo_correlator(harmonic_model, th, table, scfg, icfg, OBS_Q, OBS_Q)
-    assert threads["cmd"] == {threading.get_ident()}
-    assert threads["rpmd"] and threading.get_ident() not in threads["rpmd"]
+    cmd_kubo_correlator(harmonic_model, ThermoParams(1.0, 4), table,
+                        _scfg(2500, seed=67, burn_in=8), icfg, OBS_Q, OBS_Q)
+    assert len(forks) == 2
+    assert here["cmd"] == {(os.getpid(), threading.get_ident())}
 
 
 @pytest.mark.parametrize("shape", [(1000,), (2500, 7)])

@@ -1,6 +1,8 @@
 import json
 import os
+import resource
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -417,6 +419,17 @@ def test_nonfinite_rpmd_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failing_rpmd_run_leaves_no_worker_process(tmp_path, monkeypatch, capsys):
+    # 256 beads make two chunks of 128 rings, propagated in two worker
+    # processes; the run exits 3, and every worker has been reaped
+    monkeypatch.setenv("PIMD_KUBO_THREADS", "2")
+    text = NONFINITE_RPMD.replace("n_beads = 8", "n_beads = 256")
+    assert run(parse_config(text.format(out=tmp_path / "nan"))) == 3
+    assert "NonFiniteResult" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("command, edit, extra", [
     ("spectrum", {}, "method = rpmd\nwindow = hamming\n"),
     ("rpmd", {}, "momentum_convention = midpoint\n"),
@@ -720,6 +733,18 @@ def test_meta_records_peak_rss(tmp_path, monkeypatch):
     assert meta["peak_rss_mb"] > 0
     assert "peak_rss_mb" not in meta["stats"]
     assert meta["threads"] == 3
+
+
+@pytest.mark.parametrize("self_kib, children_kib", [(40960, 61440), (61440, 40960)])
+def test_meta_peak_rss_is_the_larger_of_the_process_and_its_workers(tmp_path, monkeypatch,
+                                                                      self_kib, children_kib):
+    # RPMD chunks propagate in worker processes, whose peaks only
+    # RUSAGE_CHILDREN reports; meta takes the larger peak (ru_maxrss in KiB)
+    peaks = {resource.RUSAGE_SELF: self_kib, resource.RUSAGE_CHILDREN: children_kib}
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=peaks[who]))
+    out = tmp_path / "out"
+    assert run(parse_config(MINIMAL_STATIC.format(out=out))) == 0
+    assert json.loads((out / "meta.json").read_text())["peak_rss_mb"] == 60.0
 
 
 @pytest.mark.parametrize("case", ["q2", "p", "convergence"])

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 import warnings
 from dataclasses import replace
 
@@ -1018,3 +1020,126 @@ def test_error_bars_are_honest_at_the_default_layout():
         se2.append(block_standard_error(vals) ** 2)
     ratio = 15.0 * np.var(means, ddof=1) / np.mean(se2)
     assert stats.chi2.ppf(0.005, 15) <= ratio <= stats.chi2.ppf(0.995, 15)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but unpickling calls __init__ with one argument, which fails."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square_with_pid(i):
+    return os.getpid(), i * i
+
+
+def test_map_in_processes_consumes_in_item_order():
+    # item i runs in worker process i mod 2; its result is consumed here, in order
+    got = []
+    sampler.map_in_processes(_square_with_pid, range(7), got.append, 2)
+    assert [v for _, v in got] == [i * i for i in range(7)]
+    pids = [pid for pid, _ in got]
+    assert pids[0] != pids[1] and os.getpid() not in pids
+    assert pids == [pids[i % 2] for i in range(7)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("items, workers", [(range(5), 1), ([3], 2), ([], 2)])
+def test_map_in_processes_runs_inline_without_a_fork(monkeypatch, items, workers):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    got = []
+    sampler.map_in_processes(_square_with_pid, items, got.append, workers)
+    assert got == [(os.getpid(), i * i) for i in items]
+
+
+@pytest.mark.parametrize("exc, want, match", [
+    (UnsupportedModel("no such well"), UnsupportedModel, "^no such well$"),
+    (_TwoArgError("lost", 2), RuntimeError, "_TwoArgError\\('lost'\\)"),
+])
+def test_map_in_processes_raises_the_workers_exception(exc, want, match):
+    # a ConfigError keeps its type (exit 2); one that cannot be unpickled
+    # comes back as a RuntimeError with its repr; the items before it are
+    # consumed, none after
+    def fn(i):
+        if i == 3:
+            raise exc
+        return i
+
+    got = []
+    with pytest.raises(want, match=match):
+        sampler.map_in_processes(fn, range(6), got.append, 2)
+    assert got == [0, 1, 2]
+    _no_child_left()
+
+
+def test_map_in_processes_reports_a_worker_that_ends_without_a_result():
+    def fn(i):
+        if i == 1:
+            os._exit(1)
+        return i
+
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        sampler.map_in_processes(fn, range(4), lambda _: None, 2)
+    _no_child_left()
+
+
+def test_map_in_processes_reissues_warnings_before_consuming():
+    # the warnings of each item, with their file and line, come before its
+    # consume, in the same order and count as on one worker
+    def fn(i):
+        for _ in range(i % 3):
+            warnings.warn(NonErgodicWarning(f"item {i % 2}"))
+        return i
+
+    def run(workers):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sampler.map_in_processes(fn, range(6), lambda i: warnings.warn(f"consumed {i}"),
+                                     workers)
+        return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+    one = run(1)
+    assert len(one) == 6 + 6
+    assert run(2) == one
+    _no_child_left()
+
+
+def test_map_in_processes_ignores_the_fork_warning_only(monkeypatch):
+    # from Python 3.12 os.fork warns so in a process with threads
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        warnings.warn("another deprecation", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sampler.map_in_processes(_square_with_pid, range(3), lambda _: None, 2)
+    assert [str(w.message) for w in caught] == ["another deprecation"] * 2
+    _no_child_left()
+
+
+def test_map_in_processes_kills_its_workers_on_interrupt():
+    # an interrupt while the workers still run kills them at once; all are reaped
+    def fn(i):
+        if i >= 2:
+            time.sleep(60)
+        return i
+
+    def consume(i):
+        if i == 1:
+            raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sampler.map_in_processes(fn, range(4), consume, 2)
+    assert time.monotonic() - start < 30
+    _no_child_left()
